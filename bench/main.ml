@@ -829,17 +829,6 @@ let engine_table () =
 
 let microbench () =
   let open Bechamel in
-  let heap_test =
-    Test.make ~name:"sim.heap push+pop 1k"
-      (Staged.stage (fun () ->
-           let h = Sim.Heap.create ~cmp:compare in
-           for i = 0 to 999 do
-             Sim.Heap.push h ((i * 7919) mod 1000, i) ()
-           done;
-           while not (Sim.Heap.is_empty h) do
-             ignore (Sim.Heap.pop h)
-           done))
-  in
   let rng = Sim.Rng.create ~seed:1 in
   let rng_test =
     Test.make ~name:"sim.rng 1k draws"
@@ -864,9 +853,29 @@ let microbench () =
            Disk.Store.write store ~off:123456 ~len:8192 buf 0;
            Disk.Store.read store ~off:123456 ~len:8192 buf 0))
   in
+  (* one 120 KB cluster moved as a flat buffer vs as 15 borrowed pages:
+     the per-segment cost of the zero-copy disk path *)
+  let cluster = 120 * 1024 and page = 8192 in
+  let flat = Sim.Iov.of_bytes (Bytes.create cluster) in
+  let paged =
+    Sim.Iov.of_list
+      (List.init (cluster / page) (fun _ -> (Bytes.create page, 0, page)))
+  in
+  let cluster_test name iov =
+    Test.make ~name
+      (Staged.stage (fun () ->
+           Disk.Store.writev store ~off:1_048_576 iov;
+           Disk.Store.readv store ~off:1_048_576 iov))
+  in
   let tests =
     Test.make_grouped ~name:"simulator"
-      [ heap_test; rng_test; chs_test; store_test ]
+      [
+        rng_test;
+        chs_test;
+        store_test;
+        cluster_test "disk.store 120KB 1 segment w+r" flat;
+        cluster_test "disk.store 120KB 15 segments w+r" paged;
+      ]
   in
   let benchmark () =
     let instances = Toolkit.Instance.[ monotonic_clock ] in

@@ -116,23 +116,23 @@ let segments geom ~sector ~count =
    clustered file system run the disk at its full bandwidth.  Returns
    the duration, or None when the pattern does not apply (non-
    sequential, buffer wrapped, or track buffering disabled). *)
-let try_stream_read d ~t0 (r : Request.t) =
+let try_stream_read d ~t0 ~kind ~sector ~count =
   if
     (not d.cfg.track_buffer)
-    || r.Request.kind <> Request.Read
-    || r.Request.sector <> d.last_read_end
+    || kind <> Request.Read
+    || sector <> d.last_read_end
   then None
   else begin
     let geom = d.cfg.geom in
-    let chs = Geom.to_chs geom r.Request.sector in
+    let chs = Geom.to_chs geom sector in
     let sector_time = Geom.sector_time geom ~spt:chs.Geom.spt in
     let start = t0 + d.cfg.cmd_overhead in
     let elapsed = start - d.last_read_end_time in
     let elapsed_sectors = elapsed / sector_time in
     if elapsed_sectors >= chs.Geom.spt then None (* read-ahead buffer wrapped *)
     else begin
-      let buffered = min r.Request.count elapsed_sectors in
-      let rest = r.Request.count - buffered in
+      let buffered = min count elapsed_sectors in
+      let rest = count - buffered in
       let bus =
         buffered * geom.Geom.sector_bytes * 1_000_000 / d.cfg.bus_bytes_per_sec
       in
@@ -141,17 +141,18 @@ let try_stream_read d ~t0 (r : Request.t) =
     end
   end
 
-(* Virtual-time cost of servicing [r] starting at time [t0].  Also
-   updates head position and track buffer.  Returns (duration,
-   fully_buffered, seek_us, rot_us, xfer_us). *)
-let service_cost d ~t0 (r : Request.t) =
+(* Virtual-time cost of servicing a [kind] transfer of [count] sectors
+   at [sector], starting at time [t0].  Also updates head position and
+   track buffer.  Returns (duration, fully_buffered, seek_us, rot_us,
+   xfer_us). *)
+let service_cost d ~t0 ~kind ~sector ~count =
   let geom = d.cfg.geom in
-  let segs = segments geom ~sector:r.Request.sector ~count:r.Request.count in
+  let segs = segments geom ~sector ~count in
   let t = ref (t0 + d.cfg.cmd_overhead) in
   let seek_us = ref 0 and rot_us = ref 0 and xfer_us = ref 0 in
   let all_buffered = ref true in
   let serve_seg (s0, n, (chs : Geom.chs)) =
-    let is_read = r.Request.kind = Request.Read in
+    let is_read = kind = Request.Read in
     let hit =
       d.cfg.track_buffer && is_read
       && Track_buffer.holds d.tbuf ~cyl:chs.cyl ~head:chs.head
@@ -198,15 +199,15 @@ let service_cost d ~t0 (r : Request.t) =
   List.iter serve_seg segs;
   (!t - t0, !all_buffered, !seek_us, !rot_us, !xfer_us)
 
-(* Move the data for a completed request between buffer and store.  A
-   write past the crash-point latch completes normally from the
-   caller's point of view but its bytes never reach the platter — the
-   image is frozen at the k-th write boundary. *)
+(* Move the data for a completed request between its segments and the
+   store.  A write past the crash-point latch completes normally from
+   the caller's point of view but its bytes never reach the platter —
+   the image is frozen at the k-th write boundary. *)
 let do_data d (r : Request.t) =
   let sb = d.cfg.geom.Geom.sector_bytes in
   let off = r.Request.sector * sb and len = r.Request.count * sb in
   match r.Request.kind with
-  | Request.Read -> Store.read d.st ~off ~len r.Request.buf r.Request.buf_off
+  | Request.Read -> Store.readv d.st ~off r.Request.iov
   | Request.Write -> (
       match d.write_cutoff with
       | Some n when n <= 0 ->
@@ -216,7 +217,7 @@ let do_data d (r : Request.t) =
           (match cutoff with
           | Some n -> d.write_cutoff <- Some (n - 1)
           | None -> ());
-          Store.write d.st ~off ~len r.Request.buf r.Request.buf_off)
+          Store.writev d.st ~off r.Request.iov)
 
 let finish d r =
   do_data d r;
@@ -242,13 +243,12 @@ let finish d r =
   Request.complete r ~now
 
 (* Post-service head/stream bookkeeping shared by both service paths. *)
-let note_transfer_end d (r : Request.t) ~finish =
-  let endsec = Request.end_sector r in
+let note_transfer_end d ~kind ~endsec ~finish =
   let chs = Geom.to_chs d.cfg.geom (endsec - 1) in
   d.cur_cyl <- chs.Geom.cyl;
   d.cur_head <- chs.Geom.head;
   d.head_sector <- endsec;
-  match r.Request.kind with
+  match kind with
   | Request.Read ->
       d.last_read_end <- endsec;
       d.last_read_end_time <- finish;
@@ -282,20 +282,14 @@ let rec service_loop d () =
       let t0 = Sim.Engine.now d.engine in
       List.iter (fun x -> Request.set_start_at x t0) group;
       (* cost the whole contiguous group as one transfer *)
-      let probe =
-        if List.length group = 1 then r
-        else
-          Request.make ~kind:r.Request.kind ~sector:first.Request.sector
-            ~count:total_count
-            ~buf:(Bytes.create (total_count * d.cfg.geom.Geom.sector_bytes))
-            ~buf_off:0 ()
-      in
+      let kind = r.Request.kind and sector = first.Request.sector in
       let dur, hit, sk, rw, xf =
-        match try_stream_read d ~t0 probe with
+        match try_stream_read d ~t0 ~kind ~sector ~count:total_count with
         | Some (dur, xfer) -> (dur, true, 0, 0, xfer)
-        | None -> service_cost d ~t0 probe
+        | None -> service_cost d ~t0 ~kind ~sector ~count:total_count
       in
-      note_transfer_end d probe ~finish:(t0 + dur);
+      note_transfer_end d ~kind ~endsec:(sector + total_count)
+        ~finish:(t0 + dur);
       List.iter
         (fun (x : Request.t) ->
           let part v = v * x.Request.count / total_count in

@@ -13,7 +13,8 @@
     non-clustered writes.
 
     Data really moves: a read copies from the {!Store.t} into the
-    request buffer at completion time; a write copies into the store.
+    request's segments at completion time; a write gathers them into
+    the store.
 
     All timing knobs live in {!config} so experiments can run the same
     file system against drives with and without track buffers, FIFO vs

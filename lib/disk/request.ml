@@ -4,8 +4,7 @@ type t = {
   kind : kind;
   sector : int;
   count : int;
-  buf : bytes;
-  buf_off : int;
+  iov : Sim.Iov.t;
   ordered : bool;
   id : int;
   mutable enq_at : Sim.Time.t;
@@ -22,17 +21,19 @@ type t = {
 
 let next_id = ref 0
 
-let make ?(ordered = false) ~kind ~sector ~count ~buf ~buf_off () =
-  if sector < 0 || count <= 0 then invalid_arg "Request.make: bad extent";
-  if buf_off < 0 || buf_off + (count * 512) > Bytes.length buf then
-    invalid_arg "Request.make: buffer too small";
+let check_extent ~sector ~count =
+  if sector < 0 || count <= 0 then invalid_arg "Request.make: bad extent"
+
+let of_iov ?(ordered = false) ~kind ~sector ~count iov () =
+  check_extent ~sector ~count;
+  if Sim.Iov.length iov <> count * 512 then
+    invalid_arg "Request.of_iov: iov length is not count sectors";
   incr next_id;
   {
     kind;
     sector;
     count;
-    buf;
-    buf_off;
+    iov;
     ordered;
     id = !next_id;
     enq_at = 0;
@@ -46,6 +47,14 @@ let make ?(ordered = false) ~kind ~sector ~count ~buf ~buf_off () =
     waiters = [];
     absorbed_into = None;
   }
+
+let make ?ordered ~kind ~sector ~count ~buf ~buf_off () =
+  check_extent ~sector ~count;
+  if buf_off < 0 || buf_off + (count * 512) > Bytes.length buf then
+    invalid_arg "Request.make: buffer too small";
+  of_iov ?ordered ~kind ~sector ~count
+    (Sim.Iov.of_bytes ~off:buf_off ~len:(count * 512) buf)
+    ()
 
 let on_complete t f =
   if t.completed then f () else t.callbacks <- f :: t.callbacks

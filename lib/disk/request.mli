@@ -1,11 +1,13 @@
 (** Disk I/O requests.
 
-    A request names a contiguous run of sectors, carries the data buffer
-    it reads into / writes from, and records its lifecycle timestamps
-    for latency accounting.  Completion is observable two ways: by
-    blocking ({!wait}) — the synchronous read path — or by callback
-    ({!on_complete}) — the asynchronous write path, where the callback
-    releases the inode's write-limit semaphore and marks pages clean.
+    A request names a contiguous run of sectors, carries the
+    scatter/gather vector it reads into / writes from (one segment for a
+    flat buffer, one per page for a cluster), and records its lifecycle
+    timestamps for latency accounting.  Completion is observable two
+    ways: by blocking ({!wait}) — the synchronous read path — or by
+    callback ({!on_complete}) — the asynchronous write path, where the
+    callback releases the inode's write-limit semaphore and marks pages
+    clean.
 
     [ordered] is the paper's proposed [B_ORDER] flag: the queue must not
     reorder other requests across an ordered one. *)
@@ -16,8 +18,7 @@ type t = private {
   kind : kind;
   sector : int;
   count : int;  (** sectors *)
-  buf : bytes;
-  buf_off : int;
+  iov : Sim.Iov.t;  (** exactly [count * 512] bytes *)
   ordered : bool;
   id : int;
   mutable enq_at : Sim.Time.t;
@@ -35,11 +36,19 @@ type t = private {
           neighbouring one; completion then tracks the absorber *)
 }
 
+val of_iov :
+  ?ordered:bool -> kind:kind -> sector:int -> count:int -> Sim.Iov.t ->
+  unit -> t
+(** The vectored request.  The iov must hold exactly [count * 512]
+    bytes; they are borrowed, not copied — a write's bytes are read when
+    the request completes, a read's land then, so the caller must keep
+    the segments stable (or untouched) until completion. *)
+
 val make :
   ?ordered:bool -> kind:kind -> sector:int -> count:int -> buf:bytes ->
   buf_off:int -> unit -> t
-(** [buf] must have at least [count * 512] bytes available at
-    [buf_off]. *)
+(** One-segment {!of_iov}: [buf] must have at least [count * 512] bytes
+    available at [buf_off]. *)
 
 val on_complete : t -> (unit -> unit) -> unit
 (** Register a completion callback; called immediately if already

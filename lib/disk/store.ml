@@ -92,6 +92,24 @@ let rec write t ~off ~len src src_off =
         remaining := !remaining - n
       done
 
+let readv t ~off iov =
+  check t off (Sim.Iov.length iov);
+  let pos = ref off in
+  Sim.Iov.iter
+    (fun b boff n ->
+      read t ~off:!pos ~len:n b boff;
+      pos := !pos + n)
+    iov
+
+let writev t ~off iov =
+  check t off (Sim.Iov.length iov);
+  let pos = ref off in
+  Sim.Iov.iter
+    (fun b boff n ->
+      write t ~off:!pos ~len:n b boff;
+      pos := !pos + n)
+    iov
+
 let rec chunks_allocated = function
   | Flat f -> Hashtbl.length f.chunks
   | View v -> chunks_allocated v.base

@@ -33,6 +33,14 @@ val write : t -> off:int -> len:int -> bytes -> int -> unit
 (** [write t ~off ~len src src_off] copies [len] bytes from [src] at
     [src_off] into the store at byte [off]. *)
 
+val readv : t -> off:int -> Sim.Iov.t -> unit
+(** [readv t ~off iov] fills the iov's segments, in order, from the
+    store bytes starting at [off]. *)
+
+val writev : t -> off:int -> Sim.Iov.t -> unit
+(** [writev t ~off iov] gathers the iov's segments, in order, into the
+    store starting at [off]. *)
+
 val chunks_allocated : t -> int
 (** Number of materialised chunks (memory accounting for tests). *)
 

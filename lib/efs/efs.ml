@@ -150,6 +150,10 @@ let ident f off : Vm.Page.ident = { Vm.Page.vid = f.vid; off }
 let charge_io t =
   charge t ~label:"driver" (t.costs.Ufs.Costs.driver_submit + t.costs.Ufs.Costs.intr)
 
+(* Read target for the blocks of an extent that are already cached;
+   never read. *)
+let discard = Bytes.create bsize
+
 (* read the whole extent [e] into the cache with one request *)
 let extent_in t f (e : extent) ~sync =
   let mine = ref [] in
@@ -167,16 +171,21 @@ let extent_in t f (e : extent) ~sync =
   match !mine with
   | [] -> ()
   | mine ->
-      let bytes = e.blocks * bsize in
-      let buf = Bytes.create bytes in
+      (* scatter into the claimed (busy) pages; cached blocks' bytes are
+         read into the shared discard page *)
+      let segs = Array.make e.blocks (discard, 0, bsize) in
+      List.iter
+        (fun ((p : Vm.Page.t), k) -> segs.(k) <- (p.Vm.Page.data, 0, bsize))
+        mine;
       let req =
-        Disk.Request.make ~kind:Disk.Request.Read ~sector:e.sector
-          ~count:(e.blocks * sectors_per_block) ~buf ~buf_off:0 ()
+        Disk.Request.of_iov ~kind:Disk.Request.Read ~sector:e.sector
+          ~count:(e.blocks * sectors_per_block)
+          (Sim.Iov.of_list (Array.to_list segs))
+          ()
       in
       Disk.Request.on_complete req (fun () ->
           List.iter
-            (fun ((p : Vm.Page.t), k) ->
-              Bytes.blit buf (k * bsize) p.Vm.Page.data 0 bsize;
+            (fun ((p : Vm.Page.t), _) ->
               Vm.Page.set_valid p true;
               Vm.Page.unbusy p)
             mine);
@@ -212,17 +221,22 @@ let push_range t f ~from ~len =
           | [] -> ()
           | pages ->
               let nblocks = List.length pages in
-              let buf = Bytes.create (nblocks * bsize) in
-              List.iteri
-                (fun k ((p : Vm.Page.t), _) ->
-                  Bytes.blit p.Vm.Page.data 0 buf (k * bsize) bsize;
-                  assert (Vm.Page.try_lock p))
+              (* gather straight from the pages: they stay locked (busy)
+                 until the write lands, so their bytes cannot change *)
+              List.iter
+                (fun ((p : Vm.Page.t), _) -> assert (Vm.Page.try_lock p))
                 pages;
+              let iov =
+                Sim.Iov.of_list
+                  (List.map
+                     (fun ((p : Vm.Page.t), _) -> (p.Vm.Page.data, 0, bsize))
+                     pages)
+              in
               let _, blk0 = List.hd pages in
               let sector = e.sector + ((blk0 - e.lbn) * sectors_per_block) in
               let req =
-                Disk.Request.make ~kind:Disk.Request.Write ~sector
-                  ~count:(nblocks * sectors_per_block) ~buf ~buf_off:0 ()
+                Disk.Request.of_iov ~kind:Disk.Request.Write ~sector
+                  ~count:(nblocks * sectors_per_block) iov ()
               in
               f.outstanding <- f.outstanding + nblocks;
               t.stats.push_ios <- t.stats.push_ios + 1;

@@ -18,7 +18,9 @@ type stats = {
 }
 
 type cpage = {
-  pdata : bytes;
+  mutable pdata : bytes;
+      (** replaced, never written, while a WRITE payload borrows it
+          ([pflush > 0]): see [write_body] *)
   mutable pvalid : bool;
   mutable pdirty : bool;
   mutable pbusy : bool;  (** a fill RPC is in flight *)
@@ -63,7 +65,7 @@ type file = {
 
 and job =
   | Ra of file * int * int  (** read-ahead: file, offset, length *)
-  | Push of file * int * int * bytes * cpage list
+  | Push of file * int * int * Sim.Iov.t * cpage list
       (** write-behind: file, off, dirty credit, payload, covered pages *)
 
 and t = {
@@ -231,11 +233,13 @@ let evict_one t =
         else Queue.push (f, po) t.lru
   done
 
-let insert_page t f po =
+(* [data] is the page's frame; a fill passes [Bytes.empty] and installs
+   the frame when the READ reply lands. *)
+let insert_page t f po ~data =
   if t.resident >= t.cache_pages then evict_one t;
   let p =
     {
-      pdata = Bytes.create bsize;
+      pdata = data;
       pvalid = false;
       pdirty = false;
       pbusy = false;
@@ -251,9 +255,11 @@ let insert_page t f po =
 
 (* Fetch [off, off+len) into the cache with one READ RPC, filling only
    the pages this call claimed (pages already valid or being filled by
-   someone else are left alone).  Pages past the server's EOF are
-   dropped again.  Runs in whatever process called it: the reader for
-   a demand miss, a biod for read-ahead. *)
+   someone else are left alone).  A claimed page adopts its whole-page
+   segment of the reply as its frame; only a short tail is copied.
+   Pages past the server's EOF are dropped again.  Runs in whatever
+   process called it: the reader for a demand miss, a biod for
+   read-ahead. *)
 let fetch_range t f ~off ~len ~prefetched =
   let claims = ref [] in
   let po = ref off in
@@ -264,7 +270,7 @@ let fetch_range t f ~off ~len ~prefetched =
         p.pbusy <- true;
         claims := (!po, p) :: !claims
     | None ->
-        let p = insert_page t f !po in
+        let p = insert_page t f !po ~data:Bytes.empty in
         p.pbusy <- true;
         claims := (!po, p) :: !claims);
     po := !po + bsize
@@ -280,15 +286,18 @@ let fetch_range t f ~off ~len ~prefetched =
         | Proto.R_err e -> failwith ("nfs read: " ^ e)
         | _ -> assert false
       in
-      let n = Bytes.length data in
+      let n = Sim.Iov.length data in
       List.iter
         (fun (po, p) ->
           let k = po - lo in
           if k < n then begin
-            let avail = min bsize (n - k) in
-            Bytes.blit data k p.pdata 0 avail;
-            if avail < bsize then
-              Bytes.fill p.pdata avail (bsize - avail) '\000';
+            (match Sim.Iov.whole data ~off:k ~len:bsize with
+            | Some frame -> p.pdata <- frame
+            | None ->
+                let avail = min bsize (n - k) in
+                let frame = Bytes.make bsize '\000' in
+                Sim.Iov.blit_to_bytes data k frame 0 avail;
+                p.pdata <- frame);
             p.pvalid <- true;
             p.pprefetched <- prefetched
           end
@@ -341,7 +350,10 @@ let biod t () =
     | Push (f, off, credit, data, pages) ->
         Sim.Span.root ~name:"biod.push" ~track:(biod_track t) ~sample:false
           ~attrs:
-            [ ("off", Sim.Span.I off); ("len", Sim.Span.I (Bytes.length data)) ]
+            [
+              ("off", Sim.Span.I off);
+              ("len", Sim.Span.I (Sim.Iov.length data));
+            ]
           (fun () ->
             do_push t f ~credit ~pages
               ~call:(Proto.Write { fh = f.fh; off; data }))
@@ -566,7 +578,7 @@ let flush_gather t f =
     let len = min f.delaylen (f.fsize - off) in
     f.delayoff <- 0;
     f.delaylen <- 0;
-    let data = Bytes.create len in
+    let segs = ref [] in
     let pages = ref [] in
     let cleaned = ref 0 in
     let po = ref off in
@@ -574,10 +586,11 @@ let flush_gather t f =
       (match Hashtbl.find_opt f.pages !po with
       | Some p when p.pvalid ->
           let n = min bsize (off + len - !po) in
-          Bytes.blit p.pdata 0 data (!po - off) n;
-          (* the payload now owns the bytes: the page is clean but
-             stays pinned (pflush) until the WRITE RPC completes, so
-             eviction can't drop it and refetch stale server data *)
+          segs := (p.pdata, 0, n) :: !segs;
+          (* the payload borrows the page's bytes: the page is clean
+             but stays pinned (pflush) until the WRITE RPC completes, so
+             eviction can't drop it and refetch stale server data, and
+             a rewrite copies the frame instead of changing it *)
           p.pflush <- p.pflush + 1;
           pages := p :: !pages;
           if p.pdirty then begin
@@ -593,6 +606,7 @@ let flush_gather t f =
     (* dirty_bytes moved bsize per page when it was dirtied, so credit
        bsize per page cleaned — crediting the truncated payload length
        would leak the tail of a run ending mid-block *)
+    let data = Sim.Iov.of_list (List.rev !segs) in
     enqueue t (Push (f, off, !cleaned * bsize, data, !pages))
   end
 
@@ -630,14 +644,12 @@ let write_body f ~off ~buf ~len =
             match Hashtbl.find_opt f.pages po with
             | Some p when p.pvalid -> p
             | _ ->
-                let p = insert_page t f po in
-                Bytes.fill p.pdata 0 bsize '\000';
+                let p = insert_page t f po ~data:(Bytes.make bsize '\000') in
                 p.pvalid <- true;
                 p
           end
           else begin
-            let p = insert_page t f po in
-            Bytes.fill p.pdata 0 bsize '\000';
+            let p = insert_page t f po ~data:(Bytes.make bsize '\000') in
             p.pvalid <- true;
             p
           end
@@ -648,6 +660,9 @@ let write_body f ~off ~buf ~len =
     end;
     charge t t.costs.Ufs.Costs.map_block;
     charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
+    (* copy-on-write: an in-flight WRITE payload borrows this frame and
+       must keep sending the bytes it was gathered with *)
+    if page.pflush > 0 then page.pdata <- Bytes.copy page.pdata;
     Bytes.blit buf !copied page.pdata (!cur - po) n;
     if !cur + n > f.fsize then f.fsize <- !cur + n;
     (* gather: extend the run while the stream stays contiguous *)

@@ -9,13 +9,13 @@ type call =
   | Create of { dir : fh; name : string }
   | Getattr of { fh : fh }
   | Read of { fh : fh; off : int; len : int }
-  | Write of { fh : fh; off : int; data : bytes }
+  | Write of { fh : fh; off : int; data : Sim.Iov.t }
   | Readdir of { fh : fh; cookie : int; count : int }
 
 type reply =
   | R_fh of { fh : fh; attr : attr }
   | R_attr of attr
-  | R_read of { data : bytes; eof : bool }
+  | R_read of { data : Sim.Iov.t; eof : bool }
   | R_names of { names : string list; cookie : int; eof : bool }
   | R_err of string
 
@@ -44,7 +44,7 @@ let call_size = function
       header_bytes + 8 + String.length name
   | Getattr _ -> header_bytes + 8
   | Read _ -> header_bytes + 24
-  | Write { data; _ } -> header_bytes + 24 + Bytes.length data
+  | Write { data; _ } -> header_bytes + 24 + Sim.Iov.length data
   | Readdir _ -> header_bytes + 24
 
 let attr_bytes = 32
@@ -52,7 +52,7 @@ let attr_bytes = 32
 let reply_size = function
   | R_fh _ -> header_bytes + 8 + attr_bytes
   | R_attr _ -> header_bytes + attr_bytes
-  | R_read { data; _ } -> header_bytes + 8 + attr_bytes + Bytes.length data
+  | R_read { data; _ } -> header_bytes + 8 + attr_bytes + Sim.Iov.length data
   | R_names { names; _ } ->
       List.fold_left
         (fun acc n -> acc + 8 + String.length n)

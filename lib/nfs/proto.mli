@@ -4,6 +4,9 @@
     calls carry real bytes — the data a client reads back through the
     network is the data that lives in the server's UFS image, so
     content checks (the duplicate-apply property tests) are real.
+    Payloads are iovs: a WRITE borrows the client's cache pages and a
+    READ reply is cut into page-sized buffers the client adopts (see
+    DESIGN.md, "Buffer ownership").
 
     [call_size]/[reply_size] give the wire size of each message: a
     fixed RPC header plus the payload, which is what the {!Net} layer
@@ -24,7 +27,7 @@ type call =
           non-idempotent so the duplicate-request cache is load-bearing *)
   | Getattr of { fh : fh }
   | Read of { fh : fh; off : int; len : int }
-  | Write of { fh : fh; off : int; data : bytes }
+  | Write of { fh : fh; off : int; data : Sim.Iov.t }
   | Readdir of { fh : fh; cookie : int; count : int }
       (** one page of directory entries: up to [count] names starting
           at opaque position [cookie] (0 = from the top) *)
@@ -32,7 +35,7 @@ type call =
 type reply =
   | R_fh of { fh : fh; attr : attr }  (** lookup / create *)
   | R_attr of attr  (** getattr / write *)
-  | R_read of { data : bytes; eof : bool }
+  | R_read of { data : Sim.Iov.t; eof : bool }
   | R_names of { names : string list; cookie : int; eof : bool }
       (** readdir page; resume from [cookie] unless [eof] *)
   | R_err of string  (** errno name *)

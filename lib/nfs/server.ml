@@ -91,16 +91,12 @@ let execute t (call : Proto.call) : Proto.reply =
   | Proto.Getattr { fh } -> Proto.R_attr (attr_of (inode_of t fh))
   | Proto.Read { fh; off; len } ->
       let ip = inode_of t fh in
-      let buf = Bytes.create len in
-      let n = Ufs.Fs.read t.fs ip ~off ~buf ~len in
+      let data = Ufs.Fs.readv t.fs ip ~off ~len in
       Proto.R_read
-        {
-          data = (if n = len then buf else Bytes.sub buf 0 n);
-          eof = off + n >= ip.Ufs.Types.size;
-        }
+        { data; eof = off + Sim.Iov.length data >= ip.Ufs.Types.size }
   | Proto.Write { fh; off; data } ->
       let ip = inode_of t fh in
-      Ufs.Fs.write t.fs ip ~off ~buf:data ~len:(Bytes.length data);
+      Ufs.Fs.writev t.fs ip ~off data;
       Proto.R_attr (attr_of ip)
   | Proto.Readdir { fh; cookie; count } ->
       (* One bounded page per call: [Dir.iter] enumerates in stable

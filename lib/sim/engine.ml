@@ -1,15 +1,13 @@
 open Effect
 open Effect.Deep
 
-(* Specialized event heap.  The generic [Heap] keyed every event with a
-   boxed [(time, seq)] tuple and compared through a closure — at fleet
-   scale (millions of events for a 1024-client sweep) the tuple
-   allocations and indirect compares dominate the dispatch loop.  Here
-   the keys live in two parallel unboxed [int array]s (no per-event
-   allocation) and the comparison is inlined int arithmetic.  Ordering
-   is identical to the old [cmp_key]: strictly by time, ties broken by
-   the monotone sequence number, so same-instant events stay FIFO and
-   goldens stay byte-identical. *)
+(* Specialized event heap.  A generic heap keyed by boxed [(time, seq)]
+   tuples and compared through a closure spends the dispatch loop on
+   tuple allocations and indirect compares at fleet scale (millions of
+   events for a 1024-client sweep).  Here the keys live in two parallel
+   unboxed [int array]s (no per-event allocation) and the comparison is
+   inlined int arithmetic: strictly by time, ties broken by the
+   monotone sequence number, so same-instant events stay FIFO. *)
 type events = {
   mutable times : int array;
   mutable seqs : int array;

@@ -632,6 +632,21 @@ let write fs ip ~off ~buf ~len =
   let uio = Vfs.Uio.make ~rw:Vfs.Uio.Write ~off ~len ~buf ~buf_off:0 in
   Rdwr.rdwr fs ip uio
 
+let readv fs ip ~off ~len =
+  let rec segs pos =
+    if pos >= off + len then []
+    else
+      let n = min (off + len - pos) (Layout.bsize - Layout.blk_off pos) in
+      (Bytes.create n, 0, n) :: segs (pos + n)
+  in
+  let iov = Sim.Iov.of_list (segs off) in
+  let uio = Vfs.Uio.of_iov ~rw:Vfs.Uio.Read ~off iov in
+  Rdwr.rdwr fs ip uio;
+  Sim.Iov.sub iov ~off:0 ~len:(len - uio.Vfs.Uio.resid)
+
+let writev fs ip ~off iov =
+  Rdwr.rdwr fs ip (Vfs.Uio.of_iov ~rw:Vfs.Uio.Write ~off iov)
+
 let fsync fs ip = Iops.fsync_inode fs ip
 
 let extent_map fs path =

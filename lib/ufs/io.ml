@@ -21,6 +21,14 @@ let consume_prefetch fs (p : Vm.Page.t) =
     Vm.Page.set_prefetched p false
   end
 
+(* Read target for blocks of a cluster that are already cached: the
+   disk transfers them anyway, and their bytes are dropped here.  Never
+   read, so one buffer serves every request. *)
+let discard = Bytes.create Layout.bsize
+
+(* Bytes of block [k] within an extent of [bytes] bytes. *)
+let block_len ~bytes k = min Layout.bsize (bytes - (k * Layout.bsize))
+
 let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
   assert (off mod Layout.bsize = 0);
   let lbn0 = off / Layout.bsize in
@@ -42,19 +50,26 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
   match !mine with
   | [] -> ()
   | mine ->
-      let buf = Bytes.create bytes in
+      (* scatter straight into the claimed pages, which stay busy until
+         the transfer lands *)
+      let segs =
+        Array.init blocks (fun k -> (discard, 0, block_len ~bytes k))
+      in
+      List.iter
+        (fun ((p : Vm.Page.t), k) ->
+          segs.(k) <- (p.Vm.Page.data, 0, block_len ~bytes k))
+        mine;
       let req =
-        Disk.Request.make ~kind:Disk.Request.Read
+        Disk.Request.of_iov ~kind:Disk.Request.Read
           ~sector:(Layout.frag_to_sector frag)
           ~count:(nfrags * Layout.sectors_per_frag)
-          ~buf ~buf_off:0 ()
+          (Sim.Iov.of_list (Array.to_list segs))
+          ()
       in
       Disk.Request.on_complete req (fun () ->
           List.iter
             (fun ((p : Vm.Page.t), k) ->
-              let boff = k * Layout.bsize in
-              let n = min Layout.bsize (bytes - boff) in
-              Bytes.blit buf boff p.Vm.Page.data 0 n;
+              let n = block_len ~bytes k in
               if n < Layout.bsize then
                 Bytes.fill p.Vm.Page.data n (Layout.bsize - n) '\000';
               Vm.Page.set_valid p true;
@@ -111,13 +126,18 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
         let ok = Vm.Page.try_lock p in
         if not ok then invalid_arg "Io.push_pages: page busy")
       pages;
-  let buf = Bytes.create bytes in
-  List.iteri
-    (fun k (p : Vm.Page.t) ->
-      let boff = k * Layout.bsize in
-      let n = min Layout.bsize (bytes - boff) in
-      Bytes.blit p.Vm.Page.data 0 buf boff n)
-    pages;
+  (* Plain writes gather straight from the pages, which stay busy until
+     the I/O lands (writers must not mutate data in flight).  Ordered
+     writes release their pages at submit, so they carry a snapshot. *)
+  let iov =
+    Sim.Iov.of_list
+      (List.mapi
+         (fun k (p : Vm.Page.t) ->
+           let n = block_len ~bytes k in
+           let data = p.Vm.Page.data in
+           ((if ordered then Bytes.sub data 0 n else data), 0, n))
+         pages)
+  in
   let throttled =
     match (throttle, ip.wlimit) with
     | true, Some sem ->
@@ -134,15 +154,14 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
   in
   ip.outstanding_writes <- ip.outstanding_writes + bytes;
   let req =
-    Disk.Request.make ~ordered ~kind:Disk.Request.Write
+    Disk.Request.of_iov ~ordered ~kind:Disk.Request.Write
       ~sector:(Layout.frag_to_sector frag)
       ~count:(nfrags * Layout.sectors_per_frag)
-      ~buf ~buf_off:0 ()
+      iov ()
   in
-  (* Ordered writes carry a snapshot, so the pages can be released right
-     away: a re-dirtied page just issues another ordered write that the
-     queue keeps behind this one.  Plain writes hold the page busy until
-     the I/O lands (writers must not mutate data in flight). *)
+  (* An ordered write's pages can be released right away: a re-dirtied
+     page just issues another ordered write that the queue keeps behind
+     this one. *)
   if ordered then
     List.iter
       (fun (p : Vm.Page.t) ->

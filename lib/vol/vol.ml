@@ -145,7 +145,7 @@ let splits t = t.splits
 
 (* A fragment: [count] sectors of the parent request that land on member
    [midx] at member sector [msector]; [lsector] is where the fragment
-   starts in the parent's logical range (fixes the buffer offset). *)
+   starts in the parent's logical range (fixes its slice of the iov). *)
 type frag = { midx : int; msector : int; count : int; lsector : int }
 
 let plan_concat t ~sector ~count =
@@ -224,11 +224,13 @@ let pick_read_member t =
 (* ---- submission ---- *)
 
 let child_request t (r : Disk.Request.t) f =
-  let buf_off =
-    r.Disk.Request.buf_off + ((f.lsector - r.Disk.Request.sector) * t.sector_bytes)
+  let iov =
+    Sim.Iov.sub r.Disk.Request.iov
+      ~off:((f.lsector - r.Disk.Request.sector) * t.sector_bytes)
+      ~len:(f.count * t.sector_bytes)
   in
-  Disk.Request.make ~ordered:r.Disk.Request.ordered ~kind:r.Disk.Request.kind
-    ~sector:f.msector ~count:f.count ~buf:r.Disk.Request.buf ~buf_off ()
+  Disk.Request.of_iov ~ordered:r.Disk.Request.ordered ~kind:r.Disk.Request.kind
+    ~sector:f.msector ~count:f.count iov ()
 
 let submit_frags t (r : Disk.Request.t) frags =
   (* Fan out; the parent completes when the last fragment lands. *)

@@ -64,5 +64,22 @@ let fsck_clean m =
   let report = Ufs.Fsck.check m.Clusterfs.Machine.dev in
   Alcotest.(check (list string)) "fsck problems" [] report.Ufs.Fsck.problems
 
+(* [flat]'s bytes as an iov cut at [cuts] (taken mod the length), each
+   segment placed at a small offset inside a larger base buffer so
+   segment offsets are exercised too.  Duplicate cuts give empty
+   segments, which the iov drops. *)
+let segmented flat cuts =
+  let len = Bytes.length flat in
+  let cuts = List.sort compare (List.map (fun c -> c mod (len + 1)) cuts) in
+  let rec pieces = function
+    | a :: (b :: _ as rest) ->
+        let pad = a mod 7 in
+        let base = Bytes.make (b - a + pad + 3) '#' in
+        Bytes.blit flat a base pad (b - a);
+        (base, pad, b - a) :: pieces rest
+    | _ -> []
+  in
+  Sim.Iov.of_list (pieces ((0 :: cuts) @ [ len ]))
+
 let qtest ?(count = 100) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)

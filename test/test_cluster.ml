@@ -328,6 +328,38 @@ let prop_clustered_read_integrity =
           Ufs.Iops.iput fs ip;
           !ok))
 
+(* ---------- zero-copy page-in ---------- *)
+
+(* A cluster page-in reads its whole extent straight into the claimed
+   pages.  A block that is already cached is transferred too, but into
+   a discard segment: a cached, dirty middle page must come out of the
+   read untouched. *)
+let test_page_in_skips_cached_dirty_page () =
+  with_traced_file ~blocks:3 (fun _m fs ip ->
+      Ufs.Fs.write fs ip ~off:bsize ~buf:(Bytes.make bsize 'D') ~len:bsize;
+      let page off =
+        match Vm.Pool.lookup fs.Ufs.Types.pool (Ufs.Io.ident ip off) with
+        | Some p -> p
+        | None -> Alcotest.failf "no page at %d" off
+      in
+      check_bool "middle page dirty before the read" true
+        (page bsize).Vm.Page.dirty;
+      let frag =
+        match Ufs.Bmap.read fs ip ~lbn:0 with
+        | Some frag, len when len >= 3 -> frag
+        | _ -> Alcotest.fail "expected one 3-block extent"
+      in
+      Ufs.Io.page_in fs ip ~off:0 ~frag ~blocks:3 ~sync:true ~read_ahead:false;
+      check_bool "one 3-block transfer" true
+        (reads_of_trace fs = [ (`Sync, 0, 3) ]);
+      let all c p = Bytes.for_all (fun x -> x = c) p.Vm.Page.data in
+      check_bool "middle page keeps its dirty bytes" true (all 'D' (page bsize));
+      check_bool "middle page still dirty" true (page bsize).Vm.Page.dirty;
+      check_bool "neighbours read from disk" true
+        (all 'c' (page 0) && all 'c' (page (2 * bsize)));
+      check_bool "neighbours valid" true
+        ((page 0).Vm.Page.valid && (page (2 * bsize)).Vm.Page.valid))
+
 let suites =
   [
     ( "ufs-cluster",
@@ -342,6 +374,8 @@ let suites =
           test_figure7_pattern;
         Alcotest.test_case "non-sequential write flushes" `Quick
           test_write_nonsequential_flushes;
+        Alcotest.test_case "page-in leaves a cached dirty page alone" `Quick
+          test_page_in_skips_cached_dirty_page;
         Alcotest.test_case "cluster = one disk I/O" `Quick
           test_cluster_write_single_io;
         Alcotest.test_case "free-behind" `Quick test_free_behind;

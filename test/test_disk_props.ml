@@ -133,6 +133,47 @@ let prop_device_timing_sane =
       Sim.Engine.run e;
       !ok)
 
+(* Any segmentation of a request's buffer moves the same bytes as a flat
+   one: write through one random cut, read back through another, on a
+   bare drive and on a 2-way stripe whose fragments take [Iov.sub]
+   slices of the parent's iov. *)
+let prop_segmented_requests_match_flat =
+  Helpers.qtest ~count:40 "request iov: any segmentation moves the same bytes"
+    QCheck.(
+      quad (int_bound 20_000) (int_range 1 48) (small_list small_nat)
+        (small_list small_nat))
+    (fun (sector, count, wcuts, rcuts) ->
+      let len = count * 512 in
+      let data = Bytes.init len (fun i -> Char.chr ((sector + (i * 7)) land 0xff)) in
+      (* [target e] builds the drive or volume on engine [e]: its submit
+         and its backing store *)
+      let run target =
+        let e = Sim.Engine.create () in
+        let submit, store = target e in
+        let sink = Helpers.segmented (Bytes.make len '?') rcuts in
+        Sim.Engine.spawn e (fun () ->
+            let io kind iov =
+              let r = Disk.Request.of_iov ~kind ~sector ~count iov () in
+              submit r;
+              Disk.Request.wait e r
+            in
+            io Disk.Request.Write (Helpers.segmented data wcuts);
+            io Disk.Request.Read sink);
+        Sim.Engine.run e;
+        let flat = Bytes.create len in
+        Disk.Store.read store ~off:(sector * 512) ~len flat 0;
+        Bytes.equal (Sim.Iov.to_bytes sink) data && Bytes.equal flat data
+      in
+      run (fun e ->
+          let d = Disk.Device.create e Helpers.small_disk in
+          (Disk.Device.submit d, Disk.Device.store d))
+      && run (fun e ->
+             let v =
+               Vol.create ~stripe_bytes:(8 * 512) e Vol.Stripe
+                 [| Helpers.small_disk; Helpers.small_disk |]
+             in
+             (Vol.submit v, Vol.store v)))
+
 let suites =
   [
     ( "disk-props",
@@ -142,5 +183,6 @@ let suites =
         prop_barrier_holds;
         prop_geom_bijective;
         prop_device_timing_sane;
+        prop_segmented_requests_match_flat;
       ] );
   ]

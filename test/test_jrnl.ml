@@ -451,7 +451,9 @@ let test_dup_cache_window () =
         | Nfs.Proto.R_fh { fh; _ } -> fh
         | _ -> Alcotest.fail "create failed"
       in
-      send 2 (Nfs.Proto.Write { fh; off = 0; data = Bytes.make 2000 'x' });
+      send 2
+        (Nfs.Proto.Write
+           { fh; off = 0; data = Sim.Iov.of_bytes (Bytes.make 2000 'x') });
       ignore (recv ());
       (* retransmit with the server up: cached reply, no re-apply *)
       send 1 create;

@@ -511,6 +511,101 @@ let test_partial_block_rmw () =
       done;
       check_bool "patch applied, surroundings intact" true !ok
 
+(* ---------- borrowed WRITE payloads ---------- *)
+
+(* A stand-in NFS server on [ep] that answers CREATE and WRITE only.
+   It applies each WRITE [delay] after the call arrives — reading the
+   payload then, the way nfsd reads it while the client still holds the
+   call in flight — and records (off, bytes).  [drop_first] ignores
+   the first copy of every WRITE xid, so the client must retransmit the
+   same call. *)
+let tap_server e ep ~delay ~drop_first =
+  let applied = ref [] and arrivals = ref 0 and seen = Hashtbl.create 8 in
+  Sim.Engine.spawn e ~name:"tap-server" (fun () ->
+      while true do
+        match Net.recv ep with
+        | Nfs.Proto.Reply _ -> assert false
+        | Nfs.Proto.Call { xid; client; call; _ } ->
+            incr arrivals;
+            let reply =
+              match call with
+              | Nfs.Proto.Create _ ->
+                  let attr = { Nfs.Proto.size = 0; is_dir = false } in
+                  Some (Nfs.Proto.R_fh { fh = 7; attr })
+              | Nfs.Proto.Write { off; data; _ } ->
+                  if drop_first && not (Hashtbl.mem seen xid) then begin
+                    Hashtbl.add seen xid ();
+                    None
+                  end
+                  else begin
+                    Sim.Engine.sleep e delay;
+                    applied := (off, Sim.Iov.to_bytes data) :: !applied;
+                    Some (Nfs.Proto.R_attr { size = 0; is_dir = false })
+                  end
+              | _ -> Some (Nfs.Proto.R_err "ENOSYS")
+            in
+            Option.iter
+              (fun reply ->
+                let msg =
+                  Nfs.Proto.Reply { xid; client; reply; cost = []; spans = None }
+                in
+                Net.send ep ~size:(Nfs.Proto.msg_size msg) msg)
+              reply
+      done);
+  (applied, arrivals)
+
+(* Dirty block 0 with 'A' and push it (a write to block 5 breaks the
+   run), wait until the tap has that WRITE (arrival 2, after the
+   CREATE), then rewrite block 0 with 'B' and fsync.  Returns the tap's
+   applied WRITEs in order, as (block, contents). *)
+let rewrite_in_flight ~delay ~drop_first =
+  let e = Sim.Engine.create () in
+  let ccpu = Sim.Cpu.create e and scpu = Sim.Cpu.create e in
+  let link = Net.create e Net.default_config ~a_cpu:ccpu ~b_cpu:scpu in
+  let applied, arrivals = tap_server e (Net.b_end link) ~delay ~drop_first in
+  let rpc =
+    Nfs.Rpc.create e ~cpu:ccpu ~ep:(Net.a_end link) ~client_id:0
+      ~timeout:(Sim.Time.ms 100) ()
+  in
+  let mount = Nfs.Client.mount e ~cpu:ccpu ~rpc () in
+  let stats = ref None in
+  Sim.Engine.spawn e (fun () ->
+      let f = Nfs.Client.create mount "cow" in
+      let block c = Bytes.make bsize c in
+      Nfs.Client.write f ~off:0 ~buf:(block 'A') ~len:bsize;
+      Nfs.Client.write f ~off:(5 * bsize) ~buf:(block 'Z') ~len:bsize;
+      while !arrivals < 2 do
+        Sim.Engine.sleep e (Sim.Time.us 100)
+      done;
+      Nfs.Client.write f ~off:0 ~buf:(block 'B') ~len:bsize;
+      Nfs.Client.fsync f;
+      stats := Some (Nfs.Rpc.stats rpc));
+  Sim.Engine.run e;
+  let block (off, data) = (off / bsize, Bytes.to_string data) in
+  (List.rev_map block !applied, Option.get !stats)
+
+let test_rewrite_during_write_is_copied () =
+  (* the tap holds each WRITE for 20 ms before reading its payload *)
+  let applied, _ =
+    rewrite_in_flight ~delay:(Sim.Time.ms 20) ~drop_first:false
+  in
+  let a = String.make bsize 'A' and b = String.make bsize 'B' in
+  Alcotest.(check (list (pair int string)))
+    "old bytes in the in-flight WRITE, new bytes in the next"
+    [ (0, a); (5, String.make bsize 'Z'); (0, b) ]
+    applied
+
+let test_retransmitted_write_resends_same_bytes () =
+  (* the tap drops the first copy of each WRITE; the page is rewritten
+     after that copy was lost, before the retransmit goes out *)
+  let applied, st = rewrite_in_flight ~delay:(Sim.Time.ms 1) ~drop_first:true in
+  check_bool "the WRITEs were retransmitted" true (st.Nfs.Rpc.retransmits >= 3);
+  let a = String.make bsize 'A' and b = String.make bsize 'B' in
+  Alcotest.(check (list (pair int string)))
+    "the retransmit carries the bytes the call was gathered with"
+    [ (0, a); (5, String.make bsize 'Z'); (0, b) ]
+    applied
+
 (* ---------- loss, retry, duplicate suppression ---------- *)
 
 let test_lossy_link_completes_and_applies_once () =
@@ -934,5 +1029,9 @@ let suites =
           test_golden_fleet_determinism;
         Alcotest.test_case "16 clients: adaptive beats fixed transport" `Slow
           test_adaptive_beats_fixed_at_16;
+        Alcotest.test_case "rewrite during a WRITE: copy-on-write" `Quick
+          test_rewrite_during_write_is_copied;
+        Alcotest.test_case "lossy link: a retransmitted WRITE resends its bytes"
+          `Quick test_retransmitted_write_resends_same_bytes;
       ] );
   ]

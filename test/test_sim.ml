@@ -1,4 +1,4 @@
-(* Tests for the simulation substrate: time, heap, rng, stats, engine,
+(* Tests for the simulation substrate: time, iov, rng, stats, engine,
    condition variables, semaphores, mutexes, CPU, traces. *)
 
 let check_int = Alcotest.(check int)
@@ -16,46 +16,55 @@ let test_time_conversions () =
   Alcotest.(check string) "pp ms" "1.000ms" (Sim.Time.to_string 1_000);
   Alcotest.(check string) "pp s" "2.500s" (Sim.Time.to_string 2_500_000)
 
-(* ---------- Heap ---------- *)
+(* ---------- Iov ---------- *)
 
-let test_heap_basic () =
-  let h = Sim.Heap.create ~cmp:compare in
-  check_bool "empty" true (Sim.Heap.is_empty h);
-  List.iter (fun k -> Sim.Heap.push h k (k * 10)) [ 5; 1; 4; 2; 3 ];
-  check_int "length" 5 (Sim.Heap.length h);
-  (match Sim.Heap.peek h with
-  | Some (1, 10) -> ()
-  | _ -> Alcotest.fail "peek should be smallest");
-  let order = ref [] in
-  let rec drain () =
-    match Sim.Heap.pop h with
-    | Some (k, _) ->
-        order := k :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 4; 5 ] (List.rev !order)
+let prop_iov_matches_flat =
+  Helpers.qtest ~count:300 "iov: any segmentation blits like a flat buffer"
+    QCheck.(
+      triple
+        (string_of_size (Gen.int_range 1 600))
+        (small_list small_nat) (pair small_nat small_nat))
+    (fun (s, cuts, (a, b)) ->
+      let flat = Bytes.of_string s in
+      let len = Bytes.length flat in
+      let iov = Helpers.segmented flat cuts in
+      let off = a mod (len + 1) in
+      let n = b mod (len - off + 1) in
+      let out = Bytes.make n '?' in
+      Sim.Iov.blit_to_bytes iov off out 0 n;
+      let src = Bytes.init n (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+      Sim.Iov.blit_from_bytes src 0 iov off n;
+      let expect = Bytes.copy flat in
+      Bytes.blit src 0 expect off n;
+      Sim.Iov.length iov = len
+      && Bytes.equal out (Bytes.sub flat off n)
+      && Bytes.equal (Sim.Iov.to_bytes iov) expect
+      && Bytes.equal
+           (Sim.Iov.to_bytes (Sim.Iov.sub iov ~off ~len:n))
+           (Bytes.sub expect off n))
 
-let test_heap_clear () =
-  let h = Sim.Heap.create ~cmp:compare in
-  Sim.Heap.push h 1 ();
-  Sim.Heap.clear h;
-  check_bool "cleared" true (Sim.Heap.is_empty h);
-  check_bool "pop empty" true (Sim.Heap.pop h = None)
-
-let prop_heap_sorts =
-  Helpers.qtest ~count:200 "heap drains in sorted order"
-    QCheck.(list int)
-    (fun l ->
-      let h = Sim.Heap.create ~cmp:compare in
-      List.iter (fun k -> Sim.Heap.push h k ()) l;
-      let rec drain acc =
-        match Sim.Heap.pop h with
-        | Some (k, ()) -> drain (k :: acc)
-        | None -> List.rev acc
-      in
-      drain [] = List.sort compare l)
+let test_iov_sub_whole () =
+  let a = Bytes.make 8 'a' and b = Bytes.make 8 'b' in
+  let iov = Sim.Iov.of_list [ (a, 0, 8); (b, 0, 8) ] in
+  check_int "length" 16 (Sim.Iov.length iov);
+  check_bool "whole segment is its base" true
+    (match Sim.Iov.whole iov ~off:8 ~len:8 with
+    | Some x -> x == b
+    | None -> false);
+  check_bool "straddling window is not whole" true
+    (Sim.Iov.whole iov ~off:4 ~len:8 = None);
+  check_bool "window past the end is not whole" true
+    (Sim.Iov.whole iov ~off:8 ~len:16 = None);
+  let s = Sim.Iov.sub iov ~off:6 ~len:4 in
+  Alcotest.(check string) "sub shares bytes" "aabb"
+    (Bytes.to_string (Sim.Iov.to_bytes s));
+  Sim.Iov.blit_from_bytes (Bytes.of_string "XY") 0 s 1 2;
+  Alcotest.(check string) "write through sub lands in the bases" "aaaaaaaX"
+    (Bytes.to_string a);
+  Alcotest.(check string) "second base" "Ybbbbbbb" (Bytes.to_string b);
+  Alcotest.check_raises "range checked"
+    (Invalid_argument "Iov.sub: range out of bounds") (fun () ->
+      ignore (Sim.Iov.sub iov ~off:10 ~len:7))
 
 (* ---------- Rng ---------- *)
 
@@ -424,9 +433,8 @@ let suites =
     ( "sim",
       [
         Alcotest.test_case "time conversions" `Quick test_time_conversions;
-        Alcotest.test_case "heap basic" `Quick test_heap_basic;
-        Alcotest.test_case "heap clear" `Quick test_heap_clear;
-        prop_heap_sorts;
+        Alcotest.test_case "iov sub and whole" `Quick test_iov_sub_whole;
+        prop_iov_matches_flat;
         Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
         Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle;
         Alcotest.test_case "rng exponential" `Quick test_rng_exponential;
