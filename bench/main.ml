@@ -867,6 +867,41 @@ let microbench () =
            Disk.Store.writev store ~off:1_048_576 iov;
            Disk.Store.readv store ~off:1_048_576 iov))
   in
+  (* the engine's two queues: delay-0 events (every resume and wake-up)
+     go through the ready ring; delayed ones sift through a heap that
+     here holds 4k far-future timers *)
+  let ready_engine = Sim.Engine.create () in
+  let ready_test =
+    Test.make ~name:"sim.engine 1k delay-0 sched+run"
+      (Staged.stage (fun () ->
+           for _ = 1 to 1000 do
+             Sim.Engine.schedule ready_engine ignore
+           done;
+           Sim.Engine.run ready_engine))
+  in
+  let heap_engine = Sim.Engine.create () in
+  for i = 1 to 4096 do
+    Sim.Engine.schedule heap_engine ~delay:((1 lsl 60) + i) ignore
+  done;
+  let heap_test =
+    Test.make ~name:"sim.engine 1k delayed, 4k-deep heap"
+      (Staged.stage (fun () ->
+           for i = 1 to 1000 do
+             Sim.Engine.schedule heap_engine ~delay:i ignore
+           done;
+           Sim.Engine.run_for heap_engine 1000))
+  in
+  (* the cold start of every IObench phase: drop a 1024-page file *)
+  let pool = Vm.Pool.create (Sim.Engine.create ()) (Vm.Param.default ~memory_mb:16 ()) in
+  let invalidate_test =
+    Test.make ~name:"vm.pool alloc+invalidate 1024 pages"
+      (Staged.stage (fun () ->
+           for i = 0 to 1023 do
+             match Vm.Pool.alloc pool { Vm.Page.vid = 1; off = i * 8192 } with
+             | `Fresh p | `Existing p -> Vm.Page.unbusy p
+           done;
+           Vm.Pool.invalidate_vnode pool 1))
+  in
   let tests =
     Test.make_grouped ~name:"simulator"
       [
@@ -875,6 +910,9 @@ let microbench () =
         store_test;
         cluster_test "disk.store 120KB 1 segment w+r" flat;
         cluster_test "disk.store 120KB 15 segments w+r" paged;
+        ready_test;
+        heap_test;
+        invalidate_test;
       ]
   in
   let benchmark () =

@@ -58,9 +58,7 @@ val with_cluster_kb : t -> int -> t
 
 val with_write_limit : t -> int option -> t
 val with_free_behind : t -> bool -> t
-val with_track_buffer : t -> bool -> t
 val with_driver_clustering : t -> bool -> t
-val with_queue_policy : t -> Disk.Disksort.policy -> t
 val with_vol : t -> ?layout:Vol.layout -> ?stripe_kb:int -> int -> t
 (** [with_vol t disks] puts the file system on a volume of [disks]
     identical drives (default stripe, 128 KB unit).  [disks = 1] keeps

@@ -180,7 +180,6 @@ let a_end t = t.a_ep
 let b_end t = t.b_ep
 
 let stats t = t.a.st
-let dir_stats t = (t.a.out.dst, t.b.out.dst)
 
 let register_metrics t reg ~instance =
   let s = t.a.st in
@@ -420,7 +419,6 @@ module Medium = struct
     }
 
   let stats t = t.m_st
-  let station_queue_wait s = s.s_queue_wait_us
 
   let utilization t =
     let now = Sim.Engine.now t.m_engine in

@@ -91,10 +91,45 @@ let ev_drop_root e =
     end
   done
 
+(* Ready ring: a FIFO of callbacks due at the current instant.  Every
+   [resume] and condition wake-up is a delay-0 schedule, and sifting
+   those through the heap costs O(log n) each for an entry that is
+   always the next to run.  The ring holds them in push order, and
+   popped slots are cleared so a run callback is not pinned. *)
+type ready = {
+  mutable rcbs : (unit -> unit) array;  (* length is a power of two *)
+  mutable rhead : int;
+  mutable rlen : int;
+}
+
+let ready_create () = { rcbs = Array.make 256 nop; rhead = 0; rlen = 0 }
+
+let ready_push r cb =
+  let cap = Array.length r.rcbs in
+  if r.rlen = cap then begin
+    let rcbs = Array.make (cap * 2) nop in
+    let first = cap - r.rhead in
+    Array.blit r.rcbs r.rhead rcbs 0 first;
+    Array.blit r.rcbs 0 rcbs first r.rhead;
+    r.rcbs <- rcbs;
+    r.rhead <- 0
+  end;
+  let mask = Array.length r.rcbs - 1 in
+  Array.unsafe_set r.rcbs ((r.rhead + r.rlen) land mask) cb;
+  r.rlen <- r.rlen + 1
+
+let ready_pop r =
+  let f = Array.unsafe_get r.rcbs r.rhead in
+  Array.unsafe_set r.rcbs r.rhead nop;
+  r.rhead <- (r.rhead + 1) land (Array.length r.rcbs - 1);
+  r.rlen <- r.rlen - 1;
+  f
+
 type t = {
   mutable now : Time.t;
   mutable seq : int;
-  events : events;
+  events : events;  (* delayed events *)
+  ready : ready;  (* delay-0 events, all due at [now] *)
   mutable blocked : int; (* processes currently suspended *)
   (* self-observability: fleet-scale runs stress the engine itself, so
      the hot paths keep cheap counters a metrics source can read *)
@@ -119,6 +154,7 @@ let create () =
     now = 0;
     seq = 0;
     events = ev_create ();
+    ready = ready_create ();
     blocked = 0;
     dispatched = 0;
     heap_max = 0;
@@ -132,11 +168,17 @@ let create () =
 
 let now t = t.now
 
+let pending t = t.events.len + t.ready.rlen
+
 let schedule t ?(delay = 0) f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  t.seq <- t.seq + 1;
-  ev_push t.events ~time:(t.now + delay) ~seq:t.seq f;
-  if t.events.len > t.heap_max then t.heap_max <- t.events.len
+  if delay = 0 then ready_push t.ready f
+  else begin
+    t.seq <- t.seq + 1;
+    ev_push t.events ~time:(t.now + delay) ~seq:t.seq f
+  end;
+  let n = pending t in
+  if n > t.heap_max then t.heap_max <- n
 
 (* A cancellable event is a heap entry indirected through a mutable
    cell.  Cancelling empties the cell: the heap slot itself stays (the
@@ -247,33 +289,42 @@ let sleep t d =
   if d = 0 then ()
   else suspend t ~register:(fun resume -> schedule t ~delay:d resume)
 
-(* The dispatch loop reads the root in place and drops it — no option,
-   no tuple, no pair allocation per event. *)
-let run t =
+(* Dispatch order is (time, seq), exactly as if every event went
+   through the heap.  Ring entries were all pushed at [now], and the
+   clock only advances once the ring is empty.  A heap entry due at
+   [now] was pushed with a positive delay at an earlier instant, so it
+   precedes every ring entry: drain the heap's [now] entries first, then
+   the ring, then advance time.  The dispatch loop reads the heap root in
+   place and drops it — no option, no tuple, no allocation per event. *)
+let[@inline] dispatch t f =
+  t.dispatched <- t.dispatched + 1;
+  f ()
+
+let[@inline] dispatch_root t =
   let e = t.events in
-  while e.len > 0 do
-    let at = Array.unsafe_get e.times 0 in
-    let f = Array.unsafe_get e.cbs 0 in
-    ev_drop_root e;
-    assert (at >= t.now);
-    t.now <- at;
-    t.dispatched <- t.dispatched + 1;
-    f ()
+  let at = Array.unsafe_get e.times 0 in
+  let f = Array.unsafe_get e.cbs 0 in
+  ev_drop_root e;
+  assert (at >= t.now);
+  t.now <- at;
+  dispatch t f
+
+let run t =
+  let e = t.events and r = t.ready in
+  while e.len > 0 || r.rlen > 0 do
+    if e.len > 0 && (r.rlen = 0 || Array.unsafe_get e.times 0 <= t.now) then
+      dispatch_root t
+    else dispatch t (ready_pop r)
   done
 
 let run_for t d =
   let stop = t.now + d in
-  let e = t.events in
+  let e = t.events and r = t.ready in
   let continue_ = ref true in
   while !continue_ do
-    if e.len > 0 && Array.unsafe_get e.times 0 <= stop then begin
-      let at = Array.unsafe_get e.times 0 in
-      let f = Array.unsafe_get e.cbs 0 in
-      ev_drop_root e;
-      t.now <- at;
-      t.dispatched <- t.dispatched + 1;
-      f ()
-    end
+    if e.len > 0 && Array.unsafe_get e.times 0 <= t.now then dispatch_root t
+    else if r.rlen > 0 then dispatch t (ready_pop r)
+    else if e.len > 0 && Array.unsafe_get e.times 0 <= stop then dispatch_root t
     else begin
       t.now <- stop;
       continue_ := false
@@ -303,7 +354,7 @@ let register_metrics t reg ~instance =
       [
         ("events_dispatched", Metrics.Int t.dispatched);
         ("heap_max_depth", Metrics.Int t.heap_max);
-        ("heap_len", Metrics.Int t.events.len);
+        ("heap_len", Metrics.Int (pending t));
         ("cancellations", Metrics.Int t.cancellations);
         ("processes_spawned", Metrics.Int t.spawned);
         ("eff_suspends", Metrics.Int t.eff_suspends);

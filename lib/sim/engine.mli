@@ -84,7 +84,8 @@ val events_dispatched : t -> int
 (** Events popped and run by {!run}/{!run_for} so far. *)
 
 val heap_max_depth : t -> int
-(** High-water mark of the event heap. *)
+(** High-water mark of pending events: the delayed-event heap plus the
+    ready ring of delay-0 events. *)
 
 val cancellations : t -> int
 (** Timers cancelled before firing (each was a dead heap slot). *)

@@ -12,7 +12,6 @@ let sb_frag = 8
 let bootblocks_frags = 16
 let frag_to_byte f = f * fsize
 let frag_to_sector f = f * sectors_per_frag
-let byte_to_frag b = b / fsize
 let lbn_of_off off = off / bsize
 let blk_off off = off mod bsize
 let blocks_of_size size = (size + bsize - 1) / bsize

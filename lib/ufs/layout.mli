@@ -47,7 +47,6 @@ val bootblocks_frags : int
 
 val frag_to_byte : int -> int
 val frag_to_sector : int -> int
-val byte_to_frag : int -> int
 
 val lbn_of_off : int -> int
 (** Logical block containing a byte offset. *)

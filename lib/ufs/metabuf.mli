@@ -70,7 +70,4 @@ val invalidate : t -> frag:int -> unit
 val sync : t -> unit
 (** Write back every dirty block, waiting for completion. *)
 
-val drop_clean : t -> unit
-(** Evict all clean blocks (tests use this to force re-reads). *)
-
 val stats : t -> stats

@@ -139,19 +139,23 @@ let pages_of_vnode t vid =
              | _ -> 0)
 
 let invalidate_vnode t vid =
-  (* Busy pages may be mid-I/O: wait each one out, then re-check that it
-     still belongs to the vnode (completion may already have freed it). *)
-  let rec drain () =
-    match pages_of_vnode t vid with
+  (* Free the pages in ascending-offset order, walking one sorted
+     snapshot.  [Page.lock] yields only when the page is busy (it may be
+     mid-I/O); until then no other process runs, so the snapshot stays
+     exact.  After a wait, re-check that the page still belongs to the
+     vnode (completion may already have freed it) and take a fresh
+     snapshot, since the holder may have added or freed pages. *)
+  let rec walk = function
     | [] -> ()
-    | p :: _ ->
+    | (p : Page.t) :: rest ->
+        let waits = p.Page.busy in
         Page.lock t.engine p;
         (match p.Page.ident with
         | Some i when i.Page.vid = vid -> free_page t p
         | Some _ | None -> Page.unbusy p);
-        drain ()
+        walk (if waits then pages_of_vnode t vid else rest)
   in
-  drain ()
+  walk (pages_of_vnode t vid)
 
 let invalidate_all t =
   (* server reboot: every cached page belongs to the pre-crash file

@@ -84,6 +84,85 @@ let prop_barrier_holds =
          exactly the [seen] prefix *)
       check_before [] enq)
 
+(* The list-backed queue the array one replaced, kept as the reference:
+   arrival order, the eligible prefix up to the first B_ORDER request,
+   and the elevator's first-lowest pick at or ahead of the head, else
+   first-lowest overall. *)
+module Ref_queue = struct
+  let eligible = function
+    | [] -> []
+    | (first : Disk.Request.t) :: _ when first.ordered -> [ first ]
+    | q ->
+        let rec prefix = function
+          | [] -> []
+          | (r : Disk.Request.t) :: _ when r.ordered -> []
+          | r :: rest -> r :: prefix rest
+        in
+        prefix q
+
+  let best_of rs =
+    List.fold_left
+      (fun acc (r : Disk.Request.t) ->
+        match acc with
+        | Some (b : Disk.Request.t) when b.sector <= r.sector -> acc
+        | _ -> Some r)
+      None rs
+
+  let next policy q ~head_sector =
+    match eligible !q with
+    | [] -> None
+    | first :: _ as candidates ->
+        let chosen =
+          match policy with
+          | Disk.Disksort.Fifo -> first
+          | Elevator -> (
+              let ahead =
+                List.filter (fun (r : Disk.Request.t) -> r.sector >= head_sector) candidates
+              in
+              match best_of ahead with
+              | Some r -> r
+              | None -> Option.get (best_of candidates))
+        in
+        q := List.filter (fun (x : Disk.Request.t) -> x.id <> chosen.id) !q;
+        Some chosen
+end
+
+(* ops: [`Enq (sector, ordered)] or [`Next head_sector]; sectors from a
+   small range so equal-sector ties are common *)
+let gen_queue_ops =
+  QCheck.(
+    list_of_size
+      (Gen.int_range 1 120)
+      (map
+         (fun (enq, sector, ordered) ->
+           if enq then `Enq (sector, ordered) else `Next sector)
+         (triple (map (fun n -> n < 3) (int_bound 4)) (int_bound 40)
+            (map (fun n -> n = 0) (int_bound 5)))))
+
+let prop_queue_matches_list policy =
+  Helpers.qtest ~count:300
+    (Printf.sprintf "%s: array queue picks as the list queue did"
+       (match policy with Disk.Disksort.Fifo -> "fifo" | Elevator -> "elevator"))
+    gen_queue_ops
+    (fun ops ->
+      let q = Disk.Disksort.create policy and rq = ref [] in
+      let id = Option.map (fun (r : Disk.Request.t) -> r.id) in
+      let same head_sector =
+        id (Disk.Disksort.next q ~head_sector)
+        = id (Ref_queue.next policy rq ~head_sector)
+      in
+      List.for_all
+        (function
+          | `Enq (sector, ordered) ->
+              let r = mk_req ~ordered sector in
+              Disk.Disksort.enqueue q r;
+              rq := !rq @ [ r ];
+              Disk.Disksort.length q = List.length !rq
+          | `Next head_sector -> same head_sector)
+        ops
+      && List.for_all (fun _ -> same 0) !rq
+      && Disk.Disksort.is_empty q)
+
 let prop_geom_bijective =
   Helpers.qtest ~count:300 "geometry: sector -> CHS -> sector"
     QCheck.(int_bound (Disk.Geom.zoned_example.Disk.Geom.total_sectors - 1))
@@ -181,6 +260,8 @@ let suites =
         prop_no_loss Disk.Disksort.Fifo;
         prop_no_loss Disk.Disksort.Elevator;
         prop_barrier_holds;
+        prop_queue_matches_list Disk.Disksort.Fifo;
+        prop_queue_matches_list Disk.Disksort.Elevator;
         prop_geom_bijective;
         prop_device_timing_sane;
         prop_segmented_requests_match_flat;

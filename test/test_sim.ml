@@ -271,6 +271,91 @@ let test_engine_cancellable_timer () =
   Alcotest.(check (list int)) "t3 fired before its canceller" [ 4; 3; 2 ]
     !fired
 
+(* Random event programs against a reference model.  Each event has a
+   delay (often 0) and children it schedules when it runs.  A program is
+   a list of slices: schedule the slice's roots, then [run_for] its
+   length; then [run] drains the rest.  The reference keeps one list
+   sorted by (time, seq), with a seq drawn by every [schedule]: the
+   engine must dispatch the same events at the same instants, and its
+   high-water mark must count every pending event. *)
+type ev = { id : int; delay : int; kids : ev list }
+
+let gen_program =
+  let open QCheck.Gen in
+  let next = ref 0 in
+  let delay = frequency [ (3, return 0); (2, int_range 1 6) ] in
+  let tree =
+    sized_size (int_bound 24)
+    @@ fix (fun self n ->
+           map2
+             (fun delay kids ->
+               incr next;
+               { id = !next; delay; kids })
+             delay
+             (if n = 0 then return []
+              else list_size (int_bound 3) (self (n / 3))))
+  in
+  list_size (int_range 1 4) (pair (int_bound 8) (list_size (int_bound 4) tree))
+
+let print_program slices =
+  let rec ev e =
+    Printf.sprintf "%d@+%d[%s]" e.id e.delay (String.concat " " (List.map ev e.kids))
+  in
+  String.concat " | "
+    (List.map
+       (fun (len, roots) ->
+         Printf.sprintf "run_for %d: %s" len (String.concat " " (List.map ev roots)))
+       slices)
+
+let reference_dispatch slices =
+  let now = ref 0 and seq = ref 0 and q = ref [] and log = ref [] in
+  let hwm = ref 0 in
+  let schedule ev =
+    incr seq;
+    let key = (!now + ev.delay, !seq) in
+    q := List.merge (fun (a, _) (b, _) -> compare a b) !q [ (key, ev) ];
+    hwm := max !hwm (List.length !q)
+  in
+  let rec drain stop =
+    match !q with
+    | ((at, _), ev) :: rest when at <= stop ->
+        q := rest;
+        now := at;
+        log := (ev.id, at) :: !log;
+        List.iter schedule ev.kids;
+        drain stop
+    | _ -> ()
+  in
+  List.iter
+    (fun (len, roots) ->
+      List.iter schedule roots;
+      let stop = !now + len in
+      drain stop;
+      now := stop)
+    slices;
+  drain max_int;
+  (List.rev !log, !hwm)
+
+let engine_dispatch slices =
+  let e = Sim.Engine.create () and log = ref [] in
+  let rec schedule ev =
+    Sim.Engine.schedule e ~delay:ev.delay (fun () ->
+        log := (ev.id, Sim.Engine.now e) :: !log;
+        List.iter schedule ev.kids)
+  in
+  List.iter
+    (fun (len, roots) ->
+      List.iter schedule roots;
+      Sim.Engine.run_for e len)
+    slices;
+  Sim.Engine.run e;
+  (List.rev !log, Sim.Engine.heap_max_depth e)
+
+let prop_engine_matches_sorted_reference =
+  Helpers.qtest ~count:300 "engine: dispatch is (time, seq) order"
+    (QCheck.make ~print:print_program gen_program)
+    (fun slices -> engine_dispatch slices = reference_dispatch slices)
+
 (* ---------- Condition ---------- *)
 
 let test_condition_signal_fifo () =
@@ -458,6 +543,7 @@ let suites =
           test_engine_check_quiescent;
         Alcotest.test_case "engine process exception" `Quick
           test_engine_process_exception;
+        prop_engine_matches_sorted_reference;
         Alcotest.test_case "engine cancellable timer" `Quick
           test_engine_cancellable_timer;
         Alcotest.test_case "condition FIFO" `Quick test_condition_signal_fifo;

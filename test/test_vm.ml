@@ -145,6 +145,45 @@ let test_pool_vnode_index () =
       check_int "other vnode untouched" 1
         (List.length (Vm.Pool.pages_of_vnode pool 8)))
 
+(* invalidate_vnode walks a sorted snapshot and takes a fresh one only
+   after waiting on a busy page.  Here the holder of that page adds a
+   page below the rest of the snapshot while the invalidation waits: it
+   must still be freed, in its ascending-offset turn.  The free order is
+   read back from the free-frame queue, which it fixes. *)
+let test_pool_invalidate_waits_busy_page () =
+  with_pool (fun e pool ->
+      let fresh vid off =
+        match Vm.Pool.alloc pool (ident vid off) with
+        | `Fresh p -> p
+        | `Existing _ -> Alcotest.fail "should be fresh"
+      in
+      let frame_of = Hashtbl.create 8 in
+      let add off =
+        let p = fresh 7 off in
+        Hashtbl.replace frame_of off p.Vm.Page.frameno;
+        p
+      in
+      (* offsets 0, 8192, 32768 of vnode 7; fill all but one frame *)
+      let pages = List.map add [ 0; 8192; 32768 ] in
+      List.iter Vm.Page.unbusy pages;
+      let busy = List.nth pages 1 in
+      for i = 0 to 27 do
+        Vm.Page.unbusy (fresh 9 (i * 8192))
+      done;
+      check_int "one frame left" 1 (Vm.Pool.freecnt pool);
+      Sim.Engine.spawn e (fun () ->
+          Vm.Page.lock e busy;
+          Sim.Engine.sleep e 10;
+          Vm.Page.unbusy (add 16384);
+          Vm.Page.unbusy busy);
+      Sim.Engine.sleep e 1;
+      Vm.Pool.invalidate_vnode pool 7;
+      check_int "every page freed" 0 (List.length (Vm.Pool.pages_of_vnode pool 7));
+      let freed = List.init 4 (fun i -> (fresh 8 (i * 8192)).Vm.Page.frameno) in
+      Alcotest.(check (list int)) "freed in ascending-offset order"
+        (List.map (Hashtbl.find frame_of) [ 0; 8192; 16384; 32768 ])
+        freed)
+
 let test_pool_alloc_blocks_until_free () =
   with_pool (fun e pool ->
       (* exhaust memory *)
@@ -296,6 +335,8 @@ let suites =
         Alcotest.test_case "pool double alloc" `Quick
           test_pool_double_alloc_rejected;
         Alcotest.test_case "pool vnode index" `Quick test_pool_vnode_index;
+        Alcotest.test_case "pool invalidate waits busy page" `Quick
+          test_pool_invalidate_waits_busy_page;
         Alcotest.test_case "pool alloc blocks" `Quick
           test_pool_alloc_blocks_until_free;
         Alcotest.test_case "pageout frees clean" `Quick
