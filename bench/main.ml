@@ -902,6 +902,35 @@ let microbench () =
            done;
            Vm.Pool.invalidate_vnode pool 1))
   in
+  (* 1k page frames taken off the free list and given back, against 1k
+     fresh buffers.  Both touch every 4 KB of each frame once; for a
+     fresh buffer that first touch is where the kernel maps the page. *)
+  let held = Array.make 1000 Bytes.empty in
+  let touch b =
+    for o = 0 to (Bytes.length b / 4096) - 1 do
+      Bytes.unsafe_set b (o * 4096) 'x'
+    done
+  in
+  let frames = Sim.Frames.create ~size:page in
+  let frames_test =
+    Test.make ~name:"sim.frames 1k 8KB take+give"
+      (Staged.stage (fun () ->
+           for i = 0 to 999 do
+             let b = Sim.Frames.take frames in
+             touch b;
+             held.(i) <- b
+           done;
+           Array.iter (Sim.Frames.give frames) held))
+  in
+  let fresh_test =
+    Test.make ~name:"Bytes.create 1k 8KB + first touch"
+      (Staged.stage (fun () ->
+           for i = 0 to 999 do
+             let b = Bytes.create page in
+             touch b;
+             held.(i) <- b
+           done))
+  in
   let tests =
     Test.make_grouped ~name:"simulator"
       [
@@ -913,6 +942,8 @@ let microbench () =
         ready_test;
         heap_test;
         invalidate_test;
+        frames_test;
+        fresh_test;
       ]
   in
   let benchmark () =

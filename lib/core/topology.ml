@@ -62,8 +62,8 @@ let client_drops c =
 
 let create ?(net = Net.default_config) ?(seed = 0)
     ?(topology = Point_to_point) ?transport ?(nfsd = 4) ?biods ?ra_depth
-    ?dirty_limit ?rpc_timeout ?(servers = 1) ?ports_buffer
-    ?(register_clients = true) ~clients config =
+    ?dirty_limit ?cache_pages ?dup_cache_size ?rpc_timeout ?(servers = 1)
+    ?ports_buffer ?(register_clients = true) ~clients config =
   if servers < 1 then invalid_arg "Topology.create: servers must be >= 1";
   let server0 = Machine.create config in
   let engine = server0.Machine.engine in
@@ -134,7 +134,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
   let services =
     Array.init servers (fun s ->
         Nfs.Server.create engine ~cpu:machines.(s).Machine.cpu
-          ~fs:machines.(s).Machine.fs ~nfsd
+          ~fs:machines.(s).Machine.fs ~nfsd ?dup_cache_size
           ~endpoints:(Array.to_list (Array.map (server_ep s) nodes))
           ())
   in
@@ -157,7 +157,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
               in
               let m_mount =
                 Nfs.Client.mount engine ~cpu ~rpc ?biods ?ra_depth
-                  ?dirty_limit ()
+                  ?dirty_limit ?cache_pages ()
               in
               { m_server = s; m_rpc = rpc; m_mount })
         in

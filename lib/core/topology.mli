@@ -115,6 +115,8 @@ val create :
   ?biods:int ->
   ?ra_depth:int ->
   ?dirty_limit:int ->
+  ?cache_pages:int ->
+  ?dup_cache_size:int ->
   ?rpc_timeout:Sim.Time.t ->
   ?servers:int ->
   ?ports_buffer:int ->
@@ -131,10 +133,12 @@ val create :
     medium or switch).  [topology] picks the wiring (default
     {!Point_to_point}); [transport] the RPC retransmission strategy
     (default {!Nfs.Rpc.Fixed}).  [nfsd] sizes each server's worker pool
-    (default 4); [biods], [ra_depth] and [dirty_limit] configure each
-    client mount (see {!Nfs.Client.mount}); [rpc_timeout] is the
-    initial retransmission timeout.  [ports_buffer] sizes the switch's
-    per-output-port buffer in frames (default 64; {!Switched} only).
+    (default 4) and [dup_cache_size] its duplicate-request cache (see
+    {!Nfs.Server.create}); [biods], [ra_depth], [dirty_limit] and
+    [cache_pages] configure each client mount (see {!Nfs.Client.mount});
+    [rpc_timeout] is the initial retransmission timeout.  [ports_buffer]
+    sizes the switch's per-output-port buffer in frames (default 64;
+    {!Switched} only).
     [register_clients] (default true) controls per-client metrics
     registration. *)
 

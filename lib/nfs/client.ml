@@ -17,14 +17,23 @@ type stats = {
   gather_bytes : Sim.Stats.Hist.t;
 }
 
+(* Who else may read a page's current frame.  A WRITE payload borrows
+   the frame it was gathered from ([Lent]) until its reply.  A call that
+   was sent more than once may leave a copy in the network that still
+   reads the frame after the reply, so such a frame stays [Resent] for
+   good.  Either way the frame is copied before it is written, and a
+   [Resent] one never goes back to the pool. *)
+type lending = Own | Lent | Resent
+
 type cpage = {
-  mutable pdata : bytes;
-      (** replaced, never written, while a WRITE payload borrows it
-          ([pflush > 0]): see [write_body] *)
+  mutable pdata : bytes;  (** the frame; see [lending] *)
+  mutable plend : lending;
   mutable pvalid : bool;
   mutable pdirty : bool;
   mutable pbusy : bool;  (** a fill RPC is in flight *)
   mutable pflush : int;  (** in-flight WRITE payloads covering this page *)
+  mutable pusers : int;
+      (** reads/writes between their page lookup and their copy *)
   mutable pprefetched : bool;
   pcond : Sim.Condition.t;  (** unbusy waiters *)
 }
@@ -65,13 +74,15 @@ type file = {
 
 and job =
   | Ra of file * int * int  (** read-ahead: file, offset, length *)
-  | Push of file * int * int * Sim.Iov.t * cpage list
-      (** write-behind: file, off, dirty credit, payload, covered pages *)
+  | Push of file * int * int * Sim.Iov.t * (cpage * bytes) list
+      (** write-behind: file, off, dirty credit, payload, covered pages
+          with the frames the payload borrows *)
 
 and t = {
   engine : Sim.Engine.t;
   cpu : Sim.Cpu.t;
   rpc : Rpc.t;
+  frames : Sim.Frames.t;  (** the engine's, shared with the server *)
   cluster : int;
   ra_depth : int;
   dirty_limit : int;
@@ -204,6 +215,27 @@ let note_miss_rwin t f ~po =
 
 (* ---------- page cache ---------- *)
 
+let zeroed_frame t =
+  let b = Sim.Frames.take t.frames in
+  Bytes.fill b 0 bsize '\000';
+  b
+
+(* [f ()] with [p] counted as in use: a read or write that holds the
+   page across a yield still copies from or into its frame afterwards *)
+let using p f =
+  p.pusers <- p.pusers + 1;
+  let r = f () in
+  p.pusers <- p.pusers - 1;
+  r
+
+(* [p] has just left the cache.  Its frame goes back to the pool only
+   when nothing can touch it again: no read or write holds the page, no
+   in-flight WRITE borrows it, and no copy of a retransmitted WRITE that
+   borrowed it can still be in the network.  Otherwise the GC gets it. *)
+let release t p =
+  if p.pusers = 0 && p.pflush = 0 && p.plend <> Resent then
+    Sim.Frames.give t.frames p.pdata
+
 (* Make room: pop eviction candidates until a valid, clean, idle page
    turns up.  Entries can be stale (the page was already dropped) and
    dirty/busy pages are skipped and re-queued, as are pages whose only
@@ -226,6 +258,7 @@ let evict_one t =
              the frame were spent for nothing *)
           if p.pprefetched then t.st.ra_wasted <- t.st.ra_wasted + 1;
           Hashtbl.remove f.pages po;
+          release t p;
           t.resident <- t.resident - 1;
           t.st.evictions <- t.st.evictions + 1;
           evicted := true
@@ -233,17 +266,19 @@ let evict_one t =
         else Queue.push (f, po) t.lru
   done
 
-(* [data] is the page's frame; a fill passes [Bytes.empty] and installs
-   the frame when the READ reply lands. *)
-let insert_page t f po ~data =
+(* A new page with no frame: a fill installs the READ reply's frame, a
+   write a zeroed one.  Evicting first lets that frame be the victim's. *)
+let insert_page t f po =
   if t.resident >= t.cache_pages then evict_one t;
   let p =
     {
-      pdata = data;
+      pdata = Bytes.empty;
+      plend = Own;
       pvalid = false;
       pdirty = false;
       pbusy = false;
       pflush = 0;
+      pusers = 0;
       pprefetched = false;
       pcond = Sim.Condition.create t.engine "nfs.page";
     }
@@ -270,7 +305,7 @@ let fetch_range t f ~off ~len ~prefetched =
         p.pbusy <- true;
         claims := (!po, p) :: !claims
     | None ->
-        let p = insert_page t f !po ~data:Bytes.empty in
+        let p = insert_page t f !po in
         p.pbusy <- true;
         claims := (!po, p) :: !claims);
     po := !po + bsize
@@ -295,17 +330,20 @@ let fetch_range t f ~off ~len ~prefetched =
             | Some frame -> p.pdata <- frame
             | None ->
                 let avail = min bsize (n - k) in
-                let frame = Bytes.make bsize '\000' in
+                let frame = zeroed_frame t in
                 Sim.Iov.blit_to_bytes data k frame 0 avail;
                 p.pdata <- frame);
             p.pvalid <- true;
             p.pprefetched <- prefetched
           end
-          else begin
-            (* past server EOF: forget the placeholder *)
-            Hashtbl.remove f.pages po;
-            t.resident <- t.resident - 1
-          end;
+          else
+            (* past server EOF: forget the placeholder, unless a
+               truncation already dropped it (and maybe reused [po]) *)
+            (match Hashtbl.find_opt f.pages po with
+            | Some q when q == p ->
+                Hashtbl.remove f.pages po;
+                t.resident <- t.resident - 1
+            | _ -> ());
           p.pbusy <- false;
           Sim.Condition.broadcast p.pcond)
         claims
@@ -321,12 +359,19 @@ let do_push t f ~credit ~pages ~call =
     Sim.Condition.wait f.push_cond
   done;
   f.pushing <- true;
-  (match Rpc.call t.rpc call with
-  | Proto.R_attr _ -> ()
-  | Proto.R_err e -> failwith ("nfs write: " ^ e)
-  | _ -> assert false);
+  let resent =
+    match Rpc.call_resent t.rpc call with
+    | Proto.R_attr _, resent -> resent
+    | Proto.R_err e, _ -> failwith ("nfs write: " ^ e)
+    | _ -> assert false
+  in
   f.pushing <- false;
-  List.iter (fun p -> p.pflush <- p.pflush - 1) pages;
+  List.iter
+    (fun (p, frame) ->
+      p.pflush <- p.pflush - 1;
+      (* a frame already replaced by a copy stays with the payload *)
+      if p.pdata == frame then p.plend <- (if resent then Resent else Own))
+    pages;
   t.dirty_bytes <- t.dirty_bytes - credit;
   f.pending_pushes <- f.pending_pushes - 1;
   Sim.Condition.broadcast t.dirty_cond;
@@ -369,11 +414,13 @@ let mount engine ~cpu ~rpc ?(biods = 4) ?(cluster_bytes = 120 * 1024)
     ?(ra_depth = 2) ?(dirty_limit = 240 * 1024)
     ?(attr_ttl = Sim.Time.sec 3) ?(cache_pages = 1024)
     ?(readdir_count = 32) ?(costs = Ufs.Costs.default) () =
+  assert (Sim.Frames.size (Sim.Engine.frames engine) = bsize);
   let t =
     {
       engine;
       cpu;
       rpc;
+      frames = Sim.Engine.frames engine;
       cluster = cluster_bytes;
       ra_depth;
       dirty_limit;
@@ -551,8 +598,9 @@ let read_body f ~off ~buf ~len =
       (match ensure_resident t f ~po ~seq ~retried:false with
       | None -> continue := false
       | Some p ->
-          charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
-          Bytes.blit p.pdata (!cur - po) buf !total n;
+          using p (fun () ->
+              charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
+              Bytes.blit p.pdata (!cur - po) buf !total n);
           (match w with
           | Some w ->
               touch_rwin f w ~po;
@@ -587,12 +635,13 @@ let flush_gather t f =
       | Some p when p.pvalid ->
           let n = min bsize (off + len - !po) in
           segs := (p.pdata, 0, n) :: !segs;
-          (* the payload borrows the page's bytes: the page is clean
+          (* the payload borrows the page's frame: the page is clean
              but stays pinned (pflush) until the WRITE RPC completes, so
              eviction can't drop it and refetch stale server data, and
              a rewrite copies the frame instead of changing it *)
           p.pflush <- p.pflush + 1;
-          pages := p :: !pages;
+          p.plend <- Lent;
+          pages := (p, p.pdata) :: !pages;
           if p.pdirty then begin
             p.pdirty <- false;
             incr cleaned
@@ -626,16 +675,23 @@ let write_body f ~off ~buf ~len =
       t.st.dirty_sleeps <- t.st.dirty_sleeps + 1;
       charged t "client.throttle" (fun () -> Sim.Condition.wait t.dirty_cond)
     done;
-    let page =
+    let new_page () =
+      let p = insert_page t f po in
+      p.pdata <- zeroed_frame t;
+      p.pvalid <- true;
+      p
+    in
+    let rec lookup () =
       match Hashtbl.find_opt f.pages po with
       | Some p when p.pvalid -> p
       | Some p when p.pbusy ->
-          (* a fill is in flight; wait it out rather than racing it *)
+          (* a fill is in flight; wait it out rather than racing it, then
+             look again: a fill past the server's EOF drops the page *)
           charged t "rpc.wait" (fun () ->
               while p.pbusy do
                 Sim.Condition.wait p.pcond
               done);
-          p
+          lookup ()
       | _ ->
           let partial = not (!cur = po && n = bsize) in
           if partial && po < f.fsize then begin
@@ -643,27 +699,27 @@ let write_body f ~off ~buf ~len =
             fetch_range t f ~off:po ~len:bsize ~prefetched:false;
             match Hashtbl.find_opt f.pages po with
             | Some p when p.pvalid -> p
-            | _ ->
-                let p = insert_page t f po ~data:(Bytes.make bsize '\000') in
-                p.pvalid <- true;
-                p
+            | _ -> new_page ()
           end
-          else begin
-            let p = insert_page t f po ~data:(Bytes.make bsize '\000') in
-            p.pvalid <- true;
-            p
-          end
+          else new_page ()
     in
-    if not page.pdirty then begin
-      page.pdirty <- true;
-      t.dirty_bytes <- t.dirty_bytes + bsize
-    end;
-    charge t t.costs.Ufs.Costs.map_block;
-    charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
-    (* copy-on-write: an in-flight WRITE payload borrows this frame and
-       must keep sending the bytes it was gathered with *)
-    if page.pflush > 0 then page.pdata <- Bytes.copy page.pdata;
-    Bytes.blit buf !copied page.pdata (!cur - po) n;
+    let page = lookup () in
+    using page (fun () ->
+        if not page.pdirty then begin
+          page.pdirty <- true;
+          t.dirty_bytes <- t.dirty_bytes + bsize
+        end;
+        charge t t.costs.Ufs.Costs.map_block;
+        charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
+        (* copy-on-write: a WRITE payload borrows this frame and must
+           keep sending the bytes it was gathered with *)
+        if page.plend <> Own then begin
+          let frame = Sim.Frames.take t.frames in
+          Bytes.blit page.pdata 0 frame 0 bsize;
+          page.pdata <- frame;
+          page.plend <- Own
+        end;
+        Bytes.blit buf !copied page.pdata (!cur - po) n);
     if !cur + n > f.fsize then f.fsize <- !cur + n;
     (* gather: extend the run while the stream stays contiguous *)
     if f.delaylen = 0 then begin
@@ -701,8 +757,9 @@ let fsync f =
    charging never-used read-ahead pages to the wasted count. *)
 let drop_all_pages t f =
   Hashtbl.iter
-    (fun _ p -> if p.pvalid && p.pprefetched then
-        t.st.ra_wasted <- t.st.ra_wasted + 1)
+    (fun _ p ->
+      if p.pvalid && p.pprefetched then t.st.ra_wasted <- t.st.ra_wasted + 1;
+      release t p)
     f.pages;
   let n = Hashtbl.length f.pages in
   Hashtbl.reset f.pages;

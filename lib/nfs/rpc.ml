@@ -254,7 +254,7 @@ let call_fixed_body t (call : Proto.call) =
   let r = attempt ~retry:false in
   trace_reply t p ~attempts:!attempts;
   charge_cost t ~entry:t0 ~window_wait:0 p;
-  finish_call t call ~t0 r
+  (finish_call t call ~t0 r, p.retransmitted)
 
 let call_fixed t (call : Proto.call) =
   Sim.Span.span
@@ -349,17 +349,19 @@ let call_adaptive_body t (call : Proto.call) =
   Sim.Condition.signal cs.win_cond;
   trace_reply t p ~attempts:!attempts;
   charge_cost t ~entry ~window_wait:waited p;
-  finish_call t call ~t0 r
+  (finish_call t call ~t0 r, p.retransmitted)
 
 let call_adaptive t (call : Proto.call) =
   Sim.Span.span
     ~name:("rpc." ^ Proto.op_name call)
     (fun () -> call_adaptive_body t call)
 
-let call t (call : Proto.call) =
+let call_resent t (call : Proto.call) =
   match t.transport with
   | Fixed -> call_fixed t call
   | Adaptive -> call_adaptive t call
+
+let call t c = fst (call_resent t c)
 
 (* ---------- observability ---------- *)
 

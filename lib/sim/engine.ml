@@ -143,11 +143,15 @@ type t = {
   mutable eff_attrib : int;
   mutable eff_span : int;
   mutable eff_fls : int;
+  frames : Frames.t;
 }
 
 exception Deadlock of string
 
 type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+
+(* the VM page and UFS block size: every NFS page and READ frame *)
+let page_bytes = 8192
 
 let create () =
   {
@@ -164,9 +168,11 @@ let create () =
     eff_attrib = 0;
     eff_span = 0;
     eff_fls = 0;
+    frames = Frames.create ~size:page_bytes;
   }
 
 let now t = t.now
+let frames t = t.frames
 
 let pending t = t.events.len + t.ready.rlen
 

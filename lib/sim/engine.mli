@@ -22,6 +22,10 @@ val create : unit -> t
 val now : t -> Time.t
 (** Current virtual time. *)
 
+val frames : t -> Frames.t
+(** The engine's pool of 8 KB page frames (the VM page and UFS block
+    size).  Everything simulated on one engine shares it. *)
+
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] schedules process [f] to start at the current virtual
     time.  Exceptions escaping [f] abort the whole simulation run (they

@@ -110,9 +110,10 @@ val read : Types.fs -> Types.inode -> off:int -> buf:bytes -> len:int -> int
 val write : Types.fs -> Types.inode -> off:int -> buf:bytes -> len:int -> unit
 
 val readv : Types.fs -> Types.inode -> off:int -> len:int -> Sim.Iov.t
-(** Read into fresh buffers cut at block boundaries, so every whole
-    block of the result is one segment spanning one [bsize] buffer that
-    a reader can adopt as a page ({!Sim.Iov.whole}).  Short at EOF. *)
+(** Read into buffers cut at block boundaries, so every whole block of
+    the result is one segment spanning one [bsize] frame that a reader
+    can adopt as a page ({!Sim.Iov.whole}).  Whole-block frames come
+    from the engine's pool ({!Sim.Engine.frames}).  Short at EOF. *)
 
 val writev : Types.fs -> Types.inode -> off:int -> Sim.Iov.t -> unit
 (** Write all of the iov at [off]. *)

@@ -513,6 +513,28 @@ let test_trace_ring () =
   Sim.Trace.clear t;
   Alcotest.(check int) "cleared" 0 (Sim.Trace.length t)
 
+(* ---------- Frames ---------- *)
+
+let test_frames_recycle () =
+  let fr = Sim.Frames.create ~size:8192 in
+  let a = Sim.Frames.take fr in
+  check_int "frame size" 8192 (Bytes.length a);
+  Sim.Frames.give fr a;
+  check_bool "take returns the frame given" true (Sim.Frames.take fr == a);
+  check_bool "empty list: a fresh frame" true (Sim.Frames.take fr != a);
+  Sim.Frames.give fr (Bytes.create 4096);
+  Sim.Frames.give fr (Bytes.create 8193);
+  Sim.Frames.give fr Bytes.empty;
+  let c = Sim.Frames.take fr in
+  check_int "other sizes are never kept" 8192 (Bytes.length c);
+  check_int "taken" 4 (Sim.Frames.taken fr);
+  check_int "reused" 1 (Sim.Frames.reused fr);
+  let e = Sim.Engine.create () in
+  check_bool "one pool per engine" true
+    (Sim.Engine.frames e == Sim.Engine.frames e);
+  check_int "engine frames are 8 KB pages" 8192
+    (Sim.Frames.size (Sim.Engine.frames e))
+
 let suites =
   [
     ( "sim",
@@ -562,5 +584,7 @@ let suites =
         Alcotest.test_case "cpu contention" `Quick
           test_cpu_contention_serializes;
         Alcotest.test_case "trace ring" `Quick test_trace_ring;
+        Alcotest.test_case "frames: recycle, one size" `Quick
+          test_frames_recycle;
       ] );
   ]
