@@ -1247,7 +1247,7 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
           (if !spent = 0 then 0.
            else float_of_int !moved /. 1024. /. Sim.Time.to_sec_float !spent);
         zl_retransmits = (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits;
-        zl_drops = Topology.client_drops c;
+        zl_drops = Topology.client_drops t c;
         zl_dup_hits = (Nfs.Server.stats t.Topology.service).Nfs.Server.dup_hits;
         creates_applied = Nfs.Server.applied t.Topology.service "create";
         creates_issued = Nfs.Rpc.op_calls c.Topology.rpc "create";

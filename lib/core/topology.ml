@@ -2,8 +2,7 @@ type kind = Point_to_point | Shared_medium | Switched
 
 type attach =
   | Links of Nfs.Proto.msg Net.t array
-  | Station of Nfs.Proto.msg Net.Medium.station
-  | Port of Nfs.Proto.msg Net.Switch.port
+  | Host of Nfs.Proto.msg Net.host
 
 type mountpoint = {
   m_server : int;
@@ -28,7 +27,7 @@ type t = {
   clients : client array;
   medium : Nfs.Proto.msg Net.Medium.t option;
   switch : Nfs.Proto.msg Net.Switch.t option;
-  srv_stations : Nfs.Proto.msg Net.Medium.station array option;
+  srv_hosts : Nfs.Proto.msg Net.host array;  (* empty on p2p links *)
   srv_ports : Nfs.Proto.msg Net.Switch.port array option;
   crashed : Disk.Store.t option array;
       (* platter images latched at crash_server, consumed by reboot *)
@@ -44,21 +43,28 @@ type t = {
 let client_link c =
   match c.attach with
   | Links ls -> Some ls.(0)
-  | Station _ | Port _ -> None
+  | Host _ -> None
 
 let medium t = t.medium
 let switch t = t.switch
 
-let client_drops c =
-  match c.attach with
-  | Links ls ->
+let client_drops t c =
+  match (c.attach, t.switch) with
+  | Links ls, _ ->
       Array.fold_left (fun acc l -> acc + (Net.stats l).Net.drops) 0 ls
-  | Station _ -> 0
-  | Port p -> (Net.Switch.port_stats p).Net.Switch.p_drops
+  | Host h, Some sw ->
+      (Net.Switch.port_stats (Net.Switch.port sw h)).Net.Switch.p_drops
+  | Host _, None -> 0
 
-(* Station / port numbering, both shared kinds: server [s] is id [s],
-   client [i] is id [servers + i].  At one server this is the historical
-   "server = 0, client i = i + 1". *)
+(* One more machine on the shared fabric: a medium station or a switch
+   port.  Ids follow attach order, so server [s] is id [s] and client [i]
+   is id [servers + i]; at one server this is the historical "server =
+   0, client i = i + 1". *)
+let attach_host ~medium ~switch cpu =
+  match (medium, switch) with
+  | Some m, _ -> Net.Medium.attach m ~cpu
+  | None, Some sw -> Net.Switch.attach sw ~cpu
+  | None, None -> invalid_arg "Topology: no shared fabric"
 
 let create ?(net = Net.default_config) ?(seed = 0)
     ?(topology = Point_to_point) ?transport ?(nfsd = 4) ?biods ?ra_depth
@@ -75,61 +81,46 @@ let create ?(net = Net.default_config) ?(seed = 0)
             (Config.with_name config
                (Printf.sprintf "%s.s%d" config.Config.name s)))
   in
-  let shared = ref None in
-  let switched = ref None in
+  let medium =
+    if topology = Shared_medium then
+      Some (Net.Medium.create ~seed ~name:"ether" engine net)
+    else None
+  in
+  let switch =
+    if topology = Switched then
+      Some
+        (Net.Switch.create ~seed ~name:"switch" ?buffer:ports_buffer engine net)
+    else None
+  in
+  let srv_hosts =
+    if topology = Point_to_point then [||]
+    else
+      Array.map (fun sv -> attach_host ~medium ~switch sv.Machine.cpu) machines
+  in
   let nodes =
-    match topology with
-    | Point_to_point ->
-        Array.init clients (fun id ->
-            let cpu = Sim.Cpu.create engine in
-            let links =
-              Array.init servers (fun s ->
-                  let name =
-                    if servers = 1 then Printf.sprintf "link.%d" id
-                    else Printf.sprintf "link.%d.s%d" id s
-                  in
-                  Net.create
-                    ~seed:(seed + (id * servers) + s)
-                    ~name engine net ~a_cpu:cpu
-                    ~b_cpu:machines.(s).Machine.cpu)
-            in
-            (id, cpu, Links links))
-    | Shared_medium ->
-        let m = Net.Medium.create ~seed ~name:"ether" engine net in
-        let stations =
-          Array.map (fun sv -> Net.Medium.attach m ~cpu:sv.Machine.cpu) machines
+    Array.init clients (fun id ->
+        let cpu = Sim.Cpu.create engine in
+        let attach =
+          if topology = Point_to_point then
+            Links
+              (Array.init servers (fun s ->
+                   let name =
+                     if servers = 1 then Printf.sprintf "link.%d" id
+                     else Printf.sprintf "link.%d.s%d" id s
+                   in
+                   Net.create
+                     ~seed:(seed + (id * servers) + s)
+                     ~name engine net ~a_cpu:cpu
+                     ~b_cpu:machines.(s).Machine.cpu))
+          else Host (attach_host ~medium ~switch cpu)
         in
-        shared := Some (m, stations);
-        Array.init clients (fun id ->
-            let cpu = Sim.Cpu.create engine in
-            let st = Net.Medium.attach m ~cpu in
-            (id, cpu, Station st))
-    | Switched ->
-        let sw =
-          Net.Switch.create ~seed ~name:"switch" ?buffer:ports_buffer engine
-            net
-        in
-        let ports =
-          Array.map (fun sv -> Net.Switch.attach sw ~cpu:sv.Machine.cpu) machines
-        in
-        switched := Some (sw, ports);
-        Array.init clients (fun id ->
-            let cpu = Sim.Cpu.create engine in
-            let p = Net.Switch.attach sw ~cpu in
-            (id, cpu, Port p))
+        (id, cpu, attach))
   in
   (* the server-side endpoint of server [s]'s channel to one client *)
-  let server_ep s (id, _, attach) =
+  let server_ep s (_, _, attach) =
     match attach with
     | Links ls -> Net.b_end ls.(s)
-    | Station _ -> (
-        match !shared with
-        | Some (_, ss) -> Net.Medium.endpoint ss.(s) ~peer:(servers + id)
-        | None -> assert false)
-    | Port _ -> (
-        match !switched with
-        | Some (_, ps) -> Net.Switch.endpoint ps.(s) ~peer:(servers + id)
-        | None -> assert false)
+    | Host h -> Net.endpoint srv_hosts.(s) ~peer:(Net.host_id h)
   in
   let services =
     Array.init servers (fun s ->
@@ -144,8 +135,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
         let client_ep s =
           match attach with
           | Links ls -> Net.a_end ls.(s)
-          | Station st -> Net.Medium.endpoint st ~peer:s
-          | Port p -> Net.Switch.endpoint p ~peer:s
+          | Host h -> Net.endpoint h ~peer:(Net.host_id srv_hosts.(s))
         in
         let mounts =
           Array.init servers (fun s ->
@@ -178,10 +168,11 @@ let create ?(net = Net.default_config) ?(seed = 0)
       servers = machines;
       services;
       clients;
-      medium = Option.map fst !shared;
-      switch = Option.map fst !switched;
-      srv_stations = Option.map snd !shared;
-      srv_ports = Option.map snd !switched;
+      medium;
+      switch;
+      srv_hosts;
+      srv_ports =
+        Option.map (fun sw -> Array.map (Net.Switch.port sw) srv_hosts) switch;
       crashed = Array.make servers None;
       topo_kind = topology;
       net_cfg = net;
@@ -204,15 +195,15 @@ let create ?(net = Net.default_config) ?(seed = 0)
       (match t.medium with
       | Some m -> Net.Medium.register_metrics m reg ~instance:(name ^ ".net")
       | None -> ());
-      (match !switched with
-      | Some (sw, ports) ->
+      (match (t.switch, t.srv_ports) with
+      | Some sw, Some ports ->
           Net.Switch.register_metrics sw reg ~instance:(name ^ ".switch");
           Array.iteri
             (fun s p ->
               Net.Switch.register_port_metrics p reg
                 ~instance:(sname s ^ ".port"))
             ports
-      | None -> ());
+      | _ -> ());
       if register_clients then
         Array.iter
           (fun c ->
@@ -227,7 +218,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
                     in
                     Net.register_metrics l reg ~instance)
                   ls
-            | Station _ | Port _ -> ());
+            | Host _ -> ());
             if servers = 1 then
               Nfs.Client.register_metrics c.mount reg
                 ~instance:(Printf.sprintf "%s.c%d" name c.id)
@@ -288,22 +279,12 @@ let add_mount t c ~server ?biods ?ra_depth ?dirty_limit () =
         in
         Nfs.Server.add_endpoint t.services.(server) (Net.b_end link);
         Net.a_end link
-    | Station _ ->
-        let m = Option.get t.medium in
-        let st = Net.Medium.attach m ~cpu:c.cpu in
-        let sid = Net.Medium.station_id st in
-        let srv = (Option.get t.srv_stations).(server) in
+    | Host _ ->
+        let h = attach_host ~medium:t.medium ~switch:t.switch c.cpu in
+        let srv = t.srv_hosts.(server) in
         Nfs.Server.add_endpoint t.services.(server)
-          (Net.Medium.endpoint srv ~peer:sid);
-        Net.Medium.endpoint st ~peer:server
-    | Port _ ->
-        let sw = Option.get t.switch in
-        let np = Net.Switch.attach sw ~cpu:c.cpu in
-        let pid = Net.Switch.port_id np in
-        let srv = (Option.get t.srv_ports).(server) in
-        Nfs.Server.add_endpoint t.services.(server)
-          (Net.Switch.endpoint srv ~peer:pid);
-        Net.Switch.endpoint np ~peer:server
+          (Net.endpoint srv ~peer:(Net.host_id h));
+        Net.endpoint h ~peer:(Net.host_id srv)
   in
   let cstate = Nfs.Rpc.cstate_of c.mounts.(server).m_rpc in
   let rpc =

@@ -51,10 +51,9 @@ type kind = Point_to_point | Shared_medium | Switched
 type attach =
   | Links of Nfs.Proto.msg Net.t array
       (** private duplex links, one per server *)
-  | Station of Nfs.Proto.msg Net.Medium.station
-      (** this client's station on the shared segment *)
-  | Port of Nfs.Proto.msg Net.Switch.port
-      (** this client's switch port *)
+  | Host of Nfs.Proto.msg Net.host
+      (** this client's station on the shared segment, or its switch
+          port *)
 
 type mountpoint = {
   m_server : int;  (** which server this mount points at *)
@@ -81,8 +80,11 @@ type t = {
       (** the shared segment, when [kind] was {!Shared_medium} *)
   switch : Nfs.Proto.msg Net.Switch.t option;
       (** the fabric, when [kind] was {!Switched} *)
-  srv_stations : Nfs.Proto.msg Net.Medium.station array option;
+  srv_hosts : Nfs.Proto.msg Net.host array;
+      (** the servers' stations or switch ports, by server; empty on
+          {!Point_to_point} *)
   srv_ports : Nfs.Proto.msg Net.Switch.port array option;
+      (** the servers' switch ports, when [kind] was {!Switched} *)
   crashed : Disk.Store.t option array;
       (** platter images latched by {!crash_server}, consumed by
           {!reboot_server}; indexed by server *)
@@ -98,7 +100,7 @@ val client_link : client -> Nfs.Proto.msg Net.t option
 (** The client's private link to server 0 ([None] on a shared medium or
     switch). *)
 
-val client_drops : client -> int
+val client_drops : t -> client -> int
 (** Drops on the client's private links (all servers, both directions)
     or its switch uplink; 0 on a shared medium (drops there are
     per-segment — see {!medium}). *)

@@ -54,29 +54,110 @@ let xmit_time cfg ~size =
 let serialization_cpu cfg ~size =
   cfg.per_msg_cpu + (cfg.per_kb_cpu * ((size + 1023) / 1024))
 
-(* An endpoint is an interface, not a wire: the same RPC machinery runs
-   over a private point-to-point link or over one station of a shared
-   medium without knowing which. *)
-type 'a endpoint = {
-  ep_send : size:int -> 'a -> unit;
-  ep_recv : unit -> 'a;
-  ep_pending : unit -> int;
+(* ---------- the transport core, shared by all three fabrics ---------- *)
+
+(* A receive queue and the condition its reader parks on. *)
+type 'a inbox = { q : 'a Queue.t; cond : Sim.Condition.t }
+
+let mk_inbox engine name =
+  { q = Queue.create (); cond = Sim.Condition.create engine name }
+
+let put ib msg =
+  Queue.push msg ib.q;
+  Sim.Condition.signal ib.cond
+
+let rec take ib =
+  if Queue.is_empty ib.q then begin
+    Sim.Condition.wait ib.cond;
+    take ib
+  end
+  else Queue.pop ib.q
+
+(* Seeded fault injection: per message, one loss draw then one spike
+   draw from the fabric's RNG.  The fate is a constant constructor, not
+   a pair, so the per-message path allocates nothing. *)
+type fate = Clean | Spiked | Lost | Lost_spiked
+
+let draw cfg rng =
+  let lost = cfg.loss > 0. && Sim.Rng.float rng 1.0 < cfg.loss in
+  let spiked = cfg.spike_prob > 0. && Sim.Rng.float rng 1.0 < cfg.spike_prob in
+  if lost then if spiked then Lost_spiked else Lost
+  else if spiked then Spiked
+  else Clean
+
+let spiked = function Spiked | Lost_spiked -> true | Clean | Lost -> false
+let lost = function Lost | Lost_spiked -> true | Clean | Spiked -> false
+
+(* propagation delay of a delivered message, spike included *)
+let delay cfg fate =
+  cfg.latency + if spiked fate then cfg.spike else Sim.Time.zero
+
+(* A private serial wire (one p2p direction, one switch uplink): a
+   message occupies it for its transmit time, then arrives no earlier
+   than the one before it — a spike holds every later message behind
+   it. *)
+type wire = { mutable free_at : Sim.Time.t; mutable last_arrival : Sim.Time.t }
+
+let mk_wire () = { free_at = Sim.Time.zero; last_arrival = Sim.Time.zero }
+
+(* Occupy the wire for [xmit] from the first free instant; returns the
+   wait. *)
+let seize w ~now ~xmit =
+  let start = max now w.free_at in
+  w.free_at <- start + xmit;
+  start - now
+
+(* Arrival of the message that last seized the wire, [after] its last
+   bit, behind every earlier arrival. *)
+let arrive w ~after =
+  let at = max (w.free_at + after) w.last_arrival in
+  w.last_arrival <- at;
+  at
+
+(* One machine's attachment to a shared fabric (a medium station or a
+   switch port): an id, a transmit function into the fabric, and one
+   inbox per source, so a server demultiplexes its clients. *)
+type 'a host = {
+  h_engine : Sim.Engine.t;
+  id : int;
+  label : string;  (** names the inbox conditions *)
+  transmit : dst:int -> size:int -> 'a -> unit;
+  inboxes : (int, 'a inbox) Hashtbl.t;  (** keyed by source id *)
 }
 
-let send ep ~size msg = ep.ep_send ~size msg
-let recv ep = ep.ep_recv ()
-let pending ep = ep.ep_pending ()
+let host_id h = h.id
+
+let inbox_of h ~src =
+  match Hashtbl.find_opt h.inboxes src with
+  | Some ib -> ib
+  | None ->
+      let ib = mk_inbox h.h_engine (Printf.sprintf "%s<-%d" h.label src) in
+      Hashtbl.replace h.inboxes src ib;
+      ib
+
+(* An endpoint is an interface, not a wire: the same RPC machinery runs
+   over a private point-to-point link or over a host of a shared fabric
+   without knowing which. *)
+type 'a endpoint = {
+  ep_transmit : dst:int -> size:int -> 'a -> unit;
+  peer : int;
+  ep_inbox : 'a inbox;
+}
+
+let endpoint h ~peer =
+  { ep_transmit = h.transmit; peer; ep_inbox = inbox_of h ~src:peer }
+
+let send ep ~size msg = ep.ep_transmit ~dst:ep.peer ~size msg
+let recv ep = take ep.ep_inbox
 
 (* ---------- point-to-point duplex links ---------- *)
 
-(* One direction of the wire: its own serialization point, FIFO arrival
-   ordering and stats; fault-injection RNG and the combined stats record
-   are shared with the reverse direction. *)
+(* One direction of the link: its own serial wire, the receiving
+   endpoint's inbox and stats; fault-injection RNG and the combined stats
+   record are shared with the reverse direction. *)
 type 'a dir = {
-  mutable free_at : Sim.Time.t;  (** wire busy until *)
-  mutable last_arrival : Sim.Time.t;
-  inbox : 'a Queue.t;  (** the RECEIVING endpoint's mailbox *)
-  cond : Sim.Condition.t;
+  wire : wire;
+  inbox : 'a inbox;
   dst : stats;  (** this direction only *)
 }
 
@@ -85,86 +166,53 @@ type 'a pep = {
   cfg : config;
   cpu : Sim.Cpu.t;  (** sender's CPU: serialization is charged here *)
   out : 'a dir;  (** direction this endpoint transmits into *)
-  inc : 'a dir;  (** direction this endpoint receives from *)
   rng : Sim.Rng.t;
   st : stats;  (** both directions combined *)
 }
 
 type 'a t = {
-  a : 'a pep;
-  b : 'a pep;
   a_ep : 'a endpoint;
   b_ep : 'a endpoint;
-  name : string;
+  st : stats;  (** both directions combined *)
+  a2b : stats;
+  b2a : stats;
 }
 
 let mk_dir engine name =
-  {
-    free_at = Sim.Time.zero;
-    last_arrival = Sim.Time.zero;
-    inbox = Queue.create ();
-    cond = Sim.Condition.create engine name;
-    dst = mk_stats ();
-  }
+  { wire = mk_wire (); inbox = mk_inbox engine name; dst = mk_stats () }
 
-let p2p_send ep ~size msg =
+let p2p_send ep ~dst:_ ~size msg =
   let cfg = ep.cfg in
   Sim.Cpu.charge ep.cpu ~label:"net" (serialization_cpu cfg ~size);
   let now = Sim.Engine.now ep.engine in
   let dir = ep.out in
-  let start = max now dir.free_at in
-  let wire_wait = start - now in
-  dir.free_at <- start + xmit_time cfg ~size;
+  let wire_wait = seize dir.wire ~now ~xmit:(xmit_time cfg ~size) in
   ep.st.msgs_sent <- ep.st.msgs_sent + 1;
   ep.st.bytes_sent <- ep.st.bytes_sent + size;
   dir.dst.msgs_sent <- dir.dst.msgs_sent + 1;
   dir.dst.bytes_sent <- dir.dst.bytes_sent + size;
   Sim.Stats.Summary.add ep.st.wire_wait_us (float_of_int wire_wait);
   Sim.Stats.Summary.add dir.dst.wire_wait_us (float_of_int wire_wait);
-  (* fault injection: the draws happen at send time, in send order, so
-     a run is a pure function of the link seed and the traffic *)
-  let dropped = cfg.loss > 0. && Sim.Rng.float ep.rng 1.0 < cfg.loss in
-  let spiked =
-    cfg.spike_prob > 0. && Sim.Rng.float ep.rng 1.0 < cfg.spike_prob
-  in
-  if spiked then begin
+  (* the draws happen at send time, in send order, so a run is a pure
+     function of the link seed and the traffic *)
+  let fate = draw cfg ep.rng in
+  if spiked fate then begin
     ep.st.spikes <- ep.st.spikes + 1;
     dir.dst.spikes <- dir.dst.spikes + 1
   end;
-  if dropped then begin
+  if lost fate then begin
     ep.st.drops <- ep.st.drops + 1;
     dir.dst.drops <- dir.dst.drops + 1
   end
   else begin
-    let arrival =
-      dir.free_at + cfg.latency + (if spiked then cfg.spike else Sim.Time.zero)
-    in
-    (* FIFO delivery: a spike on one message holds every later one
-       behind it *)
-    let arrival = max arrival dir.last_arrival in
-    dir.last_arrival <- arrival;
+    let arrival = arrive dir.wire ~after:(delay cfg fate) in
     Sim.Engine.schedule ep.engine ~delay:(arrival - now) (fun () ->
-        Queue.push msg dir.inbox;
+        put dir.inbox msg;
         ep.st.msgs_delivered <- ep.st.msgs_delivered + 1;
         dir.dst.msgs_delivered <- dir.dst.msgs_delivered + 1;
         Sim.Stats.Summary.add ep.st.transit_us (float_of_int (arrival - now));
-        Sim.Stats.Summary.add dir.dst.transit_us (float_of_int (arrival - now));
-        Sim.Condition.signal dir.cond)
+        Sim.Stats.Summary.add dir.dst.transit_us (float_of_int (arrival - now)))
   end
-
-let rec p2p_recv ep =
-  if Queue.is_empty ep.inc.inbox then begin
-    Sim.Condition.wait ep.inc.cond;
-    p2p_recv ep
-  end
-  else Queue.pop ep.inc.inbox
-
-let iface_of_pep ep =
-  {
-    ep_send = (fun ~size msg -> p2p_send ep ~size msg);
-    ep_recv = (fun () -> p2p_recv ep);
-    ep_pending = (fun () -> Queue.length ep.inc.inbox);
-  }
 
 let create ?(seed = 0) ?(name = "link") engine cfg ~a_cpu ~b_cpu =
   validate ~who:"Net.create" cfg;
@@ -172,18 +220,20 @@ let create ?(seed = 0) ?(name = "link") engine cfg ~a_cpu ~b_cpu =
   let ba = mk_dir engine (name ^ ".ba") in
   let rng = Sim.Rng.create ~seed in
   let st = mk_stats () in
-  let a = { engine; cfg; cpu = a_cpu; out = ab; inc = ba; rng; st } in
-  let b = { engine; cfg; cpu = b_cpu; out = ba; inc = ab; rng; st } in
-  { a; b; a_ep = iface_of_pep a; b_ep = iface_of_pep b; name }
+  let ep cpu out inc =
+    let p = { engine; cfg; cpu; out; rng; st } in
+    { ep_transmit = p2p_send p; peer = 0; ep_inbox = inc.inbox }
+  in
+  { a_ep = ep a_cpu ab ba; b_ep = ep b_cpu ba ab; st; a2b = ab.dst;
+    b2a = ba.dst }
 
 let a_end t = t.a_ep
 let b_end t = t.b_ep
 
-let stats t = t.a.st
+let stats t = t.st
 
 let register_metrics t reg ~instance =
-  let s = t.a.st in
-  let ab = t.a.out.dst and ba = t.b.out.dst in
+  let s = t.st and ab = t.a2b and ba = t.b2a in
   Sim.Metrics.register reg ~layer:"net" ~instance (fun () ->
       [
         ("msgs_sent", Sim.Metrics.Int s.msgs_sent);
@@ -228,8 +278,6 @@ module Medium = struct
     enq_at : Sim.Time.t;
   }
 
-  type 'a inbox = { q : 'a Queue.t; ib_cond : Sim.Condition.t }
-
   type 'a t = {
     m_engine : Sim.Engine.t;
     m_cfg : config;
@@ -238,21 +286,19 @@ module Medium = struct
     m_name : string;
     m_rng : Sim.Rng.t;
     mutable wire_free_at : Sim.Time.t;
-    stations : (int, 'a station) Hashtbl.t;
-    mutable nstations : int;
+    stations : (int, 'a host) Hashtbl.t;  (** by id, in attach order *)
     last_arrival : (int, Sim.Time.t) Hashtbl.t;  (** per-dst FIFO floor *)
     m_st : m_stats;
   }
 
-  and 'a station = {
+  (* the transmit side of a station; its receive side is the host *)
+  type 'a station = {
     med : 'a t;
     sid : int;
     s_cpu : Sim.Cpu.t;
     outq : 'a frame Queue.t;
     mutable pumping : bool;
     mutable backoff_exp : int;
-    inboxes : (int, 'a inbox) Hashtbl.t;  (** keyed by source station *)
-    s_queue_wait_us : Sim.Stats.Summary.t;
   }
 
   let create ?(seed = 0) ?(name = "ether") ?(slot = Sim.Time.us 51)
@@ -268,7 +314,6 @@ module Medium = struct
       m_rng = Sim.Rng.create ~seed;
       wire_free_at = Sim.Time.zero;
       stations = Hashtbl.create 16;
-      nstations = 0;
       last_arrival = Hashtbl.create 16;
       m_st =
         {
@@ -283,40 +328,6 @@ module Medium = struct
           m_transit_us = Sim.Stats.Summary.create ();
         };
     }
-
-  let attach t ~cpu =
-    let s =
-      {
-        med = t;
-        sid = t.nstations;
-        s_cpu = cpu;
-        outq = Queue.create ();
-        pumping = false;
-        backoff_exp = 0;
-        inboxes = Hashtbl.create 4;
-        s_queue_wait_us = Sim.Stats.Summary.create ();
-      }
-    in
-    Hashtbl.replace t.stations s.sid s;
-    t.nstations <- t.nstations + 1;
-    s
-
-  let station_id s = s.sid
-
-  let inbox_of s ~src =
-    match Hashtbl.find_opt s.inboxes src with
-    | Some ib -> ib
-    | None ->
-        let ib =
-          {
-            q = Queue.create ();
-            ib_cond =
-              Sim.Condition.create s.med.m_engine
-                (Printf.sprintf "%s.s%d<-%d" s.med.m_name s.sid src);
-          }
-        in
-        Hashtbl.replace s.inboxes src ib;
-        ib
 
   (* The station's transmit pump.  One event chain per backlogged
      station: sense the wire; if busy, defer a seeded jittered backoff
@@ -340,27 +351,18 @@ module Medium = struct
     end
     else begin
       let fr = Queue.pop s.outq in
-      let wait = now - fr.enq_at in
-      Sim.Stats.Summary.add m.m_st.m_queue_wait_us (float_of_int wait);
-      Sim.Stats.Summary.add s.s_queue_wait_us (float_of_int wait);
+      Sim.Stats.Summary.add m.m_st.m_queue_wait_us
+        (float_of_int (now - fr.enq_at));
       s.backoff_exp <- 0;
       let xmit = xmit_time m.m_cfg ~size:fr.fsize in
       m.wire_free_at <- now + xmit;
       m.m_st.busy_us <- m.m_st.busy_us + xmit;
       m.m_st.frames_sent <- m.m_st.frames_sent + 1;
       m.m_st.m_bytes_sent <- m.m_st.m_bytes_sent + fr.fsize;
-      let cfg = m.m_cfg in
-      let dropped = cfg.loss > 0. && Sim.Rng.float m.m_rng 1.0 < cfg.loss in
-      let spiked =
-        cfg.spike_prob > 0. && Sim.Rng.float m.m_rng 1.0 < cfg.spike_prob
-      in
-      if spiked then m.m_st.m_spikes <- m.m_st.m_spikes + 1;
-      if dropped then m.m_st.m_drops <- m.m_st.m_drops + 1
+      let fate = draw m.m_cfg m.m_rng in
+      if spiked fate then m.m_st.m_spikes <- m.m_st.m_spikes + 1;
+      if lost fate then m.m_st.m_drops <- m.m_st.m_drops + 1
       else begin
-        let arrival =
-          m.wire_free_at + cfg.latency
-          + (if spiked then cfg.spike else Sim.Time.zero)
-        in
         (* one serial wire: everything bound for a station arrives in
            transmission order, spikes push later frames behind them *)
         let floor =
@@ -368,18 +370,16 @@ module Medium = struct
             (Hashtbl.find_opt m.last_arrival fr.f_dst)
             ~default:Sim.Time.zero
         in
-        let arrival = max arrival floor in
+        let arrival = max (m.wire_free_at + delay m.m_cfg fate) floor in
         Hashtbl.replace m.last_arrival fr.f_dst arrival;
         Sim.Engine.schedule m.m_engine ~delay:(arrival - now) (fun () ->
             match Hashtbl.find_opt m.stations fr.f_dst with
             | None -> ()  (* no such station: the bits fall on the floor *)
             | Some dst ->
-                let ib = inbox_of dst ~src:fr.src in
-                Queue.push fr.payload ib.q;
+                put (inbox_of dst ~src:fr.src) fr.payload;
                 m.m_st.frames_delivered <- m.m_st.frames_delivered + 1;
                 Sim.Stats.Summary.add m.m_st.m_transit_us
-                  (float_of_int (arrival - fr.enq_at));
-                Sim.Condition.signal ib.ib_cond)
+                  (float_of_int (arrival - fr.enq_at)))
       end;
       if Queue.is_empty s.outq then s.pumping <- false
       else Sim.Engine.schedule m.m_engine ~delay:xmit (try_transmit s)
@@ -402,21 +402,23 @@ module Medium = struct
       try_transmit s ()
     end
 
-  let rec recv_from s ~src =
-    let ib = inbox_of s ~src in
-    if Queue.is_empty ib.q then begin
-      Sim.Condition.wait ib.ib_cond;
-      recv_from s ~src
-    end
-    else Queue.pop ib.q
-
-  let endpoint s ~peer =
-    let ib = inbox_of s ~src:peer in
-    {
-      ep_send = (fun ~size msg -> send_to s ~dst:peer ~size msg);
-      ep_recv = (fun () -> recv_from s ~src:peer);
-      ep_pending = (fun () -> Queue.length ib.q);
-    }
+  let attach t ~cpu =
+    let sid = Hashtbl.length t.stations in
+    let s =
+      { med = t; sid; s_cpu = cpu; outq = Queue.create (); pumping = false;
+        backoff_exp = 0 }
+    in
+    let h =
+      {
+        h_engine = t.m_engine;
+        id = sid;
+        label = Printf.sprintf "%s.s%d" t.m_name sid;
+        transmit = send_to s;
+        inboxes = Hashtbl.create 4;
+      }
+    in
+    Hashtbl.replace t.stations sid h;
+    h
 
   let stats t = t.m_st
 
@@ -428,7 +430,7 @@ module Medium = struct
     let s = t.m_st in
     Sim.Metrics.register reg ~layer:"net" ~instance (fun () ->
         [
-          ("stations", Sim.Metrics.Int t.nstations);
+          ("stations", Sim.Metrics.Int (Hashtbl.length t.stations));
           ("frames_sent", Sim.Metrics.Int s.frames_sent);
           ("bytes_sent", Sim.Metrics.Int s.m_bytes_sent);
           ("frames_delivered", Sim.Metrics.Int s.frames_delivered);
@@ -480,33 +482,28 @@ module Switch = struct
     mutable sw_at : Sim.Time.t;  (** accepted into the output buffer *)
   }
 
-  type 'a inbox = { q : 'a Queue.t; ib_cond : Sim.Condition.t }
-
   type 'a t = {
     sw_engine : Sim.Engine.t;
     sw_cfg : config;
     buffer : int;  (** frames per output port *)
     sw_name : string;
     sw_rng : Sim.Rng.t;
-    ports : (int, 'a port) Hashtbl.t;
-    mutable nports : int;
+    ports : (int, 'a port) Hashtbl.t;  (** by host id, in attach order *)
     sw_st : sw_stats;
   }
 
   and 'a port = {
     sw : 'a t;
-    pid : int;
     p_cpu : Sim.Cpu.t;
     (* uplink (host -> switch): a private serial wire, like one
        direction of a p2p link *)
-    mutable up_free_at : Sim.Time.t;
-    mutable up_last_arrival : Sim.Time.t;
+    uplink : wire;
     (* output buffer + downlink (switch -> host) *)
     eq : 'a frame Queue.t;
     mutable occupancy : int;
     mutable down_busy : bool;
     pst : p_stats;
-    inboxes : (int, 'a inbox) Hashtbl.t;  (** keyed by source port *)
+    host : 'a host;  (** the receive side *)
   }
 
   let create ?(seed = 0) ?(name = "switch") ?(buffer = 64) engine cfg =
@@ -519,7 +516,6 @@ module Switch = struct
       sw_name = name;
       sw_rng = Sim.Rng.create ~seed;
       ports = Hashtbl.create 16;
-      nports = 0;
       sw_st =
         {
           frames_sent = 0;
@@ -533,54 +529,6 @@ module Switch = struct
           sw_transit_us = Sim.Stats.Summary.create ();
         };
     }
-
-  let attach t ~cpu =
-    let p =
-      {
-        sw = t;
-        pid = t.nports;
-        p_cpu = cpu;
-        up_free_at = Sim.Time.zero;
-        up_last_arrival = Sim.Time.zero;
-        eq = Queue.create ();
-        occupancy = 0;
-        down_busy = false;
-        pst =
-          {
-            up_frames = 0;
-            up_bytes = 0;
-            up_busy_us = 0;
-            down_frames = 0;
-            down_bytes = 0;
-            down_busy_us = 0;
-            p_drops = 0;
-            p_overflows = 0;
-            p_occ_hwm = 0;
-            p_queue_wait_us = Sim.Stats.Summary.create ();
-          };
-        inboxes = Hashtbl.create 4;
-      }
-    in
-    Hashtbl.replace t.ports p.pid p;
-    t.nports <- t.nports + 1;
-    p
-
-  let port_id p = p.pid
-
-  let inbox_of p ~src =
-    match Hashtbl.find_opt p.inboxes src with
-    | Some ib -> ib
-    | None ->
-        let ib =
-          {
-            q = Queue.create ();
-            ib_cond =
-              Sim.Condition.create p.sw.sw_engine
-                (Printf.sprintf "%s.p%d<-%d" p.sw.sw_name p.pid src);
-          }
-        in
-        Hashtbl.replace p.inboxes src ib;
-        ib
 
   (* The output-port pump: transmit the head frame over the private
      downlink, release the buffer slot when the wire falls silent, and
@@ -603,12 +551,10 @@ module Switch = struct
         Sim.Engine.schedule m.sw_engine ~delay:xmit (fun () ->
             p.occupancy <- p.occupancy - 1;
             Sim.Engine.schedule m.sw_engine ~delay:m.sw_cfg.latency (fun () ->
-                let ib = inbox_of p ~src:fr.src in
-                Queue.push fr.payload ib.q;
+                put (inbox_of p.host ~src:fr.src) fr.payload;
                 m.sw_st.frames_delivered <- m.sw_st.frames_delivered + 1;
                 Sim.Stats.Summary.add m.sw_st.sw_transit_us
-                  (float_of_int (Sim.Engine.now m.sw_engine - fr.enq_at));
-                Sim.Condition.signal ib.ib_cond);
+                  (float_of_int (Sim.Engine.now m.sw_engine - fr.enq_at)));
             pump p ())
 
   (* A frame has fully arrived over its uplink: store (or tail-drop) and
@@ -642,58 +588,69 @@ module Switch = struct
     let cfg = m.sw_cfg in
     Sim.Cpu.charge p.p_cpu ~label:"net" (serialization_cpu cfg ~size);
     let now = Sim.Engine.now m.sw_engine in
-    (* the port's private uplink: a serialization point, never contended
-       by other hosts (full duplex: independent of the downlink) *)
-    let start = max now p.up_free_at in
+    (* the port's private uplink: never contended by other hosts (full
+       duplex: independent of the downlink) *)
     let xmit = xmit_time cfg ~size in
-    p.up_free_at <- start + xmit;
+    ignore (seize p.uplink ~now ~xmit : int);
     p.pst.up_frames <- p.pst.up_frames + 1;
     p.pst.up_bytes <- p.pst.up_bytes + size;
     p.pst.up_busy_us <- p.pst.up_busy_us + xmit;
     m.sw_st.frames_sent <- m.sw_st.frames_sent + 1;
     m.sw_st.sw_bytes_sent <- m.sw_st.sw_bytes_sent + size;
-    (* fault injection draws happen at send time, in send order: a run
-       is a pure function of the switch seed and the traffic *)
-    let dropped = cfg.loss > 0. && Sim.Rng.float m.sw_rng 1.0 < cfg.loss in
-    let spiked =
-      cfg.spike_prob > 0. && Sim.Rng.float m.sw_rng 1.0 < cfg.spike_prob
-    in
-    if spiked then m.sw_st.sw_spikes <- m.sw_st.sw_spikes + 1;
-    if dropped then begin
+    (* the draws happen at send time, in send order: a run is a pure
+       function of the switch seed and the traffic *)
+    let fate = draw cfg m.sw_rng in
+    if spiked fate then m.sw_st.sw_spikes <- m.sw_st.sw_spikes + 1;
+    if lost fate then begin
       m.sw_st.sw_drops <- m.sw_st.sw_drops + 1;
       p.pst.p_drops <- p.pst.p_drops + 1
     end
     else begin
-      let arrival =
-        p.up_free_at + cfg.latency
-        + (if spiked then cfg.spike else Sim.Time.zero)
-      in
-      (* FIFO per uplink: a spike holds later frames behind it *)
-      let arrival = max arrival p.up_last_arrival in
-      p.up_last_arrival <- arrival;
+      let arrival = arrive p.uplink ~after:(delay cfg fate) in
       let fr =
-        { src = p.pid; f_dst = dst; fsize = size; payload; enq_at = now;
+        { src = p.host.id; f_dst = dst; fsize = size; payload; enq_at = now;
           sw_at = Sim.Time.zero }
       in
       Sim.Engine.schedule m.sw_engine ~delay:(arrival - now) (fun () ->
           accept m fr)
     end
 
-  let rec recv_from p ~src =
-    let ib = inbox_of p ~src in
-    if Queue.is_empty ib.q then begin
-      Sim.Condition.wait ib.ib_cond;
-      recv_from p ~src
-    end
-    else Queue.pop ib.q
+  let attach t ~cpu =
+    let pid = Hashtbl.length t.ports in
+    let label = Printf.sprintf "%s.p%d" t.sw_name pid in
+    let pst =
+      {
+        up_frames = 0;
+        up_bytes = 0;
+        up_busy_us = 0;
+        down_frames = 0;
+        down_bytes = 0;
+        down_busy_us = 0;
+        p_drops = 0;
+        p_overflows = 0;
+        p_occ_hwm = 0;
+        p_queue_wait_us = Sim.Stats.Summary.create ();
+      }
+    in
+    let rec p =
+      { sw = t; p_cpu = cpu; uplink = mk_wire (); eq = Queue.create ();
+        occupancy = 0; down_busy = false; pst; host }
+    and host =
+      {
+        h_engine = t.sw_engine;
+        id = pid;
+        label;
+        transmit = (fun ~dst ~size payload -> send_to p ~dst ~size payload);
+        inboxes = Hashtbl.create 4;
+      }
+    in
+    Hashtbl.replace t.ports pid p;
+    host
 
-  let endpoint p ~peer =
-    let ib = inbox_of p ~src:peer in
-    {
-      ep_send = (fun ~size msg -> send_to p ~dst:peer ~size msg);
-      ep_recv = (fun () -> recv_from p ~src:peer);
-      ep_pending = (fun () -> Queue.length ib.q);
-    }
+  let port t h =
+    match Hashtbl.find_opt t.ports h.id with
+    | Some p when p.host == h -> p
+    | _ -> invalid_arg "Net.Switch.port: not a port of this switch"
 
   let stats t = t.sw_st
   let port_stats p = p.pst
@@ -712,7 +669,7 @@ module Switch = struct
     let s = t.sw_st in
     Sim.Metrics.register reg ~layer:"net" ~instance (fun () ->
         [
-          ("ports", Sim.Metrics.Int t.nports);
+          ("ports", Sim.Metrics.Int (Hashtbl.length t.ports));
           ("buffer_frames", Sim.Metrics.Int t.buffer);
           ("frames_sent", Sim.Metrics.Int s.frames_sent);
           ("bytes_sent", Sim.Metrics.Int s.sw_bytes_sent);

@@ -1,11 +1,17 @@
-(** Simulated network: point-to-point links and a shared medium on the
-    {!Sim} engine.
+(** Simulated network: point-to-point links, a shared medium and a
+    switch on the {!Sim} engine.
 
-    An {!endpoint} is the transport-facing interface — send, blocking
-    receive, pending count — and the RPC layers above are written
-    against it alone, so the same client/server code runs over a
-    private duplex link ({!create}) or over one station of a
-    shared-medium Ethernet ({!Medium}).
+    An {!endpoint} is the transport-facing interface — send and
+    blocking receive — and the RPC layers above are written against it
+    alone, so the same client/server code runs over a private duplex
+    link ({!create}), over one station of a shared-medium Ethernet
+    ({!Medium}) or over one port of a switch ({!Switch}).
+
+    The three fabrics share one core: the inbox a receiver parks on,
+    the seeded fault draw, and — for a p2p direction and a switch
+    uplink — the serial wire with its FIFO arrival floor.  A medium
+    station and a switch port are both a {!host}: an id and one inbox
+    per source.
 
     {b Point-to-point links.}  A link is a duplex pipe between two
     endpoints (conventionally a client machine and the server).  Each
@@ -46,8 +52,19 @@ val lossy : config -> float -> config
 
 type 'a endpoint
 (** One transport attachment carrying messages of type ['a]: an end of
-    a point-to-point link, or one peer's view of a shared-medium
-    station. *)
+    a point-to-point link, or a host's channel to one peer. *)
+
+type 'a host
+(** One machine's attachment to a shared fabric: a {!Medium} station or
+    a {!Switch} port.  Ids are assigned in attach order, per fabric. *)
+
+val host_id : 'a host -> int
+
+val endpoint : 'a host -> peer:int -> 'a endpoint
+(** This host's channel to host [peer]: sends address [peer], receives
+    are demultiplexed by source, so one host can serve many peers
+    through independent endpoints (the NFS server's view of its
+    clients). *)
 
 type 'a t
 (** A duplex link. *)
@@ -71,9 +88,6 @@ val send : 'a endpoint -> size:int -> 'a -> unit
 val recv : 'a endpoint -> 'a
 (** Block the calling process until a message arrives, then dequeue it
     (FIFO). *)
-
-val pending : 'a endpoint -> int
-(** Messages delivered but not yet received. *)
 
 type stats = {
   mutable msgs_sent : int;
@@ -123,9 +137,6 @@ module Medium : sig
   type 'a t
   (** One shared wire. *)
 
-  type 'a station
-  (** One attachment point (a machine's network interface). *)
-
   val create :
     ?seed:int -> ?name:string -> ?slot:Sim.Time.t -> ?max_backoff_exp:int ->
     Sim.Engine.t -> config -> 'a t
@@ -135,16 +146,8 @@ module Medium : sig
       the shared [config]; [loss]/[spike] fault injection applies per
       frame. *)
 
-  val attach : 'a t -> cpu:Sim.Cpu.t -> 'a station
-  (** Add a station; ids are assigned in attach order. *)
-
-  val station_id : 'a station -> int
-
-  val endpoint : 'a station -> peer:int -> 'a endpoint
-  (** This station's channel to station [peer]: sends address [peer],
-      receives are demultiplexed by source, so one station can serve
-      many peers through independent endpoints (the NFS server's view
-      of its clients). *)
+  val attach : 'a t -> cpu:Sim.Cpu.t -> 'a host
+  (** Add a station (a machine's network interface). *)
 
   type m_stats = {
     mutable frames_sent : int;
@@ -198,7 +201,8 @@ module Switch : sig
   (** One switch. *)
 
   type 'a port
-  (** One host's attachment (its full-duplex link to the switch). *)
+  (** The switch side of one host's attachment: its full-duplex link
+      and output buffer. *)
 
   val create :
     ?seed:int -> ?name:string -> ?buffer:int ->
@@ -206,15 +210,12 @@ module Switch : sig
   (** [buffer] (default 64) is the output-buffer capacity per port, in
       frames; arrivals beyond it are tail-dropped. *)
 
-  val attach : 'a t -> cpu:Sim.Cpu.t -> 'a port
-  (** Add a port; ids are assigned in attach order. *)
+  val attach : 'a t -> cpu:Sim.Cpu.t -> 'a host
+  (** Add a port. *)
 
-  val port_id : 'a port -> int
-
-  val endpoint : 'a port -> peer:int -> 'a endpoint
-  (** This port's channel to port [peer]: sends address [peer], receives
-      are demultiplexed by source port, so one port can serve many peers
-      through independent endpoints (a server's view of its clients). *)
+  val port : 'a t -> 'a host -> 'a port
+  (** The port a host of this switch hangs off.  Raises
+      [Invalid_argument] for a host of another fabric. *)
 
   type sw_stats = {
     mutable frames_sent : int;
@@ -245,10 +246,9 @@ module Switch : sig
   val stats : 'a t -> sw_stats
   val port_stats : 'a port -> p_stats
 
-  val port_utilization : 'a port -> float
-  (** Busier direction's occupancy over elapsed time, [0, 1]. *)
-
   val max_port_utilization : 'a t -> float
+  (** The busiest port's busier direction: occupancy over elapsed time,
+      [0, 1]. *)
 
   val register_metrics : 'a t -> Sim.Metrics.t -> instance:string -> unit
   (** Register switch-wide counters, the occupancy high-water mark and

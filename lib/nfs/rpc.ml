@@ -11,7 +11,6 @@ type pending = {
   mutable cost : (string * Sim.Time.t) list;
   mutable spans : Sim.Span.t option;  (** server-side span subtree *)
   mutable wake : (unit -> unit) option;
-  mutable retransmitted : bool;
 }
 
 (* The congestion/timer state of one {e server channel}: RTT estimator,
@@ -37,25 +36,6 @@ type cstate = {
   win_cond : Sim.Condition.t;
 }
 
-let make_cstate engine ?(timeout = Sim.Time.of_ms_float 1100.)
-    ?(max_timeout = Sim.Time.sec 20) ?(min_rto = Sim.Time.ms 200)
-    ?(cwnd_limit = 8.) ?(name = "rpc.win") () =
-  {
-    cs_timeout = timeout;
-    cs_max_timeout = max_timeout;
-    cs_min_rto = min_rto;
-    cs_cwnd_limit = cwnd_limit;
-    srtt = -1.;
-    rttvar = 0.;
-    rto = timeout;
-    cwnd = 2.;
-    in_flight = 0;
-    next_decrease_at = Sim.Time.zero;
-    backoffs = 0;
-    window_wait_us = Sim.Stats.Summary.create ();
-    win_cond = Sim.Condition.create engine name;
-  }
-
 type t = {
   engine : Sim.Engine.t;
   cpu : Sim.Cpu.t;
@@ -78,9 +58,22 @@ let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
     match cstate with
     | Some cs -> cs
     | None ->
-        make_cstate engine ~timeout ~max_timeout ~min_rto ~cwnd_limit
-          ~name:(Printf.sprintf "rpc.win.%d" client_id)
-          ()
+        {
+          cs_timeout = timeout;
+          cs_max_timeout = max_timeout;
+          cs_min_rto = min_rto;
+          cs_cwnd_limit = cwnd_limit;
+          srtt = -1.;
+          rttvar = 0.;
+          rto = timeout;
+          cwnd = 2.;
+          in_flight = 0;
+          next_decrease_at = Sim.Time.zero;
+          backoffs = 0;
+          window_wait_us = Sim.Stats.Summary.create ();
+          win_cond =
+            Sim.Condition.create engine (Printf.sprintf "rpc.win.%d" client_id);
+        }
   in
   let t =
     {
@@ -158,13 +151,6 @@ let finish_call t (call : Proto.call) ~t0 r =
     (float_of_int (Sim.Engine.now t.engine - t0));
   r
 
-let mk_pending t xid =
-  let p =
-    { reply = None; cost = []; spans = None; wake = None; retransmitted = false }
-  in
-  Hashtbl.replace t.pending xid p;
-  p
-
 (* Charge the caller's attribution clock (if any) with this call's life:
    the server's phase breakdown from the reply, inbound wire time from
    the server's transmit stamp, congestion-window wait, and whatever is
@@ -197,11 +183,6 @@ let charge_cost t ~entry ~window_wait (p : pending) =
       | None -> ());
       add "rpc.wait" (elapsed - !charged)
 
-let note_retransmit t p =
-  t.st.retransmits <- t.st.retransmits + 1;
-  t.retrans_log <- Sim.Engine.now t.engine :: t.retrans_log;
-  p.retransmitted <- true
-
 (* Reply-side tracing: the server's span subtree (shipped back in the
    reply, parented under this call's RPC span by construction) is
    grafted into the caller's tree, and the inbound wire leg gets its
@@ -220,48 +201,7 @@ let trace_reply t (p : pending) ~attempts =
     if attempts > 1 then Sim.Span.add_attr "attempts" (Sim.Span.I attempts)
   end
 
-(* ---------- fixed-timeout transport (the NFSv2 default) ---------- *)
-
-let call_fixed_body t (call : Proto.call) =
-  let xid = t.next_xid in
-  t.next_xid <- t.next_xid + 1;
-  t.st.calls <- t.st.calls + 1;
-  Sim.Span.add_attr "xid" (Sim.Span.I xid);
-  let size = Proto.call_size call in
-  let p = mk_pending t xid in
-  let t0 = Sim.Engine.now t.engine in
-  let timeout = ref t.cs.cs_timeout in
-  let attempts = ref 0 in
-  let rec attempt ~retry =
-    if retry then note_retransmit t p;
-    incr attempts;
-    let send_at = Sim.Engine.now t.engine in
-    Net.send t.ep ~size
-      (Proto.Call
-         { xid; client = t.id; call; sent = send_at; span = Sim.Span.ctx () });
-    wait_reply_or_timeout t p ~timeout:!timeout;
-    match p.reply with
-    | Some r -> r
-    | None ->
-        Sim.Span.interval ~name:"rpc.rto"
-          ~attrs:[ ("attempt", Sim.Span.I !attempts) ]
-          ~start_us:send_at
-          ~stop_us:(Sim.Engine.now t.engine)
-          ();
-        timeout := min (!timeout * 2) t.cs.cs_max_timeout;
-        attempt ~retry:true
-  in
-  let r = attempt ~retry:false in
-  trace_reply t p ~attempts:!attempts;
-  charge_cost t ~entry:t0 ~window_wait:0 p;
-  (finish_call t call ~t0 r, p.retransmitted)
-
-let call_fixed t (call : Proto.call) =
-  Sim.Span.span
-    ~name:("rpc." ^ Proto.op_name call)
-    (fun () -> call_fixed_body t call)
-
-(* ---------- adaptive transport (Jacobson/Karn + AIMD window) ---------- *)
+(* ---------- adaptive state (Jacobson/Karn + AIMD window) ---------- *)
 
 let window cs = max 1 (int_of_float cs.cwnd)
 
@@ -284,14 +224,26 @@ let sample_rtt cs rtt =
   end;
   cs.rto <- clamp_rto cs (int_of_float (cs.srtt +. (4. *. cs.rttvar)))
 
-let call_adaptive_body t (call : Proto.call) =
+(* ---------- the retransmit loop, both transports ---------- *)
+
+(* Fixed (the NFSv2 default) starts every call from the configured
+   timeout and doubles it per retry; nothing else.  Adaptive first waits
+   for congestion-window space (bounding the channel's outstanding RPCs
+   across every mount sharing this cstate), starts from the channel RTO,
+   and on a timeout publishes the backed-off value as the channel RTO
+   (Karn: it holds until a clean sample) and halves the window at most
+   once per RTO, so one loss burst doesn't zero the window.  A clean
+   reply feeds the estimator and grows the window. *)
+let call_body t (call : Proto.call) =
   let cs = t.cs in
-  (* congestion window: bound the channel's outstanding RPCs across
-     every mount sharing this cstate *)
+  let adaptive = t.transport = Adaptive in
   let entry = Sim.Engine.now t.engine in
-  while cs.in_flight >= window cs do
-    Sim.Condition.wait cs.win_cond
-  done;
+  if adaptive then begin
+    while cs.in_flight >= window cs do
+      Sim.Condition.wait cs.win_cond
+    done;
+    cs.in_flight <- cs.in_flight + 1
+  end;
   let waited = Sim.Engine.now t.engine - entry in
   if waited > 0 then begin
     Sim.Stats.Summary.add cs.window_wait_us (float_of_int waited);
@@ -299,67 +251,63 @@ let call_adaptive_body t (call : Proto.call) =
       ~stop_us:(Sim.Engine.now t.engine)
       ()
   end;
-  cs.in_flight <- cs.in_flight + 1;
   let xid = t.next_xid in
   t.next_xid <- t.next_xid + 1;
   t.st.calls <- t.st.calls + 1;
   Sim.Span.add_attr "xid" (Sim.Span.I xid);
   let size = Proto.call_size call in
-  let p = mk_pending t xid in
+  let p = { reply = None; cost = []; spans = None; wake = None } in
+  Hashtbl.replace t.pending xid p;
   let t0 = Sim.Engine.now t.engine in
-  let cur = ref cs.rto in
+  let cur = ref (if adaptive then cs.rto else cs.cs_timeout) in
   let attempts = ref 0 in
-  let rec attempt ~retry =
-    if retry then note_retransmit t p;
+  (* a loop, not a recursive closure: the retry state stays in locals
+     and a call allocates no environment for it *)
+  while Option.is_none p.reply do
+    if !attempts > 0 then begin
+      t.st.retransmits <- t.st.retransmits + 1;
+      t.retrans_log <- Sim.Engine.now t.engine :: t.retrans_log
+    end;
     incr attempts;
     let send_at = Sim.Engine.now t.engine in
     Net.send t.ep ~size
       (Proto.Call
          { xid; client = t.id; call; sent = send_at; span = Sim.Span.ctx () });
     wait_reply_or_timeout t p ~timeout:!cur;
-    match p.reply with
-    | Some r -> r
-    | None ->
-        (* timeout: exponential backoff for this call, published as the
-           channel RTO (Karn: the backed-off value holds until a clean
-           sample), and a multiplicative window decrease at most once
-           per RTO so one loss burst doesn't zero the window *)
-        Sim.Span.interval ~name:"rpc.rto"
-          ~attrs:[ ("attempt", Sim.Span.I !attempts) ]
-          ~start_us:send_at
-          ~stop_us:(Sim.Engine.now t.engine)
-          ();
+    if Option.is_none p.reply then begin
+      Sim.Span.interval ~name:"rpc.rto"
+        ~attrs:[ ("attempt", Sim.Span.I !attempts) ]
+        ~start_us:send_at
+        ~stop_us:(Sim.Engine.now t.engine)
+        ();
+      cur := min (!cur * 2) cs.cs_max_timeout;
+      if adaptive then begin
         cs.backoffs <- cs.backoffs + 1;
-        cur := min (!cur * 2) cs.cs_max_timeout;
         cs.rto <- max cs.rto !cur;
         let now = Sim.Engine.now t.engine in
         if now >= cs.next_decrease_at then begin
           cs.cwnd <- Float.max 1. (cs.cwnd /. 2.);
           cs.next_decrease_at <- now + !cur
-        end;
-        attempt ~retry:true
-  in
-  let r = attempt ~retry:false in
-  if not p.retransmitted then begin
-    sample_rtt cs (Sim.Engine.now t.engine - t0);
-    (* additive increase on clean replies only *)
-    cs.cwnd <- Float.min cs.cs_cwnd_limit (cs.cwnd +. (1. /. cs.cwnd))
+        end
+      end
+    end
+  done;
+  let r = Option.get p.reply and resent = !attempts > 1 in
+  if adaptive then begin
+    if not resent then begin
+      sample_rtt cs (Sim.Engine.now t.engine - t0);
+      (* additive increase on clean replies only *)
+      cs.cwnd <- Float.min cs.cs_cwnd_limit (cs.cwnd +. (1. /. cs.cwnd))
+    end;
+    cs.in_flight <- cs.in_flight - 1;
+    Sim.Condition.signal cs.win_cond
   end;
-  cs.in_flight <- cs.in_flight - 1;
-  Sim.Condition.signal cs.win_cond;
   trace_reply t p ~attempts:!attempts;
   charge_cost t ~entry ~window_wait:waited p;
-  (finish_call t call ~t0 r, p.retransmitted)
-
-let call_adaptive t (call : Proto.call) =
-  Sim.Span.span
-    ~name:("rpc." ^ Proto.op_name call)
-    (fun () -> call_adaptive_body t call)
+  (finish_call t call ~t0 r, resent)
 
 let call_resent t (call : Proto.call) =
-  match t.transport with
-  | Fixed -> call_fixed t call
-  | Adaptive -> call_adaptive t call
+  Sim.Span.span ~name:("rpc." ^ Proto.op_name call) (fun () -> call_body t call)
 
 let call t c = fst (call_resent t c)
 

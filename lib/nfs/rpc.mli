@@ -41,18 +41,6 @@ type cstate
     rather than per-mount, the way a real client keeps one transport
     handle per server. *)
 
-val make_cstate :
-  Sim.Engine.t ->
-  ?timeout:Sim.Time.t ->
-  ?max_timeout:Sim.Time.t ->
-  ?min_rto:Sim.Time.t ->
-  ?cwnd_limit:float ->
-  ?name:string ->
-  unit ->
-  cstate
-(** Same defaults as {!create}; [name] labels the window condition in
-    deadlock diagnostics. *)
-
 val create :
   Sim.Engine.t ->
   cpu:Sim.Cpu.t ->

@@ -8,4 +8,5 @@ let () =
    @ Test_dir.suites @ Test_concurrency.suites @ Test_disk_props.suites
    @ Test_efs.suites @ Test_vol.suites @ Test_metrics.suites @ Test_nfs.suites
    @ Test_fio.suites @ Test_streams.suites @ Test_json.suites
-   @ Test_span.suites @ Test_jrnl.suites @ Test_recycle.suites)
+   @ Test_span.suites @ Test_jrnl.suites @ Test_recycle.suites
+   @ Test_transport.suites)

@@ -45,12 +45,12 @@ let test_medium_contention_and_delivery () =
   let s0 = Net.Medium.attach m ~cpu:(mk ()) in
   let s1 = Net.Medium.attach m ~cpu:(mk ()) in
   let s2 = Net.Medium.attach m ~cpu:(mk ()) in
-  check_int "ids follow attach order" 2 (Net.Medium.station_id s2);
+  check_int "ids follow attach order" 2 (Net.host_id s2);
   (* stations 1 and 2 blast at station 0 concurrently: the wire is one
      serial resource, so somebody must sense it busy and back off *)
   let blast st lo =
     Sim.Engine.spawn engine (fun () ->
-        let ep = Net.Medium.endpoint st ~peer:0 in
+        let ep = Net.endpoint st ~peer:0 in
         for i = lo to lo + 4 do
           Net.send ep ~size:10_000 i
         done)
@@ -60,7 +60,7 @@ let test_medium_contention_and_delivery () =
   let got1 = ref [] and got2 = ref [] in
   let drain ~peer acc =
     Sim.Engine.spawn engine (fun () ->
-        let ep = Net.Medium.endpoint s0 ~peer in
+        let ep = Net.endpoint s0 ~peer in
         for _ = 1 to 5 do
           acc := Net.recv ep :: !acc
         done)
@@ -94,7 +94,7 @@ let test_medium_is_seeded () =
     Array.iteri
       (fun k st ->
         Sim.Engine.spawn engine (fun () ->
-            let ep = Net.Medium.endpoint st ~peer:0 in
+            let ep = Net.endpoint st ~peer:0 in
             for i = 1 to 8 do
               Net.send ep ~size:5_000 ((k * 100) + i)
             done))
@@ -102,7 +102,7 @@ let test_medium_is_seeded () =
     Array.iteri
       (fun k _ ->
         Sim.Engine.spawn engine (fun () ->
-            let ep = Net.Medium.endpoint s0 ~peer:(k + 1) in
+            let ep = Net.endpoint s0 ~peer:(k + 1) in
             for _ = 1 to 8 do
               ignore (Net.recv ep)
             done))
@@ -125,13 +125,13 @@ let test_switch_fifo_and_forwarding () =
   let p0 = Net.Switch.attach sw ~cpu:(mk ()) in
   let p1 = Net.Switch.attach sw ~cpu:(mk ()) in
   let p2 = Net.Switch.attach sw ~cpu:(mk ()) in
-  check_int "ids follow attach order" 2 (Net.Switch.port_id p2);
+  check_int "ids follow attach order" 2 (Net.host_id p2);
   (* ports 1 and 2 blast at port 0 concurrently: their uplinks are
      private (no CSMA), but port 0's downlink is one serial resource
      the switch queues for *)
   let blast p lo =
     Sim.Engine.spawn engine (fun () ->
-        let ep = Net.Switch.endpoint p ~peer:0 in
+        let ep = Net.endpoint p ~peer:0 in
         for i = lo to lo + 4 do
           Net.send ep ~size:10_000 i
         done)
@@ -141,7 +141,7 @@ let test_switch_fifo_and_forwarding () =
   let got1 = ref [] and got2 = ref [] in
   let drain ~peer acc =
     Sim.Engine.spawn engine (fun () ->
-        let ep = Net.Switch.endpoint p0 ~peer in
+        let ep = Net.endpoint p0 ~peer in
         for _ = 1 to 5 do
           acc := Net.recv ep :: !acc
         done)
@@ -175,7 +175,7 @@ let test_switch_overflow_is_tail_drop () =
   Array.iteri
     (fun k p ->
       Sim.Engine.spawn engine (fun () ->
-          let ep = Net.Switch.endpoint p ~peer:0 in
+          let ep = Net.endpoint p ~peer:0 in
           (* different sizes desynchronize the two uplinks, so the
              tail-drop alternates instead of starving one source *)
           for i = 1 to 8 do
@@ -186,7 +186,7 @@ let test_switch_overflow_is_tail_drop () =
   Array.iteri
     (fun k _ ->
       Sim.Engine.spawn engine (fun () ->
-          let ep = Net.Switch.endpoint p0 ~peer:(k + 1) in
+          let ep = Net.endpoint p0 ~peer:(k + 1) in
           (* drain forever; the engine stops when senders are done and
              no more frames are in flight — drop the blocked reader *)
           while true do
@@ -230,7 +230,7 @@ let test_switch_is_seeded () =
     Array.iteri
       (fun k p ->
         Sim.Engine.spawn engine (fun () ->
-            let ep = Net.Switch.endpoint p ~peer:0 in
+            let ep = Net.endpoint p ~peer:0 in
             for i = 1 to 8 do
               Net.send ep ~size:5_000 ((k * 100) + i)
             done))
@@ -238,7 +238,7 @@ let test_switch_is_seeded () =
     Array.iteri
       (fun k _ ->
         Sim.Engine.spawn engine (fun () ->
-            let ep = Net.Switch.endpoint p0 ~peer:(k + 1) in
+            let ep = Net.endpoint p0 ~peer:(k + 1) in
             while true do
               ignore (Net.recv ep)
             done))
