@@ -891,6 +891,21 @@ let microbench () =
            done;
            Sim.Engine.run_for heap_engine 1000))
   in
+  (* a process sleeping: alone, every sleep is the next event and
+     advances the clock in place; with a second process due at the same
+     instants, every sleep parks through the heap and the ready ring *)
+  let sleepers_test name procs =
+    let e = Sim.Engine.create () in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           for _ = 1 to procs do
+             Sim.Engine.spawn e (fun () ->
+                 for _ = 1 to 1000 / procs do
+                   Sim.Engine.sleep e 1
+                 done)
+           done;
+           Sim.Engine.run e))
+  in
   (* the cold start of every IObench phase: drop a 1024-page file *)
   let pool = Vm.Pool.create (Sim.Engine.create ()) (Vm.Param.default ~memory_mb:16 ()) in
   let invalidate_test =
@@ -941,6 +956,8 @@ let microbench () =
         cluster_test "disk.store 120KB 15 segments w+r" paged;
         ready_test;
         heap_test;
+        sleepers_test "sim.engine 1k sleeps, lone process" 1;
+        sleepers_test "sim.engine 1k sleeps, 2 interleaved processes" 2;
         invalidate_test;
         frames_test;
         fresh_test;

@@ -143,6 +143,12 @@ type t = {
   mutable eff_attrib : int;
   mutable eff_span : int;
   mutable eff_fls : int;
+  mutable sleeps_elided : int;
+  (* lookahead sleeps: the last instant the dispatching [run]/[run_for]
+     may reach ([min_int] outside any run), and whether a process body
+     is on the stack (a plain callback must not sleep) *)
+  mutable horizon : Time.t;
+  mutable in_process : bool;
   frames : Frames.t;
 }
 
@@ -168,6 +174,9 @@ let create () =
     eff_attrib = 0;
     eff_span = 0;
     eff_fls = 0;
+    sleeps_elided = 0;
+    horizon = min_int;
+    in_process = false;
     frames = Frames.create ~size:page_bytes;
   }
 
@@ -217,7 +226,9 @@ let cancelled h = h.cb = None
    Each process also owns one attribution-clock slot ([Attrib]), one
    current-span slot ([Span]) and one fiber-local value slot ([Fls]):
    the handler closure holds them, so they survive suspensions and are
-   invisible to every other process. *)
+   invisible to every other process.  [in_process] is set each time the
+   process body starts or resumes and cleared on each way out of it —
+   return, exception, suspend — so a plain callback never sees it set. *)
 let spawn t ?name f =
   let name = Option.value name ~default:"process" in
   t.spawned <- t.spawned + 1;
@@ -225,11 +236,13 @@ let spawn t ?name f =
   let span : Span.t option ref = ref None in
   let fls : int option ref = ref None in
   let body () =
+    t.in_process <- true;
     match_with f ()
       {
-        retc = (fun () -> ());
+        retc = (fun () -> t.in_process <- false);
         exnc =
           (fun e ->
+            t.in_process <- false;
             raise
               (Failure
                  (Printf.sprintf "process %s died: %s" name (Printexc.to_string e))));
@@ -239,6 +252,7 @@ let spawn t ?name f =
             | Suspend register ->
                 Some
                   (fun (k : (a, _) continuation) ->
+                    t.in_process <- false;
                     t.eff_suspends <- t.eff_suspends + 1;
                     t.blocked <- t.blocked + 1;
                     let resumed = ref false in
@@ -247,7 +261,9 @@ let spawn t ?name f =
                         invalid_arg "Engine: process resumed twice";
                       resumed := true;
                       t.blocked <- t.blocked - 1;
-                      schedule t (fun () -> continue k ())
+                      schedule t (fun () ->
+                          t.in_process <- true;
+                          continue k ())
                     in
                     register resume)
             | Attrib.Get_clock ->
@@ -290,10 +306,31 @@ let spawn t ?name f =
 
 let suspend _t ~register = perform (Suspend register)
 
+(* Lookahead: when the ready ring is empty and nothing in the heap is
+   due by [wake], the suspend path would push the wake-up, pop it as the
+   very next event, and resume the process straight from the ring —
+   no other event runs in between.  So advance the clock in place, and
+   keep the counters that round trip would have left: one seq, one
+   suspend, two dispatches, and a pending high-water mark of one more
+   than the heap.  [wake] must also lie within the dispatching run's
+   horizon, or a [run_for] slice would end mid-sleep. *)
 let sleep t d =
   if d < 0 then invalid_arg "Engine.sleep: negative duration";
-  if d = 0 then ()
-  else suspend t ~register:(fun resume -> schedule t ~delay:d resume)
+  if d > 0 then begin
+    let wake = t.now + d and e = t.events in
+    if
+      t.in_process && t.ready.rlen = 0 && wake <= t.horizon
+      && (e.len = 0 || Array.unsafe_get e.times 0 > wake)
+    then begin
+      t.seq <- t.seq + 1;
+      t.eff_suspends <- t.eff_suspends + 1;
+      t.sleeps_elided <- t.sleeps_elided + 1;
+      t.dispatched <- t.dispatched + 2;
+      if e.len + 1 > t.heap_max then t.heap_max <- e.len + 1;
+      t.now <- wake
+    end
+    else suspend t ~register:(fun resume -> schedule t ~delay:d resume)
+  end
 
 (* Dispatch order is (time, seq), exactly as if every event went
    through the heap.  Ring entries were all pushed at [now], and the
@@ -315,17 +352,24 @@ let[@inline] dispatch_root t =
   t.now <- at;
   dispatch t f
 
+(* Each run publishes how far it may dispatch (the [sleep] horizon)
+   and gives the caller's back when it returns. *)
 let run t =
   let e = t.events and r = t.ready in
+  let saved = t.horizon in
+  t.horizon <- max_int;
   while e.len > 0 || r.rlen > 0 do
     if e.len > 0 && (r.rlen = 0 || Array.unsafe_get e.times 0 <= t.now) then
       dispatch_root t
     else dispatch t (ready_pop r)
-  done
+  done;
+  t.horizon <- saved
 
 let run_for t d =
   let stop = t.now + d in
   let e = t.events and r = t.ready in
+  let saved = t.horizon in
+  t.horizon <- stop;
   let continue_ = ref true in
   while !continue_ do
     if e.len > 0 && Array.unsafe_get e.times 0 <= t.now then dispatch_root t
@@ -335,7 +379,8 @@ let run_for t d =
       t.now <- stop;
       continue_ := false
     end
-  done
+  done;
+  t.horizon <- saved
 
 let live_processes t = t.blocked
 
@@ -354,6 +399,7 @@ let effect_suspends t = t.eff_suspends
 let effect_attrib_ops t = t.eff_attrib
 let effect_span_ops t = t.eff_span
 let effect_fls_ops t = t.eff_fls
+let sleeps_elided t = t.sleeps_elided
 
 let register_metrics t reg ~instance =
   Metrics.register reg ~layer:"sim.engine" ~instance (fun () ->
@@ -367,5 +413,6 @@ let register_metrics t reg ~instance =
         ("eff_attrib_ops", Metrics.Int t.eff_attrib);
         ("eff_span_ops", Metrics.Int t.eff_span);
         ("eff_fls_ops", Metrics.Int t.eff_fls);
+        ("eff_sleeps_elided", Metrics.Int t.sleeps_elided);
         ("now_us", Metrics.Int t.now);
       ])

@@ -33,7 +33,11 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val sleep : t -> Time.t -> unit
 (** Advance virtual time by the given duration.  Must be called from
-    within a process. *)
+    within a process.  When the wake-up would be the very next event
+    (nothing else is ready, nothing in the heap is due by then, and the
+    dispatching run reaches that instant) the clock advances in place
+    without suspending; the dispatch order and every counter below are
+    exactly those of the suspend path. *)
 
 val suspend : t -> register:((unit -> unit) -> unit) -> unit
 (** [suspend t ~register] parks the calling process.  [register] is
@@ -98,7 +102,12 @@ val processes_spawned : t -> int
 
 val effect_suspends : t -> int
 (** [Suspend] effects handled — one per process park (sleep, I/O wait,
-    condition wait). *)
+    condition wait).  A sleep advanced in place counts as one too. *)
+
+val sleeps_elided : t -> int
+(** Sleeps advanced in place by the lookahead path of {!sleep}.
+    [effect_suspends t - sleeps_elided t] is the number of real handler
+    crossings. *)
 
 val effect_attrib_ops : t -> int
 (** Attribution-clock slot gets/sets handled. *)

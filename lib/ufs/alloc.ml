@@ -136,11 +136,17 @@ let arm_resv (fs : fs) (ip : inode) ~frag =
   if next < limit then Hashtbl.replace fs.resv ip.inum (next, limit)
   else Hashtbl.remove fs.resv ip.inum
 
+(* Stops at the first hit; [Hashtbl.iter] allocates nothing per entry,
+   unlike a walk over [Hashtbl.to_seq]. *)
 let reserved_by_other (fs : fs) inum frag =
-  Hashtbl.fold
-    (fun i (next, limit) hit ->
-      hit || (i <> inum && frag >= next && frag < limit))
-    fs.resv false
+  match
+    Hashtbl.iter
+      (fun i (next, limit) ->
+        if i <> inum && frag >= next && frag < limit then raise_notrace Exit)
+      fs.resv
+  with
+  | () -> false
+  | exception Exit -> true
 
 (* Walk the file's own advisory run for a free block: the path that
    keeps an interleaved writer extending its current extent after other

@@ -272,69 +272,102 @@ let test_engine_cancellable_timer () =
     !fired
 
 (* Random event programs against a reference model.  Each event has a
-   delay (often 0) and children it schedules when it runs.  A program is
-   a list of slices: schedule the slice's roots, then [run_for] its
-   length; then [run] drains the rest.  The reference keeps one list
-   sorted by (time, seq), with a seq drawn by every [schedule]: the
-   engine must dispatch the same events at the same instants, and its
-   high-water mark must count every pending event. *)
+   delay (often 0) and children it schedules when it runs.  Each process
+   sleeps a list of delays (often 0 or 1, sometimes long) and logs after
+   every sleep.  A program is a list of slices: schedule the slice's
+   roots, spawn its processes, then [run_for] its length; then [run]
+   drains the rest.  The reference keeps one list sorted by (time, seq),
+   with a seq drawn by every [schedule]; a spawn is a delay-0 event, and
+   a sleep is a delayed wake-up that re-schedules the process at delay
+   0.  The engine must dispatch the same events at the same instants —
+   whether or not it elides a sleep's round trip — and its counters
+   must count every pending and dispatched event of the model. *)
 type ev = { id : int; delay : int; kids : ev list }
+type proc = { pid : int; sleeps : int list }
 
 let gen_program =
   let open QCheck.Gen in
   let next = ref 0 in
+  let fresh () =
+    incr next;
+    !next
+  in
   let delay = frequency [ (3, return 0); (2, int_range 1 6) ] in
   let tree =
     sized_size (int_bound 24)
     @@ fix (fun self n ->
            map2
-             (fun delay kids ->
-               incr next;
-               { id = !next; delay; kids })
+             (fun delay kids -> { id = fresh (); delay; kids })
              delay
              (if n = 0 then return []
               else list_size (int_bound 3) (self (n / 3))))
   in
-  list_size (int_range 1 4) (pair (int_bound 8) (list_size (int_bound 4) tree))
+  let nap =
+    frequency
+      [ (3, return 0); (3, return 1); (2, int_range 2 6); (1, int_range 10 40) ]
+  in
+  let proc = map (fun sleeps -> { pid = fresh (); sleeps }) (list_size (int_bound 6) nap) in
+  list_size (int_range 1 4)
+    (triple (int_bound 8) (list_size (int_bound 4) tree) (list_size (int_bound 3) proc))
 
 let print_program slices =
   let rec ev e =
     Printf.sprintf "%d@+%d[%s]" e.id e.delay (String.concat " " (List.map ev e.kids))
   in
+  let proc p =
+    Printf.sprintf "p%d sleeps [%s]" p.pid
+      (String.concat ";" (List.map string_of_int p.sleeps))
+  in
   String.concat " | "
     (List.map
-       (fun (len, roots) ->
-         Printf.sprintf "run_for %d: %s" len (String.concat " " (List.map ev roots)))
+       (fun (len, roots, procs) ->
+         Printf.sprintf "run_for %d: %s" len
+           (String.concat " " (List.map ev roots @ List.map proc procs)))
        slices)
 
 let reference_dispatch slices =
   let now = ref 0 and seq = ref 0 and q = ref [] and log = ref [] in
-  let hwm = ref 0 in
-  let schedule ev =
+  let hwm = ref 0 and dispatched = ref 0 in
+  let schedule delay act =
     incr seq;
-    let key = (!now + ev.delay, !seq) in
-    q := List.merge (fun (a, _) (b, _) -> compare a b) !q [ (key, ev) ];
+    q := List.merge (fun (a, _) (b, _) -> compare a b) !q [ ((!now + delay, !seq), act) ];
     hwm := max !hwm (List.length !q)
+  in
+  let rec event ev () =
+    log := (ev.id, !now) :: !log;
+    List.iter (fun k -> schedule k.delay (event k)) ev.kids
+  in
+  let rec proc pid = function
+    | [] -> ()
+    | 0 :: rest ->
+        log := (pid, !now) :: !log;
+        proc pid rest
+    | d :: rest ->
+        schedule d (fun () ->
+            schedule 0 (fun () ->
+                log := (pid, !now) :: !log;
+                proc pid rest))
   in
   let rec drain stop =
     match !q with
-    | ((at, _), ev) :: rest when at <= stop ->
+    | ((at, _), act) :: rest when at <= stop ->
         q := rest;
         now := at;
-        log := (ev.id, at) :: !log;
-        List.iter schedule ev.kids;
+        incr dispatched;
+        act ();
         drain stop
     | _ -> ()
   in
   List.iter
-    (fun (len, roots) ->
-      List.iter schedule roots;
+    (fun (len, roots, procs) ->
+      List.iter (fun ev -> schedule ev.delay (event ev)) roots;
+      List.iter (fun p -> schedule 0 (fun () -> proc p.pid p.sleeps)) procs;
       let stop = !now + len in
       drain stop;
       now := stop)
     slices;
   drain max_int;
-  (List.rev !log, !hwm)
+  (List.rev !log, !hwm, !dispatched)
 
 let engine_dispatch slices =
   let e = Sim.Engine.create () and log = ref [] in
@@ -343,18 +376,64 @@ let engine_dispatch slices =
         log := (ev.id, Sim.Engine.now e) :: !log;
         List.iter schedule ev.kids)
   in
+  let spawn p =
+    Sim.Engine.spawn e (fun () ->
+        List.iter
+          (fun d ->
+            Sim.Engine.sleep e d;
+            log := (p.pid, Sim.Engine.now e) :: !log)
+          p.sleeps)
+  in
   List.iter
-    (fun (len, roots) ->
+    (fun (len, roots, procs) ->
       List.iter schedule roots;
+      List.iter spawn procs;
       Sim.Engine.run_for e len)
     slices;
   Sim.Engine.run e;
-  (List.rev !log, Sim.Engine.heap_max_depth e)
+  (List.rev !log, Sim.Engine.heap_max_depth e, Sim.Engine.events_dispatched e)
 
 let prop_engine_matches_sorted_reference =
   Helpers.qtest ~count:300 "engine: dispatch is (time, seq) order"
     (QCheck.make ~print:print_program gen_program)
     (fun slices -> engine_dispatch slices = reference_dispatch slices)
+
+(* A sleep outside a process has no handler to suspend to, whether it
+   is made from a plain callback or from a suspend's [register]; the
+   lookahead path must not turn either into a silent clock jump. *)
+let test_engine_sleep_outside_process () =
+  let raises_unhandled name f =
+    let e = Sim.Engine.create () in
+    f e;
+    match Sim.Engine.run e with
+    | () -> Alcotest.failf "%s: sleep returned" name
+    | exception Effect.Unhandled _ -> check_int (name ^ ": clock kept") 0 (Sim.Engine.now e)
+  in
+  raises_unhandled "plain callback" (fun e ->
+      Sim.Engine.schedule e (fun () -> Sim.Engine.sleep e 5));
+  raises_unhandled "register" (fun e ->
+      Sim.Engine.spawn e (fun () ->
+          Sim.Engine.suspend e ~register:(fun _ -> Sim.Engine.sleep e 5)))
+
+(* The first sleep is the next event and is elided; the second would
+   end past the [run_for] horizon, so it parks until the next run. *)
+let test_engine_sleep_horizon () =
+  let e = Sim.Engine.create () in
+  let woke = ref [] in
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.sleep e 7;
+      woke := Sim.Engine.now e :: !woke;
+      Sim.Engine.sleep e 7;
+      woke := Sim.Engine.now e :: !woke);
+  Sim.Engine.run_for e 10;
+  check_int "slice stops at its end" 10 (Sim.Engine.now e);
+  Alcotest.(check (list int)) "first wake only" [ 7 ] !woke;
+  check_int "parked across the slice end" 1 (Sim.Engine.live_processes e);
+  Sim.Engine.run e;
+  Alcotest.(check (list int)) "second wake at 14" [ 14; 7 ] !woke;
+  check_int "one sleep elided" 1 (Sim.Engine.sleeps_elided e);
+  check_int "both sleeps counted as suspends" 2 (Sim.Engine.effect_suspends e);
+  check_int "start + two sleeps of two events" 5 (Sim.Engine.events_dispatched e)
 
 (* ---------- Condition ---------- *)
 
@@ -566,6 +645,10 @@ let suites =
         Alcotest.test_case "engine process exception" `Quick
           test_engine_process_exception;
         prop_engine_matches_sorted_reference;
+        Alcotest.test_case "engine sleep outside a process" `Quick
+          test_engine_sleep_outside_process;
+        Alcotest.test_case "engine sleep horizon" `Quick
+          test_engine_sleep_horizon;
         Alcotest.test_case "engine cancellable timer" `Quick
           test_engine_cancellable_timer;
         Alcotest.test_case "condition FIFO" `Quick test_condition_signal_fifo;

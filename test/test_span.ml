@@ -229,7 +229,7 @@ let test_engine_counters () =
   check_bool "heap depth seen" true (Sim.Engine.heap_max_depth e >= 1);
   check_int "one cancellation" 1 (Sim.Engine.cancellations e);
   check_int "one process" 1 (Sim.Engine.processes_spawned e);
-  (* the two sleeps crossed the Suspend handler twice *)
+  (* each sleep counts as a suspend, elided or not *)
   check_int "suspend effects counted" 2 (Sim.Engine.effect_suspends e);
   (* span effects cross the handler only when a recorder is live *)
   check_int "no span effects without a recorder" 0
@@ -255,7 +255,9 @@ let test_engine_counters () =
   check_int "eff_fls_ops exported" (Sim.Engine.effect_fls_ops e)
     (geti "eff_fls_ops");
   check_int "eff_attrib_ops exported" (Sim.Engine.effect_attrib_ops e)
-    (geti "eff_attrib_ops")
+    (geti "eff_attrib_ops");
+  (* each sleep here was the next event, so none crossed the handler *)
+  check_int "eff_sleeps_elided exported" 3 (geti "eff_sleeps_elided")
 
 (* ---------- span metrics ---------- *)
 
