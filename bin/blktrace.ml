@@ -12,16 +12,8 @@
 
 open Cmdliner
 
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
-
 let full_config config_name disks layout stripe_kb =
-  match base_config config_name with
+  match Clusterfs.Config.of_name config_name with
   | Error _ as e -> e
   | Ok base -> (
       match Vol.layout_of_string (String.lowercase_ascii layout) with
@@ -49,18 +41,19 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
       in
       let body (m : Clusterfs.Machine.t) =
         let fs = m.Clusterfs.Machine.fs in
+        let io = Workload.Iobench.local fs in
         match String.lowercase_ascii workload with
         | "fsw" ->
             Disk.Blkdev.set_tracing dev true;
-            ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW)
+            ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSW)
         | "fsr" ->
-            Workload.Iobench.prepare fs cfg;
+            Workload.Iobench.prepare io cfg;
             Disk.Blkdev.set_tracing dev true;
-            ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR)
+            ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSR)
         | "fru" ->
-            Workload.Iobench.prepare fs cfg;
+            Workload.Iobench.prepare io cfg;
             Disk.Blkdev.set_tracing dev true;
-            ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FRU)
+            ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FRU)
         | "rm" ->
             ignore (Workload.Metaops.create_many fs ~dir:"/many" ~n:100 ());
             Disk.Blkdev.set_tracing dev true;

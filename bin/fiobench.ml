@@ -10,14 +10,6 @@
 
 open Cmdliner
 
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
-
 let scenario_of_name name =
   List.find_opt
     (fun s -> s.Fio.Spec.name = name)
@@ -72,7 +64,7 @@ let run specs config_name clients servers topology ports_buffer target json
     trace =
   match
     ( resolve_specs specs,
-      base_config config_name,
+      Clusterfs.Config.of_name config_name,
       (match String.lowercase_ascii target with
       | "local" -> Ok `Local
       | "remote" -> Ok `Remote

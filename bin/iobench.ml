@@ -7,26 +7,9 @@
 
 open Cmdliner
 
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
-
-let phase_of_string s =
-  match String.uppercase_ascii s with
-  | "FSR" -> Ok Workload.Iobench.FSR
-  | "FSU" -> Ok Workload.Iobench.FSU
-  | "FSW" -> Ok Workload.Iobench.FSW
-  | "FRR" -> Ok Workload.Iobench.FRR
-  | "FRU" -> Ok Workload.Iobench.FRU
-  | other -> Error (Printf.sprintf "unknown phase %S" other)
-
 let run config_name file_mb random_ops cluster_kb rotdelay memory_mb
     no_free_behind write_limit_kb phases verbose =
-  match base_config config_name with
+  match Clusterfs.Config.of_name config_name with
   | Error e ->
       prerr_endline e;
       1
@@ -54,11 +37,11 @@ let run config_name file_mb random_ops cluster_kb rotdelay memory_mb
       in
       let phases =
         match phases with
-        | [] -> Ok [ Workload.Iobench.FSW; FSU; FSR; FRR; FRU ]
+        | [] -> Ok Workload.Iobench.all_kinds
         | ps ->
             List.fold_right
               (fun p acc ->
-                match (phase_of_string p, acc) with
+                match (Workload.Iobench.kind_of_string p, acc) with
                 | Ok p, Ok acc -> Ok (p :: acc)
                 | Error e, _ -> Error e
                 | _, (Error _ as e) -> e)
@@ -88,11 +71,11 @@ let run config_name file_mb random_ops cluster_kb rotdelay memory_mb
           let m = Clusterfs.Machine.create config in
           let results =
             Clusterfs.Machine.run m (fun m ->
-                let fs = m.Clusterfs.Machine.fs in
+                let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
                 (* non-FSW phases need the file to exist *)
                 if not (List.mem Workload.Iobench.FSW phases) then
-                  Workload.Iobench.prepare fs bench_cfg;
-                List.map (Workload.Iobench.run_phase fs bench_cfg) phases)
+                  Workload.Iobench.prepare io bench_cfg;
+                List.map (Workload.Iobench.run_phase io bench_cfg) phases)
           in
           Printf.printf "\n%-6s %12s %12s %12s\n" "phase" "KB/s" "elapsed"
             "sys CPU";

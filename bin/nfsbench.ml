@@ -10,39 +10,7 @@ open Cmdliner
 
 let ( let* ) = Result.bind
 
-let base_config name =
-  match String.lowercase_ascii name with
-  | "a" -> Ok Clusterfs.Config.config_a
-  | "b" -> Ok Clusterfs.Config.config_b
-  | "c" -> Ok Clusterfs.Config.config_c
-  | "d" -> Ok Clusterfs.Config.config_d
-  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
-
-let phase_of_string s =
-  match String.uppercase_ascii s with
-  | "FSR" -> Ok Workload.Iobench.FSR
-  | "FSU" -> Ok Workload.Iobench.FSU
-  | "FSW" -> Ok Workload.Iobench.FSW
-  | "FRR" -> Ok Workload.Iobench.FRR
-  | "FRU" -> Ok Workload.Iobench.FRU
-  | other -> Error (Printf.sprintf "unknown phase %S" other)
-
 let client_path id = Printf.sprintf "/bench%d" id
-
-(* drop a file from the owning server's page cache so the next phase
-   pays the same disk reads a local cold-start phase does *)
-let cool_server t path =
-  Clusterfs.Topology.run t (fun t ->
-      let server = Clusterfs.Topology.server_of_path t path in
-      let fs = t.Clusterfs.Topology.servers.(server).Clusterfs.Machine.fs in
-      let ip = Ufs.Fs.namei fs path in
-      Workload.Iobench.reset_file_state fs ip;
-      Ufs.Iops.iput fs ip)
-
-let cool_all t clients =
-  for id = 0 to clients - 1 do
-    cool_server t (client_path id)
-  done
 
 let transport_of_string = function
   | "fixed" -> Ok Nfs.Rpc.Fixed
@@ -59,7 +27,7 @@ let topology_of_string = function
 let run config_name clients servers nfsd biods ra_depth file_mb bandwidth_kb
     latency_us loss seed transport topology ports_buffer phases verbose =
   match
-    let* config = base_config config_name in
+    let* config = Clusterfs.Config.of_name config_name in
     let* transport = transport_of_string transport in
     let* topology = topology_of_string topology in
     Ok (config, transport, topology)
@@ -74,7 +42,7 @@ let run config_name clients servers nfsd biods ra_depth file_mb bandwidth_kb
         | ps ->
             List.fold_right
               (fun p acc ->
-                match (phase_of_string p, acc) with
+                match (Workload.Iobench.kind_of_string p, acc) with
                 | Ok p, Ok acc -> Ok (p :: acc)
                 | Error e, _ -> Error e
                 | _, (Error _ as e) -> e)
@@ -113,7 +81,6 @@ let run config_name clients servers nfsd biods ra_depth file_mb bandwidth_kb
             Clusterfs.Topology.create ~net ~seed ~topology ~transport ~nfsd
               ?biods ?ra_depth ~servers ?ports_buffer ~clients config
           in
-          let engine = Clusterfs.Topology.engine t in
           let cfg id =
             {
               Workload.Iobench.default_config with
@@ -124,13 +91,7 @@ let run config_name clients servers nfsd biods ra_depth file_mb bandwidth_kb
           (* non-FSW-first phase lists need the files to exist *)
           (match phases with
           | Workload.Iobench.FSW :: _ -> ()
-          | _ ->
-              Clusterfs.Topology.run_clients t (fun c ->
-                  let id = c.Clusterfs.Topology.id in
-                  Workload.Remote_iobench.prepare
-                    (Clusterfs.Topology.shard t c (client_path id))
-                    (cfg id));
-              cool_all t clients);
+          | _ -> Clusterfs.Experiments.prepare_cold t cfg);
           Printf.printf "\n%-6s %12s %12s %12s %12s\n" "phase" "agg KB/s"
             "KB/s min" "KB/s mean" "KB/s max";
           List.iter
@@ -147,12 +108,16 @@ let run config_name clients servers nfsd biods ra_depth file_mb bandwidth_kb
               in
               Clusterfs.Topology.run_clients t (fun c ->
                   let id = c.Clusterfs.Topology.id in
+                  let mount = Clusterfs.Topology.shard t c (client_path id) in
                   results.(id) <-
-                    Workload.Remote_iobench.run_phase ~engine
-                      ~cpu:c.Clusterfs.Topology.cpu
-                      (Clusterfs.Topology.shard t c (client_path id))
+                    Workload.Iobench.run_phase
+                      (Workload.Iobench.remote mount)
                       (cfg id) phase);
-              cool_all t clients;
+              (* drop every file from its server's page cache so the
+                 next phase pays the disk reads a local cold start does *)
+              for id = 0 to clients - 1 do
+                Clusterfs.Experiments.cool_server_file t (client_path id)
+              done;
               let bytes =
                 Array.fold_left
                   (fun a r -> a + r.Workload.Iobench.bytes_moved)

@@ -57,6 +57,14 @@ let config_d =
 
 let all_figure9 = [ config_a; config_b; config_c; config_d ]
 
+let of_name name =
+  match String.lowercase_ascii name with
+  | "a" -> Ok config_a
+  | "b" -> Ok config_b
+  | "c" -> Ok config_c
+  | "d" -> Ok config_d
+  | other -> Error (Printf.sprintf "unknown config %S (want a|b|c|d)" other)
+
 let with_cluster_kb t kb =
   let maxcontig = max 1 (kb * 1024 / Ufs.Layout.bsize) in
   {

@@ -52,6 +52,9 @@ val config_d : t
 val all_figure9 : t list
 (** A, B, C, D in paper order. *)
 
+val of_name : string -> (t, string) result
+(** A Figure 9 config by its letter, in either case. *)
+
 val with_cluster_kb : t -> int -> t
 (** Derive a config with a different cluster size (cluster-size sweep);
     8 KB means maxcontig 1. *)

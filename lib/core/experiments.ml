@@ -64,12 +64,12 @@ let cpu_utilization ?(file_mb = 16) () =
     (fun (config : Config.t) ->
       let m = Machine.create config in
       Machine.run m (fun m ->
-          let fs = m.Machine.fs in
+          let io = Workload.Iobench.local m.Machine.fs in
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          Workload.Iobench.prepare fs cfg;
-          let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+          Workload.Iobench.prepare io cfg;
+          let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
           ( config.Config.name,
             r.Workload.Iobench.kb_per_sec,
             float_of_int r.Workload.Iobench.sys_cpu
@@ -93,7 +93,7 @@ let mmap_cpu (config : Config.t) ~file_mb =
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
-      Workload.Iobench.prepare fs cfg;
+      Workload.Iobench.prepare (Workload.Iobench.local fs) cfg;
       Workload.Mmap_bench.run fs ~path:cfg.Workload.Iobench.path ~file_mb)
 
 let figure12 ?(file_mb = 16) () =
@@ -160,8 +160,9 @@ let io_pattern_of (config : Config.t) ~file_mb =
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
-      ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW);
-      ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR);
+      let io = Workload.Iobench.local fs in
+      ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSW);
+      ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSR);
       let s = fs.Ufs.Types.stats in
       let reads = s.Ufs.Types.pgin_ios + s.Ufs.Types.ra_ios in
       let read_blocks = s.Ufs.Types.pgin_blocks + s.Ufs.Types.ra_blocks in
@@ -189,12 +190,12 @@ let io_patterns ?(file_mb = 16) () =
 let seq_rates (config : Config.t) ~file_mb =
   let m = Machine.create config in
   Machine.run m (fun m ->
-      let fs = m.Machine.fs in
+      let io = Workload.Iobench.local m.Machine.fs in
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
-      let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-      let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+      let w = Workload.Iobench.run_phase io cfg Workload.Iobench.FSW in
+      let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
       (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
 
 let cluster_size_sweep ?(file_mb = 16)
@@ -224,12 +225,12 @@ let write_limit_sweep ?(file_mb = 16)
       let m = Machine.create config in
       let fru, fsw =
         Machine.run m (fun m ->
-            let fs = m.Machine.fs in
+            let io = Workload.Iobench.local m.Machine.fs in
             let cfg =
               { Workload.Iobench.default_config with Workload.Iobench.file_mb }
             in
-            let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-            let u = Workload.Iobench.run_phase fs cfg Workload.Iobench.FRU in
+            let w = Workload.Iobench.run_phase io cfg Workload.Iobench.FSW in
+            let u = Workload.Iobench.run_phase io cfg Workload.Iobench.FRU in
             (u.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
       in
       (label, fru, fsw))
@@ -246,12 +247,12 @@ let free_behind_ablation ?(file_mb = 16) () =
       let m = Machine.create config in
       let fsr, scans, freed =
         Machine.run m (fun m ->
-            let fs = m.Machine.fs in
+            let io = Workload.Iobench.local m.Machine.fs in
             let cfg =
               { Workload.Iobench.default_config with Workload.Iobench.file_mb }
             in
-            Workload.Iobench.prepare fs cfg;
-            let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+            Workload.Iobench.prepare io cfg;
+            let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
             let ps = Vm.Pageout.stats m.Machine.pageout in
             ( r.Workload.Iobench.kb_per_sec,
               ps.Vm.Pageout.scans,
@@ -276,12 +277,12 @@ let driver_clustering_ablation ?(file_mb = 16) () =
   let run (label, config) =
     let m = Machine.create config in
     Machine.run m (fun m ->
-        let fs = m.Machine.fs in
+        let io = Workload.Iobench.local m.Machine.fs in
         let cfg =
           { Workload.Iobench.default_config with Workload.Iobench.file_mb }
         in
-        let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-        let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
+        let w = Workload.Iobench.run_phase io cfg Workload.Iobench.FSW in
+        let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
         let coalesced = (Disk.Blkdev.stats m.Machine.dev).Disk.Blkdev.coalesced in
         ( label,
           r.Workload.Iobench.kb_per_sec,
@@ -388,17 +389,7 @@ let extent_fs_comparison ?(file_mb = 16) ?(extent_sizes_kb = [ 8; 56; 120; 1024 
       extent_sizes_kb
   in
   let ufs_row (config : Config.t) label =
-    let m = Machine.create config in
-    let r, w =
-      Machine.run m (fun m ->
-          let fs = m.Machine.fs in
-          let cfg =
-            { Workload.Iobench.default_config with Workload.Iobench.file_mb }
-          in
-          let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-          let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
-          (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
-    in
+    let r, w = seq_rates config ~file_mb in
     (label, r, w)
   in
   efs_rows
@@ -413,31 +404,20 @@ let request_size_sweep ?(file_mb = 8) ?(sizes_kb = [ 1; 2; 4; 8; 16; 32; 64 ])
     (fun kb ->
       let m = Machine.create Config.config_a in
       Machine.run m (fun m ->
-          let fs = m.Machine.fs in
+          let io = Workload.Iobench.local m.Machine.fs in
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          Workload.Iobench.prepare fs cfg;
-          let ip = Ufs.Fs.namei fs cfg.Workload.Iobench.path in
-          let engine = m.Machine.engine in
-          let req = kb * 1024 in
-          let buf = Bytes.create req in
-          let total = file_mb * 1024 * 1024 in
-          let t0 = Sim.Engine.now engine in
-          let c0 = Sim.Cpu.sys_time m.Machine.cpu in
-          let rec loop off =
-            if off < total then begin
-              ignore (Ufs.Fs.read fs ip ~off ~buf ~len:req);
-              loop (off + req)
-            end
+          Workload.Iobench.prepare io cfg;
+          let r =
+            Workload.Iobench.run_phase io
+              { cfg with Workload.Iobench.request_bytes = kb * 1024 }
+              Workload.Iobench.FSR
           in
-          loop 0;
-          let dt = Sim.Engine.now engine - t0 in
-          let cpu = Sim.Cpu.sys_time m.Machine.cpu - c0 in
-          Ufs.Iops.iput fs ip;
           ( kb,
-            float_of_int (total / 1024) /. Sim.Time.to_sec_float dt,
-            Sim.Time.to_sec_float cpu /. float_of_int file_mb )))
+            r.Workload.Iobench.kb_per_sec,
+            Sim.Time.to_sec_float r.Workload.Iobench.sys_cpu
+            /. float_of_int file_mb )))
     sizes_kb
 
 (* a small three-zone drive: 72/54/40 sectors per track *)
@@ -489,18 +469,13 @@ let zoned_disk ?(file_mb = 8) () =
       let z2 = raw_rate ((120 * 6 * 72) + (140 * 6 * 54)) in
       (* FSR of a file in the outer zone (fresh fs allocates low) *)
       let bench file =
+        let io = Workload.Iobench.local fs in
         let cfg =
           { Workload.Iobench.default_config with Workload.Iobench.file_mb;
             path = file }
         in
-        let ip = Ufs.Fs.creat fs file in
-        let buf = Bytes.make Ufs.Layout.bsize 'z' in
-        for i = 0 to (file_mb * 128) - 1 do
-          Ufs.Fs.write fs ip ~off:(i * Ufs.Layout.bsize) ~buf ~len:Ufs.Layout.bsize
-        done;
-        Ufs.Fs.fsync fs ip;
-        Ufs.Iops.iput fs ip;
-        (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR)
+        Workload.Iobench.prepare io cfg;
+        (Workload.Iobench.run_phase io cfg Workload.Iobench.FSR)
           .Workload.Iobench.kb_per_sec
       in
       let outer = bench "/outer" in
@@ -554,7 +529,7 @@ let future_work_ablation ?(file_mb = 16) () =
           let cfg =
             { Workload.Iobench.default_config with Workload.Iobench.file_mb }
           in
-          Workload.Iobench.prepare fs cfg;
+          Workload.Iobench.prepare (Workload.Iobench.local fs) cfg;
           let ip = Ufs.Fs.namei fs "/iobench" in
           let rng = Sim.Rng.create ~seed:3 in
           let req = 24 * 1024 in
@@ -585,32 +560,12 @@ let future_work_ablation ?(file_mb = 16) () =
 
 (* ---- volume manager (striping / mirroring) ---- *)
 
-(* Start a file cold, as Iobench does between phases: drain its dirty
-   pages, drop them from the pool and reset the read predictor. *)
-let chill_file (fs : Ufs.Types.fs) (ip : Ufs.Types.inode) =
-  Ufs.Putpage.push_delayed fs ip ~sync:true ();
-  Ufs.Io.wait_writes fs ip;
-  Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
-  Ufs.Types.reset_rstreams ip;
-  ip.Ufs.Types.bmap_cache <- None
-
 let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
     ?(stripe_kbs = [ 8; 32; 128 ]) () =
   let row base disks stripe_kb =
     let config = Config.with_vol base ~layout:Vol.Stripe ~stripe_kb disks in
-    let m = Machine.create config in
-    Machine.run m (fun m ->
-        let fs = m.Machine.fs in
-        let cfg =
-          { Workload.Iobench.default_config with Workload.Iobench.file_mb }
-        in
-        let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-        let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
-        ( base.Config.name,
-          disks,
-          stripe_kb,
-          r.Workload.Iobench.kb_per_sec,
-          w.Workload.Iobench.kb_per_sec ))
+    let r, w = seq_rates config ~file_mb in
+    (base.Config.name, disks, stripe_kb, r, w)
   in
   List.concat_map
     (fun base ->
@@ -628,70 +583,40 @@ let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
    collapse) shows that a single-threaded FSR cannot: with one
    outstanding read there is nothing to send to the second copy. *)
 let concurrent_read_kbps (m : Machine.t) ~readers ~file_mb =
-  let fs = m.Machine.fs in
+  let io = Workload.Iobench.local m.Machine.fs in
   let engine = m.Machine.engine in
-  let bsize = Ufs.Layout.bsize in
-  let per_file = file_mb * 1024 * 1024 in
-  let files = List.init readers (Printf.sprintf "/reader%d") in
-  let buf = Bytes.make bsize 'm' in
-  List.iter
-    (fun path ->
-      let ip = Ufs.Fs.creat fs path in
-      let rec wloop off =
-        if off < per_file then begin
-          Ufs.Fs.write fs ip ~off ~buf ~len:bsize;
-          wloop (off + bsize)
-        end
-      in
-      wloop 0;
-      Ufs.Fs.fsync fs ip;
-      chill_file fs ip;
-      Ufs.Iops.iput fs ip)
-    files;
+  let cfgs =
+    List.init readers (fun i ->
+        {
+          Workload.Iobench.default_config with
+          Workload.Iobench.file_mb;
+          path = Printf.sprintf "/reader%d" i;
+        })
+  in
+  List.iter (Workload.Iobench.prepare io) cfgs;
   let done_cond = Sim.Condition.create engine "readers-done" in
   let remaining = ref readers in
   let t0 = Sim.Engine.now engine in
   List.iter
-    (fun path ->
-      Sim.Engine.spawn engine ~name:path (fun () ->
-          let ip = Ufs.Fs.namei fs path in
-          let rbuf = Bytes.create bsize in
-          let rec rloop off =
-            if off < per_file then begin
-              ignore (Ufs.Fs.read fs ip ~off ~buf:rbuf ~len:bsize);
-              rloop (off + bsize)
-            end
-          in
-          rloop 0;
-          Ufs.Iops.iput fs ip;
+    (fun cfg ->
+      Sim.Engine.spawn engine ~name:cfg.Workload.Iobench.path (fun () ->
+          ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSR);
           decr remaining;
           if !remaining = 0 then Sim.Condition.broadcast done_cond))
-    files;
+    cfgs;
   while !remaining > 0 do
     Sim.Condition.wait done_cond
   done;
   let dt = Sim.Engine.now engine - t0 in
-  float_of_int (readers * per_file / 1024) /. Sim.Time.to_sec_float dt
+  float_of_int (readers * file_mb * 1024) /. Sim.Time.to_sec_float dt
 
 let seq_write_kbps (m : Machine.t) ~path ~file_mb =
-  let fs = m.Machine.fs in
-  let engine = m.Machine.engine in
-  let bsize = Ufs.Layout.bsize in
-  let total = file_mb * 1024 * 1024 in
-  let buf = Bytes.make bsize 'w' in
-  let ip = Ufs.Fs.creat fs path in
-  let t0 = Sim.Engine.now engine in
-  let rec wloop off =
-    if off < total then begin
-      Ufs.Fs.write fs ip ~off ~buf ~len:bsize;
-      wloop (off + bsize)
-    end
+  let cfg =
+    { Workload.Iobench.default_config with Workload.Iobench.file_mb; path }
   in
-  wloop 0;
-  Ufs.Fs.fsync fs ip;
-  let dt = Sim.Engine.now engine - t0 in
-  Ufs.Iops.iput fs ip;
-  float_of_int (total / 1024) /. Sim.Time.to_sec_float dt
+  (Workload.Iobench.run_phase (Workload.Iobench.local m.Machine.fs) cfg
+     Workload.Iobench.FSW)
+    .Workload.Iobench.kb_per_sec
 
 let vol_mirror ?(file_mb = 4) ?(readers = 4) () =
   let scenario label config ~degrade =
@@ -737,46 +662,74 @@ type nfs_row = {
   write_rpcs : int;
 }
 
-let nfs_local_pair (config : Config.t) ~file_mb =
-  let m = Machine.create config in
-  let cfg = { Workload.Iobench.default_config with Workload.Iobench.file_mb } in
-  Machine.run m (fun m ->
-      let fs = m.Machine.fs in
-      let w = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW in
-      let r = Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR in
-      (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
-
-(* Drop a file from the *server's* page cache: push its delayed writes,
-   invalidate its pages, reset its read-ahead state.  A remote write
-   phase leaves the whole file in server RAM; without this a following
-   remote read streams from server memory while the local baseline
-   reads cold from disk, and "remote vs local" measures cache warmth
-   instead of wire cost. *)
-let cool_server_file ?(server = 0) t path =
+(* Drop a file from its owning server's page cache: push its delayed
+   writes, invalidate its pages, reset its read-ahead state.  A remote
+   write phase leaves the whole file in server RAM; without this a
+   following remote read streams from server memory while the local
+   baseline reads cold from disk, and "remote vs local" measures cache
+   warmth instead of wire cost. *)
+let cool_server_file t path =
   Topology.run t (fun t ->
+      let server = Topology.server_of_path t path in
       let fs = t.Topology.servers.(server).Machine.fs in
       let ip = Ufs.Fs.namei fs path in
       Workload.Iobench.reset_file_state fs ip;
       Ufs.Iops.iput fs ip)
 
+(* IObench on client [c], through the mount that owns [cfg]'s file *)
+let remote_phase t c cfg kind =
+  Workload.Iobench.run_phase
+    (Workload.Iobench.remote (Topology.shard t c cfg.Workload.Iobench.path))
+    cfg kind
+
+(* client [id]'s benchmark file in the concurrent-read experiments *)
+let client_cfg ~file_mb prefix id =
+  {
+    Workload.Iobench.default_config with
+    Workload.Iobench.file_mb;
+    path = prefix ^ string_of_int id;
+  }
+
+let prepare_cold t cfg =
+  Topology.run_clients t (fun c ->
+      let cfg = cfg c.Topology.id in
+      Workload.Iobench.prepare
+        (Workload.Iobench.remote (Topology.shard t c cfg.Workload.Iobench.path))
+        cfg);
+  Array.iter
+    (fun c -> cool_server_file t (cfg c.Topology.id).Workload.Iobench.path)
+    t.Topology.clients
+
+(* Every client streams its own file at once.  All streams spawn at the
+   same instant, so the window holds exactly [clients] concurrent
+   readers against cold servers; it ends at the last finish.  Returns
+   the bytes moved and the window. *)
+let concurrent_fsr t cfg =
+  let engine = Topology.engine t in
+  let t_start = Sim.Engine.now engine in
+  let last = ref t_start in
+  let bytes = ref 0 in
+  Topology.run_clients t (fun c ->
+      let r = remote_phase t c (cfg c.Topology.id) Workload.Iobench.FSR in
+      bytes := !bytes + r.Workload.Iobench.bytes_moved;
+      last := max !last (Sim.Engine.now engine));
+  (!bytes, !last - t_start)
+
+let kb_per_sec bytes window =
+  if window = 0 then 0.
+  else float_of_int bytes /. 1024. /. Sim.Time.to_sec_float window
+
 let nfs_remote_pair (config : Config.t) ~file_mb ~net =
   let t = Topology.create ~net ~clients:1 config in
   let cfg = { Workload.Iobench.default_config with Workload.Iobench.file_mb } in
-  let engine = Topology.engine t in
   let w_out = ref 0. in
   Topology.run_clients t (fun c ->
-      let w =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount cfg Workload.Iobench.FSW
-      in
+      let w = remote_phase t c cfg Workload.Iobench.FSW in
       w_out := w.Workload.Iobench.kb_per_sec);
   cool_server_file t cfg.Workload.Iobench.path;
   let out = ref (0., 0., 0, 0, 0) in
   Topology.run_clients t (fun c ->
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount cfg Workload.Iobench.FSR
-      in
+      let r = remote_phase t c cfg Workload.Iobench.FSR in
       let st = Nfs.Client.stats c.Topology.mount in
       out :=
         ( r.Workload.Iobench.kb_per_sec,
@@ -790,7 +743,7 @@ let nfs_local_vs_remote ?(file_mb = 8) ?(configs = Config.all_figure9)
     ?(net = Net.default_config) () =
   List.map
     (fun (config : Config.t) ->
-      let lr, lw = nfs_local_pair config ~file_mb in
+      let lr, lw = seq_rates config ~file_mb in
       let rr, rw, ra, reads, writes =
         nfs_remote_pair
           (Config.with_name config (config.Config.name ^ ".nfs"))
@@ -840,39 +793,10 @@ let nfs_scaling ?(file_mb = 2) ?(nfsd = 4) ?(net = nfs_scale_net)
   let t =
     Topology.create ~net ~nfsd ~rpc_timeout:(Sim.Time.ms 4000) ~clients config
   in
-  let engine = Topology.engine t in
-  let scale_cfg id =
-    {
-      Workload.Iobench.default_config with
-      Workload.Iobench.file_mb;
-      path = Printf.sprintf "/scale%d" id;
-    }
-  in
-  Topology.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.Topology.mount
-        (scale_cfg c.Topology.id));
-  for id = 0 to clients - 1 do
-    cool_server_file t (scale_cfg id).Workload.Iobench.path
-  done;
-  (* all streams spawn at the same instant, so the timed window holds
-     exactly [clients] concurrent readers against a cold server *)
-  let t_start = Sim.Engine.now engine in
-  let finishes = Array.make clients Sim.Time.zero in
-  let bytes = Array.make clients 0 in
-  Topology.run_clients t (fun c ->
-      let id = c.Topology.id in
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount (scale_cfg id) Workload.Iobench.FSR
-      in
-      bytes.(id) <- r.Workload.Iobench.bytes_moved;
-      finishes.(id) <- Sim.Engine.now engine);
-  let total_bytes = Array.fold_left ( + ) 0 bytes in
-  let wall = Array.fold_left max Sim.Time.zero finishes - t_start in
-  let aggregate =
-    if wall = 0 then 0.
-    else float_of_int total_bytes /. 1024. /. Sim.Time.to_sec_float wall
-  in
+  let scale_cfg = client_cfg ~file_mb "/scale" in
+  prepare_cold t scale_cfg;
+  let total_bytes, wall = concurrent_fsr t scale_cfg in
+  let aggregate = kb_per_sec total_bytes wall in
   let retrans =
     Array.fold_left
       (fun acc c -> acc + (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits)
@@ -943,26 +867,10 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
       ~rpc_timeout:(Sim.Time.ms 4000) ~servers ~register_clients:false
       ~clients config
   in
-  let engine = Topology.engine t in
-  let fleet_cfg id =
-    {
-      Workload.Iobench.default_config with
-      Workload.Iobench.file_mb;
-      path = Printf.sprintf "/fleet%d" id;
-    }
-  in
-  Topology.run_clients t (fun c ->
-      let cfg = fleet_cfg c.Topology.id in
-      Workload.Remote_iobench.prepare
-        (Topology.shard t c cfg.Workload.Iobench.path)
-        cfg);
-  for id = 0 to clients - 1 do
-    let path = (fleet_cfg id).Workload.Iobench.path in
-    cool_server_file ~server:(Topology.server_of_path t path) t path
-  done;
+  let fleet_cfg = client_cfg ~file_mb "/fleet" in
+  prepare_cold t fleet_cfg;
   (* snapshot the busy counters, then hold [clients] concurrent readers
      against cold servers and measure over the max-finish window *)
-  let t_start = Sim.Engine.now engine in
   let cpu0 =
     Array.map (fun m -> Sim.Cpu.sys_time m.Machine.cpu) t.Topology.servers
   in
@@ -981,24 +889,8 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
     | Some ports -> Array.map port_busy ports
     | None -> [||]
   in
-  let finishes = Array.make clients Sim.Time.zero in
-  let bytes = Array.make clients 0 in
-  Topology.run_clients t (fun c ->
-      let id = c.Topology.id in
-      let cfg = fleet_cfg id in
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          (Topology.shard t c cfg.Workload.Iobench.path)
-          cfg Workload.Iobench.FSR
-      in
-      bytes.(id) <- r.Workload.Iobench.bytes_moved;
-      finishes.(id) <- Sim.Engine.now engine);
-  let total_bytes = Array.fold_left ( + ) 0 bytes in
-  let wall = Array.fold_left max Sim.Time.zero finishes - t_start in
-  let aggregate =
-    if wall = 0 then 0.
-    else float_of_int total_bytes /. 1024. /. Sim.Time.to_sec_float wall
-  in
+  let total_bytes, wall = concurrent_fsr t fleet_cfg in
+  let aggregate = kb_per_sec total_bytes wall in
   let fwall = float_of_int (max 1 wall) in
   let util_over f base =
     Array.mapi (fun i m -> float_of_int (f m - base.(i)) /. fwall)
@@ -1125,32 +1017,10 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
          (topology_name topology) clients)
   in
   let t = Topology.create ~net ~topology ~transport ~clients config in
-  let engine = Topology.engine t in
-  let cc_cfg id =
-    {
-      Workload.Iobench.default_config with
-      Workload.Iobench.file_mb;
-      path = Printf.sprintf "/cc%d" id;
-    }
-  in
-  Topology.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.Topology.mount (cc_cfg c.Topology.id));
-  for id = 0 to clients - 1 do
-    cool_server_file t (cc_cfg id).Workload.Iobench.path
-  done;
-  let t_start = Sim.Engine.now engine in
-  let finishes = Array.make clients Sim.Time.zero in
-  let bytes = Array.make clients 0 in
-  Topology.run_clients t (fun c ->
-      let id = c.Topology.id in
-      let r =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount (cc_cfg id) Workload.Iobench.FSR
-      in
-      bytes.(id) <- r.Workload.Iobench.bytes_moved;
-      finishes.(id) <- Sim.Engine.now engine);
-  let total_bytes = Array.fold_left ( + ) 0 bytes in
-  let wall = Array.fold_left max Sim.Time.zero finishes - t_start in
+  let cc_cfg = client_cfg ~file_mb "/cc" in
+  prepare_cold t cc_cfg;
+  let t_start = Sim.Engine.now (Topology.engine t) in
+  let total_bytes, wall = concurrent_fsr t cc_cfg in
   let mid = t_start + (wall / 2) in
   let sum f = Array.fold_left (fun a c -> a + f c) 0 t.Topology.clients in
   let sv = Nfs.Server.stats t.Topology.service in
@@ -1159,9 +1029,7 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
     cc_clients = clients;
     cc_transport = transport_name transport;
     cc_topology = topology_name topology;
-    cc_goodput_kb_per_sec =
-      (if wall = 0 then 0.
-       else float_of_int total_bytes /. 1024. /. Sim.Time.to_sec_float wall);
+    cc_goodput_kb_per_sec = kb_per_sec total_bytes wall;
     cc_retransmits =
       sum (fun c -> (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits);
     cc_steady_retransmits =
@@ -1217,7 +1085,6 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
           ~net:(Net.lossy Net.default_config loss)
           ~clients:1 config
       in
-      let engine = Topology.engine t in
       let cfg =
         {
           Workload.Iobench.default_config with
@@ -1227,10 +1094,7 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
       in
       let moved = ref 0 in
       let spent = ref Sim.Time.zero in
-      let run c k =
-        Workload.Remote_iobench.run_phase ~engine ~cpu:c.Topology.cpu
-          c.Topology.mount cfg k
-      in
+      let run c k = remote_phase t c cfg k in
       Topology.run_clients t (fun c ->
           let w = run c Workload.Iobench.FSW in
           moved := w.Workload.Iobench.bytes_moved;
@@ -1243,9 +1107,7 @@ let nfs_loss ?(file_mb = 1) ?(losses = [ 0.; 0.001; 0.01; 0.05 ]) () =
       let c = t.Topology.clients.(0) in
       {
         loss_pct = loss *. 100.;
-        goodput_kb_per_sec =
-          (if !spent = 0 then 0.
-           else float_of_int !moved /. 1024. /. Sim.Time.to_sec_float !spent);
+        goodput_kb_per_sec = kb_per_sec !moved !spent;
         zl_retransmits = (Nfs.Rpc.stats c.Topology.rpc).Nfs.Rpc.retransmits;
         zl_drops = Topology.client_drops t c;
         zl_dup_hits = (Nfs.Server.stats t.Topology.service).Nfs.Server.dup_hits;

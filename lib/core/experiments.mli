@@ -154,6 +154,16 @@ val vol_mirror :
 
 (* ---------- NFS over the simulated network ---------- *)
 
+val cool_server_file : Topology.t -> string -> unit
+(** Drop a file from the page cache of the server that owns its path
+    ({!Topology.server_of_path}), as {!Workload.Iobench} starts local
+    phases cold.  Runs its own driver process ({!Topology.run}). *)
+
+val prepare_cold : Topology.t -> (int -> Workload.Iobench.config) -> unit
+(** Every client writes its own benchmark file, [cfg id], through the
+    mount that owns the path ({!Workload.Iobench.prepare}); then each
+    file is dropped from its server's cache ({!cool_server_file}). *)
+
 type nfs_row = {
   nfs_config : string;
   local_fsr : float;  (** KB/s on the server's own UFS *)

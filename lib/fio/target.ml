@@ -1,14 +1,12 @@
-type file = {
+type file = Workload.Iobench.file = {
   read : off:int -> buf:bytes -> len:int -> int;
   write : off:int -> buf:bytes -> len:int -> unit;
   fsync : unit -> unit;
+  cold : unit -> unit;
+  close : unit -> unit;
 }
 
-type t = {
-  kind : string;
-  engine : Sim.Engine.t;
-  prepare : job:int -> Spec.t -> file;
-}
+type t = { engine : Sim.Engine.t; prepare : job:int -> Spec.t -> file }
 
 (* A shared file is one file every job opens; private files carry the
    job number in their name. *)
@@ -19,43 +17,37 @@ let job_name (s : Spec.t) ~job =
 (* Write [bytes] of deterministic contents in cluster-sized chunks —
    setup, not measurement, but still simulated I/O (the file must be
    laid out on the disk like any other). *)
-let prewrite (s : Spec.t) ~job ~bytes ~write ~fsync =
+let prewrite (s : Spec.t) ~job ~bytes (file : file) =
   let chunk = 64 * 1024 in
   let buf = Bytes.create chunk in
   let off = ref 0 in
   while !off < bytes do
     let n = min chunk (bytes - !off) in
     Stream.fill s ~job ~off:!off buf ~len:n;
-    write ~off:!off ~buf ~len:n;
+    file.write ~off:!off ~buf ~len:n;
     off := !off + n
   done;
-  fsync ()
+  file.fsync ()
 
-(* Whether this job does the data setup: every job of a private-file
-   spec lays out its own file; with [share] job 0 prewrites the whole
-   span once (jobs are prepared in order) and the rest just open it. *)
-let prewrites (s : Spec.t) ~job =
-  Stream.needs_data s && ((not s.Spec.share) || job = 0)
+(* Every job of a private-file spec creates and lays out its own file;
+   with [share] job 0 prewrites the whole span once (jobs are prepared
+   in order) and the rest just open it — they must not truncate what
+   job 0 built.  A prewritten file starts cold on the caches the target
+   controls: on a remote target that is the client cache, while the
+   server's page cache stays warm — it is the mount's second-level
+   cache, part of what NFS runs measure. *)
+let open_job (io : Workload.Iobench.target) (s : Spec.t) ~job =
+  let first = (not s.Spec.share) || job = 0 in
+  let file = io.open_file ~create:first ("/" ^ job_name s ~job) in
+  if first && Stream.needs_data s then begin
+    prewrite s ~job ~bytes:(Spec.span s) file;
+    file.cold ()
+  end;
+  file
 
 let local (m : Clusterfs.Machine.t) =
-  let fs = m.Clusterfs.Machine.fs in
-  let prepare ~job (s : Spec.t) =
-    let path = "/" ^ job_name s ~job in
-    let ip =
-      (* jobs > 0 of a shared spec must not truncate what job 0 built *)
-      if s.Spec.share && job > 0 then Ufs.Fs.namei fs path
-      else Ufs.Fs.creat fs path
-    in
-    let read ~off ~buf ~len = Ufs.Fs.read fs ip ~off ~buf ~len in
-    let write ~off ~buf ~len = Ufs.Fs.write fs ip ~off ~buf ~len in
-    let fsync () = Ufs.Fs.fsync fs ip in
-    if prewrites s ~job then begin
-      prewrite s ~job ~bytes:(Spec.span s) ~write ~fsync;
-      Workload.Iobench.reset_file_state fs ip
-    end;
-    { read; write; fsync }
-  in
-  { kind = "local"; engine = m.Clusterfs.Machine.engine; prepare }
+  let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
+  { engine = io.engine; prepare = (fun ~job s -> open_job io s ~job) }
 
 let remote (topo : Clusterfs.Topology.t) =
   let clients = topo.Clusterfs.Topology.clients in
@@ -72,26 +64,6 @@ let remote (topo : Clusterfs.Topology.t) =
       if s.Spec.share then Clusterfs.Topology.shard topo c (job_name s ~job)
       else Clusterfs.Topology.mount_of c ~server:(job mod nsrv)
     in
-    let f =
-      if s.Spec.share && job > 0 then
-        match Nfs.Client.lookup mount (job_name s ~job) with
-        | Some f -> f
-        | None -> failwith "fio: shared file not prepared"
-      else Nfs.Client.create mount (job_name s ~job)
-    in
-    let read ~off ~buf ~len = Nfs.Client.read f ~off ~buf ~len in
-    let write ~off ~buf ~len = Nfs.Client.write f ~off ~buf ~len in
-    let fsync () = Nfs.Client.fsync f in
-    if prewrites s ~job then begin
-      prewrite s ~job ~bytes:(Spec.span s) ~write ~fsync;
-      (* cold client cache; the server's page cache stays warm — it is
-         the mount's second-level cache, part of what NFS runs measure *)
-      Nfs.Client.invalidate f
-    end;
-    { read; write; fsync }
+    open_job (Workload.Iobench.remote mount) s ~job
   in
-  {
-    kind = "remote";
-    engine = Clusterfs.Topology.engine topo;
-    prepare;
-  }
+  { engine = Clusterfs.Topology.engine topo; prepare }

@@ -1,6 +1,6 @@
 (** Where a spec's ops land: a local UFS mount or an NFS client mount
-    of a simulated topology, behind one closure-record interface so the
-    runner is target-agnostic.
+    of a simulated topology, behind the IObench file handle
+    ({!Workload.Iobench.file}) so the runner is target-agnostic.
 
     Job [j] of a spec works on file [<spec.file>.<j>].  On a remote
     target, jobs are assigned to the topology's client mounts round
@@ -12,14 +12,15 @@
 
     All functions must run inside a simulation process. *)
 
-type file = {
+type file = Workload.Iobench.file = {
   read : off:int -> buf:bytes -> len:int -> int;
   write : off:int -> buf:bytes -> len:int -> unit;
   fsync : unit -> unit;
+  cold : unit -> unit;
+  close : unit -> unit;
 }
 
 type t = {
-  kind : string;  (** ["local"] or ["remote"], for reports *)
   engine : Sim.Engine.t;
   prepare : job:int -> Spec.t -> file;
       (** Create the job's file; when the spec can read

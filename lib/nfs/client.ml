@@ -799,6 +799,8 @@ let invalidate f =
   f.delaylen <- 0;
   f.attr_at <- None
 
+let engine t = t.engine
+let cpu t = t.cpu
 let stats t = t.st
 
 let register_metrics t reg ~instance =

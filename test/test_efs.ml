@@ -114,12 +114,12 @@ let test_title_claim_parity () =
   in
   let ufs_fsr =
     Helpers.in_machine ~memory_mb:4 (fun m ->
-        let fs = m.Clusterfs.Machine.fs in
+        let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
         let cfg =
           { Workload.Iobench.default_config with Workload.Iobench.file_mb = 4 }
         in
-        ignore (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSW);
-        (Workload.Iobench.run_phase fs cfg Workload.Iobench.FSR)
+        ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSW);
+        (Workload.Iobench.run_phase io cfg Workload.Iobench.FSR)
           .Workload.Iobench.kb_per_sec)
   in
   check_bool

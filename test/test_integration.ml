@@ -21,9 +21,9 @@ let seq_read_rate config =
   let m = Clusterfs.Machine.create (shrink config) in
   let r =
     Clusterfs.Machine.run m (fun m ->
-        let fs = m.Clusterfs.Machine.fs in
-        ignore (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSW);
-        Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSR)
+        let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
+        ignore (Workload.Iobench.run_phase io bench_cfg Workload.Iobench.FSW);
+        Workload.Iobench.run_phase io bench_cfg Workload.Iobench.FSR)
   in
   (m, r.Workload.Iobench.kb_per_sec)
 
@@ -42,9 +42,9 @@ let test_random_reads_unaffected () =
   let rate config =
     let m = Clusterfs.Machine.create (shrink config) in
     Clusterfs.Machine.run m (fun m ->
-        let fs = m.Clusterfs.Machine.fs in
-        Workload.Iobench.prepare fs bench_cfg;
-        (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FRR)
+        let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
+        Workload.Iobench.prepare io bench_cfg;
+        (Workload.Iobench.run_phase io bench_cfg Workload.Iobench.FRR)
           .Workload.Iobench.kb_per_sec)
   in
   let a = rate Clusterfs.Config.config_a and d = rate Clusterfs.Config.config_d in
@@ -58,8 +58,9 @@ let test_cluster_io_counts () =
     let m = Clusterfs.Machine.create (shrink config) in
     Clusterfs.Machine.run m (fun m ->
         let fs = m.Clusterfs.Machine.fs in
-        ignore (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSW);
-        ignore (Workload.Iobench.run_phase fs bench_cfg Workload.Iobench.FSR);
+        let io = Workload.Iobench.local fs in
+        ignore (Workload.Iobench.run_phase io bench_cfg Workload.Iobench.FSW);
+        ignore (Workload.Iobench.run_phase io bench_cfg Workload.Iobench.FSR);
         let s = fs.Ufs.Types.stats in
         let reads = s.Ufs.Types.pgin_ios + s.Ufs.Types.ra_ios in
         let blocks = s.Ufs.Types.pgin_blocks + s.Ufs.Types.ra_blocks in

@@ -378,11 +378,9 @@ let test_readahead_clusters () =
   let t = topo () in
   let cfg = stream_config ~file_mb:2 "/seq" in
   T.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.T.mount cfg;
-      let r =
-        Workload.Remote_iobench.run_phase ~engine:(T.engine t) ~cpu:c.T.cpu
-          c.T.mount cfg Workload.Iobench.FSR
-      in
+      let io = Workload.Iobench.remote c.T.mount in
+      Workload.Iobench.prepare io cfg;
+      let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
       check_int "all bytes" (2 * 1024 * 1024) r.Workload.Iobench.bytes_moved;
       let st = Nfs.Client.stats c.T.mount in
       check_bool "read-ahead issued" true (st.Nfs.Client.ra_issued > 0);
@@ -399,12 +397,10 @@ let test_random_reads_fetch_single_blocks () =
     { (stream_config ~file_mb:2 "/rand") with Workload.Iobench.random_ops = 64 }
   in
   T.run_clients t (fun c ->
-      Workload.Remote_iobench.prepare c.T.mount cfg;
+      let io = Workload.Iobench.remote c.T.mount in
+      Workload.Iobench.prepare io cfg;
       let base = (client_link_stats c).Net.bytes_sent in
-      let _ =
-        Workload.Remote_iobench.run_phase ~engine:(T.engine t) ~cpu:c.T.cpu
-          c.T.mount cfg Workload.Iobench.FRR
-      in
+      let _ = Workload.Iobench.run_phase io cfg Workload.Iobench.FRR in
       let st = Nfs.Client.stats c.T.mount in
       (* random misses must not drag whole clusters over the wire *)
       check_int "no read-ahead on random" 0 st.Nfs.Client.ra_issued;
@@ -421,8 +417,9 @@ let test_write_gathering () =
   let cfg = stream_config ~file_mb:2 "/gather" in
   T.run_clients t (fun c ->
       let r =
-        Workload.Remote_iobench.run_phase ~engine:(T.engine t) ~cpu:c.T.cpu
-          c.T.mount cfg Workload.Iobench.FSW
+        Workload.Iobench.run_phase
+          (Workload.Iobench.remote c.T.mount)
+          cfg Workload.Iobench.FSW
       in
       check_int "all bytes" (2 * 1024 * 1024) r.Workload.Iobench.bytes_moved;
       let writes = Nfs.Rpc.op_calls c.T.rpc "write" in

@@ -32,30 +32,98 @@ let test_iobench_runs_all_phases () =
       check_bool "sequential read beats random read" true
         (rate Workload.Iobench.FSR > rate Workload.Iobench.FRR))
 
-let test_iobench_bytes_accounted () =
+(* Run [f] on an IObench target inside a simulation process: a 4 MB
+   machine's own UFS, or client 0 of a one-client point-to-point
+   topology serving the same machine over NFS. *)
+let on_local f =
   Helpers.in_machine ~memory_mb:4 (fun m ->
-      let fs = m.Clusterfs.Machine.fs in
-      let r = Workload.Iobench.run_phase fs small_iobench Workload.Iobench.FSW in
-      check_int "FSW moves the whole file" (2 * 1024 * 1024)
-        r.Workload.Iobench.bytes_moved;
-      let r = Workload.Iobench.run_phase fs small_iobench Workload.Iobench.FRR in
-      check_int "FRR moves ops * request" (64 * 8192)
-        r.Workload.Iobench.bytes_moved)
+      f (Workload.Iobench.local m.Clusterfs.Machine.fs))
+
+let on_remote f =
+  let t = Clusterfs.Topology.create ~clients:1 (Helpers.config ()) in
+  let out = ref None in
+  Clusterfs.Topology.run_clients t (fun c ->
+      out := Some (f (Workload.Iobench.remote c.Clusterfs.Topology.mount)));
+  Option.get !out
+
+let targets = [ ("local", on_local); ("remote", on_remote) ]
+
+let all_phases io =
+  List.map
+    (Workload.Iobench.run_phase io small_iobench)
+    Workload.Iobench.all_kinds
+
+let test_iobench_bytes_accounted () =
+  List.iter
+    (fun (name, on) ->
+      on (fun io ->
+          let r =
+            Workload.Iobench.run_phase io small_iobench Workload.Iobench.FSW
+          in
+          check_int (name ^ ": FSW moves the whole file") (2 * 1024 * 1024)
+            r.Workload.Iobench.bytes_moved;
+          let r =
+            Workload.Iobench.run_phase io small_iobench Workload.Iobench.FRR
+          in
+          check_int (name ^ ": FRR moves ops * request") (64 * 8192)
+            r.Workload.Iobench.bytes_moved))
+    targets
 
 let test_iobench_deterministic () =
-  let run () =
-    Helpers.in_machine ~memory_mb:4 (fun m ->
-        List.map
-          (fun (r : Workload.Iobench.result) -> r.Workload.Iobench.elapsed)
-          (Workload.Iobench.run_all m.Clusterfs.Machine.fs small_iobench))
+  List.iter
+    (fun (name, on) ->
+      let run () =
+        on (fun io ->
+            List.map
+              (fun (r : Workload.Iobench.result) -> r.Workload.Iobench.elapsed)
+              (all_phases io))
+      in
+      Alcotest.(check (list int))
+        (name ^ ": bit-for-bit repeatable simulated times")
+        (run ()) (run ()))
+    targets
+
+(* (phase, bytes moved, elapsed us, system CPU us) of every phase on
+   both targets.  Exact: any change to a phase's request stream or
+   timing moves them. *)
+let pinned_local =
+  [
+    ("FSW", 2097152, 2043447, 841700);
+    ("FSU", 2097152, 2042137, 777450);
+    ("FSR", 2097152, 1295953, 790450);
+    ("FRR", 524288, 1011862, 207000);
+    ("FRU", 524288, 954990, 210920);
+  ]
+
+let pinned_remote =
+  [
+    ("FSW", 2097152, 1873419, 580180);
+    ("FSU", 2097152, 1987783, 580180);
+    ("FSR", 2097152, 761338, 559790);
+    ("FRR", 524288, 407058, 144740);
+    ("FRU", 524288, 872822, 150230);
+  ]
+
+let test_iobench_pinned () =
+  let row (r : Workload.Iobench.result) =
+    ( Workload.Iobench.kind_to_string r.Workload.Iobench.kind,
+      r.Workload.Iobench.bytes_moved,
+      r.Workload.Iobench.elapsed,
+      r.Workload.Iobench.sys_cpu )
   in
-  Alcotest.(check (list int))
-    "bit-for-bit repeatable simulated times" (run ()) (run ())
+  let pinned = Alcotest.(list (pair string (triple int int int))) in
+  let flat = List.map (fun (k, b, e, c) -> (k, (b, e, c))) in
+  List.iter2
+    (fun (name, on) want ->
+      Alcotest.check pinned (name ^ " phases") (flat want)
+        (flat (on (fun io -> List.map row (all_phases io)))))
+    targets
+    [ pinned_local; pinned_remote ]
 
 let test_mmap_bench () =
   Helpers.in_machine ~memory_mb:4 (fun m ->
       let fs = m.Clusterfs.Machine.fs in
-      Workload.Iobench.prepare fs small_iobench;
+      Workload.Iobench.prepare (Workload.Iobench.local fs) small_iobench;
       let r = Workload.Mmap_bench.run fs ~path:"/iobench" ~file_mb:2 in
       check_bool "CPU charged" true (r.Workload.Mmap_bench.sys_cpu > 0);
       check_bool "rate positive" true (r.Workload.Mmap_bench.kb_per_sec > 0.);
@@ -128,6 +196,7 @@ let suites =
           test_iobench_bytes_accounted;
         Alcotest.test_case "iobench deterministic" `Quick
           test_iobench_deterministic;
+        Alcotest.test_case "iobench pinned phases" `Quick test_iobench_pinned;
         Alcotest.test_case "mmap bench" `Quick test_mmap_bench;
         Alcotest.test_case "musbus" `Quick test_musbus;
         Alcotest.test_case "extents" `Quick test_extents_measurement;
