@@ -749,7 +749,7 @@ let fio_table () =
   print_endline
     "   table attributes each op's latency to the layer it blocked in, the";
   print_endline
-    "   client.cache row being time spent copying in the page cache.  The";
+    "   unattributed row being time no layer meters (CPU, copies).  The";
   print_endline
     "   remote runs read faster than local: the prewritten file is cold on";
   print_endline

@@ -62,61 +62,47 @@ let on_complete t f =
 let rec resolve t =
   match t.absorbed_into with Some a -> resolve a | None -> t
 
-(* Attribute [blocked] (time the waiting fiber actually spent blocked on
-   this request) across the request's residence components — queue wait
-   and the seek/rot/xfer split stamped by the device — scaled so that
-   a late waiter (e.g. one that only joined for the tail of an async
-   write) never charges more than it blocked.  Rounding slack and time
-   the device spent on coalesced neighbours land in "disk.wait". *)
-let charge_blocked t blocked =
-  if blocked > 0 then begin
-    let r = resolve t in
-    let queue = max 0 (r.start_at - r.enq_at) in
-    let total = queue + r.seek_us + r.rot_us + r.xfer_us in
-    if total <= 0 then Sim.Attrib.charge_current "disk.wait" blocked
-    else begin
-      let f = Float.min 1.0 (float_of_int blocked /. float_of_int total) in
-      let scale x = int_of_float (f *. float_of_int x) in
-      let q = scale queue in
-      let sk = scale r.seek_us in
-      let ro = scale r.rot_us in
-      let xf = max 0 (min (blocked - q - sk - ro) (scale r.xfer_us)) in
-      Sim.Attrib.charge_current "disk.queue" q;
-      Sim.Attrib.charge_current "disk.seek" sk;
-      Sim.Attrib.charge_current "disk.rot" ro;
-      Sim.Attrib.charge_current "disk.xfer" xf;
-      Sim.Attrib.charge_current "disk.wait" (blocked - q - sk - ro - xf)
-    end
-  end
-
+(* One blocking boundary.  The wait is attributed across the request's
+   residence components — queue wait and the seek/rot/xfer split stamped
+   by the device — scaled so that a late waiter (e.g. one that only
+   joined for the tail of an async write) never charges more than it
+   blocked; rounding slack and time the device spent on coalesced
+   neighbours land in "disk.wait".  Traced callers get the wait as a
+   span carrying the device's unscaled split: an async request enqueued
+   long before the waiter arrived keeps its true split in the attrs. *)
 let wait engine t =
   if not t.completed then begin
     let before = Sim.Engine.now engine in
     Sim.Engine.suspend engine ~register:(fun resume ->
         t.waiters <- resume :: t.waiters);
     let now = Sim.Engine.now engine in
-    charge_blocked t (now - before);
-    (* traced callers get the wait as a span carrying the device's
-       residence split.  The interval is the wait (clamped inside the
-       caller's span by construction); an async request enqueued long
-       before the waiter arrived keeps its true split in the attrs. *)
-    if now > before then begin
-      let r = resolve t in
-      Sim.Span.interval ~name:"disk.io"
-        ~attrs:
-          [
-            ( "kind",
-              Sim.Span.S (match r.kind with Read -> "read" | Write -> "write")
-            );
-            ("sector", Sim.Span.I r.sector);
-            ("count", Sim.Span.I r.count);
-            ("queue_us", Sim.Span.I (max 0 (r.start_at - r.enq_at)));
-            ("seek_us", Sim.Span.I r.seek_us);
-            ("rot_us", Sim.Span.I r.rot_us);
-            ("xfer_us", Sim.Span.I r.xfer_us);
-          ]
-        ~start_us:before ~stop_us:now ()
-    end
+    let r = resolve t in
+    let queue = max 0 (r.start_at - r.enq_at) in
+    let total = queue + r.seek_us + r.rot_us + r.xfer_us in
+    let f =
+      Float.min 1.0 (float_of_int (now - before) /. float_of_int (max 1 total))
+    in
+    let scale x = int_of_float (f *. float_of_int x) in
+    Sim.Attrib.blocked ~rest:"disk.wait"
+      ~parts:
+        [
+          ("disk.queue", scale queue);
+          ("disk.seek", scale r.seek_us);
+          ("disk.rot", scale r.rot_us);
+          ("disk.xfer", scale r.xfer_us);
+        ]
+      ~name:"disk.io"
+      ~attrs:
+        [
+          ("kind", Sim.Span.S (match r.kind with Read -> "read" | Write -> "write"));
+          ("sector", Sim.Span.I r.sector);
+          ("count", Sim.Span.I r.count);
+          ("queue_us", Sim.Span.I queue);
+          ("seek_us", Sim.Span.I r.seek_us);
+          ("rot_us", Sim.Span.I r.rot_us);
+          ("xfer_us", Sim.Span.I r.xfer_us);
+        ]
+      ~start_us:before ~stop_us:now ()
   end
 
 let complete t ~now =

@@ -66,8 +66,8 @@ let cost_rows t =
     Hashtbl.fold (fun phase r acc -> (phase, !r) :: acc) tbl []
   in
   (* the remainder is time the op was not blocked anywhere we meter:
-     its own CPU charges and client-cache copies *)
-  let rows = ("client.cache", max 0 (!denom - charged)) :: rows in
+     its own CPU charges, page-cache copies and lock waits *)
+  let rows = ("unattributed", max 0 (!denom - charged)) :: rows in
   let pct us =
     if !denom = 0 then 0. else 100. *. float_of_int us /. float_of_int !denom
   in

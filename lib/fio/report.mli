@@ -6,7 +6,7 @@
     (plus each job's closing fsync); the charged phases are what the
     ops' {!Sim.Attrib} clocks accumulated while blocked in each layer;
     the remainder — time the op spent on its own CPU, copying through
-    the client cache — is the ["client.cache"] row.  By construction
+    the page cache, waiting on locks — is the ["unattributed"] row.  By construction
     the rows sum to exactly 100%. *)
 
 type t = {
@@ -36,7 +36,7 @@ val bandwidth_kbps : t -> float
 
 val cost_rows : t -> (string * Sim.Time.t * float) list
 (** [(phase, charged_us, percent)] rows, percent of the attribution
-    denominator, descending by time, ["client.cache"] holding the
+    denominator, descending by time, ["unattributed"] holding the
     uncharged remainder.  Percents sum to 100 (up to rounding). *)
 
 val to_text : t -> string

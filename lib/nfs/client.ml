@@ -126,10 +126,8 @@ let charge t c = Sim.Cpu.charge t.cpu ~label:"nfs.client" c
 let charged t phase f =
   let before = Sim.Engine.now t.engine in
   f ();
-  let after = Sim.Engine.now t.engine in
-  Sim.Attrib.charge_current phase (after - before);
-  if after > before then
-    Sim.Span.interval ~name:phase ~start_us:before ~stop_us:after ()
+  Sim.Attrib.blocked ~rest:phase ~name:phase ~start_us:before
+    ~stop_us:(Sim.Engine.now t.engine) ()
 
 (* ---------- read-ahead windows ---------- *)
 

@@ -19,6 +19,12 @@ type reply =
   | R_names of { names : string list; cookie : int; eof : bool }
   | R_err of string
 
+type meta = {
+  sent_at : Sim.Time.t;
+  cost : (string * Sim.Time.t) list;
+  spans : Sim.Span.t option;
+}
+
 type msg =
   | Call of {
       xid : int;
@@ -31,8 +37,7 @@ type msg =
       xid : int;
       client : int;
       reply : reply;
-      cost : (string * Sim.Time.t) list;
-      spans : Sim.Span.t option;
+      meta : meta;
     }
 
 (* RPC + XDR framing: credentials, verifier, program/proc numbers.

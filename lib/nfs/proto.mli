@@ -40,6 +40,18 @@ type reply =
       (** readdir page; resume from [cookie] unless [eof] *)
   | R_err of string  (** errno name *)
 
+type meta = {
+  sent_at : Sim.Time.t;  (** the server's transmit stamp *)
+  cost : (string * Sim.Time.t) list;
+  spans : Sim.Span.t option;
+}
+(** A reply's attribution metadata.  [cost] is the server's per-phase
+    breakdown of the call's life: ["wire"] (the outbound leg, from the
+    client's transmit stamp), ["nfsd.queue"], ["disk.*"], ["nfsd.cpu"];
+    the client adds the inbound leg from [sent_at].  [spans] is the
+    server-side span subtree of a traced call, grafted back into the
+    caller's trace on receipt. *)
+
 type msg =
   | Call of {
       xid : int;
@@ -58,15 +70,9 @@ type msg =
       xid : int;
       client : int;
       reply : reply;
-      cost : (string * Sim.Time.t) list;
-      spans : Sim.Span.t option;
+      meta : meta;
     }
-      (** [cost] is the server's per-phase breakdown of this call's
-          life (["wire.out"], ["nfsd.queue"], ["disk.*"], ["nfsd.cpu"],
-          plus the absolute ["srv.sent_at"] stamp so the client can
-          compute inbound wire time).  [spans] is the server-side span
-          subtree of a traced call, grafted back into the caller's
-          trace on receipt.  Attribution metadata only — excluded from
+      (** [meta] is attribution metadata only — excluded from
           {!msg_size}, so wire timing is unchanged. *)
 
 val header_bytes : int

@@ -7,9 +7,7 @@ type stats = {
 }
 
 type pending = {
-  mutable reply : Proto.reply option;
-  mutable cost : (string * Sim.Time.t) list;
-  mutable spans : Sim.Span.t option;  (** server-side span subtree *)
+  mutable got : (Proto.reply * Proto.meta) option;
   mutable wake : (unit -> unit) option;
 }
 
@@ -100,13 +98,11 @@ let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
     (fun () ->
       while true do
         match Net.recv t.ep with
-        | Proto.Reply { xid; reply; cost; spans; _ } -> (
+        | Proto.Reply { xid; reply; meta; _ } -> (
             match Hashtbl.find_opt t.pending xid with
             | Some p ->
                 Hashtbl.remove t.pending xid;
-                p.reply <- Some reply;
-                p.cost <- cost;
-                p.spans <- spans;
+                p.got <- Some (reply, meta);
                 (match p.wake with Some w -> w () | None -> ())
             | None -> t.st.late_replies <- t.st.late_replies + 1)
         | Proto.Call _ -> assert false
@@ -126,7 +122,7 @@ let transport t = t.transport
    closure — otherwise every answered call would pin a dead event in
    the engine heap for the full retransmission interval. *)
 let wait_reply_or_timeout t (p : pending) ~timeout =
-  if p.reply = None then begin
+  if Option.is_none p.got then begin
     let timer = ref None in
     Sim.Engine.suspend t.engine ~register:(fun resume ->
         let fired = ref false in
@@ -139,7 +135,7 @@ let wait_reply_or_timeout t (p : pending) ~timeout =
         p.wake <- Some once;
         timer := Some (Sim.Engine.schedule_cancellable t.engine ~delay:timeout once));
     p.wake <- None;
-    if p.reply <> None then Option.iter Sim.Engine.cancel !timer
+    if Option.is_some p.got then Option.iter Sim.Engine.cancel !timer
   end
 
 let finish_call t (call : Proto.call) ~t0 r =
@@ -151,55 +147,28 @@ let finish_call t (call : Proto.call) ~t0 r =
     (float_of_int (Sim.Engine.now t.engine - t0));
   r
 
-(* Charge the caller's attribution clock (if any) with this call's life:
-   the server's phase breakdown from the reply, inbound wire time from
-   the server's transmit stamp, congestion-window wait, and whatever is
-   left of the blocked interval (timeout slack, retransmit waits, send
-   CPU) as generic RPC wait.  Every addition is capped at the remaining
-   un-attributed blocked time, so the phases can never sum past what
-   the caller actually waited. *)
-let charge_cost t ~entry ~window_wait (p : pending) =
-  match Sim.Attrib.current () with
-  | None -> ()
-  | Some clk ->
-      let now = Sim.Engine.now t.engine in
-      let elapsed = now - entry in
-      let charged = ref 0 in
-      let add phase d =
-        let d = min (max 0 d) (elapsed - !charged) in
-        if d > 0 then begin
-          Sim.Attrib.charge clk phase d;
-          charged := !charged + d
-        end
-      in
-      add "rpc.wait" window_wait;
-      List.iter
-        (fun (k, v) ->
-          if k = "wire.out" then add "wire" v
-          else if k <> "srv.sent_at" then add k v)
-        p.cost;
-      (match List.assoc_opt "srv.sent_at" p.cost with
-      | Some sent_at -> add "wire" (now - sent_at)
-      | None -> ());
-      add "rpc.wait" (elapsed - !charged)
-
-(* Reply-side tracing: the server's span subtree (shipped back in the
-   reply, parented under this call's RPC span by construction) is
-   grafted into the caller's tree, and the inbound wire leg gets its
-   own interval from the server's transmit stamp.  Pure bookkeeping:
-   nothing here reads or advances simulated time paths. *)
-let trace_reply t (p : pending) ~attempts =
+(* Reply-side bookkeeping, once per answered call.  The caller's
+   attribution clock (if any) is charged with the call's life: the
+   congestion-window wait, the server's phase breakdown from the reply,
+   the inbound wire leg from the server's transmit stamp, and whatever
+   is left of the blocked interval (timeout slack, retransmit waits,
+   send CPU) as generic RPC wait — each capped at what is left, so the
+   phases can never sum past what the caller actually waited.  Traced,
+   the server's span subtree (parented under this call's RPC span by
+   construction) is grafted into the caller's tree and the inbound wire
+   leg gets its own interval.  Pure bookkeeping: nothing here advances
+   simulated time. *)
+let account t ~entry ~window_wait ~attempts (m : Proto.meta) =
+  let now = Sim.Engine.now t.engine in
   if Sim.Span.enabled () then begin
-    (match p.spans with Some sub -> Sim.Span.graft sub | None -> ());
-    (match List.assoc_opt "srv.sent_at" p.cost with
-    | Some sent_at ->
-        Sim.Span.interval ~name:"wire.reply" ~track:"net/wire"
-          ~start_us:sent_at
-          ~stop_us:(Sim.Engine.now t.engine)
-          ()
-    | None -> ());
+    Option.iter Sim.Span.graft m.spans;
+    Sim.Span.interval ~name:"wire.reply" ~track:"net/wire" ~start_us:m.sent_at
+      ~stop_us:now ();
     if attempts > 1 then Sim.Span.add_attr "attempts" (Sim.Span.I attempts)
-  end
+  end;
+  Sim.Attrib.blocked ~rest:"rpc.wait"
+    ~parts:((("rpc.wait", window_wait) :: m.cost) @ [ ("wire", now - m.sent_at) ])
+    ~start_us:entry ~stop_us:now ()
 
 (* ---------- adaptive state (Jacobson/Karn + AIMD window) ---------- *)
 
@@ -256,14 +225,14 @@ let call_body t (call : Proto.call) =
   t.st.calls <- t.st.calls + 1;
   Sim.Span.add_attr "xid" (Sim.Span.I xid);
   let size = Proto.call_size call in
-  let p = { reply = None; cost = []; spans = None; wake = None } in
+  let p = { got = None; wake = None } in
   Hashtbl.replace t.pending xid p;
   let t0 = Sim.Engine.now t.engine in
   let cur = ref (if adaptive then cs.rto else cs.cs_timeout) in
   let attempts = ref 0 in
   (* a loop, not a recursive closure: the retry state stays in locals
      and a call allocates no environment for it *)
-  while Option.is_none p.reply do
+  while Option.is_none p.got do
     if !attempts > 0 then begin
       t.st.retransmits <- t.st.retransmits + 1;
       t.retrans_log <- Sim.Engine.now t.engine :: t.retrans_log
@@ -274,7 +243,7 @@ let call_body t (call : Proto.call) =
       (Proto.Call
          { xid; client = t.id; call; sent = send_at; span = Sim.Span.ctx () });
     wait_reply_or_timeout t p ~timeout:!cur;
-    if Option.is_none p.reply then begin
+    if Option.is_none p.got then begin
       Sim.Span.interval ~name:"rpc.rto"
         ~attrs:[ ("attempt", Sim.Span.I !attempts) ]
         ~start_us:send_at
@@ -292,7 +261,7 @@ let call_body t (call : Proto.call) =
       end
     end
   done;
-  let r = Option.get p.reply and resent = !attempts > 1 in
+  let r, meta = Option.get p.got and resent = !attempts > 1 in
   if adaptive then begin
     if not resent then begin
       sample_rtt cs (Sim.Engine.now t.engine - t0);
@@ -302,8 +271,7 @@ let call_body t (call : Proto.call) =
     cs.in_flight <- cs.in_flight - 1;
     Sim.Condition.signal cs.win_cond
   end;
-  trace_reply t p ~attempts:!attempts;
-  charge_cost t ~entry ~window_wait:waited p;
+  account t ~entry ~window_wait:waited ~attempts:!attempts meta;
   (finish_call t call ~t0 r, resent)
 
 let call_resent t (call : Proto.call) =

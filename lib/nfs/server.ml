@@ -134,10 +134,8 @@ let dup_store t key reply =
   done
 
 let send_reply t (it : item) ~cost ~spans reply =
-  let cost = ("srv.sent_at", Sim.Engine.now t.engine) :: cost in
-  let msg =
-    Proto.Reply { xid = it.xid; client = it.client; reply; cost; spans }
-  in
+  let meta = { Proto.sent_at = Sim.Engine.now t.engine; cost; spans } in
+  let msg = Proto.Reply { xid = it.xid; client = it.client; reply; meta } in
   Net.send it.ep ~size:(Proto.msg_size msg) msg
 
 (* The server side of a traced call runs under a detached span parented
@@ -178,7 +176,7 @@ let worker t () =
        the rest of the wall time is nfsd CPU) *)
     let base_cost =
       [
-        ("wire.out", max 0 (it.arrived - it.sent));
+        ("wire", max 0 (it.arrived - it.sent));
         ("nfsd.queue", max 0 (dq - it.arrived));
       ]
     in

@@ -1,4 +1,4 @@
-type clock = { mutable entries : (string * Time.t) list }
+type clock = Local.clock = { mutable entries : (string * Time.t) list }
 (* a handful of phases per operation: an assoc list beats a table *)
 
 let create () = { entries = [] }
@@ -17,19 +17,33 @@ let find c phase = match List.assoc_opt phase c.entries with Some t -> t | None 
 let total c = List.fold_left (fun acc (_, t) -> acc + t) 0 c.entries
 let merge_into ~dst src = List.iter (fun (p, t) -> charge dst p t) src.entries
 
-type _ Effect.t +=
-  | Get_clock : clock option Effect.t
-  | Set_clock : clock option -> unit Effect.t
-
-(* Outside a spawned process nothing handles these effects; attribution
-   is then simply off rather than an error. *)
-let current () = try Effect.perform Get_clock with Effect.Unhandled _ -> None
-let set c = try Effect.perform (Set_clock c) with Effect.Unhandled _ -> ()
-
-let charge_current phase d =
-  if d > 0 then match current () with Some c -> charge c phase d | None -> ()
-
 let with_clock c f =
-  let prev = current () in
-  set (Some c);
-  Fun.protect ~finally:(fun () -> set prev) f
+  match Local.self () with
+  | None -> f ()
+  | Some l ->
+      let prev = l.clock in
+      l.clock <- Some c;
+      Fun.protect ~finally:(fun () -> l.clock <- prev) f
+
+let charge_parts c ~rest ~parts total =
+  let left =
+    List.fold_left
+      (fun left (phase, d) ->
+        let d = min (max 0 d) left in
+        charge c phase d;
+        left - d)
+      total parts
+  in
+  charge c rest left
+
+let blocked ~rest ?(parts = []) ?name ?attrs ~start_us ~stop_us () =
+  let d = stop_us - start_us in
+  if d > 0 then
+    match Local.self () with
+    | None -> ()
+    | Some l -> (
+        Option.iter (fun c -> charge_parts c ~rest ~parts d) l.clock;
+        match (name, l.span) with
+        | Some name, Some parent ->
+            Span.interval_under parent ~name ?attrs ~start_us ~stop_us ()
+        | _ -> ())

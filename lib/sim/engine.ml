@@ -137,12 +137,10 @@ type t = {
   mutable heap_max : int;
   mutable cancellations : int;
   mutable spawned : int;
-  (* per-effect dispatch counters: how often each effect class crosses
-     the handler — the effect-handler half of the hot path *)
+  (* per-effect dispatch counters: how often each effect crosses the
+     handler — the effect-handler half of the hot path *)
   mutable eff_suspends : int;
-  mutable eff_attrib : int;
-  mutable eff_span : int;
-  mutable eff_fls : int;
+  mutable eff_local : int;
   mutable sleeps_elided : int;
   (* lookahead sleeps: the last instant the dispatching [run]/[run_for]
      may reach ([min_int] outside any run), and whether a process body
@@ -171,9 +169,7 @@ let create () =
     cancellations = 0;
     spawned = 0;
     eff_suspends = 0;
-    eff_attrib = 0;
-    eff_span = 0;
-    eff_fls = 0;
+    eff_local = 0;
     sleeps_elided = 0;
     horizon = min_int;
     in_process = false;
@@ -223,18 +219,17 @@ let cancelled h = h.cb = None
 (* Run [f] as a process: effects performed by [f] are interpreted here.
    A [Suspend register] effect hands the continuation, wrapped as a
    plain thunk, to [register]; resuming the thunk re-enters the handler.
-   Each process also owns one attribution-clock slot ([Attrib]), one
-   current-span slot ([Span]) and one fiber-local value slot ([Fls]):
-   the handler closure holds them, so they survive suspensions and are
-   invisible to every other process.  [in_process] is set each time the
-   process body starts or resumes and cleared on each way out of it —
-   return, exception, suspend — so a plain callback never sees it set. *)
+   Each process also owns one [Local] record (its attribution clock,
+   current span and user slot), answered by the [Local.Self] effect:
+   the handler closure holds it, so it survives suspensions and is
+   invisible to every other process, and resuming swaps nothing.
+   [in_process] is set each time the process body starts or resumes and
+   cleared on each way out of it — return, exception, suspend — so a
+   plain callback never sees it set. *)
 let spawn t ?name f =
   let name = Option.value name ~default:"process" in
   t.spawned <- t.spawned + 1;
-  let clock : Attrib.clock option ref = ref None in
-  let span : Span.t option ref = ref None in
-  let fls : int option ref = ref None in
+  let local = Local.create () in
   let body () =
     t.in_process <- true;
     match_with f ()
@@ -266,39 +261,11 @@ let spawn t ?name f =
                           continue k ())
                     in
                     register resume)
-            | Attrib.Get_clock ->
+            | Local.Self ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    t.eff_attrib <- t.eff_attrib + 1;
-                    continue k !clock)
-            | Attrib.Set_clock c ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_attrib <- t.eff_attrib + 1;
-                    clock := c;
-                    continue k ())
-            | Span.Get_span ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_span <- t.eff_span + 1;
-                    continue k !span)
-            | Span.Set_span s ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_span <- t.eff_span + 1;
-                    span := s;
-                    continue k ())
-            | Fls.Get_slot ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_fls <- t.eff_fls + 1;
-                    continue k !fls)
-            | Fls.Set_slot v ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_fls <- t.eff_fls + 1;
-                    fls := v;
-                    continue k ())
+                    t.eff_local <- t.eff_local + 1;
+                    continue k local)
             | _ -> None);
       }
   in
@@ -396,9 +363,7 @@ let heap_max_depth t = t.heap_max
 let cancellations t = t.cancellations
 let processes_spawned t = t.spawned
 let effect_suspends t = t.eff_suspends
-let effect_attrib_ops t = t.eff_attrib
-let effect_span_ops t = t.eff_span
-let effect_fls_ops t = t.eff_fls
+let effect_local_ops t = t.eff_local
 let sleeps_elided t = t.sleeps_elided
 
 let register_metrics t reg ~instance =
@@ -410,9 +375,7 @@ let register_metrics t reg ~instance =
         ("cancellations", Metrics.Int t.cancellations);
         ("processes_spawned", Metrics.Int t.spawned);
         ("eff_suspends", Metrics.Int t.eff_suspends);
-        ("eff_attrib_ops", Metrics.Int t.eff_attrib);
-        ("eff_span_ops", Metrics.Int t.eff_span);
-        ("eff_fls_ops", Metrics.Int t.eff_fls);
+        ("eff_local_ops", Metrics.Int t.eff_local);
         ("eff_sleeps_elided", Metrics.Int t.sleeps_elided);
         ("now_us", Metrics.Int t.now);
       ])

@@ -109,14 +109,9 @@ val sleeps_elided : t -> int
     [effect_suspends t - sleeps_elided t] is the number of real handler
     crossings. *)
 
-val effect_attrib_ops : t -> int
-(** Attribution-clock slot gets/sets handled. *)
-
-val effect_span_ops : t -> int
-(** Current-span slot gets/sets handled. *)
-
-val effect_fls_ops : t -> int
-(** Fiber-local slot gets/sets handled. *)
+val effect_local_ops : t -> int
+(** [Local.Self] effects handled: each is one reach for the process's
+    {!Local} record (attribution clock, current span, user slot). *)
 
 val register_metrics : t -> Metrics.t -> instance:string -> unit
 (** Register a ["sim.engine"] metrics source over the counters above. *)

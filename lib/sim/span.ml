@@ -1,6 +1,6 @@
-type attr = I of int | S of string | B of bool
+type attr = Local.attr = I of int | S of string | B of bool
 
-type t = {
+type t = Local.span = {
   trace_id : int;
   span_id : int;
   parent_id : int;
@@ -82,14 +82,9 @@ let active () =
 
 let enabled () = active () <> None
 
-type _ Effect.t +=
-  | Get_span : t option Effect.t
-  | Set_span : t option -> unit Effect.t
-
-(* Outside a spawned process nothing handles these effects; tracing is
-   then simply off for that code, not an error. *)
-let current () = try Effect.perform Get_span with Effect.Unhandled _ -> None
-let set sp = try Effect.perform (Set_span sp) with Effect.Unhandled _ -> ()
+(* Outside a spawned process there is no current span: tracing is then
+   simply off for that code, not an error. *)
+let current () = match Local.self () with Some l -> l.span | None -> None
 
 let fresh_id r =
   r.next_id <- r.next_id + 1;
@@ -156,6 +151,20 @@ let complete_root r ~sample sp =
 
 (* ---------- instrumentation entry points ---------- *)
 
+(* Run [f] with [sp] as the process's current span, restoring the
+   previous one before [finally]; outside a process, just [f]. *)
+let under sp ~finally f =
+  match Local.self () with
+  | None -> Fun.protect ~finally f
+  | Some l ->
+      let prev = l.span in
+      l.span <- Some sp;
+      Fun.protect
+        ~finally:(fun () ->
+          l.span <- prev;
+          finally ())
+        f
+
 let root ~name ~track ?(attrs = []) ?(sample = true) f =
   match active () with
   | None -> f ()
@@ -163,69 +172,64 @@ let root ~name ~track ?(attrs = []) ?(sample = true) f =
       let sp =
         mk r ~trace:0 ~parent:0 ~name ~track ~attrs ~start_us:(r.clock ())
       in
-      let prev = current () in
-      set (Some sp);
-      Fun.protect
-        ~finally:(fun () ->
-          set prev;
+      under sp f ~finally:(fun () ->
           close r sp;
           complete_root r ~sample sp)
-        f
 
 let span ~name ?track ?(attrs = []) f =
   match active () with
   | None -> f ()
   | Some r -> (
-      match current () with
-      | None -> f ()
-      | Some parent ->
+      match Local.self () with
+      | Some ({ span = Some parent; _ } as l) ->
           let track = Option.value track ~default:parent.track in
           let sp =
             mk r ~trace:parent.trace_id ~parent:parent.span_id ~name ~track
               ~attrs ~start_us:(r.clock ())
           in
           parent.kids <- sp :: parent.kids;
-          set (Some sp);
+          l.span <- Some sp;
           Fun.protect
             ~finally:(fun () ->
-              set (Some parent);
+              l.span <- Some parent;
               close r sp)
-            f)
+            f
+      | _ -> f ())
 
-let interval ~name ?track ?(attrs = []) ~start_us ~stop_us () =
+let interval_under parent ~name ?track ?(attrs = []) ~start_us ~stop_us () =
   match active () with
   | None -> ()
-  | Some r -> (
-      match current () with
-      | None -> ()
-      | Some parent ->
-          let track = Option.value track ~default:parent.track in
-          let sp =
-            mk r ~trace:parent.trace_id ~parent:parent.span_id ~name ~track
-              ~attrs ~start_us
-          in
-          sp.stop_us <- max start_us stop_us;
-          parent.kids <- sp :: parent.kids)
+  | Some r ->
+      let track = Option.value track ~default:parent.track in
+      let sp =
+        mk r ~trace:parent.trace_id ~parent:parent.span_id ~name ~track ~attrs
+          ~start_us
+      in
+      sp.stop_us <- max start_us stop_us;
+      parent.kids <- sp :: parent.kids
+
+(* The traced-only entry points read the current span only once a
+   recorder is live: untraced, they perform no effect at all. *)
+let traced_current () = if enabled () then current () else None
+
+let interval ~name ?track ?attrs ~start_us ~stop_us () =
+  match traced_current () with
+  | None -> ()
+  | Some parent -> interval_under parent ~name ?track ?attrs ~start_us ~stop_us ()
 
 let add_attr k v =
-  match active () with
+  match traced_current () with
   | None -> ()
-  | Some _ -> (
-      match current () with
-      | None -> ()
-      | Some sp -> sp.attrs <- sp.attrs @ [ (k, v) ])
+  | Some sp -> sp.attrs <- sp.attrs @ [ (k, v) ]
 
 (* ---------- wire propagation ---------- *)
 
 type ctx = { trace : int; parent : int }
 
 let ctx () =
-  match active () with
+  match traced_current () with
   | None -> None
-  | Some _ -> (
-      match current () with
-      | None -> None
-      | Some sp -> Some { trace = sp.trace_id; parent = sp.span_id })
+  | Some sp -> Some { trace = sp.trace_id; parent = sp.span_id }
 
 let subtree c ~name ~track ?(attrs = []) ?start_us f =
   match active () with
@@ -233,24 +237,12 @@ let subtree c ~name ~track ?(attrs = []) ?start_us f =
   | Some r ->
       let start_us = Option.value start_us ~default:(r.clock ()) in
       let sp = mk r ~trace:c.trace ~parent:c.parent ~name ~track ~attrs ~start_us in
-      let prev = current () in
-      set (Some sp);
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            set prev;
-            close r sp)
-          f
-      in
-      (result, Some sp)
+      (under sp f ~finally:(fun () -> close r sp), Some sp)
 
 let graft sub =
-  match active () with
+  match traced_current () with
   | None -> ()
-  | Some _ -> (
-      match current () with
-      | None -> ()
-      | Some parent -> parent.kids <- sub :: parent.kids)
+  | Some parent -> parent.kids <- sub :: parent.kids
 
 (* ---------- consumers ---------- *)
 

@@ -8,15 +8,14 @@
     the finished tree carries trace/span/parent ids, start/stop stamps
     in simulated time, and typed attributes.
 
-    The current span travels fiber-locally exactly like the attribution
-    clock: {!Get_span}/{!Set_span} effects handled by a per-process slot
-    in {!Engine.spawn}, so it survives suspensions and never leaks
-    between processes.  Crossing the RPC wire, a caller ships its
-    {!ctx} (trace id + parent span id) as call metadata; the server
-    builds a detached {!subtree} under that ctx and ships the finished
-    tree back in the reply, where {!graft} reattaches it under the
-    caller's RPC span — the client's span then {e brackets} the
-    server-side subtree in one tree.
+    The current span travels with the process exactly like the
+    attribution clock: it is a field of the process's {!Local} record,
+    so it survives suspensions and never leaks between processes.
+    Crossing the RPC wire, a caller ships its {!ctx} (trace id + parent
+    span id) as call metadata; the server builds a detached {!subtree}
+    under that ctx and ships the finished tree back in the reply, where
+    {!graft} reattaches it under the caller's RPC span — the client's
+    span then {e brackets} the server-side subtree in one tree.
 
     Tracing is pure bookkeeping: with no recorder installed (the
     default) every entry point is a passthrough that performs no
@@ -29,9 +28,9 @@
     sampled root whose duration reaches the configured threshold or the
     current streaming p99 ({!slow}, {!render_slowest}). *)
 
-type attr = I of int | S of string | B of bool
+type attr = Local.attr = I of int | S of string | B of bool
 
-type t = {
+type t = Local.span = {
   trace_id : int;  (** the root span's id, shared by the whole tree *)
   span_id : int;  (** globally unique (one id well per recorder) *)
   parent_id : int;  (** 0 for roots *)
@@ -88,15 +87,10 @@ val enabled : unit -> bool
 val enable : recorder -> bool -> unit
 (** Recorders start enabled; switch off to freeze their contents. *)
 
-(** {1 Fiber-local current span} *)
-
-type _ Effect.t +=
-  | Get_span : t option Effect.t
-  | Set_span : t option -> unit Effect.t
-        (** Handled by {!Engine.spawn}'s per-process slot.  Outside a
-            spawned process they fall back to "no current span". *)
+(** {1 Process-local current span} *)
 
 val current : unit -> t option
+(** The calling process's current span; [None] outside a process. *)
 
 (** {1 Instrumentation} *)
 
@@ -134,6 +128,18 @@ val interval :
 (** Record an already-elapsed child of the current span from the
     timestamps the instrumented layer kept anyway (queue entry/exit,
     transmit stamps).  No-op without a current span. *)
+
+val interval_under :
+  t ->
+  name:string ->
+  ?track:string ->
+  ?attrs:(string * attr) list ->
+  start_us:Time.t ->
+  stop_us:Time.t ->
+  unit ->
+  unit
+(** {!interval} under an explicit parent, for a caller that already
+    holds its process's {!Local} record.  No-op without a recorder. *)
 
 val add_attr : string -> attr -> unit
 (** Attach an attribute to the current span, if any. *)

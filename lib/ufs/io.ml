@@ -196,7 +196,5 @@ let wait_writes fs (ip : inode) =
   while ip.outstanding_writes > 0 do
     Sim.Condition.wait ip.iodone
   done;
-  let after = Sim.Engine.now fs.engine in
-  Sim.Attrib.charge_current "disk.wait" (after - before);
-  if after > before then
-    Sim.Span.interval ~name:"vm.wait_writes" ~start_us:before ~stop_us:after ()
+  Sim.Attrib.blocked ~rest:"disk.wait" ~name:"vm.wait_writes" ~start_us:before
+    ~stop_us:(Sim.Engine.now fs.engine) ()

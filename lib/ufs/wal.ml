@@ -154,7 +154,7 @@ let mk engine j =
   }
 
 let current_op (w : wal) =
-  match Sim.Fls.get () with
+  match Sim.Local.slot () with
   | Some id -> Hashtbl.find_opt w.w_ops id
   | None -> None
 
@@ -257,7 +257,7 @@ let with_op (fs : fs) ?(commit = true) f =
             }
           in
           Hashtbl.replace w.w_ops id op;
-          Sim.Fls.with_value id (fun () ->
+          Sim.Local.with_slot id (fun () ->
               match f () with
               | v ->
                   op_end w op ~commit;

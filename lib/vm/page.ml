@@ -45,10 +45,8 @@ let wait_unbusy engine t =
     Sim.Engine.suspend engine ~register:(fun resume ->
         t.waiters <- resume :: t.waiters)
   done;
-  let after = Sim.Engine.now engine in
-  Sim.Attrib.charge_current "disk.wait" (after - before);
-  if after > before then
-    Sim.Span.interval ~name:"vm.wait_page" ~start_us:before ~stop_us:after ()
+  Sim.Attrib.blocked ~rest:"disk.wait" ~name:"vm.wait_page" ~start_us:before
+    ~stop_us:(Sim.Engine.now engine) ()
 
 let unbusy t =
   if not t.busy then invalid_arg "Page.unbusy: not busy";

@@ -543,9 +543,10 @@ let tap_server e ep ~delay ~drop_first =
             in
             Option.iter
               (fun reply ->
-                let msg =
-                  Nfs.Proto.Reply { xid; client; reply; cost = []; spans = None }
+                let meta =
+                  { Nfs.Proto.sent_at = Sim.Engine.now e; cost = []; spans = None }
                 in
+                let msg = Nfs.Proto.Reply { xid; client; reply; meta } in
                 Net.send ep ~size:(Nfs.Proto.msg_size msg) msg)
               reply
       done);

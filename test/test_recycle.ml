@@ -82,10 +82,10 @@ let tap_server e ep ~hold =
                 Sim.Engine.spawn e ~name:"tap-call" (fun () ->
                     Sim.Engine.sleep e d;
                     let reply = serve xid call in
-                    let msg =
-                      Nfs.Proto.Reply
-                        { xid; client; reply; cost = []; spans = None }
+                    let meta =
+                      { Nfs.Proto.sent_at = Sim.Engine.now e; cost = []; spans = None }
                     in
+                    let msg = Nfs.Proto.Reply { xid; client; reply; meta } in
                     Net.send ep ~size:(Nfs.Proto.msg_size msg) msg))
       done);
   tap

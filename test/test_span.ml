@@ -232,15 +232,15 @@ let test_engine_counters () =
   (* each sleep counts as a suspend, elided or not *)
   check_int "suspend effects counted" 2 (Sim.Engine.effect_suspends e);
   (* span effects cross the handler only when a recorder is live *)
-  check_int "no span effects without a recorder" 0
-    (Sim.Engine.effect_span_ops e);
+  check_int "no local-record effects without a recorder" 0
+    (Sim.Engine.effect_local_ops e);
   let r = Span.create_recorder () in
   Span.with_recorder r (fun () ->
       Sim.Engine.spawn e (fun () ->
           Span.root ~name:"x" ~track:"t/x" (fun () -> Sim.Engine.sleep e 3));
       Sim.Engine.run e);
-  check_bool "span effects counted under a recorder" true
-    (Sim.Engine.effect_span_ops e > 0);
+  check_bool "local-record effects counted under a recorder" true
+    (Sim.Engine.effect_local_ops e > 0);
   check_int "suspends keep counting" 3 (Sim.Engine.effect_suspends e);
   let reg = Sim.Metrics.create () in
   Sim.Engine.register_metrics e reg ~instance:"t";
@@ -251,13 +251,137 @@ let test_engine_counters () =
   in
   check_int "cancellations exported" 1 (geti "cancellations");
   check_int "eff_suspends exported" 3 (geti "eff_suspends");
-  check_bool "eff_span_ops exported" true (geti "eff_span_ops" > 0);
-  check_int "eff_fls_ops exported" (Sim.Engine.effect_fls_ops e)
-    (geti "eff_fls_ops");
-  check_int "eff_attrib_ops exported" (Sim.Engine.effect_attrib_ops e)
-    (geti "eff_attrib_ops");
+  check_int "eff_local_ops exported" (Sim.Engine.effect_local_ops e)
+    (geti "eff_local_ops");
   (* each sleep here was the next event, so none crossed the handler *)
   check_int "eff_sleeps_elided exported" 3 (geti "eff_sleeps_elided")
+
+(* ---------- process-local state ---------- *)
+
+(* Two processes interleave across sleeps, each under its own clock,
+   span root and slot: every reach for the process-local record sees
+   only its own values, and each install is undone on the way out,
+   exceptions included. *)
+let test_local_per_process () =
+  let e = Sim.Engine.create () in
+  let r = Span.create_recorder () in
+  Span.set_clock r (fun () -> Sim.Engine.now e);
+  let clocks = Array.init 2 (fun _ -> Sim.Attrib.create ()) in
+  Span.with_recorder r (fun () ->
+      for id = 0 to 1 do
+        let clk = clocks.(id) and phase = Printf.sprintf "w%d" id in
+        let root = Printf.sprintf "root%d" id in
+        let mine () =
+          check_bool "own slot" true (Sim.Local.slot () = Some id);
+          check_bool "own clock" true
+            (match Sim.Local.self () with
+            | Some { clock = Some c; _ } -> c == clk
+            | _ -> false);
+          check_string "own span" root
+            (match Span.current () with Some sp -> sp.Span.name | None -> "-")
+        in
+        Sim.Engine.spawn e ~name:phase (fun () ->
+            Span.root ~name:root ~track:("t/" ^ phase) (fun () ->
+                Sim.Attrib.with_clock clk (fun () ->
+                    Sim.Local.with_slot id (fun () ->
+                        for _ = 1 to 3 do
+                          let t0 = Sim.Engine.now e in
+                          Sim.Engine.sleep e (10 + (5 * id));
+                          Sim.Attrib.blocked ~rest:phase ~name:"wait"
+                            ~start_us:t0 ~stop_us:(Sim.Engine.now e) ();
+                          mine ()
+                        done;
+                        (match
+                           Sim.Local.with_slot 99 (fun () ->
+                               Sim.Attrib.with_clock (Sim.Attrib.create ())
+                                 (fun () ->
+                                   Span.span ~name:"inner" (fun () ->
+                                       Sim.Engine.sleep e 1;
+                                       failwith "boom")))
+                         with
+                        | () -> Alcotest.fail "exception swallowed"
+                        | exception Failure _ -> ());
+                        mine ()))))
+      done;
+      Sim.Engine.run e);
+  Array.iteri
+    (fun id clk ->
+      check_int
+        (Printf.sprintf "w%d charged only its own waits" id)
+        (3 * (10 + (5 * id)))
+        (Sim.Attrib.total clk);
+      check_int
+        (Printf.sprintf "w%d charged one phase" id)
+        1
+        (List.length (Sim.Attrib.read clk)))
+    clocks;
+  List.iter
+    (fun root ->
+      let kids = List.map (fun sp -> sp.Span.name) (Span.children root) in
+      check_bool (root.Span.name ^ " holds only its own spans") true
+        (kids = [ "wait"; "wait"; "wait"; "inner" ]))
+    (Span.roots r);
+  check_int "both roots finished" 2 (List.length (Span.roots r));
+  (* outside any process: reads give None, installs just run *)
+  check_bool "no record outside" true (Sim.Local.self () = None);
+  check_bool "no slot outside" true (Sim.Local.slot () = None);
+  check_bool "no span outside" true (Span.current () = None);
+  let c = Sim.Attrib.create () in
+  check_bool "with_slot just runs" true
+    (Sim.Local.with_slot 5 (fun () -> Sim.Local.slot ()) = None);
+  check_bool "with_clock just runs" true
+    (Sim.Attrib.with_clock c (fun () ->
+         Sim.Attrib.blocked ~rest:"x" ~start_us:0 ~stop_us:5 ();
+         Sim.Local.self ())
+    = None);
+  check_int "nothing charged outside" 0 (Sim.Attrib.total c)
+
+(* ---------- one boundary, one number ---------- *)
+
+let wait_spans = [ "disk.io"; "vm.wait_page"; "vm.wait_writes" ]
+
+(* On a traced local run every blocked wait is charged and traced by one
+   call, so each op's clock total is exactly the summed duration of its
+   wait spans.  (Remote ops differ by construction: an RPC's charge is
+   split into phases that are not single intervals.) *)
+let test_one_boundary_one_number () =
+  let r = Span.create_recorder () in
+  let waited = ref 0 in
+  Span.with_recorder r (fun () ->
+      Helpers.in_machine (fun m ->
+          let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
+          let f = io.Workload.Iobench.open_file ~create:true "/one" in
+          let buf = Bytes.make 8192 'x' in
+          let op name g =
+            let clk = Sim.Attrib.create () in
+            Span.root ~name ~track:"t/op" (fun () ->
+                Sim.Attrib.with_clock clk (fun () -> ignore (g ())));
+            let root = List.hd (List.rev (Span.roots r)) in
+            let spans = ref 0 in
+            Span.iter
+              (fun sp ->
+                if List.mem sp.Span.name wait_spans then
+                  spans := !spans + Span.duration sp)
+              root;
+            check_int (name ^ ": clock total = wait spans") !spans
+              (Sim.Attrib.total clk);
+            waited := !waited + !spans
+          in
+          let blocks = 96 in
+          for i = 0 to blocks - 1 do
+            op "write" (fun () -> f.write ~off:(i * 8192) ~buf ~len:8192)
+          done;
+          op "fsync" f.fsync;
+          f.cold ();
+          for i = 0 to blocks - 1 do
+            op "read" (fun () -> f.read ~off:(i * 8192) ~buf ~len:8192)
+          done;
+          f.cold ();
+          for i = 0 to blocks - 1 do
+            let off = (i * 37 mod blocks) * 8192 in
+            op "randread" (fun () -> f.read ~off ~buf ~len:8192)
+          done));
+  check_bool "ops blocked on the disk" true (!waited > 0)
 
 (* ---------- span metrics ---------- *)
 
@@ -351,6 +475,10 @@ let suites =
         Alcotest.test_case "disabled tracing is a passthrough" `Quick
           test_disabled_is_passthrough;
         Alcotest.test_case "engine counters count" `Quick test_engine_counters;
+        Alcotest.test_case "process-local state stays per process" `Quick
+          test_local_per_process;
+        Alcotest.test_case "one boundary, one number" `Quick
+          test_one_boundary_one_number;
         Alcotest.test_case "sim.span metrics exported" `Quick test_span_metrics;
         Alcotest.test_case "ring overflow counted, slow trees survive" `Quick
           test_ring_overflow_counted;

@@ -115,10 +115,10 @@ let echo_server engine l =
             Sim.Engine.spawn engine (fun () ->
                 Sim.Engine.sleep engine (Sim.Time.ms 3);
                 let reply = Nfs.Proto.R_attr { size = xid; is_dir = false } in
-                let msg =
-                  Nfs.Proto.Reply
-                    { xid; client; reply; cost = []; spans = None }
+                let meta =
+                  { Nfs.Proto.sent_at = Sim.Engine.now engine; cost = []; spans = None }
                 in
+                let msg = Nfs.Proto.Reply { xid; client; reply; meta } in
                 Net.send ep ~size:(Nfs.Proto.msg_size msg) msg)
         | Nfs.Proto.Reply _ -> assert false
       done)
