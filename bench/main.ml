@@ -946,6 +946,22 @@ let microbench () =
              held.(i) <- b
            done))
   in
+  (* machine build: every simulated machine runs mkfs on its disk, and
+     crash tests fsck the result *)
+  let sun0400 () =
+    Disk.Blkdev.of_device
+      (Disk.Device.create (Sim.Engine.create ()) Disk.Device.default_config)
+  in
+  let mkfs_dev = sun0400 () and fsck_dev = sun0400 () in
+  Ufs.Fs.mkfs fsck_dev ();
+  let mkfs_test =
+    Test.make ~name:"ufs.mkfs sun0400"
+      (Staged.stage (fun () -> Ufs.Fs.mkfs mkfs_dev ()))
+  in
+  let fsck_test =
+    Test.make ~name:"ufs.fsck fresh sun0400"
+      (Staged.stage (fun () -> ignore (Ufs.Fsck.check fsck_dev)))
+  in
   let tests =
     Test.make_grouped ~name:"simulator"
       [
@@ -961,6 +977,8 @@ let microbench () =
         invalidate_test;
         frames_test;
         fresh_test;
+        mkfs_test;
+        fsck_test;
       ]
   in
   let benchmark () =
@@ -973,12 +991,28 @@ let microbench () =
       (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
       Toolkit.Instance.monotonic_clock (benchmark ())
   in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-36s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-36s (no estimate)\n" name)
-    results
+  let estimates =
+    List.sort compare
+      (Hashtbl.fold
+         (fun name result acc ->
+           match Analyze.OLS.estimates result with
+           | Some [ est ] -> (name, Some est) :: acc
+           | Some _ | None -> (name, None) :: acc)
+         results [])
+  in
+  List.iter
+    (function
+      | name, Some est -> Printf.printf "  %-36s %12.1f ns/run\n" name est
+      | name, None -> Printf.printf "  %-36s (no estimate)\n" name)
+    estimates;
+  match Clusterfs.Machine.current_metrics_sink () with
+  | None -> ()
+  | Some reg ->
+      Sim.Metrics.register reg ~layer:"micro" ~instance:"simulator" (fun () ->
+          List.filter_map
+            (fun (name, est) ->
+              Option.map (fun ns -> (name ^ " ns/run", Sim.Metrics.Float ns)) est)
+            estimates)
 
 (* ---------- the section registry ---------- *)
 

@@ -101,7 +101,9 @@ module Summary = struct
 end
 
 module Hist = struct
-  (* bucket i holds values v with 2^(i-1) < v <= 2^i; bucket 0 holds 0 and 1 *)
+  (* bucket i holds values v with 2^(i-1) < v <= 2^i; bucket 0 holds 0
+     and 1; the top bucket (62) holds everything above 2^61, up to
+     [max_int] (2^62 itself overflows) *)
   type t = { counts : int array; mutable n : int }
 
   let nbuckets = 63
@@ -111,7 +113,9 @@ module Hist = struct
   let bucket_of v =
     if v <= 1 then 0
     else
-      let rec loop i acc = if acc >= v then i else loop (i + 1) (acc * 2) in
+      let rec loop i acc =
+        if acc >= v || i = nbuckets - 1 then i else loop (i + 1) (acc * 2)
+      in
       loop 1 2
 
   let add t v =
@@ -122,7 +126,10 @@ module Hist = struct
 
   let count t = t.n
 
-  let bounds i = if i = 0 then (0, 1) else ((1 lsl (i - 1)) + 1, 1 lsl i)
+  let bounds i =
+    if i = 0 then (0, 1)
+    else if i = nbuckets - 1 then ((1 lsl (i - 1)) + 1, max_int)
+    else ((1 lsl (i - 1)) + 1, 1 lsl i)
 
   let buckets t =
     let acc = ref [] in

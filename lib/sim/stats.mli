@@ -43,7 +43,8 @@ module Hist : sig
 
   val buckets : t -> (int * int * int) list
   (** [(lo, hi, n)] triples for non-empty buckets, ascending;
-      values fall in [lo <= v <= hi]. *)
+      values fall in [lo <= v <= hi].  Every value above [2^61] lands in
+      the top bucket, whose [hi] is [max_int]. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -22,20 +22,13 @@ let rotdelay_gap_blocks (fs : fs) =
 
 (* ---------- count-preserving bitmap mutation ---------- *)
 
-let free_bits_in_block (cg : Cg.t) (sb : Superblock.t) block_base =
-  let n = ref 0 in
-  for i = 0 to Layout.fpb - 1 do
-    if Cg.frag_free cg sb (block_base + i) then incr n
-  done;
-  !n
-
 (* Mutate bits of fragments inside one block while keeping the group and
    superblock summary counts consistent. *)
 let with_block_counts (fs : fs) (cg : Cg.t) block_base f =
   let sb = fs.sb in
-  let before = free_bits_in_block cg sb block_base in
+  let before = Cg.free_frags_in_block cg sb block_base in
   f ();
-  let after = free_bits_in_block cg sb block_base in
+  let after = Cg.free_frags_in_block cg sb block_base in
   let sub n = if n = Layout.fpb then (1, 0) else (0, n) in
   let b_blk, b_frag = sub before and a_blk, a_frag = sub after in
   cg.Cg.nbfree <- cg.Cg.nbfree - b_blk + a_blk;
@@ -289,7 +282,7 @@ let scan_cg_for_frags (fs : fs) (cg : Cg.t) ~n ~want_partial =
     if b = nblocks then None
     else begin
       let base = lo + (b * Layout.fpb) in
-      let nfree = free_bits_in_block cg sb base in
+      let nfree = Cg.free_frags_in_block cg sb base in
       let partial = nfree < Layout.fpb in
       if nfree >= n && partial = want_partial then begin
         (* longest-fit within the block: find a run of >= n free bits *)

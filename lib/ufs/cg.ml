@@ -81,6 +81,14 @@ let decode b (sb : Superblock.t) c =
   t.dirty <- false;
   t
 
+(* One bitmap byte per block: [fpg] is block-aligned (Superblock.create)
+   and a group's data area starts on a block boundary, so local block k
+   of a group is byte k of [fbitmap], bit i its fragment i.  The whole-
+   block tests, the range setters and [recount] all read or write that
+   byte at once. *)
+let () =
+  if Layout.fpb <> 8 then failwith "Cg: a block must be one bitmap byte (fpb = 8)"
+
 let local t sb frag =
   let lo = cg_begin sb t.cgx and hi = cg_end sb t.cgx in
   if frag < lo || frag >= hi then
@@ -95,17 +103,66 @@ let set_bit bm i v =
   let mask = 1 lsl (i mod 8) in
   Codec.put_u8 bm (i / 8) (if v then byte lor mask else byte land lnot mask)
 
+(* bits [lo, hi) of [bm]: whole bytes with one fill, the ragged edges
+   bit by bit *)
+let fill_bits bm lo hi v =
+  let first = (lo + 7) / 8 and last = hi / 8 in
+  if first >= last then
+    for i = lo to hi - 1 do
+      set_bit bm i v
+    done
+  else begin
+    for i = lo to (first * 8) - 1 do
+      set_bit bm i v
+    done;
+    Bytes.fill bm first (last - first) (if v then '\255' else '\000');
+    for i = last * 8 to hi - 1 do
+      set_bit bm i v
+    done
+  end
+
+let popcount =
+  String.init 256 (fun b ->
+      let rec bits b = if b = 0 then 0 else (b land 1) + bits (b lsr 1) in
+      Char.chr (bits b))
+
+let ones byte = Char.code (String.unsafe_get popcount byte)
+
+(* set bits among the first [n] of [bm] *)
+let count_bits bm n =
+  let c = ref 0 in
+  for b = 0 to (n / 8) - 1 do
+    c := !c + ones (Bytes.get_uint8 bm b)
+  done;
+  for i = n / 8 * 8 to n - 1 do
+    if get_bit bm i then incr c
+  done;
+  !c
+
 let frag_free t sb frag = get_bit t.fbitmap (local t sb frag)
 
 let set_frag t sb frag ~free =
   set_bit t.fbitmap (local t sb frag) free;
   t.dirty <- true
 
-let block_free t sb frag =
+let set_frags t sb ~lo ~hi ~free =
+  if lo < hi then begin
+    let l = local t sb lo in
+    ignore (local t sb (hi - 1));
+    fill_bits t.fbitmap l (l + hi - lo) free;
+    t.dirty <- true
+  end
+
+let block_byte fn t sb frag =
   let l = local t sb frag in
-  if l mod Layout.fpb <> 0 then invalid_arg "Cg.block_free: not block-aligned";
-  let rec all i = i = Layout.fpb || (get_bit t.fbitmap (l + i) && all (i + 1)) in
-  all 0
+  if l mod Layout.fpb <> 0 then invalid_arg (fn ^ ": not block-aligned");
+  Bytes.get_uint8 t.fbitmap (l / 8)
+
+let block_bits = block_byte "Cg.block_bits"
+let block_free t sb frag = block_byte "Cg.block_free" t sb frag = 0xff
+
+let free_frags_in_block t sb frag =
+  ones (block_byte "Cg.free_frags_in_block" t sb frag)
 
 let inode_free t idx = get_bit t.ibitmap idx
 
@@ -113,25 +170,20 @@ let set_inode t idx ~free =
   set_bit t.ibitmap idx free;
   t.dirty <- true
 
+let set_inodes t ~lo ~hi ~free =
+  if lo < hi then begin
+    if lo < 0 || hi > 8 * Bytes.length t.ibitmap then
+      invalid_arg (Printf.sprintf "Cg.set_inodes: [%d,%d) outside the map" lo hi);
+    fill_bits t.ibitmap lo hi free;
+    t.dirty <- true
+  end
+
 let recount t sb =
   let nf = nfrags_of sb t.cgx in
-  let nblocks = nf / Layout.fpb in
-  let nbfree = ref 0 and nffree = ref 0 in
-  for b = 0 to nblocks - 1 do
-    let base = b * Layout.fpb in
-    let free_in_block = ref 0 in
-    for i = 0 to Layout.fpb - 1 do
-      if get_bit t.fbitmap (base + i) then incr free_in_block
-    done;
-    if !free_in_block = Layout.fpb then incr nbfree
-    else nffree := !nffree + !free_in_block
+  let nbfree = ref 0 in
+  for b = 0 to (nf / 8) - 1 do
+    if Bytes.get_uint8 t.fbitmap b = 0xff then incr nbfree
   done;
-  (* trailing partial block, if the group is short *)
-  for i = nblocks * Layout.fpb to nf - 1 do
-    if get_bit t.fbitmap i then incr nffree
-  done;
-  let nifree = ref 0 in
-  for i = 0 to sb.Superblock.ipg - 1 do
-    if get_bit t.ibitmap i then incr nifree
-  done;
-  (!nbfree, !nffree, !nifree)
+  ( !nbfree,
+    count_bits t.fbitmap nf - (Layout.fpb * !nbfree),
+    count_bits t.ibitmap sb.Superblock.ipg )

@@ -51,9 +51,7 @@ let mkfs dev ?(opts = mkfs_defaults) () =
   Array.iter
     (fun (cg : Cg.t) ->
       let c = cg.Cg.cgx in
-      for f = Cg.data_begin sb c to Cg.cg_end sb c - 1 do
-        Cg.set_frag cg sb f ~free:true
-      done)
+      Cg.set_frags cg sb ~lo:(Cg.data_begin sb c) ~hi:(Cg.cg_end sb c) ~free:true)
     cgs;
   (* intent-journal region: carved from the tail of the last group's
      data area and marked allocated, so no file ever lands there *)
@@ -63,9 +61,7 @@ let mkfs dev ?(opts = mkfs_defaults) () =
     let jstart = jend - opts.journal_frags in
     if jstart < Cg.data_begin sb last then
       invalid_arg "mkfs: journal larger than the last group's data area";
-    for f = jstart to jend - 1 do
-      Cg.set_frag cgs.(last) sb f ~free:false
-    done;
+    Cg.set_frags cgs.(last) sb ~lo:jstart ~hi:jend ~free:false;
     sb.Superblock.jstart <- jstart;
     sb.Superblock.jfrags <- opts.journal_frags;
     Jrnl.format st
@@ -77,10 +73,7 @@ let mkfs dev ?(opts = mkfs_defaults) () =
   Cg.set_frag cgs.(0) sb root_frag ~free:false;
   (* inodes: all free except 0, 1 (reserved) and 2 (root) *)
   Array.iter
-    (fun (cg : Cg.t) ->
-      for i = 0 to sb.Superblock.ipg - 1 do
-        Cg.set_inode cg i ~free:true
-      done)
+    (fun (cg : Cg.t) -> Cg.set_inodes cg ~lo:0 ~hi:sb.Superblock.ipg ~free:true)
     cgs;
   List.iter (fun i -> Cg.set_inode cgs.(0) i ~free:false) [ 0; 1; rootino ];
   (* summary counts *)

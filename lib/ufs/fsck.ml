@@ -241,17 +241,40 @@ let check dev =
             links.(inum)
       end)
     dinodes;
-  (* phase 4: fragment bitmaps and counts *)
+  (* phase 4: fragment bitmaps and counts.  A whole block is checked by
+     comparing its bitmap byte with the byte [usage] implies; only a
+     mismatching block, and the ragged tail of a short group, are
+     examined fragment by fragment. *)
+  let check_frags cg lo hi =
+    for f = lo to hi - 1 do
+      let free = Cg.frag_free cg sb f in
+      let used = s.usage.(f) > 0 in
+      if used && free then problem s "fragment %d: in use but marked free" f
+      else if (not used) && not free then
+        problem s "fragment %d: marked allocated but unclaimed" f
+    done
+  in
+  let expected_bits base =
+    let bits = ref 0 in
+    for i = 0 to Layout.fpb - 1 do
+      if s.usage.(base + i) = 0 then bits := !bits lor (1 lsl i)
+    done;
+    !bits
+  in
   Array.iter
     (fun (cg : Cg.t) ->
       let c = cg.Cg.cgx in
-      for f = Cg.data_begin sb c to Cg.cg_end sb c - 1 do
-        let free = Cg.frag_free cg sb f in
-        let used = s.usage.(f) > 0 in
-        if used && free then problem s "fragment %d: in use but marked free" f
-        else if (not used) && not free then
-          problem s "fragment %d: marked allocated but unclaimed" f
-      done;
+      let lo = Cg.data_begin sb c and hi = Cg.cg_end sb c in
+      let tail = max lo (hi - ((hi - Cg.cg_begin sb c) mod Layout.fpb)) in
+      let rec blocks base =
+        if base < tail then begin
+          if Cg.block_bits cg sb base <> expected_bits base then
+            check_frags cg base (base + Layout.fpb);
+          blocks (base + Layout.fpb)
+        end
+      in
+      blocks lo;
+      check_frags cg tail hi;
       let nb, nf, ni = Cg.recount cg sb in
       if (nb, nf, ni) <> (cg.Cg.nbfree, cg.Cg.nffree, cg.Cg.nifree) then
         problem s "cg %d: summary counts (%d,%d,%d) != bitmap (%d,%d,%d)" c

@@ -108,9 +108,7 @@ let replay io scan =
   let set_run frag n ~free =
     incr frag_runs;
     let cg = cgs.(Superblock.cg_of_frag sb frag) in
-    for i = frag to frag + n - 1 do
-      Cg.set_frag cg sb i ~free
-    done;
+    Cg.set_frags cg sb ~lo:frag ~hi:(frag + n) ~free;
     touch_cg cg.Cg.cgx
   in
   let set_ibit inum ~free =
@@ -217,9 +215,7 @@ let replay io scan =
     incr orphans;
     let free_run frag n =
       let cg = cgs.(Superblock.cg_of_frag sb frag) in
-      for i = frag to frag + n - 1 do
-        Cg.set_frag cg sb i ~free:true
-      done;
+      Cg.set_frags cg sb ~lo:frag ~hi:(frag + n) ~free:true;
       touch_cg cg.Cg.cgx;
       orphan_frags := !orphan_frags + n
     in

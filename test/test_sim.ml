@@ -156,6 +156,16 @@ let test_hist () =
   check_bool "900 lands in 513..1024" true
     (List.exists (fun (lo, hi, n) -> lo = 513 && hi = 1024 && n = 1) buckets)
 
+(* values past 2^61 have no power-of-two upper bound below max_int: they
+   all land in the top bucket *)
+let test_hist_top_bucket () =
+  let h = Sim.Stats.Hist.create () in
+  List.iter (Sim.Stats.Hist.add h) [ 1 lsl 61; (1 lsl 61) + 1; max_int ];
+  Alcotest.(check (list (triple int int int)))
+    "2^61 below, the rest in the top bucket"
+    [ ((1 lsl 60) + 1, 1 lsl 61, 1); ((1 lsl 61) + 1, max_int, 2) ]
+    (Sim.Stats.Hist.buckets h)
+
 (* ---------- Engine ---------- *)
 
 let test_engine_ordering () =
@@ -631,6 +641,7 @@ let suites =
         Alcotest.test_case "stats empty summary min/max" `Quick
           test_summary_empty_min_max;
         Alcotest.test_case "stats hist" `Quick test_hist;
+        Alcotest.test_case "stats hist top bucket" `Quick test_hist_top_bucket;
         Alcotest.test_case "engine time order" `Quick test_engine_ordering;
         Alcotest.test_case "engine same-time FIFO" `Quick
           test_engine_fifo_same_time;

@@ -172,6 +172,157 @@ let test_cg_dinode_loc () =
   let frag_g1, _ = Ufs.Cg.dinode_loc sb sb.Ufs.Superblock.ipg in
   check_int "group 1 inode area" (Ufs.Cg.inode_area_frag sb 1) frag_g1
 
+(* Random groups against a per-bit reference: a short last group (its
+   size need not be a whole number of blocks), a free data area with a
+   journal carved from its tail, unaligned range edges, and an [ipg]
+   that is not a multiple of 8.  The byte-wise range setters, block
+   tests and [recount] must agree bit for bit with the reference. *)
+type cg_case = {
+  fpg : int;
+  ncg : int;
+  last : int;  (** fragments in the last group *)
+  ipg : int;
+  c : int;  (** the group under test *)
+  frag_ops : ((int * int) * bool) list;  (** local [lo, hi), free *)
+  inode_ops : ((int * int) * bool) list;
+}
+
+let gen_cg_case =
+  let open QCheck.Gen in
+  let* fpg = map (fun b -> 8 * b) (int_range 2 40) in
+  let* ncg = int_range 1 3 in
+  let* last = int_range 1 fpg in
+  let* ipg = int_range 1 100 in
+  let* c = int_range 0 (ncg - 1) in
+  let nf = if c = ncg - 1 then last else fpg in
+  let range n =
+    let* a = int_range 0 n and* b = int_range 0 n in
+    return (min a b, max a b)
+  in
+  let* data = int_range 0 nf in
+  let* jrnl = int_range 0 (nf - data) in
+  let* frag_ops = list_size (int_range 0 12) (pair (range nf) bool) in
+  let* inode_ops = list_size (int_range 0 6) (pair (range ipg) bool) in
+  return
+    {
+      fpg;
+      ncg;
+      last;
+      ipg;
+      c;
+      frag_ops = ((data, nf), true) :: ((nf - jrnl, nf), false) :: frag_ops;
+      inode_ops = ((0, ipg), true) :: inode_ops;
+    }
+
+let print_cg_case k =
+  let ops l =
+    String.concat "; "
+      (List.map (fun ((lo, hi), f) -> Printf.sprintf "[%d,%d)%s" lo hi (if f then "+" else "-")) l)
+  in
+  Printf.sprintf "fpg=%d ncg=%d last=%d ipg=%d c=%d frags: %s inodes: %s" k.fpg
+    k.ncg k.last k.ipg k.c (ops k.frag_ops) (ops k.inode_ops)
+
+let cg_matches_reference k =
+  let sb =
+    {
+      (Ufs.Superblock.create
+         ~nfrags:(((k.ncg - 1) * k.fpg) + k.last)
+         ~ncg:k.ncg ~fpg:k.fpg ~ipg:Ufs.Layout.inodes_per_block ())
+      with
+      Ufs.Superblock.ipg = k.ipg;
+    }
+  in
+  let cg = Ufs.Cg.create_empty sb k.c in
+  let base = Ufs.Cg.cg_begin sb k.c in
+  let nf = Ufs.Cg.cg_end sb k.c - base in
+  let frags = Array.make nf false and inodes = Array.make k.ipg false in
+  List.iter
+    (fun ((lo, hi), free) ->
+      Ufs.Cg.set_frags cg sb ~lo:(base + lo) ~hi:(base + hi) ~free;
+      Array.fill frags lo (hi - lo) free)
+    k.frag_ops;
+  List.iter
+    (fun ((lo, hi), free) ->
+      Ufs.Cg.set_inodes cg ~lo ~hi ~free;
+      Array.fill inodes lo (hi - lo) free)
+    k.inode_ops;
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  Array.iteri
+    (fun i free ->
+      if Ufs.Cg.frag_free cg sb (base + i) <> free then fail "frag %d" i)
+    frags;
+  Array.iteri
+    (fun i free -> if Ufs.Cg.inode_free cg i <> free then fail "inode %d" i)
+    inodes;
+  let nbfree = ref 0 and nffree = ref 0 in
+  for b = 0 to ((nf + 7) / 8) - 1 do
+    let n = ref 0 and bits = ref 0 in
+    for i = 0 to 7 do
+      let l = (8 * b) + i in
+      if l < nf && frags.(l) then begin
+        incr n;
+        bits := !bits lor (1 lsl i)
+      end
+    done;
+    let whole = !n = 8 in
+    if whole then incr nbfree else nffree := !nffree + !n;
+    let f = base + (8 * b) in
+    if Ufs.Cg.block_free cg sb f <> whole then fail "block_free %d" b;
+    if Ufs.Cg.free_frags_in_block cg sb f <> !n then fail "free_frags %d" b;
+    if Ufs.Cg.block_bits cg sb f <> !bits then fail "block_bits %d" b
+  done;
+  let nifree = Array.fold_left (fun a f -> if f then a + 1 else a) 0 inodes in
+  let got = Ufs.Cg.recount cg sb in
+  if got <> (!nbfree, !nffree, nifree) then
+    (let nb, nff, ni = got in
+     fail "recount (%d,%d,%d), reference (%d,%d,%d)" nb nff ni !nbfree !nffree
+       nifree);
+  true
+
+let test_cg_reference =
+  QCheck_alcotest.to_alcotest ~speed_level:`Quick
+    ~rand:(Random.State.make [| 8 |])
+    (QCheck.Test.make ~count:300 ~name:"cg bitmaps vs per-bit reference"
+       (QCheck.make ~print:print_cg_case gen_cg_case)
+       cg_matches_reference)
+
+(* mkfs images pinned by digest: the bitmap code may change how it sets
+   bits, never which.  The digest is MD5 over every non-zero 8 KB chunk
+   of the device, each prefixed with its index, so the zeros of a 400 MB
+   disk cost no hashing. *)
+let image_digest dev =
+  let st = Disk.Blkdev.store dev in
+  let size = Disk.Store.size st and chunk = 8192 in
+  let buf = Bytes.create chunk and zero = Bytes.make chunk '\000' in
+  let acc = Buffer.create 65536 in
+  for i = 0 to ((size + chunk - 1) / chunk) - 1 do
+    let len = min chunk (size - (i * chunk)) in
+    Bytes.fill buf 0 chunk '\000';
+    Disk.Store.read st ~off:(i * chunk) ~len buf 0;
+    if not (Bytes.equal buf zero) then begin
+      Buffer.add_string acc (Printf.sprintf "%d:" i);
+      Buffer.add_bytes acc buf
+    end
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents acc))
+
+let test_mkfs_images_pinned () =
+  let image disk opts =
+    let dev = Disk.Blkdev.of_device (Disk.Device.create (Sim.Engine.create ()) disk) in
+    Ufs.Fs.mkfs dev ~opts ();
+    image_digest dev
+  in
+  Alcotest.(check string)
+    "sun0400, default mkfs" "2c3f07f150ff373e441bf297bc4ed608"
+    (image Disk.Device.default_config Ufs.Fs.mkfs_defaults);
+  Alcotest.(check string)
+    "small disk, small mkfs" "96337cee3558e0d12619ce7d76cb7f72"
+    (image Helpers.small_disk Helpers.small_mkfs);
+  Alcotest.(check string)
+    "small disk, journaled" "bb161c10e9bef31ee85e3dce519875cd"
+    (image Helpers.small_disk
+       { Helpers.small_mkfs with Ufs.Fs.journal_frags = Ufs.Fs.journal_frags_default })
+
 (* ---------- Dinode ---------- *)
 
 let test_dinode_roundtrip () =
@@ -234,6 +385,8 @@ let suites =
         Alcotest.test_case "cg roundtrip+recount" `Quick
           test_cg_roundtrip_and_recount;
         Alcotest.test_case "cg dinode location" `Quick test_cg_dinode_loc;
+        test_cg_reference;
+        Alcotest.test_case "mkfs images pinned" `Quick test_mkfs_images_pinned;
         Alcotest.test_case "dinode roundtrip" `Quick test_dinode_roundtrip;
         Alcotest.test_case "dinode symlink" `Quick test_dinode_symlink_immediate;
         Alcotest.test_case "dinode kind checks" `Quick test_dinode_kind_checks;
