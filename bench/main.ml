@@ -917,6 +917,46 @@ let microbench () =
            done;
            Vm.Pool.invalidate_vnode pool 1))
   in
+  (* per-op bookkeeping: CPU charges under six literal labels (a lone
+     process, so every charge's sleep advances the clock in place),
+     latency summaries, and page-cache lookups that all hit *)
+  let cpu_test =
+    let e = Sim.Engine.create () in
+    let cpu = Sim.Cpu.create e in
+    Test.make ~name:"sim.cpu 1k charges, 6 labels"
+      (Staged.stage (fun () ->
+           Sim.Engine.spawn e (fun () ->
+               for i = 0 to 999 do
+                 match i mod 6 with
+                 | 0 -> Sim.Cpu.charge cpu ~label:"copy" 1
+                 | 1 -> Sim.Cpu.charge cpu ~label:"bmap" 1
+                 | 2 -> Sim.Cpu.charge cpu ~label:"driver" 1
+                 | 3 -> Sim.Cpu.charge cpu ~label:"getpage" 1
+                 | 4 -> Sim.Cpu.charge cpu ~label:"rdwr" 1
+                 | _ -> Sim.Cpu.charge cpu ~label:"syscall" 1
+               done);
+           Sim.Engine.run e))
+  in
+  let summary = Sim.Stats.Summary.create () in
+  let summary_test =
+    Test.make ~name:"sim.stats summary 1k adds"
+      (Staged.stage (fun () ->
+           for i = 0 to 999 do
+             Sim.Stats.Summary.add summary (float_of_int i)
+           done))
+  in
+  let lookup_pool = Vm.Pool.create (Sim.Engine.create ()) (Vm.Param.default ~memory_mb:16 ()) in
+  let idents = Array.init 1000 (fun i -> { Vm.Page.vid = 1 + (i mod 4); off = i / 4 * 8192 }) in
+  Array.iter
+    (fun id ->
+      match Vm.Pool.alloc lookup_pool id with
+      | `Fresh p | `Existing p -> Vm.Page.unbusy p)
+    idents;
+  let lookup_test =
+    Test.make ~name:"vm.pool 1k lookups"
+      (Staged.stage (fun () ->
+           Array.iter (fun id -> ignore (Vm.Pool.lookup lookup_pool id)) idents))
+  in
   (* 1k page frames taken off the free list and given back, against 1k
      fresh buffers.  Both touch every 4 KB of each frame once; for a
      fresh buffer that first touch is where the kernel maps the page. *)
@@ -975,6 +1015,9 @@ let microbench () =
         sleepers_test "sim.engine 1k sleeps, lone process" 1;
         sleepers_test "sim.engine 1k sleeps, 2 interleaved processes" 2;
         invalidate_test;
+        cpu_test;
+        summary_test;
+        lookup_test;
         frames_test;
         fresh_test;
         mkfs_test;

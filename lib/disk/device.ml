@@ -97,17 +97,6 @@ let mk_stats () =
     xfer_per_io = Sim.Stats.Summary.create ();
   }
 
-(* Split a sector run into per-track segments. *)
-let segments geom ~sector ~count =
-  let rec loop s n acc =
-    if n = 0 then List.rev acc
-    else
-      let chs = Geom.to_chs geom s in
-      let in_track = min n (Geom.sectors_in_track_after geom chs) in
-      loop (s + in_track) (n - in_track) ((s, in_track, chs) :: acc)
-  in
-  loop sector count []
-
 (* Sequential-streaming fast path: drives with a read-ahead buffer keep
    reading past the end of a request, so a read that continues exactly
    where the previous one ended is served partly from the buffer (at
@@ -147,17 +136,19 @@ let try_stream_read d ~t0 ~kind ~sector ~count =
    xfer_us). *)
 let service_cost d ~t0 ~kind ~sector ~count =
   let geom = d.cfg.geom in
-  let segs = segments geom ~sector ~count in
+  let is_read = kind = Request.Read in
   let t = ref (t0 + d.cfg.cmd_overhead) in
   let seek_us = ref 0 and rot_us = ref 0 and xfer_us = ref 0 in
   let all_buffered = ref true in
-  let serve_seg (s0, n, (chs : Geom.chs)) =
-    let is_read = kind = Request.Read in
+  (* one per-track segment at a time *)
+  let s = ref sector and left = ref count in
+  while !left > 0 do
+    let chs = Geom.to_chs geom !s in
+    let n = Int.min !left (Geom.sectors_in_track_after geom chs) in
     let hit =
       d.cfg.track_buffer && is_read
       && Track_buffer.holds d.tbuf ~cyl:chs.cyl ~head:chs.head
     in
-    ignore s0;
     if hit then begin
       Track_buffer.record_hit d.tbuf;
       let bytes = n * geom.Geom.sector_bytes in
@@ -194,9 +185,10 @@ let service_cost d ~t0 ~kind ~sector ~count =
       if d.cfg.track_buffer then
         if is_read then Track_buffer.fill d.tbuf ~cyl:chs.cyl ~head:chs.head
         else Track_buffer.invalidate_if d.tbuf ~cyl:chs.cyl ~head:chs.head
-    end
-  in
-  List.iter serve_seg segs;
+    end;
+    s := !s + n;
+    left := !left - n
+  done;
   (!t - t0, !all_buffered, !seek_us, !rot_us, !xfer_us)
 
 (* Move the data for a completed request between its segments and the

@@ -1,6 +1,16 @@
 let chunk_bytes = 8192
 
-type flat = { fsize : int; chunks : (int, bytes) Hashtbl.t }
+(* Chunks by index.  Indices are dense from 0, so the index itself is
+   a collision-free hash; nothing depends on the table's order ([save]
+   sorts). *)
+module Chunks = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash ci = ci
+end)
+
+type flat = { fsize : int; chunks : bytes Chunks.t }
 
 (* A [View] is a remapped window onto another store: the volume manager
    hands each member drive a view whose [map] sends member-physical
@@ -12,7 +22,7 @@ type t =
 
 let create ~size =
   if size <= 0 then invalid_arg "Store.create: size must be positive";
-  Flat { fsize = size; chunks = Hashtbl.create 1024 }
+  Flat { fsize = size; chunks = Chunks.create 1024 }
 
 let size = function Flat f -> f.fsize | View v -> v.vsize
 
@@ -32,7 +42,7 @@ let flat_read f ~off ~len dst dst_off =
     let ci = !pos / chunk_bytes in
     let coff = !pos mod chunk_bytes in
     let n = min !remaining (chunk_bytes - coff) in
-    (match Hashtbl.find_opt f.chunks ci with
+    (match Chunks.find_opt f.chunks ci with
     | Some c -> Bytes.blit c coff dst !d n
     | None -> Bytes.fill dst !d n '\000');
     pos := !pos + n;
@@ -46,15 +56,16 @@ let flat_write f ~off ~len src src_off =
     let ci = !pos / chunk_bytes in
     let coff = !pos mod chunk_bytes in
     let n = min !remaining (chunk_bytes - coff) in
-    let c =
-      match Hashtbl.find_opt f.chunks ci with
-      | Some c -> c
-      | None ->
-          let c = Bytes.make chunk_bytes '\000' in
-          Hashtbl.add f.chunks ci c;
-          c
-    in
-    Bytes.blit src !s c coff n;
+    (match Chunks.find_opt f.chunks ci with
+    | Some c -> Bytes.blit src !s c coff n
+    | None ->
+        (* a write over the whole chunk leaves no byte to zero *)
+        let c =
+          if n = chunk_bytes then Bytes.create chunk_bytes
+          else Bytes.make chunk_bytes '\000'
+        in
+        Bytes.blit src !s c coff n;
+        Chunks.add f.chunks ci c);
     pos := !pos + n;
     s := !s + n;
     remaining := !remaining - n
@@ -111,7 +122,7 @@ let writev t ~off iov =
     iov
 
 let rec chunks_allocated = function
-  | Flat f -> Hashtbl.length f.chunks
+  | Flat f -> Chunks.length f.chunks
   | View v -> chunks_allocated v.base
 
 let save t path =
@@ -122,7 +133,7 @@ let save t path =
       (match t with
       | Flat f ->
           let chunks =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) f.chunks []
+            Chunks.fold (fun k v acc -> (k, v) :: acc) f.chunks []
             |> List.sort (fun (a, _) (b, _) -> compare a b)
           in
           List.iter
@@ -165,7 +176,7 @@ let load path =
         really_input ic buf 0 n;
         if n < chunk_bytes then Bytes.fill buf n (chunk_bytes - n) '\000';
         if not (Bytes.for_all (fun c -> c = '\000') buf) then
-          Hashtbl.replace f.chunks ci (Bytes.sub buf 0 chunk_bytes)
+          Chunks.replace f.chunks ci (Bytes.sub buf 0 chunk_bytes)
       done;
       t)
 
@@ -173,9 +184,8 @@ let copy_into src dst =
   if size src <> size dst then invalid_arg "Store.copy_into: size mismatch";
   match (src, dst) with
   | Flat s, Flat d ->
-      Hashtbl.reset d.chunks;
-      Hashtbl.iter
-        (fun k v -> Hashtbl.replace d.chunks k (Bytes.copy v))
+      Chunks.reset d.chunks;
+      Chunks.iter (fun k v -> Chunks.replace d.chunks k (Bytes.copy v))
         s.chunks
   | _ ->
       (* at least one side remaps: go through the generic paths *)

@@ -68,12 +68,24 @@ let msg_size = function
   | Call { call; _ } -> call_size call
   | Reply { reply; _ } -> reply_size reply
 
-let op_name = function
-  | Lookup _ -> "lookup"
-  | Create _ -> "create"
-  | Getattr _ -> "getattr"
-  | Read _ -> "read"
-  | Write _ -> "write"
-  | Readdir _ -> "readdir"
+let op_index = function
+  | Lookup _ -> 0
+  | Create _ -> 1
+  | Getattr _ -> 2
+  | Read _ -> 3
+  | Write _ -> 4
+  | Readdir _ -> 5
 
 let op_names = [ "lookup"; "create"; "getattr"; "read"; "write"; "readdir" ]
+let nops = List.length op_names
+let names = Array.of_list op_names
+let op_name c = names.(op_index c)
+
+let index_of_name name =
+  let rec find i = function
+    | [] -> None
+    | n :: rest -> if String.equal n name then Some i else find (i + 1) rest
+  in
+  find 0 op_names
+
+let per_op prefix = Array.map (fun op -> prefix ^ op) names

@@ -88,3 +88,17 @@ val op_name : call -> string
 
 val op_names : string list
 (** All op names, in a fixed order (metrics export). *)
+
+val nops : int
+(** [List.length op_names]. *)
+
+val op_index : call -> int
+(** The position of the call's op in {!op_names}: the index of per-op
+    counter arrays. *)
+
+val index_of_name : string -> int option
+(** The position of an op name in {!op_names}. *)
+
+val per_op : string -> string array
+(** [per_op prefix] is [prefix ^ name] for every op, indexed like
+    {!op_index}: per-op span names made once. *)

@@ -44,8 +44,8 @@ type t = {
   mutable next_xid : int;
   pending : (int, pending) Hashtbl.t;
   st : stats;
-  op_calls : (string, int ref) Hashtbl.t;
-  op_rtt : (string, Sim.Stats.Summary.t) Hashtbl.t;
+  op_calls : int array;  (** by {!Proto.op_index} *)
+  op_rtt : Sim.Stats.Summary.t array;
   mutable retrans_log : Sim.Time.t list;  (** newest first *)
 }
 
@@ -84,16 +84,11 @@ let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
       next_xid = 1;
       pending = Hashtbl.create 32;
       st = { calls = 0; retransmits = 0; late_replies = 0 };
-      op_calls = Hashtbl.create 8;
-      op_rtt = Hashtbl.create 8;
+      op_calls = Array.make Proto.nops 0;
+      op_rtt = Array.init Proto.nops (fun _ -> Sim.Stats.Summary.create ());
       retrans_log = [];
     }
   in
-  List.iter
-    (fun op ->
-      Hashtbl.replace t.op_calls op (ref 0);
-      Hashtbl.replace t.op_rtt op (Sim.Stats.Summary.create ()))
-    Proto.op_names;
   Sim.Engine.spawn engine ~name:(Printf.sprintf "rpc.recv.%d" client_id)
     (fun () ->
       while true do
@@ -141,9 +136,9 @@ let wait_reply_or_timeout t (p : pending) ~timeout =
 let finish_call t (call : Proto.call) ~t0 r =
   (* reply deserialization + wakeup dispatch on the client CPU *)
   Sim.Cpu.charge t.cpu ~label:"rpc" (Sim.Time.us 30);
-  let op = Proto.op_name call in
-  incr (Hashtbl.find t.op_calls op);
-  Sim.Stats.Summary.add (Hashtbl.find t.op_rtt op)
+  let op = Proto.op_index call in
+  t.op_calls.(op) <- t.op_calls.(op) + 1;
+  Sim.Stats.Summary.add t.op_rtt.(op)
     (float_of_int (Sim.Engine.now t.engine - t0));
   r
 
@@ -274,19 +269,24 @@ let call_body t (call : Proto.call) =
   account t ~entry ~window_wait:waited ~attempts:!attempts meta;
   (finish_call t call ~t0 r, resent)
 
+let span_names = Proto.per_op "rpc."
+
 let call_resent t (call : Proto.call) =
-  Sim.Span.span ~name:("rpc." ^ Proto.op_name call) (fun () -> call_body t call)
+  if not (Sim.Span.enabled ()) then call_body t call
+  else
+    Sim.Span.span ~name:span_names.(Proto.op_index call) (fun () -> call_body t call)
 
 let call t c = fst (call_resent t c)
 
 (* ---------- observability ---------- *)
 
 let stats t = t.st
-let op_calls t op = match Hashtbl.find_opt t.op_calls op with Some r -> !r | None -> 0
+let op_calls t op =
+  match Proto.index_of_name op with Some i -> t.op_calls.(i) | None -> 0
 
 let rtt_of t op =
-  match Hashtbl.find_opt t.op_rtt op with
-  | Some s -> s
+  match Proto.index_of_name op with
+  | Some i -> t.op_rtt.(i)
   | None -> Sim.Stats.Summary.create ()
 
 let srtt_us t = if t.cs.srtt < 0. then 0. else t.cs.srtt

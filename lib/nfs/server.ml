@@ -33,8 +33,8 @@ type t = {
   fh_inode : (int, Ufs.Types.inode) Hashtbl.t;
   fh_path : (int, string) Hashtbl.t;  (* for path-based create *)
   st : stats;
-  op_applied : (string, int ref) Hashtbl.t;
-  op_service : (string, Sim.Stats.Summary.t) Hashtbl.t;
+  op_applied : int array;  (** by {!Proto.op_index} *)
+  op_service : Sim.Stats.Summary.t array;
 }
 
 let root_fh = Ufs.Types.rootino
@@ -158,6 +158,8 @@ let traced (it : item) ~dq ~name f =
 (* ---------- processes ---------- *)
 
 let svc_overhead = Sim.Time.us 60
+let span_names = Proto.per_op "srv."
+let dup_span_names = Proto.per_op "srv.dup."
 
 let worker t () =
   while true do
@@ -186,9 +188,7 @@ let worker t () =
     | Some (Done reply) ->
         t.st.dup_hits <- t.st.dup_hits + 1;
         let reply, spans =
-          traced it ~dq
-            ~name:("srv.dup." ^ Proto.op_name it.call)
-            (fun () -> reply)
+          traced it ~dq ~name:dup_span_names.(Proto.op_index it.call) (fun () -> reply)
         in
         send_reply t it
           ~cost:
@@ -197,16 +197,15 @@ let worker t () =
     | Some In_progress -> t.st.dup_busy_drops <- t.st.dup_busy_drops + 1
     | None ->
         if ni then Hashtbl.replace t.dup key In_progress;
-        let op = Proto.op_name it.call in
-        incr (Hashtbl.find t.op_applied op);
+        let op = Proto.op_index it.call in
+        t.op_applied.(op) <- t.op_applied.(op) + 1;
         let t0 = Sim.Engine.now t.engine in
         let clk = Sim.Attrib.create () in
         let reply, spans =
-          traced it ~dq ~name:("srv." ^ op) (fun () ->
+          traced it ~dq ~name:span_names.(op) (fun () ->
               Sim.Attrib.with_clock clk (fun () -> execute t it.call))
         in
-        Sim.Stats.Summary.add
-          (Hashtbl.find t.op_service op)
+        Sim.Stats.Summary.add t.op_service.(op)
           (float_of_int (Sim.Engine.now t.engine - t0));
         (* the server may have died while this nfsd slept on disk: the
            op's effects (if its writes beat the power cut) are on the
@@ -276,15 +275,10 @@ let create engine ~cpu ~fs ?(nfsd = 4) ?dup_cache_size ~endpoints () =
           dup_evictions = 0;
           queue_wait_us = Sim.Stats.Summary.create ();
         };
-      op_applied = Hashtbl.create 8;
-      op_service = Hashtbl.create 8;
+      op_applied = Array.make Proto.nops 0;
+      op_service = Array.init Proto.nops (fun _ -> Sim.Stats.Summary.create ());
     }
   in
-  List.iter
-    (fun op ->
-      Hashtbl.replace t.op_applied op (ref 0);
-      Hashtbl.replace t.op_service op (Sim.Stats.Summary.create ()))
-    Proto.op_names;
   List.iteri
     (fun i ep ->
       Sim.Engine.spawn engine ~name:(Printf.sprintf "nfs.dispatch.%d" i)
@@ -323,13 +317,13 @@ let is_down t = t.down
 let restarts t = t.restarts
 
 let applied t op =
-  match Hashtbl.find_opt t.op_applied op with Some r -> !r | None -> 0
+  match Proto.index_of_name op with Some i -> t.op_applied.(i) | None -> 0
 
 let stats t = t.st
 
 let service_us t op =
-  match Hashtbl.find_opt t.op_service op with
-  | Some s -> s
+  match Proto.index_of_name op with
+  | Some i -> t.op_service.(i)
   | None -> Sim.Stats.Summary.create ()
 
 let register_metrics t reg ~instance =

@@ -21,7 +21,9 @@ val create : Engine.t -> t
 val charge : t -> ?cat:category -> ?label:string -> Time.t -> unit
 (** Occupy the CPU for the given duration of virtual time.  [cat]
     defaults to [Sys], [label] to ["other"].  Must be called from a
-    process. *)
+    process.  Labels are matched by address first and every label
+    string seen is remembered, so pass string literals, not strings
+    built per call. *)
 
 val sys_time : t -> Time.t
 (** Total virtual time charged as [Sys]. *)
@@ -29,7 +31,8 @@ val sys_time : t -> Time.t
 val user_time : t -> Time.t
 
 val by_label : t -> (string * Time.t) list
-(** Per-label totals, descending by time. *)
+(** Per-label totals, descending by time; equal totals in ascending
+    label order. *)
 
 val reset : t -> unit
 (** Zero all accounting (the resource itself is unaffected). *)

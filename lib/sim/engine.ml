@@ -148,6 +148,11 @@ type t = {
   mutable horizon : Time.t;
   mutable in_process : bool;
   frames : Frames.t;
+  (* a sleep that must really suspend performs this one effect value,
+     whose registrar reads the delay from [nap]: set just before the
+     perform, read by the handler before anything else runs *)
+  mutable nap : Time.t;
+  mutable nap_effect : unit Effect.t;
 }
 
 exception Deadlock of string
@@ -157,32 +162,13 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 (* the VM page and UFS block size: every NFS page and READ frame *)
 let page_bytes = 8192
 
-let create () =
-  {
-    now = 0;
-    seq = 0;
-    events = ev_create ();
-    ready = ready_create ();
-    blocked = 0;
-    dispatched = 0;
-    heap_max = 0;
-    cancellations = 0;
-    spawned = 0;
-    eff_suspends = 0;
-    eff_local = 0;
-    sleeps_elided = 0;
-    horizon = min_int;
-    in_process = false;
-    frames = Frames.create ~size:page_bytes;
-  }
-
 let now t = t.now
 let frames t = t.frames
 
 let pending t = t.events.len + t.ready.rlen
 
-let schedule t ?(delay = 0) f =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+(* [delay >= 0]; [schedule] without the optional argument's box *)
+let schedule_in t delay f =
   if delay = 0 then ready_push t.ready f
   else begin
     t.seq <- t.seq + 1;
@@ -190,6 +176,35 @@ let schedule t ?(delay = 0) f =
   end;
   let n = pending t in
   if n > t.heap_max then t.heap_max <- n
+
+let schedule t ?(delay = 0) f =
+  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
+  schedule_in t delay f
+
+let create () =
+  let t =
+    {
+      now = 0;
+      seq = 0;
+      events = ev_create ();
+      ready = ready_create ();
+      blocked = 0;
+      dispatched = 0;
+      heap_max = 0;
+      cancellations = 0;
+      spawned = 0;
+      eff_suspends = 0;
+      eff_local = 0;
+      sleeps_elided = 0;
+      horizon = min_int;
+      in_process = false;
+      frames = Frames.create ~size:page_bytes;
+      nap = 0;
+      nap_effect = Suspend ignore;
+    }
+  in
+  t.nap_effect <- Suspend (fun resume -> schedule_in t t.nap resume);
+  t
 
 (* A cancellable event is a heap entry indirected through a mutable
    cell.  Cancelling empties the cell: the heap slot itself stays (the
@@ -216,9 +231,33 @@ let cancel h =
 
 let cancelled h = h.cb = None
 
+(* A parked process: its one continuation cell, reused by every
+   suspension, the number of the current suspension, and the one thunk
+   that re-enters it.  A resume handle remembers the suspension it was
+   made for, so a handle kept from an earlier suspension is refused
+   even while the process is parked again. *)
+type proc = {
+  eng : t;
+  mutable k : (unit, unit) continuation;
+  mutable parks : int;
+  mutable parked : bool;
+  run : unit -> unit;
+}
+
+let resume p park =
+  if not (p.parked && p.parks = park) then
+    invalid_arg "Engine: process resumed twice";
+  p.parked <- false;
+  p.eng.blocked <- p.eng.blocked - 1;
+  schedule_in p.eng 0 p.run
+
 (* Run [f] as a process: effects performed by [f] are interpreted here.
-   A [Suspend register] effect hands the continuation, wrapped as a
-   plain thunk, to [register]; resuming the thunk re-enters the handler.
+   A [Suspend register] effect parks the continuation in the process's
+   [proc] cell and hands [register] a resume handle; resuming schedules
+   the process's one [run] thunk, which re-enters the handler.  The cell
+   and the thunk are made at the first suspension and reused by every
+   later one, and the handler's two answers are made once per process,
+   so a suspension allocates only its handle.
    Each process also owns one [Local] record (its attribution clock,
    current span and user slot), answered by the [Local.Self] effect:
    the handler closure holds it, so it survives suspensions and is
@@ -230,6 +269,45 @@ let spawn t ?name f =
   let name = Option.value name ~default:"process" in
   t.spawned <- t.spawned + 1;
   let local = Local.create () in
+  let cell = ref None and register = ref ignore in
+  let park k =
+    match !cell with
+    | Some p ->
+        p.k <- k;
+        p.parks <- p.parks + 1;
+        p.parked <- true;
+        p
+    | None ->
+        let rec p =
+          {
+            eng = t;
+            k;
+            parks = 0;
+            parked = true;
+            run =
+              (fun () ->
+                t.in_process <- true;
+                continue p.k ());
+          }
+        in
+        cell := Some p;
+        p
+  in
+  let on_suspend =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        t.in_process <- false;
+        t.eff_suspends <- t.eff_suspends + 1;
+        t.blocked <- t.blocked + 1;
+        let p = park k in
+        let park = p.parks in
+        !register (fun () -> resume p park))
+  and on_self =
+    Some
+      (fun (k : (Local.t, unit) continuation) ->
+        t.eff_local <- t.eff_local + 1;
+        continue k local)
+  in
   let body () =
     t.in_process <- true;
     match_with f ()
@@ -244,28 +322,10 @@ let spawn t ?name f =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Suspend register ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.in_process <- false;
-                    t.eff_suspends <- t.eff_suspends + 1;
-                    t.blocked <- t.blocked + 1;
-                    let resumed = ref false in
-                    let resume () =
-                      if !resumed then
-                        invalid_arg "Engine: process resumed twice";
-                      resumed := true;
-                      t.blocked <- t.blocked - 1;
-                      schedule t (fun () ->
-                          t.in_process <- true;
-                          continue k ())
-                    in
-                    register resume)
-            | Local.Self ->
-                Some
-                  (fun (k : (a, _) continuation) ->
-                    t.eff_local <- t.eff_local + 1;
-                    continue k local)
+            | Suspend r ->
+                register := r;
+                (on_suspend : ((a, unit) continuation -> unit) option)
+            | Local.Self -> on_self
             | _ -> None);
       }
   in
@@ -296,7 +356,10 @@ let sleep t d =
       if e.len + 1 > t.heap_max then t.heap_max <- e.len + 1;
       t.now <- wake
     end
-    else suspend t ~register:(fun resume -> schedule t ~delay:d resume)
+    else begin
+      t.nap <- d;
+      perform t.nap_effect
+    end
   end
 
 (* Dispatch order is (time, seq), exactly as if every event went

@@ -78,9 +78,9 @@ let enable r v = r.on <- v
 (* The disabled fast path is this one read of a global ref: no effect
    is performed, nothing is allocated. *)
 let active () =
-  match !ambient with Some r when r.on -> Some r | _ -> None
+  match !ambient with Some r as on when r.on -> on | _ -> None
 
-let enabled () = active () <> None
+let enabled () = match !ambient with Some r -> r.on | None -> false
 
 (* Outside a spawned process there is no current span: tracing is then
    simply off for that code, not an error. *)

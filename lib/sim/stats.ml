@@ -1,15 +1,20 @@
-let percentile values p =
-  if Array.length values = 0 then invalid_arg "Stats.percentile: empty";
+(* The percentile of [values.(0 .. len-1)] over one sorted copy.
+   [Float.compare] is the total order of polymorphic [compare] on floats
+   (nan first), without its generic dispatch. *)
+let percentile_of_prefix values len p =
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let values = Array.copy values in
-  Array.sort compare values;
-  let n = Array.length values in
-  let rank = p /. 100. *. float_of_int (n - 1) in
+  let values = Array.sub values 0 len in
+  Array.sort Float.compare values;
+  let rank = p /. 100. *. float_of_int (len - 1) in
   let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
   if lo = hi then values.(lo)
   else
     let frac = rank -. float_of_int lo in
     values.(lo) +. (frac *. (values.(hi) -. values.(lo)))
+
+let percentile values p =
+  if Array.length values = 0 then invalid_arg "Stats.percentile: empty";
+  percentile_of_prefix values (Array.length values) p
 
 module Summary = struct
   (* Percentiles need samples, not moments; [reservoir_cap] bounds the
@@ -19,13 +24,19 @@ module Summary = struct
      representative without any RNG. *)
   let reservoir_cap = 4096
 
-  type t = {
-    mutable n : int;
+  (* all floats, so OCaml stores them flat: updating a moment writes
+     the float in place instead of boxing a fresh one *)
+  type moments = {
     mutable mean : float;
     mutable m2 : float;
     mutable mn : float;
     mutable mx : float;
     mutable total : float;
+  }
+
+  type t = {
+    mutable n : int;
+    m : moments;
     mutable samples : float array;
     mutable slen : int;
     mutable stride : int;
@@ -35,11 +46,7 @@ module Summary = struct
   let create () =
     {
       n = 0;
-      mean = 0.;
-      m2 = 0.;
-      mn = nan;
-      mx = nan;
-      total = 0.;
+      m = { mean = 0.; m2 = 0.; mn = nan; mx = nan; total = 0. };
       samples = [||];
       slen = 0;
       stride = 1;
@@ -70,34 +77,34 @@ module Summary = struct
     end
 
   let add t x =
+    let m = t.m in
     t.n <- t.n + 1;
-    t.total <- t.total +. x;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+    m.total <- m.total +. x;
+    let delta = x -. m.mean in
+    m.mean <- m.mean +. (delta /. float_of_int t.n);
+    m.m2 <- m.m2 +. (delta *. (x -. m.mean));
     keep_sample t x;
     if t.n = 1 then begin
-      t.mn <- x;
-      t.mx <- x
+      m.mn <- x;
+      m.mx <- x
     end
     else begin
-      if x < t.mn then t.mn <- x;
-      if x > t.mx then t.mx <- x
+      if x < m.mn then m.mn <- x;
+      if x > m.mx then m.mx <- x
     end
 
   let count t = t.n
-  let mean t = if t.n = 0 then 0. else t.mean
-  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
+  let mean t = if t.n = 0 then 0. else t.m.mean
+  let variance t = if t.n < 2 then 0. else t.m.m2 /. float_of_int (t.n - 1)
   let stddev t = sqrt (variance t)
 
   (* like [mean], an empty summary reads 0., not nan: these values feed
      printed tables and the metrics JSON export, where nan is invalid *)
-  let min t = if t.n = 0 then 0. else t.mn
-  let max t = if t.n = 0 then 0. else t.mx
-  let total t = t.total
+  let min t = if t.n = 0 then 0. else t.m.mn
+  let max t = if t.n = 0 then 0. else t.m.mx
+  let total t = t.m.total
 
-  let percentile_of t p =
-    if t.slen = 0 then 0. else percentile (Array.sub t.samples 0 t.slen) p
+  let percentile_of t p = if t.slen = 0 then 0. else percentile_of_prefix t.samples t.slen p
 end
 
 module Hist = struct

@@ -29,7 +29,8 @@ module Summary : sig
       while at most 4096 values have been observed; beyond that the
       summary keeps a deterministically decimated subsample (every
       2nd, 4th, … value), so long-run percentiles are approximate but
-      reproducible.  Computed with the non-mutating {!percentile}. *)
+      reproducible.  Computed like {!percentile}, on one copy of the kept
+      samples. *)
 end
 
 module Hist : sig

@@ -21,32 +21,24 @@ let ind_set fs frag i v =
   Wal.log_ind_set fs ~frag ~index:i ~value:v;
   Wal.mark_meta fs ~frag
 
-(* Pointer for [lbn], plus a function giving the pointer of [lbn + k]
-   within the same structure (None past the boundary) — used by the
-   contiguity scan without re-walking the tree. *)
+(* A function giving the pointer of [lbn + k] within the structure
+   holding [lbn] — used by the contiguity scan without re-walking the
+   tree.  Pointers are unsigned, so [-1] marks "past the structure's
+   boundary" and no pointer is boxed. *)
 let lookup fs (ip : inode) lbn =
   match Layout.classify lbn with
-  | Layout.Direct i ->
-      let get k =
-        if i + k < Layout.ndaddr then Some ip.db.(i + k) else None
-      in
-      get
+  | Layout.Direct i -> fun k -> if i + k < Layout.ndaddr then ip.db.(i + k) else -1
   | Layout.Single i ->
-      if ip.ib.(0) = 0 then fun k ->
-        if i + k < Layout.nindir then Some 0 else None
+      if ip.ib.(0) = 0 then fun k -> if i + k < Layout.nindir then 0 else -1
       else
         let frag = ip.ib.(0) in
-        fun k ->
-          if i + k < Layout.nindir then Some (ind_get fs frag (i + k)) else None
+        fun k -> if i + k < Layout.nindir then ind_get fs frag (i + k) else -1
   | Layout.Double (i, j) ->
-      if ip.ib.(1) = 0 then fun k ->
-        if j + k < Layout.nindir then Some 0 else None
+      if ip.ib.(1) = 0 then fun k -> if j + k < Layout.nindir then 0 else -1
       else
         let l1 = ind_get fs ip.ib.(1) i in
-        if l1 = 0 then fun k ->
-          if j + k < Layout.nindir then Some 0 else None
-        else fun k ->
-          if j + k < Layout.nindir then Some (ind_get fs l1 (j + k)) else None
+        if l1 = 0 then fun k -> if j + k < Layout.nindir then 0 else -1
+        else fun k -> if j + k < Layout.nindir then ind_get fs l1 (j + k) else -1
 
 let maxcontig (fs : fs) = max 1 fs.sb.Superblock.maxcontig
 
@@ -72,21 +64,14 @@ let read (fs : fs) (ip : inode) ~lbn =
       charge fs ~label:"bmap" fs.costs.Costs.bmap;
       let get = lookup fs ip lbn in
       match get 0 with
-      | None -> Vfs.Errno.raise_err Vfs.Errno.EFBIG "bmap: lbn out of range"
-      | Some 0 ->
+      | -1 -> Vfs.Errno.raise_err Vfs.Errno.EFBIG "bmap: lbn out of range"
+      | 0 ->
           (* hole: measure the run of consecutive holes *)
-          let rec run k =
-            if k >= cap then k
-            else match get k with Some 0 -> run (k + 1) | Some _ | None -> k
-          in
+          let rec run k = if k < cap && get k = 0 then run (k + 1) else k in
           (None, run 1)
-      | Some frag ->
+      | frag ->
           let rec run k =
-            if k >= cap then k
-            else
-              match get k with
-              | Some p when p = frag + (k * Layout.fpb) -> run (k + 1)
-              | Some _ | None -> k
+            if k < cap && get k = frag + (k * Layout.fpb) then run (k + 1) else k
           in
           let len = run 1 in
           if fs.feat.bmap_cache then ip.bmap_cache <- Some (lbn, frag, len);
@@ -171,8 +156,7 @@ let ensure_indirect fs (ip : inode) lbn =
 let prev_frag_of fs ip lbn =
   if lbn = 0 then 0
   else
-    let get = lookup fs ip (lbn - 1) in
-    match get 0 with Some p -> p | None -> 0
+    match lookup fs ip (lbn - 1) 0 with -1 -> 0 | p -> p
 
 (* Journalled mounts advance [ip.size] as soon as the allocation covers
    it: the inode image is encoded at op end, and an image claiming more
@@ -300,8 +284,7 @@ let extent_map (fs : fs) (ip : inode) =
   let extents = ref [] in
   let cur = ref None in
   for lbn = 0 to nblocks - 1 do
-    let get = lookup fs ip lbn in
-    let p = match get 0 with Some p -> p | None -> 0 in
+    let p = match lookup fs ip lbn 0 with -1 -> 0 | p -> p in
     match (!cur, p) with
     | None, 0 -> ()
     | None, p -> cur := Some (lbn, p, 1)

@@ -49,10 +49,19 @@ let claim s inum frag n =
       if s.usage.(i) = 2 then problem s "fragment %d multiply claimed" i
     done
 
-let read_dinode s inum =
-  let frag, byte = Cg.dinode_loc s.sb inum in
-  let blk = read_block s.st ~frag:(frag - (frag mod Layout.fpb)) in
-  Dinode.decode blk (((frag mod Layout.fpb) * Layout.fsize) + byte)
+(* Every dinode, in inode order.  Consecutive inodes share an inode
+   block, so each block is read from the store once, into one buffer,
+   and all its dinodes are decoded from there. *)
+let read_dinodes s ninodes =
+  let blk = Bytes.create Layout.bsize and held = ref (-1) in
+  Array.init ninodes (fun inum ->
+      let frag, byte = Cg.dinode_loc s.sb inum in
+      let bfrag = frag - (frag mod Layout.fpb) in
+      if bfrag <> !held then begin
+        Disk.Store.read s.st ~off:(Layout.frag_to_byte bfrag) ~len:Layout.bsize blk 0;
+        held := bfrag
+      end;
+      Dinode.decode blk (((frag mod Layout.fpb) * Layout.fsize) + byte))
 
 (* frags a data block at [lbn] should occupy, mirroring Bmap.block_frags *)
 let expected_frags ~lbn ~size =
@@ -174,7 +183,7 @@ let check dev =
     done;
   let ninodes = sb.Superblock.ncg * sb.Superblock.ipg in
   (* phase 1: inodes and block pointers *)
-  let dinodes = Array.init ninodes (fun i -> read_dinode s i) in
+  let dinodes = read_dinodes s ninodes in
   Array.iteri
     (fun inum (d : Dinode.t) ->
       match d.Dinode.kind with

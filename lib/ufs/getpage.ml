@@ -132,9 +132,11 @@ and after_access fs (ip : inode) ~po ~w =
     prefetch_block fs ip ~lbn:((po / Layout.bsize) + 1)
 
 and getpage fs ip ~off ~len ~hint =
-  Sim.Span.span ~name:"ufs.getpage"
-    ~attrs:[ ("off", Sim.Span.I off); ("len", Sim.Span.I len) ]
-    (fun () -> getpage_body fs ip ~off ~len ~hint)
+  if not (Sim.Span.enabled ()) then getpage_body fs ip ~off ~len ~hint
+  else
+    Sim.Span.span ~name:"ufs.getpage"
+      ~attrs:[ ("off", Sim.Span.I off); ("len", Sim.Span.I len) ]
+      (fun () -> getpage_body fs ip ~off ~len ~hint)
 
 and getpage_body fs ip ~off ~len ~hint =
   if off mod Layout.bsize <> 0 then invalid_arg "Getpage: unaligned offset";

@@ -4,6 +4,17 @@ type stats = {
   mutable writebacks : int;
 }
 
+(* Cached blocks by fragment address.  Every address is block-aligned,
+   so the block number is a collision-free hash.  No walk of the table
+   depends on its order: eviction picks the unique least-recent entry
+   and [sync] sorts. *)
+module Frags = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash frag = frag / Layout.fpb
+end)
+
 type entry = { frag : int; data : bytes; mutable dirty : bool; mutable lru : int }
 
 type t = {
@@ -12,7 +23,7 @@ type t = {
   dev : Disk.Blkdev.t;
   costs : Costs.t;
   capacity : int;
-  tbl : (int, entry) Hashtbl.t;
+  tbl : entry Frags.t;
   lock : Sim.Mutex.t;
   mutable clock : int;
   mutable pending_ordered : int;
@@ -29,7 +40,7 @@ let create ?(capacity = 64) engine cpu dev costs =
     dev;
     costs;
     capacity;
-    tbl = Hashtbl.create 128;
+    tbl = Frags.create 128;
     lock = Sim.Mutex.create engine "metabuf";
     clock = 0;
     pending_ordered = 0;
@@ -69,11 +80,11 @@ let write_out t (e : entry) =
   | Some gate -> gate e.frag (fun () -> do_write t e)
 
 let evict_if_full t =
-  if Hashtbl.length t.tbl >= t.capacity then begin
+  if Frags.length t.tbl >= t.capacity then begin
     let victim =
       match t.write_gate with
       | None ->
-          Hashtbl.fold
+          Frags.fold
             (fun _ e acc ->
               match acc with
               | None -> Some e
@@ -84,7 +95,7 @@ let evict_if_full t =
              rarely forces a log commit; fall back to the oldest dirty
              block only when everything is dirty *)
           let best =
-            Hashtbl.fold
+            Frags.fold
               (fun _ e acc ->
                 match acc with
                 | None -> Some e
@@ -103,56 +114,67 @@ let evict_if_full t =
         if e.dirty then begin
           (* a refused write (open-op content) leaves the block in the
              cache; capacity is exceeded until the op ends *)
-          if write_out t e then Hashtbl.remove t.tbl e.frag
+          if write_out t e then Frags.remove t.tbl e.frag
         end
-        else Hashtbl.remove t.tbl e.frag
+        else Frags.remove t.tbl e.frag
   end
 
+let read_locked t ~frag =
+  t.stats.reads <- t.stats.reads + 1;
+  match Frags.find_opt t.tbl frag with
+  | Some e ->
+      touch t e;
+      e.data
+  | None ->
+      t.stats.read_misses <- t.stats.read_misses + 1;
+      evict_if_full t;
+      let data = Bytes.make Layout.bsize '\000' in
+      Sim.Cpu.charge t.cpu ~label:"meta-io"
+        (t.costs.Costs.driver_submit + t.costs.Costs.intr);
+      Disk.Blkdev.read_sync t.dev
+        ~sector:(Layout.frag_to_sector frag)
+        ~count:(Layout.bsize / Layout.sector_bytes)
+        ~buf:data ~buf_off:0;
+      let e = { frag; data; dirty = false; lru = 0 } in
+      touch t e;
+      Frags.replace t.tbl frag e;
+      e.data
+
+(* Every pointer lookup comes through here, so the lock is taken
+   inline rather than through a closure. *)
 let read t ~frag =
   check_aligned frag;
-  Sim.Mutex.with_lock t.lock (fun () ->
-      t.stats.reads <- t.stats.reads + 1;
-      match Hashtbl.find_opt t.tbl frag with
-      | Some e ->
-          touch t e;
-          e.data
-      | None ->
-          t.stats.read_misses <- t.stats.read_misses + 1;
-          evict_if_full t;
-          let data = Bytes.make Layout.bsize '\000' in
-          Sim.Cpu.charge t.cpu ~label:"meta-io"
-            (t.costs.Costs.driver_submit + t.costs.Costs.intr);
-          Disk.Blkdev.read_sync t.dev
-            ~sector:(Layout.frag_to_sector frag)
-            ~count:(Layout.bsize / Layout.sector_bytes)
-            ~buf:data ~buf_off:0;
-          let e = { frag; data; dirty = false; lru = 0 } in
-          touch t e;
-          Hashtbl.replace t.tbl frag e;
-          e.data)
+  Sim.Mutex.lock t.lock;
+  match read_locked t ~frag with
+  | data ->
+      Sim.Mutex.unlock t.lock;
+      data
+  | exception e ->
+      Sim.Mutex.unlock t.lock;
+      raise e
 
 let zero t ~frag =
   check_aligned frag;
   Sim.Mutex.with_lock t.lock (fun () ->
-      (match Hashtbl.find_opt t.tbl frag with
-      | Some _ -> Hashtbl.remove t.tbl frag
+      (match Frags.find_opt t.tbl frag with
+      | Some _ -> Frags.remove t.tbl frag
       | None -> evict_if_full t);
       let data = Bytes.make Layout.bsize '\000' in
       let e = { frag; data; dirty = true; lru = 0 } in
       touch t e;
-      Hashtbl.replace t.tbl frag e;
+      Frags.replace t.tbl frag e;
       e.data)
 
 let mark_dirty t ~frag =
   check_aligned frag;
-  match Hashtbl.find_opt t.tbl frag with
+  match Frags.find_opt t.tbl frag with
   | Some e -> e.dirty <- true
   | None -> invalid_arg "Metabuf.mark_dirty: block not resident"
 
 let flush_block t ~frag =
   check_aligned frag;
   Sim.Mutex.with_lock t.lock (fun () ->
-      match Hashtbl.find_opt t.tbl frag with
+      match Frags.find_opt t.tbl frag with
       | Some e when e.dirty -> ignore (write_out t e)
       | Some _ | None -> ())
 
@@ -161,7 +183,7 @@ let flush_block t ~frag =
    issues another ordered write behind this one, preserving order. *)
 let flush_block_ordered t ~frag =
   check_aligned frag;
-  match Hashtbl.find_opt t.tbl frag with
+  match Frags.find_opt t.tbl frag with
   | Some e when e.dirty ->
       t.stats.writebacks <- t.stats.writebacks + 1;
       Sim.Cpu.charge t.cpu ~label:"meta-io"
@@ -183,12 +205,12 @@ let flush_block_ordered t ~frag =
 
 let invalidate t ~frag =
   check_aligned frag;
-  Sim.Mutex.with_lock t.lock (fun () -> Hashtbl.remove t.tbl frag)
+  Sim.Mutex.with_lock t.lock (fun () -> Frags.remove t.tbl frag)
 
 let sync t =
   Sim.Mutex.with_lock t.lock (fun () ->
       let dirty =
-        Hashtbl.fold (fun _ e acc -> if e.dirty then e :: acc else acc) t.tbl []
+        Frags.fold (fun _ e acc -> if e.dirty then e :: acc else acc) t.tbl []
         |> List.sort (fun a b -> compare a.frag b.frag)
       in
       (* refused blocks (open-op content) simply stay dirty; the

@@ -125,9 +125,11 @@ let putpage_body fs (ip : inode) ~off ~len ~flags =
   end
 
 let putpage fs (ip : inode) ~off ~len ~flags =
-  Sim.Span.span ~name:"ufs.putpage"
-    ~attrs:[ ("off", Sim.Span.I off); ("len", Sim.Span.I len) ]
-    (fun () -> putpage_body fs ip ~off ~len ~flags)
+  if not (Sim.Span.enabled ()) then putpage_body fs ip ~off ~len ~flags
+  else
+    Sim.Span.span ~name:"ufs.putpage"
+      ~attrs:[ ("off", Sim.Span.I off); ("len", Sim.Span.I len) ]
+      (fun () -> putpage_body fs ip ~off ~len ~flags)
 
 let flusher fs (ip : inode) : Vm.Pool.flusher =
  fun page ~free_after ->

@@ -216,16 +216,18 @@ let rdwr_body fs (ip : inode) (uio : Vfs.Uio.t) =
   | Vfs.Uio.Write -> Sim.Stats.Summary.add fs.stats.write_call_us dt
 
 let rdwr fs (ip : inode) (uio : Vfs.Uio.t) =
-  let name =
-    match uio.Vfs.Uio.rw with
-    | Vfs.Uio.Read -> "ufs.read"
-    | Vfs.Uio.Write -> "ufs.write"
-  in
-  Sim.Span.span ~name
-    ~attrs:
-      [
-        ("ino", Sim.Span.I ip.inum);
-        ("off", Sim.Span.I uio.Vfs.Uio.off);
-        ("len", Sim.Span.I uio.Vfs.Uio.resid);
-      ]
-    (fun () -> rdwr_body fs ip uio)
+  if not (Sim.Span.enabled ()) then rdwr_body fs ip uio
+  else
+    let name =
+      match uio.Vfs.Uio.rw with
+      | Vfs.Uio.Read -> "ufs.read"
+      | Vfs.Uio.Write -> "ufs.write"
+    in
+    Sim.Span.span ~name
+      ~attrs:
+        [
+          ("ino", Sim.Span.I ip.inum);
+          ("off", Sim.Span.I uio.Vfs.Uio.off);
+          ("len", Sim.Span.I uio.Vfs.Uio.resid);
+        ]
+      (fun () -> rdwr_body fs ip uio)

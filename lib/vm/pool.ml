@@ -9,12 +9,31 @@ type stats = {
   mutable prefetch_wasted : int;
 }
 
+(* The name cache is one index, vnode -> offset -> page, of int-keyed
+   tables.  [invalidate_all] walks the vnodes in table order, so that
+   table keeps [Hashtbl.hash] and with it the bucket order of a generic
+   table.  A vnode's pages are always walked sorted by offset, so their
+   table may hash however is cheapest: a multiplicative mix, since page
+   offsets share their low zero bits. *)
+module Vids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+module Offs = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash off = (off * 0x9E3779B97F4A7C1) lsr 32
+end)
+
 type t = {
   engine : Sim.Engine.t;
   param : Param.t;
   frames : Page.t array;
-  cache : (Page.ident, Page.t) Hashtbl.t;
-  by_vnode : (int, (int, Page.t) Hashtbl.t) Hashtbl.t;
+  by_vnode : Page.t Offs.t Vids.t;
   free : int Queue.t;  (** frame numbers *)
   memwait : Sim.Condition.t;
   need_pageout : Sim.Condition.t;
@@ -34,8 +53,7 @@ let create engine param =
     engine;
     param;
     frames;
-    cache = Hashtbl.create 4096;
-    by_vnode = Hashtbl.create 64;
+    by_vnode = Vids.create 64;
     free;
     memwait = Sim.Condition.create engine "memwait";
     need_pageout = Sim.Condition.create engine "need-pageout";
@@ -58,9 +76,16 @@ let shortage t = max 0 (t.param.Param.lotsfree - freecnt t)
 let need_pageout t = t.need_pageout
 let frames t = t.frames
 
+let find t (ident : Page.ident) =
+  match Vids.find t.by_vnode ident.vid with
+  | tbl -> Offs.find_opt tbl ident.off
+  | exception Not_found -> None
+
+let mem t ident = match find t ident with Some _ -> true | None -> false
+
 let lookup t ident =
   t.stats.lookups <- t.stats.lookups + 1;
-  match Hashtbl.find_opt t.cache ident with
+  match find t ident with
   | Some p ->
       t.stats.hits <- t.stats.hits + 1;
       Page.set_referenced p true;
@@ -68,27 +93,26 @@ let lookup t ident =
   | None -> None
 
 let vnode_tbl t vid =
-  match Hashtbl.find_opt t.by_vnode vid with
+  match Vids.find_opt t.by_vnode vid with
   | Some tbl -> tbl
   | None ->
-      let tbl = Hashtbl.create 64 in
-      Hashtbl.add t.by_vnode vid tbl;
+      let tbl = Offs.create 64 in
+      Vids.add t.by_vnode vid tbl;
       tbl
 
 let alloc t ident =
-  if Hashtbl.mem t.cache ident then
-    invalid_arg "Pool.alloc: ident already cached";
+  if mem t ident then invalid_arg "Pool.alloc: ident already cached";
   t.stats.allocs <- t.stats.allocs + 1;
   if freecnt t <= t.param.Param.lotsfree then
     Sim.Condition.signal t.need_pageout;
   let waited = ref false in
-  while Queue.is_empty t.free && not (Hashtbl.mem t.cache ident) do
+  while Queue.is_empty t.free && not (mem t ident) do
     waited := true;
     Sim.Condition.signal t.need_pageout;
     Sim.Condition.wait t.memwait
   done;
   if !waited then t.stats.alloc_waits <- t.stats.alloc_waits + 1;
-  match Hashtbl.find_opt t.cache ident with
+  match find t ident with
   | Some p ->
       (* someone else entered it while we slept for memory *)
       Page.set_referenced p true;
@@ -103,17 +127,15 @@ let alloc t ident =
       Page.set_valid p false;
       Page.set_dirty p false;
       Page.set_referenced p true;
-      Hashtbl.replace t.cache ident p;
-      Hashtbl.replace (vnode_tbl t ident.Page.vid) ident.Page.off p;
+      Offs.replace (vnode_tbl t ident.Page.vid) ident.Page.off p;
       `Fresh p
 
 let free_page t (p : Page.t) =
   if not p.Page.busy then invalid_arg "Pool.free_page: caller must hold page";
   (match p.Page.ident with
-  | Some ident ->
-      Hashtbl.remove t.cache ident;
-      (match Hashtbl.find_opt t.by_vnode ident.Page.vid with
-      | Some tbl -> Hashtbl.remove tbl ident.Page.off
+  | Some ident -> (
+      match Vids.find_opt t.by_vnode ident.Page.vid with
+      | Some tbl -> Offs.remove tbl ident.Page.off
       | None -> ())
   | None -> invalid_arg "Pool.free_page: page already free");
   if p.Page.prefetched then
@@ -129,10 +151,10 @@ let free_page t (p : Page.t) =
   Sim.Condition.broadcast t.memwait
 
 let pages_of_vnode t vid =
-  match Hashtbl.find_opt t.by_vnode vid with
+  match Vids.find_opt t.by_vnode vid with
   | None -> []
   | Some tbl ->
-      Hashtbl.fold (fun _ p acc -> p :: acc) tbl []
+      Offs.fold (fun _ p acc -> p :: acc) tbl []
       |> List.sort (fun (a : Page.t) b ->
              match (a.Page.ident, b.Page.ident) with
              | Some ia, Some ib -> compare ia.Page.off ib.Page.off
@@ -160,7 +182,7 @@ let invalidate_vnode t vid =
 let invalidate_all t =
   (* server reboot: every cached page belongs to the pre-crash file
      system instance and must not survive into the recovered one *)
-  let vids = Hashtbl.fold (fun vid _ acc -> vid :: acc) t.by_vnode [] in
+  let vids = Vids.fold (fun vid _ acc -> vid :: acc) t.by_vnode [] in
   List.iter (fun vid -> invalidate_vnode t vid) vids;
   Hashtbl.reset t.flushers
 

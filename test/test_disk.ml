@@ -45,6 +45,120 @@ let test_store_sparse_and_copy () =
   Disk.Store.read st2 ~off:1_000_000 ~len:1 r 0;
   check_bool "deep copy" true (Bytes.get r 0 = 'z')
 
+(* The chunked store against one flat [Bytes] image: random writes and
+   reads, plain and scattered, many of them straddling or exactly
+   covering chunks, then save/load and copy_into.  A chunk exists
+   exactly when some write touched it (or, after a load, when it holds
+   a non-zero byte). *)
+type store_op =
+  | W of int * int * int  (** off, len, pattern seed *)
+  | Wv of int * int * int * int list  (** off, len, seed, cuts *)
+  | R of int * int
+  | Rv of int * int * int list
+
+let store_chunk = 8192
+let store_size = (3 * store_chunk) + 1000
+
+let gen_store_op =
+  let open QCheck.Gen in
+  let span =
+    oneof
+      [
+        (* anywhere, any length *)
+        ( int_bound (store_size - 1) >>= fun off ->
+          int_bound (min 20_000 (store_size - off)) >|= fun len -> (off, len) );
+        (* whole chunks *)
+        ( int_bound 2 >>= fun c ->
+          int_range 1 (3 - c) >|= fun n -> (c * store_chunk, n * store_chunk) );
+        (* around a chunk edge *)
+        ( int_range 1 3 >>= fun c ->
+          int_range 1 300 >>= fun back ->
+          int_bound 300 >|= fun fwd ->
+          let off = (c * store_chunk) - back in
+          (off, min (back + fwd) (store_size - off)) );
+      ]
+  in
+  let cuts = small_list small_nat in
+  frequency
+    [
+      (3, span >>= fun (o, l) -> int_bound 250 >|= fun s -> W (o, l, s));
+      (2, span >>= fun (o, l) -> int_bound 250 >>= fun s -> cuts >|= fun c -> Wv (o, l, s, c));
+      (2, span >|= fun (o, l) -> R (o, l));
+      (2, span >>= fun (o, l) -> cuts >|= fun c -> Rv (o, l, c));
+    ]
+
+let pattern len seed = Bytes.init len (fun i -> Char.chr ((seed + (i * 7)) land 0xff))
+
+let nonzero_chunks flat =
+  let n = ref 0 in
+  for c = 0 to ((Bytes.length flat + store_chunk - 1) / store_chunk) - 1 do
+    let len = min store_chunk (Bytes.length flat - (c * store_chunk)) in
+    if not (Bytes.for_all (fun ch -> ch = '\000') (Bytes.sub flat (c * store_chunk) len))
+    then incr n
+  done;
+  !n
+
+let prop_store_matches_flat =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 22 |])
+    (QCheck.Test.make ~count:200 ~name:"store vs flat bytes reference"
+       (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 25) gen_store_op))
+       (fun ops ->
+         let st = Disk.Store.create ~size:store_size in
+         let flat = Bytes.make store_size '\000' in
+         let touched = Hashtbl.create 8 in
+         let touch off len =
+           for c = off / store_chunk to (off + len - 1) / store_chunk do
+             Hashtbl.replace touched c ()
+           done
+         in
+         let ok = ref true in
+         List.iter
+           (function
+             | W (off, len, seed) ->
+                 let src = pattern len seed in
+                 Disk.Store.write st ~off ~len src 0;
+                 Bytes.blit src 0 flat off len;
+                 touch off len
+             | Wv (off, len, seed, cuts) ->
+                 let src = pattern len seed in
+                 Disk.Store.writev st ~off (Helpers.segmented src cuts);
+                 Bytes.blit src 0 flat off len;
+                 touch off len
+             | R (off, len) ->
+                 let dst = Bytes.make len '?' in
+                 Disk.Store.read st ~off ~len dst 0;
+                 if not (Bytes.equal dst (Bytes.sub flat off len)) then ok := false
+             | Rv (off, len, cuts) ->
+                 let iov = Helpers.segmented (Bytes.make len '?') cuts in
+                 Disk.Store.readv st ~off iov;
+                 if not (Bytes.equal (Sim.Iov.to_bytes iov) (Bytes.sub flat off len))
+                 then ok := false)
+           ops;
+         let whole s =
+           let b = Bytes.create store_size in
+           Disk.Store.read s ~off:0 ~len:store_size b 0;
+           b
+         in
+         let path = Filename.temp_file "clusterfs-store" ".img" in
+         let loaded =
+           Fun.protect
+             ~finally:(fun () -> Sys.remove path)
+             (fun () ->
+               Disk.Store.save st path;
+               Disk.Store.load path)
+         in
+         let copy = Disk.Store.create ~size:store_size in
+         Disk.Store.write copy ~off:0 ~len:10 (Bytes.make 10 'x') 0;
+         Disk.Store.copy_into st copy;
+         !ok
+         && Bytes.equal (whole st) flat
+         && Disk.Store.chunks_allocated st = Hashtbl.length touched
+         && Bytes.equal (whole loaded) flat
+         && Disk.Store.chunks_allocated loaded = nonzero_chunks flat
+         && Bytes.equal (whole copy) flat
+         && Disk.Store.chunks_allocated copy = Hashtbl.length touched))
+
 (* ---------- Geom ---------- *)
 
 let test_geom_chs () =
@@ -331,6 +445,7 @@ let suites =
         Alcotest.test_case "store zero default" `Quick test_store_zero_default;
         Alcotest.test_case "store bounds" `Quick test_store_bounds;
         Alcotest.test_case "store sparse+copy" `Quick test_store_sparse_and_copy;
+        prop_store_matches_flat;
         Alcotest.test_case "geom chs" `Quick test_geom_chs;
         Alcotest.test_case "geom zoned" `Quick test_geom_zoned;
         Alcotest.test_case "geom angles" `Quick test_geom_angles;

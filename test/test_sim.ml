@@ -117,6 +117,56 @@ let test_summary () =
   Alcotest.(check (float 0.)) "max" 9. (Sim.Stats.Summary.max s);
   Alcotest.(check (float 0.)) "total" 40. (Sim.Stats.Summary.total s)
 
+(* The moments as the summary computed them when they lived in a mixed
+   record, each float boxed: the flat float record must give the same
+   bits. *)
+type boxed = {
+  mutable n : int;
+  mutable mean : float;
+  mutable m2 : float;
+  mutable mn : float;
+  mutable mx : float;
+  mutable total : float;
+}
+
+let boxed_moments xs =
+  let b = { n = 0; mean = 0.; m2 = 0.; mn = nan; mx = nan; total = 0. } in
+  List.iter
+    (fun x ->
+      b.n <- b.n + 1;
+      b.total <- b.total +. x;
+      let delta = x -. b.mean in
+      b.mean <- b.mean +. (delta /. float_of_int b.n);
+      b.m2 <- b.m2 +. (delta *. (x -. b.mean));
+      if b.n = 1 then begin
+        b.mn <- x;
+        b.mx <- x
+      end
+      else begin
+        if x < b.mn then b.mn <- x;
+        if x > b.mx then b.mx <- x
+      end)
+    xs;
+  b
+
+let prop_summary_moments_bit_identical =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 22 |])
+    (QCheck.Test.make ~count:300 ~name:"stats summary moments bit-identical"
+       QCheck.(list_of_size (Gen.int_range 1 300) (float_range (-1e9) 1e9))
+       (fun xs ->
+         let s = Sim.Stats.Summary.create () in
+         List.iter (Sim.Stats.Summary.add s) xs;
+         let b = boxed_moments xs in
+         let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+         let var = if b.n < 2 then 0. else b.m2 /. float_of_int (b.n - 1) in
+         Sim.Stats.Summary.count s = b.n
+         && same (Sim.Stats.Summary.mean s) b.mean
+         && same (Sim.Stats.Summary.variance s) var
+         && same (Sim.Stats.Summary.min s) b.mn
+         && same (Sim.Stats.Summary.max s) b.mx
+         && same (Sim.Stats.Summary.total s) b.total))
+
 let test_percentile () =
   let values () = [| 15.; 20.; 35.; 40.; 50. |] in
   Alcotest.(check (float 1e-9)) "p0" 15. (Sim.Stats.percentile (values ()) 0.);
@@ -234,6 +284,32 @@ let test_engine_double_resume_raises () =
   Sim.Engine.run e;
   Alcotest.check_raises "second resume"
     (Invalid_argument "Engine: process resumed twice") (fun () -> !resume ())
+
+(* A process reuses one continuation cell across suspensions, so a
+   handle kept from an earlier suspension must still be refused — also
+   while the process is parked again and a fresh handle is live. *)
+let test_engine_stale_resume_while_parked () =
+  let e = Sim.Engine.create () in
+  let first = ref ignore and second = ref ignore in
+  let steps = ref [] in
+  Sim.Engine.spawn e (fun () ->
+      Sim.Engine.suspend e ~register:(fun r -> first := r);
+      steps := "one" :: !steps;
+      Sim.Engine.suspend e ~register:(fun r -> second := r);
+      steps := "two" :: !steps);
+  Sim.Engine.run e;
+  !first ();
+  Sim.Engine.run e;
+  check_int "parked again" 1 (Sim.Engine.live_processes e);
+  Alcotest.check_raises "stale handle"
+    (Invalid_argument "Engine: process resumed twice") (fun () -> !first ());
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "stale handle moved nothing" [ "one" ] !steps;
+  check_int "still parked" 1 (Sim.Engine.live_processes e);
+  !second ();
+  Sim.Engine.run e;
+  Alcotest.(check (list string)) "fresh handle resumes" [ "two"; "one" ] !steps;
+  check_int "done" 0 (Sim.Engine.live_processes e)
 
 let test_engine_check_quiescent () =
   let e = Sim.Engine.create () in
@@ -574,6 +650,43 @@ let test_cpu_accounting () =
   Sim.Cpu.reset cpu;
   check_int "reset" 0 (Sim.Cpu.sys_time cpu)
 
+(* Labels are matched by address first; a string with the same text at
+   another address must land on the same total.  Equal totals are
+   listed in label order. *)
+let prop_cpu_by_label =
+  let names = [| "copy"; "bmap"; "driver"; "getpage"; "rdwr"; "alloc" |] in
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 22 |])
+    (QCheck.Test.make ~count:200 ~name:"cpu by_label totals and tie order"
+       QCheck.(small_list (triple (int_bound 5) (int_bound 4) bool))
+       (fun charges ->
+         let e = Sim.Engine.create () in
+         let cpu = Sim.Cpu.create e in
+         Sim.Engine.spawn e (fun () ->
+             List.iter
+               (fun (i, d, fresh) ->
+                 (* a fresh copy: same text, another address *)
+                 let label =
+                   if fresh then Bytes.to_string (Bytes.of_string names.(i))
+                   else names.(i)
+                 in
+                 Sim.Cpu.charge cpu ~label (d * 10))
+               charges);
+         Sim.Engine.run e;
+         let totals = Hashtbl.create 8 in
+         List.iter
+           (fun (i, d, _) ->
+             if d > 0 then
+               let sofar = Option.value ~default:0 (Hashtbl.find_opt totals names.(i)) in
+               Hashtbl.replace totals names.(i) (sofar + (d * 10)))
+           charges;
+         let expect =
+           Hashtbl.fold (fun k v acc -> (k, v) :: acc) totals []
+           |> List.sort (fun (a, x) (b, y) ->
+                  if x <> y then compare y x else compare a b)
+         in
+         Sim.Cpu.by_label cpu = expect))
+
 let test_cpu_contention_serializes () =
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e in
@@ -635,6 +748,7 @@ let suites =
         Alcotest.test_case "rng shuffle" `Quick test_rng_shuffle;
         Alcotest.test_case "rng exponential" `Quick test_rng_exponential;
         Alcotest.test_case "stats summary" `Quick test_summary;
+        prop_summary_moments_bit_identical;
         Alcotest.test_case "stats percentile" `Quick test_percentile;
         Alcotest.test_case "stats percentile no mutate" `Quick
           test_percentile_does_not_mutate;
@@ -651,6 +765,8 @@ let suites =
           test_engine_suspend_resume;
         Alcotest.test_case "engine double resume" `Quick
           test_engine_double_resume_raises;
+        Alcotest.test_case "engine stale resume while parked" `Quick
+          test_engine_stale_resume_while_parked;
         Alcotest.test_case "engine deadlock detect" `Quick
           test_engine_check_quiescent;
         Alcotest.test_case "engine process exception" `Quick
@@ -675,6 +791,7 @@ let suites =
         Alcotest.test_case "mutex unlock unheld" `Quick
           test_mutex_unlock_unlocked_raises;
         Alcotest.test_case "cpu accounting" `Quick test_cpu_accounting;
+        prop_cpu_by_label;
         Alcotest.test_case "cpu contention" `Quick
           test_cpu_contention_serializes;
         Alcotest.test_case "trace ring" `Quick test_trace_ring;

@@ -145,6 +145,123 @@ let test_pool_vnode_index () =
       check_int "other vnode untouched" 1
         (List.length (Vm.Pool.pages_of_vnode pool 8)))
 
+(* The pool against an association-list reference that also models the
+   free-frame queue, so every frame number is predicted: alloc takes the
+   queue head, a free appends, invalidate_vnode frees in ascending
+   offset, and invalidate_all walks the vnodes in the order a generic
+   [Hashtbl] of them (filled in first-allocation order) folds — the
+   order the pool's vnode table must keep. *)
+type pool_op =
+  | Alloc of int * int
+  | Lookup of int * int
+  | Free of int * int
+  | Pages_of of int
+  | Inval of int
+  | Inval_all
+
+let gen_pool_op =
+  let open QCheck.Gen in
+  let vid = int_bound 5 in
+  let off =
+    (* page offsets, and now and then an unaligned one *)
+    int_bound 9 >>= fun k ->
+    frequency [ (5, return 0); (1, int_range 1 8191) ] >|= fun j -> (k * 8192) + j
+  in
+  frequency
+    [
+      (8, map2 (fun v o -> Alloc (v, o)) vid off);
+      (4, map2 (fun v o -> Lookup (v, o)) vid off);
+      (3, map2 (fun v o -> Free (v, o)) vid off);
+      (2, map (fun v -> Pages_of v) vid);
+      (1, map (fun v -> Inval v) vid);
+      (1, return Inval_all);
+    ]
+
+let prop_pool_matches_reference =
+  QCheck_alcotest.to_alcotest
+    ~rand:(Random.State.make [| 22 |])
+    (QCheck.Test.make ~count:300 ~name:"pool vs assoc-list reference"
+       (QCheck.make (QCheck.Gen.list_size (QCheck.Gen.int_range 1 80) gen_pool_op))
+       (fun ops ->
+         with_pool (fun e pool ->
+             let cached = ref [] (* ((vid, off), frameno) *) in
+             let free = Queue.create () in
+             for i = 0 to small_param.Vm.Param.physmem_pages - 1 do
+               Queue.push i free
+             done;
+             let vids = Hashtbl.create 64 in
+             let ok = ref true in
+             let expect b = if not b then ok := false in
+             let offs_of vid =
+               List.filter_map
+                 (fun ((v, o), _) -> if v = vid then Some o else None)
+                 !cached
+               |> List.sort compare
+             in
+             let drop vid off =
+               let f = List.assoc (vid, off) !cached in
+               cached := List.remove_assoc (vid, off) !cached;
+               Queue.push f free
+             in
+             let pool_offs vid =
+               List.map
+                 (fun (p : Vm.Page.t) ->
+                   match p.Vm.Page.ident with Some i -> i.Vm.Page.off | None -> -1)
+                 (Vm.Pool.pages_of_vnode pool vid)
+             in
+             List.iter
+               (function
+                 | Alloc (vid, off) ->
+                     if List.mem_assoc (vid, off) !cached then
+                       expect
+                         (match Vm.Pool.alloc pool (ident vid off) with
+                         | _ -> false
+                         | exception Invalid_argument _ -> true)
+                     else if not (Queue.is_empty free) then begin
+                       match Vm.Pool.alloc pool (ident vid off) with
+                       | `Fresh p ->
+                           let f = Queue.pop free in
+                           expect (p.Vm.Page.frameno = f);
+                           Vm.Page.unbusy p;
+                           cached := ((vid, off), f) :: !cached;
+                           if not (Hashtbl.mem vids vid) then Hashtbl.add vids vid ()
+                       | `Existing _ -> expect false
+                     end
+                 | Lookup (vid, off) ->
+                     expect
+                       (Option.map
+                          (fun (p : Vm.Page.t) -> p.Vm.Page.frameno)
+                          (Vm.Pool.lookup pool (ident vid off))
+                       = List.assoc_opt (vid, off) !cached)
+                 | Free (vid, off) -> (
+                     match Vm.Pool.lookup pool (ident vid off) with
+                     | Some p ->
+                         Vm.Page.lock e p;
+                         Vm.Pool.free_page pool p;
+                         drop vid off
+                     | None -> expect (not (List.mem_assoc (vid, off) !cached)))
+                 | Pages_of vid -> expect (pool_offs vid = offs_of vid)
+                 | Inval vid ->
+                     Vm.Pool.invalidate_vnode pool vid;
+                     List.iter (drop vid) (offs_of vid)
+                 | Inval_all ->
+                     Vm.Pool.invalidate_all pool;
+                     Hashtbl.fold (fun vid () acc -> vid :: acc) vids []
+                     |> List.iter (fun vid -> List.iter (drop vid) (offs_of vid)))
+               ops;
+             (* the free queue's order pins every free order above *)
+             let rest = List.of_seq (Queue.to_seq free) in
+             let counted = Vm.Pool.freecnt pool = List.length rest in
+             let drained =
+               List.mapi
+                 (fun i _ ->
+                   match Vm.Pool.alloc pool (ident 99 (i * 8192)) with
+                   | `Fresh p -> p.Vm.Page.frameno
+                   | `Existing _ -> -1)
+                 rest
+             in
+             !ok && counted && drained = rest)))
+
 (* invalidate_vnode walks a sorted snapshot and takes a fresh one only
    after waiting on a busy page.  Here the holder of that page adds a
    page below the rest of the snapshot while the invalidation waits: it
@@ -335,6 +452,7 @@ let suites =
         Alcotest.test_case "pool double alloc" `Quick
           test_pool_double_alloc_rejected;
         Alcotest.test_case "pool vnode index" `Quick test_pool_vnode_index;
+        prop_pool_matches_reference;
         Alcotest.test_case "pool invalidate waits busy page" `Quick
           test_pool_invalidate_waits_busy_page;
         Alcotest.test_case "pool alloc blocks" `Quick
