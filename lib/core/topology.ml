@@ -27,17 +27,9 @@ type t = {
   clients : client array;
   medium : Nfs.Proto.msg Net.Medium.t option;
   switch : Nfs.Proto.msg Net.Switch.t option;
-  srv_hosts : Nfs.Proto.msg Net.host array;  (* empty on p2p links *)
   srv_ports : Nfs.Proto.msg Net.Switch.port array option;
   crashed : Disk.Store.t option array;
       (* platter images latched at crash_server, consumed by reboot *)
-  (* wiring parameters retained so add_mount can attach later *)
-  topo_kind : kind;
-  net_cfg : Net.config;
-  seed : int;
-  transport : Nfs.Rpc.transport option;
-  rpc_timeout : Sim.Time.t option;
-  mutable next_rpc_id : int;  (* unique per rpc channel: dup-cache keys *)
 }
 
 let client_link c =
@@ -139,8 +131,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
         in
         let mounts =
           Array.init servers (fun s ->
-              (* per-server congestion state: every future mount from
-                 this client to server [s] shares this channel's cstate *)
+              (* one channel, and so one congestion state, per server *)
               let rpc =
                 Nfs.Rpc.create engine ~cpu ~ep:(client_ep s) ~client_id:id
                   ?transport ?timeout:rpc_timeout ()
@@ -170,16 +161,9 @@ let create ?(net = Net.default_config) ?(seed = 0)
       clients;
       medium;
       switch;
-      srv_hosts;
       srv_ports =
         Option.map (fun sw -> Array.map (Net.Switch.port sw) srv_hosts) switch;
       crashed = Array.make servers None;
-      topo_kind = topology;
-      net_cfg = net;
-      seed;
-      transport;
-      rpc_timeout;
-      next_rpc_id = Array.length clients;
     }
   in
   (match Machine.current_metrics_sink () with
@@ -255,46 +239,6 @@ let server_of_path t path =
 
 let shard t c path = c.mounts.(server_of_path t path).m_mount
 let mount_of c ~server = c.mounts.(server).m_mount
-
-(* ---------- extra mounts (per-server congestion state) ---------- *)
-
-let add_mount t c ~server ?biods ?ra_depth ?dirty_limit () =
-  if server < 0 || server >= Array.length t.servers then
-    invalid_arg "Topology.add_mount: no such server";
-  let engine = engine t in
-  let rpc_id = t.next_rpc_id in
-  t.next_rpc_id <- t.next_rpc_id + 1;
-  (* a genuinely new transport attachment: its own link/station/port,
-     its own xid space and dispatcher on the server — but the congestion
-     state is the per-server channel's, shared with the existing mount *)
-  let ep =
-    match c.attach with
-    | Links _ ->
-        let link =
-          Net.create
-            ~seed:(t.seed + 7919 + rpc_id)
-            ~name:(Printf.sprintf "link.x%d.s%d" rpc_id server)
-            engine t.net_cfg ~a_cpu:c.cpu
-            ~b_cpu:t.servers.(server).Machine.cpu
-        in
-        Nfs.Server.add_endpoint t.services.(server) (Net.b_end link);
-        Net.a_end link
-    | Host _ ->
-        let h = attach_host ~medium:t.medium ~switch:t.switch c.cpu in
-        let srv = t.srv_hosts.(server) in
-        Nfs.Server.add_endpoint t.services.(server)
-          (Net.endpoint srv ~peer:(Net.host_id h));
-        Net.endpoint h ~peer:(Net.host_id srv)
-  in
-  let cstate = Nfs.Rpc.cstate_of c.mounts.(server).m_rpc in
-  let rpc =
-    Nfs.Rpc.create engine ~cpu:c.cpu ~ep ~client_id:rpc_id
-      ?transport:t.transport ?timeout:t.rpc_timeout ~cstate ()
-  in
-  let m_mount =
-    Nfs.Client.mount engine ~cpu:c.cpu ~rpc ?biods ?ra_depth ?dirty_limit ()
-  in
-  { m_server = server; m_rpc = rpc; m_mount }
 
 (* ---------- server crash / reboot ---------- *)
 

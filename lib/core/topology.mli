@@ -27,13 +27,10 @@
     client should use for a file.  Which server owns a path is a pure
     function of the name, so every client agrees without coordination.
 
-    {b Per-server congestion state.}  A client's RPC channel to each
-    server owns one {!Nfs.Rpc.cstate} (RTT estimator, RTO, AIMD
-    window).  {!add_mount} attaches an {e additional} mount — its own
-    link/station/port, xid space and server dispatcher — that shares
-    the existing channel's cstate, so two mounts to one server share one
-    cwnd/RTO estimator while mounts to different servers stay
-    independent.
+    {b Per-server congestion state.}  A client keeps exactly one
+    {!Nfs.Rpc.t} per server, and that channel owns the congestion state
+    toward its server (RTT estimator, RTO, AIMD window): mounts to
+    different servers never share a window or an estimator.
 
     When a metrics sink is installed ({!Machine.with_metrics_sink}),
     the server machines, NFS services, the network and (by default)
@@ -80,20 +77,11 @@ type t = {
       (** the shared segment, when [kind] was {!Shared_medium} *)
   switch : Nfs.Proto.msg Net.Switch.t option;
       (** the fabric, when [kind] was {!Switched} *)
-  srv_hosts : Nfs.Proto.msg Net.host array;
-      (** the servers' stations or switch ports, by server; empty on
-          {!Point_to_point} *)
   srv_ports : Nfs.Proto.msg Net.Switch.port array option;
       (** the servers' switch ports, when [kind] was {!Switched} *)
   crashed : Disk.Store.t option array;
       (** platter images latched by {!crash_server}, consumed by
           {!reboot_server}; indexed by server *)
-  topo_kind : kind;
-  net_cfg : Net.config;
-  seed : int;
-  transport : Nfs.Rpc.transport option;
-  rpc_timeout : Sim.Time.t option;
-  mutable next_rpc_id : int;
 }
 
 val client_link : client -> Nfs.Proto.msg Net.t option
@@ -156,24 +144,6 @@ val shard : t -> client -> string -> Nfs.Client.t
 (** The mount this client should use for this path. *)
 
 val mount_of : client -> server:int -> Nfs.Client.t
-
-val add_mount :
-  t ->
-  client ->
-  server:int ->
-  ?biods:int ->
-  ?ra_depth:int ->
-  ?dirty_limit:int ->
-  unit ->
-  mountpoint
-(** Attach an additional mount from [client] to [server]: a genuinely
-    new transport attachment (own p2p link, station or switch port, own
-    xid space, and a new dispatcher on the server) whose RPC channel
-    {e shares} the per-server {!Nfs.Rpc.cstate} with the client's
-    existing mount to that server — per-server, not per-mount,
-    congestion state.  Must be called before driving load (it spawns
-    server-side processes).  The returned mountpoint is not added to
-    [client.mounts]. *)
 
 val run_clients : t -> (client -> unit) -> unit
 (** Run [f] concurrently on every client node (one simulated process

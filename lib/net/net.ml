@@ -281,8 +281,6 @@ module Medium = struct
   type 'a t = {
     m_engine : Sim.Engine.t;
     m_cfg : config;
-    slot : Sim.Time.t;
-    max_exp : int;
     m_name : string;
     m_rng : Sim.Rng.t;
     mutable wire_free_at : Sim.Time.t;
@@ -301,15 +299,16 @@ module Medium = struct
     mutable backoff_exp : int;
   }
 
-  let create ?(seed = 0) ?(name = "ether") ?(slot = Sim.Time.us 51)
-      ?(max_backoff_exp = 10) engine cfg =
+  (* the classic Ethernet slot time scales the backoff jitter; the
+     binary-exponential window stops doubling at 2^max_backoff_exp *)
+  let slot = Sim.Time.us 51
+  let max_backoff_exp = 10
+
+  let create ?(seed = 0) ?(name = "ether") engine cfg =
     validate ~who:"Net.Medium.create" cfg;
-    if slot <= 0 then invalid_arg "Net.Medium.create: slot must be > 0";
     {
       m_engine = engine;
       m_cfg = cfg;
-      slot;
-      max_exp = max_backoff_exp;
       m_name = name;
       m_rng = Sim.Rng.create ~seed;
       wire_free_at = Sim.Time.zero;
@@ -342,9 +341,9 @@ module Medium = struct
     if Queue.is_empty s.outq then s.pumping <- false
     else if now < m.wire_free_at then begin
       m.m_st.contentions <- m.m_st.contentions + 1;
-      let window = 1 lsl min s.backoff_exp m.max_exp in
+      let window = 1 lsl min s.backoff_exp max_backoff_exp in
       s.backoff_exp <- s.backoff_exp + 1;
-      let jitter = m.slot * (1 + Sim.Rng.int m.m_rng window) in
+      let jitter = slot * (1 + Sim.Rng.int m.m_rng window) in
       Sim.Engine.schedule m.m_engine
         ~delay:(m.wire_free_at - now + jitter)
         (try_transmit s)

@@ -137,14 +137,12 @@ module Medium : sig
   type 'a t
   (** One shared wire. *)
 
-  val create :
-    ?seed:int -> ?name:string -> ?slot:Sim.Time.t -> ?max_backoff_exp:int ->
-    Sim.Engine.t -> config -> 'a t
-  (** [slot] (default 51 us — the classic Ethernet slot time) scales
-      the backoff jitter; [max_backoff_exp] (default 10) caps the
-      binary-exponential window.  [bandwidth] and [latency] come from
-      the shared [config]; [loss]/[spike] fault injection applies per
-      frame. *)
+  val create : ?seed:int -> ?name:string -> Sim.Engine.t -> config -> 'a t
+  (** The backoff jitter is drawn in units of a fixed 51 us slot (the
+      classic Ethernet slot time) and its binary-exponential window
+      stops doubling at 2^10 slots.  [bandwidth] and [latency] come
+      from the shared [config]; [loss]/[spike] fault injection applies
+      per frame. *)
 
   val attach : 'a t -> cpu:Sim.Cpu.t -> 'a host
   (** Add a station (a machine's network interface). *)

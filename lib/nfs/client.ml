@@ -1,5 +1,11 @@
 let bsize = Ufs.Layout.bsize
 
+(* the read-ahead / write-gather unit, how long a GETATTR answer stays
+   fresh, and the entries asked for per READDIR page *)
+let cluster = 120 * 1024
+let attr_ttl = Sim.Time.sec 3
+let readdir_count = 32
+
 type stats = {
   mutable read_calls : int;
   mutable write_calls : int;
@@ -83,12 +89,9 @@ and t = {
   cpu : Sim.Cpu.t;
   rpc : Rpc.t;
   frames : Sim.Frames.t;  (** the engine's, shared with the server *)
-  cluster : int;
   ra_depth : int;
   dirty_limit : int;
-  attr_ttl : Sim.Time.t;
   cache_pages : int;
-  readdir_count : int;
   costs : Ufs.Costs.t;
   jobs : job Queue.t;
   work : Sim.Condition.t;
@@ -408,10 +411,9 @@ let enqueue t job =
 
 (* ---------- mount / namespace ---------- *)
 
-let mount engine ~cpu ~rpc ?(biods = 4) ?(cluster_bytes = 120 * 1024)
-    ?(ra_depth = 2) ?(dirty_limit = 240 * 1024)
-    ?(attr_ttl = Sim.Time.sec 3) ?(cache_pages = 1024)
-    ?(readdir_count = 32) ?(costs = Ufs.Costs.default) () =
+let mount engine ~cpu ~rpc ?(biods = 4) ?(ra_depth = 2)
+    ?(dirty_limit = 240 * 1024) ?(cache_pages = 1024)
+    ?(costs = Ufs.Costs.default) () =
   assert (Sim.Frames.size (Sim.Engine.frames engine) = bsize);
   let t =
     {
@@ -419,12 +421,9 @@ let mount engine ~cpu ~rpc ?(biods = 4) ?(cluster_bytes = 120 * 1024)
       cpu;
       rpc;
       frames = Sim.Engine.frames engine;
-      cluster = cluster_bytes;
       ra_depth;
       dirty_limit;
-      attr_ttl;
       cache_pages;
-      readdir_count;
       costs;
       jobs = Queue.create ();
       work = Sim.Condition.create engine "biod.work";
@@ -490,7 +489,7 @@ let readdir t =
   let rec go cookie acc =
     match
       Rpc.call t.rpc
-        (Proto.Readdir { fh = Proto.root_fh; cookie; count = t.readdir_count })
+        (Proto.Readdir { fh = Proto.root_fh; cookie; count = readdir_count })
     with
     | Proto.R_names { names; cookie = next; eof } ->
         let acc = List.rev_append names acc in
@@ -506,7 +505,7 @@ let getattr f =
   let t = f.cl in
   let fresh =
     match f.attr_at with
-    | Some ts -> Sim.Engine.now t.engine - ts <= t.attr_ttl
+    | Some ts -> Sim.Engine.now t.engine - ts <= attr_ttl
     | None -> false
   in
   if fresh then begin
@@ -540,13 +539,13 @@ let size f = f.fsize
    backward seek starts a fresh frontier instead of inheriting one it
    can never catch. *)
 let schedule_readahead t f (w : rwin) ~po =
-  if w.w_raio < po + t.cluster then w.w_raio <- po + t.cluster;
-  let window_end = po + ((t.ra_depth + 1) * t.cluster) in
+  if w.w_raio < po + cluster then w.w_raio <- po + cluster;
+  let window_end = po + ((t.ra_depth + 1) * cluster) in
   while w.w_raio < window_end && w.w_raio < f.fsize do
-    let len = min t.cluster (f.fsize - w.w_raio) in
+    let len = min cluster (f.fsize - w.w_raio) in
     t.st.ra_issued <- t.st.ra_issued + 1;
     enqueue t (Ra (f, w.w_raio, len));
-    w.w_raio <- w.w_raio + t.cluster
+    w.w_raio <- w.w_raio + cluster
   done
 
 (* The page at [po], fetching on a miss: a whole cluster when the
@@ -569,7 +568,7 @@ let rec ensure_resident t f ~po ~seq ~retried =
       else begin
         t.st.cache_misses <- t.st.cache_misses + 1;
         let len =
-          if seq then min t.cluster (max bsize (f.fsize - po)) else bsize
+          if seq then min cluster (max bsize (f.fsize - po)) else bsize
         in
         fetch_range t f ~off:po ~len ~prefetched:false;
         ensure_resident t f ~po ~seq ~retried:true
@@ -732,7 +731,7 @@ let write_body f ~off ~buf ~len =
       f.delayoff <- po;
       f.delaylen <- bsize
     end;
-    if f.delaylen >= t.cluster then flush_gather t f;
+    if f.delaylen >= cluster then flush_gather t f;
     copied := !copied + n;
     cur := !cur + n
   done

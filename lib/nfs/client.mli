@@ -17,7 +17,7 @@
     - {b dirty cap}: a write-limit-style bound on dirty + in-flight
       write bytes per mount, so one writer cannot fill the client cache
       with unpushed data;
-    - {b attribute cache}: GETATTR answers are reused for [attr_ttl].
+    - {b attribute cache}: GETATTR answers are reused for 3 s.
 
     Overlapping WRITE pushes of one file are serialized (a retransmitted
     older write must never land after a newer one); non-overlapping
@@ -33,18 +33,16 @@ val mount :
   cpu:Sim.Cpu.t ->
   rpc:Rpc.t ->
   ?biods:int ->
-  ?cluster_bytes:int ->
   ?ra_depth:int ->
   ?dirty_limit:int ->
-  ?attr_ttl:Sim.Time.t ->
   ?cache_pages:int ->
-  ?readdir_count:int ->
   ?costs:Ufs.Costs.t ->
   unit ->
   t
-(** Defaults: 4 biods, 120 KB clusters, 2 clusters of read-ahead,
-    240 KB dirty cap, 3 s attribute TTL, 1024 cached pages (8 MB),
-    32 directory entries requested per READDIR page. *)
+(** Defaults: 4 biods, 2 clusters of read-ahead, 240 KB dirty cap,
+    1024 cached pages (8 MB).  Fixed for every mount: 120 KB clusters
+    (the read-ahead and write-gather unit), a 3 s attribute TTL and 32
+    directory entries requested per READDIR page. *)
 
 val engine : t -> Sim.Engine.t
 
@@ -62,7 +60,7 @@ val lookup : t -> string -> file option
 
 val readdir : t -> string list
 (** The whole root directory, paged through the READDIR resume cookie
-    [readdir_count] entries at a time. *)
+    32 entries at a time. *)
 
 val size : file -> int
 (** The client's view: local writes extend it immediately. *)

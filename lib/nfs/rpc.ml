@@ -11,18 +11,16 @@ type pending = {
   mutable wake : (unit -> unit) option;
 }
 
-(* The congestion/timer state of one {e server channel}: RTT estimator,
-   RTO, AIMD window, in-flight count and the window wait queue.  It is a
-   separate heap object so several [t]s — one per mount — can share it
-   when they target the same server: the window then bounds the union of
-   their outstanding calls and every mount feeds (and benefits from) one
-   estimator, the way a real client shares one transport handle per
-   server rather than per mount. *)
-type cstate = {
-  cs_timeout : Sim.Time.t;
-  cs_max_timeout : Sim.Time.t;
-  cs_min_rto : Sim.Time.t;
-  cs_cwnd_limit : float;
+(* One channel per client machine and server: its xid space, reply
+   matching, and the congestion/timer state (RTT estimator, RTO, AIMD
+   window, in-flight count and the window wait queue). *)
+type t = {
+  engine : Sim.Engine.t;
+  cpu : Sim.Cpu.t;
+  ep : Proto.msg Net.endpoint;
+  id : int;
+  transport : transport;
+  timeout : Sim.Time.t;  (** the configured initial timeout *)
   mutable srtt : float;  (** us; negative until the first valid sample *)
   mutable rttvar : float;
   mutable rto : Sim.Time.t;  (** current RTO, Karn backoff included *)
@@ -32,15 +30,6 @@ type cstate = {
   mutable backoffs : int;
   window_wait_us : Sim.Stats.Summary.t;
   win_cond : Sim.Condition.t;
-}
-
-type t = {
-  engine : Sim.Engine.t;
-  cpu : Sim.Cpu.t;
-  ep : Proto.msg Net.endpoint;
-  id : int;
-  transport : transport;
-  cs : cstate;  (** shared with other mounts to the same server, or private *)
   mutable next_xid : int;
   pending : (int, pending) Hashtbl.t;
   st : stats;
@@ -49,30 +38,14 @@ type t = {
   mutable retrans_log : Sim.Time.t list;  (** newest first *)
 }
 
+(* retry timers back off up to this; the adaptive RTO is floored at
+   [min_rto] and the congestion window capped at [cwnd_limit] *)
+let max_timeout = Sim.Time.sec 20
+let min_rto = Sim.Time.ms 200
+let cwnd_limit = 8.
+
 let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
-    ?(timeout = Sim.Time.of_ms_float 1100.) ?(max_timeout = Sim.Time.sec 20)
-    ?(min_rto = Sim.Time.ms 200) ?(cwnd_limit = 8.) ?cstate () =
-  let cs =
-    match cstate with
-    | Some cs -> cs
-    | None ->
-        {
-          cs_timeout = timeout;
-          cs_max_timeout = max_timeout;
-          cs_min_rto = min_rto;
-          cs_cwnd_limit = cwnd_limit;
-          srtt = -1.;
-          rttvar = 0.;
-          rto = timeout;
-          cwnd = 2.;
-          in_flight = 0;
-          next_decrease_at = Sim.Time.zero;
-          backoffs = 0;
-          window_wait_us = Sim.Stats.Summary.create ();
-          win_cond =
-            Sim.Condition.create engine (Printf.sprintf "rpc.win.%d" client_id);
-        }
-  in
+    ?(timeout = Sim.Time.of_ms_float 1100.) () =
   let t =
     {
       engine;
@@ -80,7 +53,17 @@ let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
       ep;
       id = client_id;
       transport;
-      cs;
+      timeout;
+      srtt = -1.;
+      rttvar = 0.;
+      rto = timeout;
+      cwnd = 2.;
+      in_flight = 0;
+      next_decrease_at = Sim.Time.zero;
+      backoffs = 0;
+      window_wait_us = Sim.Stats.Summary.create ();
+      win_cond =
+        Sim.Condition.create engine (Printf.sprintf "rpc.win.%d" client_id);
       next_xid = 1;
       pending = Hashtbl.create 32;
       st = { calls = 0; retransmits = 0; late_replies = 0 };
@@ -167,50 +150,49 @@ let account t ~entry ~window_wait ~attempts (m : Proto.meta) =
 
 (* ---------- adaptive state (Jacobson/Karn + AIMD window) ---------- *)
 
-let window cs = max 1 (int_of_float cs.cwnd)
+let window t = max 1 (int_of_float t.cwnd)
 
-let clamp_rto cs v = max cs.cs_min_rto (min v cs.cs_max_timeout)
+let clamp_rto v = max min_rto (min v max_timeout)
 
 (* Valid (un-retransmitted, Karn) samples drive the standard
    srtt/rttvar estimator: srtt += err/8, rttvar += (|err|-rttvar)/4,
    rto = srtt + 4*rttvar — and recomputing rto here is also what
    retires a Karn backoff once a clean exchange proves the network. *)
-let sample_rtt cs rtt =
+let sample_rtt t rtt =
   let sample = float_of_int rtt in
-  if cs.srtt < 0. then begin
-    cs.srtt <- sample;
-    cs.rttvar <- sample /. 2.
+  if t.srtt < 0. then begin
+    t.srtt <- sample;
+    t.rttvar <- sample /. 2.
   end
   else begin
-    let err = sample -. cs.srtt in
-    cs.srtt <- cs.srtt +. (err /. 8.);
-    cs.rttvar <- cs.rttvar +. ((Float.abs err -. cs.rttvar) /. 4.)
+    let err = sample -. t.srtt in
+    t.srtt <- t.srtt +. (err /. 8.);
+    t.rttvar <- t.rttvar +. ((Float.abs err -. t.rttvar) /. 4.)
   end;
-  cs.rto <- clamp_rto cs (int_of_float (cs.srtt +. (4. *. cs.rttvar)))
+  t.rto <- clamp_rto (int_of_float (t.srtt +. (4. *. t.rttvar)))
 
 (* ---------- the retransmit loop, both transports ---------- *)
 
 (* Fixed (the NFSv2 default) starts every call from the configured
    timeout and doubles it per retry; nothing else.  Adaptive first waits
-   for congestion-window space (bounding the channel's outstanding RPCs
-   across every mount sharing this cstate), starts from the channel RTO,
-   and on a timeout publishes the backed-off value as the channel RTO
-   (Karn: it holds until a clean sample) and halves the window at most
-   once per RTO, so one loss burst doesn't zero the window.  A clean
-   reply feeds the estimator and grows the window. *)
+   for congestion-window space (bounding the channel's outstanding
+   RPCs), starts from the channel RTO, and on a timeout publishes the
+   backed-off value as the channel RTO (Karn: it holds until a clean
+   sample) and halves the window at most once per RTO, so one loss
+   burst doesn't zero the window.  A clean reply feeds the estimator
+   and grows the window. *)
 let call_body t (call : Proto.call) =
-  let cs = t.cs in
   let adaptive = t.transport = Adaptive in
   let entry = Sim.Engine.now t.engine in
   if adaptive then begin
-    while cs.in_flight >= window cs do
-      Sim.Condition.wait cs.win_cond
+    while t.in_flight >= window t do
+      Sim.Condition.wait t.win_cond
     done;
-    cs.in_flight <- cs.in_flight + 1
+    t.in_flight <- t.in_flight + 1
   end;
   let waited = Sim.Engine.now t.engine - entry in
   if waited > 0 then begin
-    Sim.Stats.Summary.add cs.window_wait_us (float_of_int waited);
+    Sim.Stats.Summary.add t.window_wait_us (float_of_int waited);
     Sim.Span.interval ~name:"rpc.window" ~start_us:entry
       ~stop_us:(Sim.Engine.now t.engine)
       ()
@@ -223,7 +205,7 @@ let call_body t (call : Proto.call) =
   let p = { got = None; wake = None } in
   Hashtbl.replace t.pending xid p;
   let t0 = Sim.Engine.now t.engine in
-  let cur = ref (if adaptive then cs.rto else cs.cs_timeout) in
+  let cur = ref (if adaptive then t.rto else t.timeout) in
   let attempts = ref 0 in
   (* a loop, not a recursive closure: the retry state stays in locals
      and a call allocates no environment for it *)
@@ -244,14 +226,14 @@ let call_body t (call : Proto.call) =
         ~start_us:send_at
         ~stop_us:(Sim.Engine.now t.engine)
         ();
-      cur := min (!cur * 2) cs.cs_max_timeout;
+      cur := min (!cur * 2) max_timeout;
       if adaptive then begin
-        cs.backoffs <- cs.backoffs + 1;
-        cs.rto <- max cs.rto !cur;
+        t.backoffs <- t.backoffs + 1;
+        t.rto <- max t.rto !cur;
         let now = Sim.Engine.now t.engine in
-        if now >= cs.next_decrease_at then begin
-          cs.cwnd <- Float.max 1. (cs.cwnd /. 2.);
-          cs.next_decrease_at <- now + !cur
+        if now >= t.next_decrease_at then begin
+          t.cwnd <- Float.max 1. (t.cwnd /. 2.);
+          t.next_decrease_at <- now + !cur
         end
       end
     end
@@ -259,12 +241,12 @@ let call_body t (call : Proto.call) =
   let r, meta = Option.get p.got and resent = !attempts > 1 in
   if adaptive then begin
     if not resent then begin
-      sample_rtt cs (Sim.Engine.now t.engine - t0);
+      sample_rtt t (Sim.Engine.now t.engine - t0);
       (* additive increase on clean replies only *)
-      cs.cwnd <- Float.min cs.cs_cwnd_limit (cs.cwnd +. (1. /. cs.cwnd))
+      t.cwnd <- Float.min cwnd_limit (t.cwnd +. (1. /. t.cwnd))
     end;
-    cs.in_flight <- cs.in_flight - 1;
-    Sim.Condition.signal cs.win_cond
+    t.in_flight <- t.in_flight - 1;
+    Sim.Condition.signal t.win_cond
   end;
   account t ~entry ~window_wait:waited ~attempts:!attempts meta;
   (finish_call t call ~t0 r, resent)
@@ -289,14 +271,12 @@ let rtt_of t op =
   | Some i -> t.op_rtt.(i)
   | None -> Sim.Stats.Summary.create ()
 
-let srtt_us t = if t.cs.srtt < 0. then 0. else t.cs.srtt
-let rto_us t = float_of_int t.cs.rto
-let cwnd t = match t.transport with Fixed -> 0. | Adaptive -> t.cs.cwnd
-let in_flight t = t.cs.in_flight
-let backoffs t = t.cs.backoffs
-let window_wait_us t = t.cs.window_wait_us
-let cstate_of t = t.cs
-let shares_cstate a b = a.cs == b.cs
+let srtt_us t = if t.srtt < 0. then 0. else t.srtt
+let rto_us t = float_of_int t.rto
+let cwnd t = match t.transport with Fixed -> 0. | Adaptive -> t.cwnd
+let in_flight t = t.in_flight
+let backoffs t = t.backoffs
+let window_wait_us t = t.window_wait_us
 
 let retransmits_since t since =
   List.length (List.filter (fun at -> at >= since) t.retrans_log)

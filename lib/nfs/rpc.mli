@@ -2,8 +2,10 @@
     retransmission (an NFS hard mount: a call retries forever, so any
     loss rate below 1 eventually completes).
 
-    One {!t} serves a whole client machine — the benchmark process and
-    every biod daemon call through it concurrently; a single receiver
+    One {!t} is a client machine's channel to one server — the
+    benchmark process and every biod daemon of the mount call through
+    it concurrently, and it alone owns the congestion state toward that
+    server (no other channel reads or feeds it); a single receiver
     process demultiplexes replies by xid.  A reply that arrives after
     its call already completed (the call was retransmitted and both
     copies were answered) is counted and dropped.  Reply-answered
@@ -17,7 +19,7 @@
       client times out at the same fixed interval and re-injects
       duplicates, which is exactly the congestion collapse the [nfscc]
       experiment reproduces.
-    - {!Adaptive} — a per-server estimator in the TCP style.  The RTO
+    - {!Adaptive} — a per-channel estimator in the TCP style.  The RTO
       tracks [srtt + 4*rttvar] from Jacobson's EWMAs, fed only by
       never-retransmitted calls (Karn's rule: an ambiguous sample could
       be the echo of either copy); a timed-out call backs its own timer
@@ -32,15 +34,6 @@ type transport = Fixed | Adaptive
 
 type t
 
-type cstate
-(** The congestion/timer state of one {e server channel}: RTT estimator,
-    RTO, AIMD window, in-flight count and the window wait queue.
-    Several {!t}s (one per mount) share one [cstate] when they target
-    the same server — the window then bounds the union of their
-    outstanding calls and every mount feeds one estimator, per-server
-    rather than per-mount, the way a real client keeps one transport
-    handle per server. *)
-
 val create :
   Sim.Engine.t ->
   cpu:Sim.Cpu.t ->
@@ -48,26 +41,15 @@ val create :
   client_id:int ->
   ?transport:transport ->
   ?timeout:Sim.Time.t ->
-  ?max_timeout:Sim.Time.t ->
-  ?min_rto:Sim.Time.t ->
-  ?cwnd_limit:float ->
-  ?cstate:cstate ->
   unit ->
   t
-(** [transport] defaults to {!Fixed}.  [timeout] (default 1.1 s) is the
-    initial retransmission timeout — for {!Adaptive} it seeds the RTO
-    until the first valid sample; it doubles on every retry up to
-    [max_timeout] (default 20 s).  [min_rto] (default 200 ms) floors
-    the adaptive RTO; [cwnd_limit] (default 8) caps the congestion
-    window.  [cstate] shares an existing server channel's congestion
-    state instead of building a private one; the four timer parameters
-    are then ignored (they live in the [cstate]). *)
-
-val cstate_of : t -> cstate
-
-val shares_cstate : t -> t -> bool
-(** Physical identity: do the two channels share one congestion
-    state? *)
+(** One channel to one server: its own xid space, RTT estimator, RTO
+    and congestion window.  [transport] defaults to {!Fixed}.
+    [timeout] (default 1.1 s) is the initial retransmission timeout —
+    for {!Adaptive} it seeds the RTO until the first valid sample; it
+    doubles on every retry up to a fixed 20 s.  The adaptive RTO is
+    floored at a fixed 200 ms and the congestion window capped at 8
+    calls. *)
 
 val client_id : t -> int
 val transport : t -> transport

@@ -289,9 +289,6 @@ let create engine ~cpu ~fs ?(nfsd = 4) ?dup_cache_size ~endpoints () =
   done;
   t
 
-let add_endpoint t ep =
-  Sim.Engine.spawn t.engine ~name:"nfs.dispatch.extra" (dispatcher t ep)
-
 (* ---------- crash / restart ---------- *)
 
 let crash t =

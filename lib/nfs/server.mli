@@ -34,11 +34,6 @@ val create :
     last retransmit of its call arrives is a duplicate apply waiting to
     happen, so the default scales with the endpoint count. *)
 
-val add_endpoint : t -> Proto.msg Net.endpoint -> unit
-(** Start a dispatcher over one more endpoint — an extra mount attached
-    after the server came up ({!Clusterfs.Topology.add_mount}).  The dup
-    cache does not grow; it was sized at {!create}. *)
-
 val root_fh : Proto.fh
 (** The exported root directory. *)
 

@@ -31,7 +31,6 @@ type recorder = {
   mutable roots_done : int;
   (* slow-op sampler *)
   slow_keep : int;
-  threshold_us : Time.t option;
   lat : Stats.Summary.t;
   mutable sampled : int;
   mutable slowset : (Time.t * int * t) list;  (* (duration, arrival seq, tree) *)
@@ -39,7 +38,7 @@ type recorder = {
   mutable slow_drops : int;
 }
 
-let create_recorder ?(log_capacity = 2048) ?(slow_keep = 32) ?threshold_us () =
+let create_recorder ?(log_capacity = 2048) ?(slow_keep = 32) () =
   {
     on = true;
     clock = (fun () -> 0);
@@ -50,7 +49,6 @@ let create_recorder ?(log_capacity = 2048) ?(slow_keep = 32) ?threshold_us () =
     log_dropped = 0;
     roots_done = 0;
     slow_keep = max 1 slow_keep;
-    threshold_us;
     lat = Stats.Summary.create ();
     sampled = 0;
     slowset = [];
@@ -115,11 +113,7 @@ let sample_slow r sp =
   let dur = duration sp in
   r.sampled <- r.sampled + 1;
   Stats.Summary.add r.lat (float_of_int dur);
-  let qualifies =
-    (match r.threshold_us with Some th -> dur >= th | None -> false)
-    || float_of_int dur >= Stats.Summary.percentile_of r.lat 99.
-  in
-  if qualifies then begin
+  if float_of_int dur >= Stats.Summary.percentile_of r.lat 99. then begin
     r.slow_seq <- r.slow_seq + 1;
     r.slowset <- (dur, r.slow_seq, sp) :: r.slowset;
     if List.length r.slowset > r.slow_keep then begin

@@ -57,14 +57,13 @@ type recorder
 val create_recorder :
   ?log_capacity:int ->
   ?slow_keep:int ->
-  ?threshold_us:Time.t ->
   unit ->
   recorder
 (** [log_capacity] bounds the ring of finished root trees (default
     2048; overflow counts as [log_dropped]).  The slow-op sampler keeps
     at most [slow_keep] trees (default 32), retaining a sampled root
-    when its duration reaches [threshold_us] {e or} the streaming p99
-    of all sampled roots so far; evictions count as [slow_drops].
+    when its duration reaches the streaming p99 of all sampled roots so
+    far; evictions count as [slow_drops].
     Everything inside is deterministic — two identical runs retain
     identical trees. *)
 

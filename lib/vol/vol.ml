@@ -11,8 +11,6 @@ let layout_to_string = function
   | Stripe -> "stripe"
   | Mirror -> "mirror"
 
-type read_policy = Round_robin | Shortest_queue
-
 type member = {
   dev : Disk.Device.t;
   start : int;  (** concat: member's first logical byte *)
@@ -23,7 +21,6 @@ type member = {
 type t = {
   engine : Sim.Engine.t;
   layout : layout;
-  read_policy : read_policy;
   stripe_bytes : int;
   sector_bytes : int;
   capacity : int;  (** logical bytes *)
@@ -49,8 +46,7 @@ let mirror_map ~cap mo =
   if mo >= cap then invalid_arg "Vol: access beyond mirrored capacity"
   else (mo, cap - mo)
 
-let create ?(read_policy = Round_robin) ?(stripe_bytes = 128 * 1024) engine
-    layout cfgs =
+let create ?(stripe_bytes = 128 * 1024) engine layout cfgs =
   let n = Array.length cfgs in
   if n = 0 then invalid_arg "Vol.create: no members";
   let sb = (cfgs.(0)).Disk.Device.geom.Disk.Geom.sector_bytes in
@@ -104,7 +100,6 @@ let create ?(read_policy = Round_robin) ?(stripe_bytes = 128 * 1024) engine
   {
     engine;
     layout;
-    read_policy;
     stripe_bytes;
     sector_bytes = sb;
     capacity;
@@ -198,28 +193,17 @@ let live_members t =
 let pick_read_member t =
   match live_members t with
   | [] -> failwith "Vol: mirror read with all members failed"
-  | live -> (
-      match t.read_policy with
-      | Round_robin ->
-          (* advance the cursor to the next live member *)
-          let n = n_members t in
-          let rec go tries i =
-            if tries > n then assert false
-            else if List.mem (i mod n) live then i mod n
-            else go (tries + 1) (i + 1)
-          in
-          let i = go 0 t.rr in
-          t.rr <- (i + 1) mod n;
-          i
-      | Shortest_queue ->
-          List.fold_left
-            (fun best i ->
-              if
-                Disk.Device.queue_length t.members.(i).dev
-                < Disk.Device.queue_length t.members.(best).dev
-              then i
-              else best)
-            (List.hd live) (List.tl live))
+  | live ->
+      (* advance the round-robin cursor to the next live member *)
+      let n = n_members t in
+      let rec go tries i =
+        if tries > n then assert false
+        else if List.mem (i mod n) live then i mod n
+        else go (tries + 1) (i + 1)
+      in
+      let i = go 0 t.rr in
+      t.rr <- (i + 1) mod n;
+      i
 
 (* ---- submission ---- *)
 

@@ -9,8 +9,8 @@
       fixed stripe units; a request spanning units is split and the
       fragments issued to the member queues concurrently.
     - {b Mirror} (RAID-1): every member holds a full copy; reads go to
-      one member (round-robin or shortest-queue), writes fan out to all
-      live members and complete when the slowest lands.
+      one live member in round-robin order, writes fan out to all live
+      members and complete when the slowest lands.
 
     Data movement is real and single-copy: the volume owns one logical
     flat {!Disk.Store.t}, and each member drive is created over a
@@ -35,14 +35,9 @@ val layout_of_string : string -> layout
 
 val layout_to_string : layout -> string
 
-type read_policy =
-  | Round_robin  (** deterministic member rotation (default) *)
-  | Shortest_queue  (** pick the live member with the fewest queued *)
-
 type t
 
 val create :
-  ?read_policy:read_policy ->
   ?stripe_bytes:int ->
   Sim.Engine.t ->
   layout ->

@@ -811,38 +811,22 @@ let test_fleet_write_read_across_servers () =
 let test_per_server_congestion_state () =
   let t = topo ~clients:1 ~servers:2 ~transport:Nfs.Rpc.Adaptive () in
   let c = t.T.clients.(0) in
-  (* mounts to different servers: independent estimators *)
-  check_bool "different servers, different cstate" false
-    (Nfs.Rpc.shares_cstate c.T.mounts.(0).T.m_rpc c.T.mounts.(1).T.m_rpc);
-  (* a second mount to server 0 shares the first's *)
-  let extra = T.add_mount t c ~server:0 () in
-  check_bool "same server, shared cstate" true
-    (Nfs.Rpc.shares_cstate extra.T.m_rpc c.T.mounts.(0).T.m_rpc);
-  check_bool "the extra mount is its own channel" true
-    (extra.T.m_rpc != c.T.mounts.(0).T.m_rpc);
-  (* traffic through both mounts feeds one window *)
+  (* traffic through the mount to server 0 only *)
   let len = 32 * 1024 in
   T.run t (fun _ ->
-      let f1 = Nfs.Client.create c.T.mount "viaA" in
-      let f2 = Nfs.Client.create extra.T.m_mount "viaB" in
+      let f = Nfs.Client.create c.T.mounts.(0).T.m_mount "via0" in
       let buf = Bytes.init len (fun i -> Helpers.pattern_byte ~seed:9 i) in
-      Nfs.Client.write f1 ~off:0 ~buf ~len;
-      Nfs.Client.write f2 ~off:0 ~buf ~len;
-      Nfs.Client.fsync f1;
-      Nfs.Client.fsync f2);
-  check_bool "both channels made calls" true
-    ((Nfs.Rpc.stats extra.T.m_rpc).Nfs.Rpc.calls > 0
-    && (Nfs.Rpc.stats c.T.rpc).Nfs.Rpc.calls > 0);
-  check_bool "shared window evolved off 2.0" true
-    (Nfs.Rpc.cwnd c.T.rpc > 2.);
-  let eps = 1e-9 in
-  check_bool "both mounts read the same cwnd" true
-    (Float.abs (Nfs.Rpc.cwnd extra.T.m_rpc -. Nfs.Rpc.cwnd c.T.rpc) < eps);
-  check_bool "both mounts read the same srtt" true
-    (Float.abs (Nfs.Rpc.srtt_us extra.T.m_rpc -. Nfs.Rpc.srtt_us c.T.rpc) < eps);
-  (* both files landed on server 0's UFS *)
-  check_bool "file via mount A on server" true (server_contents t "viaA" <> None);
-  check_bool "file via mount B on server" true (server_contents t "viaB" <> None)
+      Nfs.Client.write f ~off:0 ~buf ~len;
+      Nfs.Client.fsync f);
+  let rpc0 = c.T.mounts.(0).T.m_rpc and rpc1 = c.T.mounts.(1).T.m_rpc in
+  check_bool "mount 0 made calls" true ((Nfs.Rpc.stats rpc0).Nfs.Rpc.calls > 0);
+  check_bool "mount 0 sampled an RTT" true (Nfs.Rpc.srtt_us rpc0 > 0.);
+  (* server 1's channel saw none of it: estimator and window untouched *)
+  check_int "mount 1 made no calls" 0 (Nfs.Rpc.stats rpc1).Nfs.Rpc.calls;
+  check_bool "mount 1 srtt still 0" true (Nfs.Rpc.srtt_us rpc1 = 0.);
+  check_bool "mount 1 cwnd still 2" true (Nfs.Rpc.cwnd rpc1 = 2.);
+  check_bool "file via mount 0 on server 0" true
+    (server_contents t "via0" <> None)
 
 let test_switch_overflow_recovery_under_adaptive () =
   (* a 1-frame output buffer in front of the server: concurrent client

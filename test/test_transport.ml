@@ -123,14 +123,13 @@ let echo_server engine l =
         | Nfs.Proto.Reply _ -> assert false
       done)
 
-let channel engine ~seed ~id ?transport ?cstate () =
+let channel engine ~seed ~id ?transport () =
   let cpu = Sim.Cpu.create engine in
   let l =
     Net.create ~seed engine lossy_cfg ~a_cpu:cpu ~b_cpu:(Sim.Cpu.create engine)
   in
   echo_server engine l;
-  Nfs.Rpc.create engine ~cpu ~ep:(Net.a_end l) ~client_id:id ?transport
-    ?cstate ()
+  Nfs.Rpc.create engine ~cpu ~ep:(Net.a_end l) ~client_id:id ?transport ()
 
 (* Three callers, eight GETATTRs each with seeded think times; returns
    every call's completion time, in call order per caller. *)
@@ -191,35 +190,6 @@ let test_rpc_adaptive () =
   Sim.Engine.run engine;
   check_pinned rpc done_at ~scalars:adaptive_scalars ~times:adaptive_times
 
-(* A Fixed mount sharing an adaptive mount's channel state still starts
-   every call from its configured timeout, whatever RTO the adaptive
-   side has published meanwhile; the adaptive side runs as it would
-   alone. *)
-let test_rpc_shared_channel () =
-  let engine = Sim.Engine.create () in
-  let adaptive =
-    channel engine ~seed:11 ~id:0 ~transport:Nfs.Rpc.Adaptive ()
-  in
-  let fixed =
-    channel engine ~seed:12 ~id:1 ~transport:Nfs.Rpc.Fixed
-      ~cstate:(Nfs.Rpc.cstate_of adaptive) ()
-  in
-  Alcotest.(check bool)
-    "one channel" true
-    (Nfs.Rpc.shares_cstate adaptive fixed);
-  let a_done = drive engine adaptive ~seed:20 in
-  let f_done = drive engine fixed ~seed:30 in
-  Sim.Engine.run engine;
-  check_pinned adaptive a_done ~scalars:adaptive_scalars ~times:adaptive_times;
-  check_pinned fixed f_done
-    ~scalars:
-      "calls=24 retransmits=11 late=0 backoffs=8 rto=200000 srtt=7668.834 \
-       cwnd=0.0000"
-    ~times:
-      [ 19857; 55014; 62018; 79492; 93914; 130478; 147115; 1276674; 14072;
-        31372; 55814; 80292; 98574; 3419908; 3459769; 6785930; 1143290;
-        2251853; 2268385; 2284608; 2309665; 5615585; 5625447; 8934428 ]
-
 let suites =
   [
     ( "transport",
@@ -230,7 +200,5 @@ let suites =
         Alcotest.test_case "rpc fixed over a lossy link" `Quick test_rpc_fixed;
         Alcotest.test_case "rpc adaptive over a lossy link" `Quick
           test_rpc_adaptive;
-        Alcotest.test_case "rpc fixed on a shared channel" `Quick
-          test_rpc_shared_channel;
       ] );
   ]

@@ -16,9 +16,9 @@ let tiny_disk = { Disk.Device.default_config with Disk.Device.geom = tiny_geom }
 let small_cap = Disk.Geom.capacity_bytes Helpers.small_geom
 let tiny_cap = Disk.Geom.capacity_bytes tiny_geom
 
-let with_vol ?read_policy ?stripe_bytes layout cfgs f =
+let with_vol ?stripe_bytes layout cfgs f =
   let e = Sim.Engine.create () in
-  let v = Vol.create ?read_policy ?stripe_bytes e layout cfgs in
+  let v = Vol.create ?stripe_bytes e layout cfgs in
   let result = ref None in
   Sim.Engine.spawn e (fun () -> result := Some (f e v));
   Sim.Engine.run e;
