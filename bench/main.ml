@@ -853,6 +853,15 @@ let microbench () =
            Disk.Store.write store ~off:123456 ~len:8192 buf 0;
            Disk.Store.read store ~off:123456 ~len:8192 buf 0))
   in
+  (* the same block written from a page frame the store keeps: the chunk
+     it displaces goes back to the frame pool for the next write *)
+  let lend_frames = Sim.Frames.create ~size:8192 in
+  let lent_test =
+    Test.make ~name:"disk.store 8KB lent write"
+      (Staged.stage (fun () ->
+           Disk.Store.writev ~lend:lend_frames store ~off:131072
+             (Sim.Iov.of_bytes (Sim.Frames.take lend_frames))))
+  in
   (* one 120 KB cluster moved as a flat buffer vs as 15 borrowed pages:
      the per-segment cost of the zero-copy disk path *)
   let cluster = 120 * 1024 and page = 8192 in
@@ -1008,6 +1017,7 @@ let microbench () =
         rng_test;
         chs_test;
         store_test;
+        lent_test;
         cluster_test "disk.store 120KB 1 segment w+r" flat;
         cluster_test "disk.store 120KB 15 segments w+r" paged;
         ready_test;

@@ -209,7 +209,10 @@ let do_data d (r : Request.t) =
           (match cutoff with
           | Some n -> d.write_cutoff <- Some (n - 1)
           | None -> ());
-          Store.writev d.st ~off r.Request.iov)
+          let lend =
+            if r.Request.lend then Some (Sim.Engine.frames d.engine) else None
+          in
+          Store.writev ?lend d.st ~off r.Request.iov)
 
 let finish d r =
   do_data d r;

@@ -6,6 +6,7 @@ type t = {
   count : int;
   iov : Sim.Iov.t;
   ordered : bool;
+  lend : bool;
   id : int;
   mutable enq_at : Sim.Time.t;
   mutable start_at : Sim.Time.t;
@@ -24,7 +25,7 @@ let next_id = ref 0
 let check_extent ~sector ~count =
   if sector < 0 || count <= 0 then invalid_arg "Request.make: bad extent"
 
-let of_iov ?(ordered = false) ~kind ~sector ~count iov () =
+let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
   check_extent ~sector ~count;
   if Sim.Iov.length iov <> count * 512 then
     invalid_arg "Request.of_iov: iov length is not count sectors";
@@ -35,6 +36,7 @@ let of_iov ?(ordered = false) ~kind ~sector ~count iov () =
     count;
     iov;
     ordered;
+    lend;
     id = !next_id;
     enq_at = 0;
     start_at = 0;

@@ -10,7 +10,10 @@
     clean.
 
     [ordered] is the paper's proposed [B_ORDER] flag: the queue must not
-    reorder other requests across an ordered one. *)
+    reorder other requests across an ordered one.
+
+    [lend] marks a write whose whole 8 KB segments the store may keep
+    by reference instead of copying ({!Store.writev}). *)
 
 type kind = Read | Write
 
@@ -20,6 +23,7 @@ type t = private {
   count : int;  (** sectors *)
   iov : Sim.Iov.t;  (** exactly [count * 512] bytes *)
   ordered : bool;
+  lend : bool;
   id : int;
   mutable enq_at : Sim.Time.t;
   mutable start_at : Sim.Time.t;
@@ -37,12 +41,14 @@ type t = private {
 }
 
 val of_iov :
-  ?ordered:bool -> kind:kind -> sector:int -> count:int -> Sim.Iov.t ->
-  unit -> t
+  ?ordered:bool -> ?lend:bool -> kind:kind -> sector:int -> count:int ->
+  Sim.Iov.t -> unit -> t
 (** The vectored request.  The iov must hold exactly [count * 512]
     bytes; they are borrowed, not copied — a write's bytes are read when
     the request completes, a read's land then, so the caller must keep
-    the segments stable (or untouched) until completion. *)
+    the segments stable (or untouched) until completion.  With [lend]
+    (default [false]) a write also gives the store its whole 8 KB
+    segments to keep: the caller must not write into them afterwards. *)
 
 val make :
   ?ordered:bool -> kind:kind -> sector:int -> count:int -> buf:bytes ->

@@ -10,7 +10,12 @@ module Chunks = Hashtbl.Make (struct
   let hash ci = ci
 end)
 
-type flat = { fsize : int; chunks : bytes Chunks.t }
+type flat = {
+  fsize : int;
+  chunks : bytes Chunks.t;
+  mutable adopted : int;
+  mutable recycled : int;
+}
 
 (* A [View] is a remapped window onto another store: the volume manager
    hands each member drive a view whose [map] sends member-physical
@@ -22,7 +27,7 @@ type t =
 
 let create ~size =
   if size <= 0 then invalid_arg "Store.create: size must be positive";
-  Flat { fsize = size; chunks = Chunks.create 1024 }
+  Flat { fsize = size; chunks = Chunks.create 1024; adopted = 0; recycled = 0 }
 
 let size = function Flat f -> f.fsize | View v -> v.vsize
 
@@ -112,18 +117,43 @@ let readv t ~off iov =
       pos := !pos + n)
     iov
 
-let writev t ~off iov =
+(* Keep [b] as chunk [ci].  The chunk it displaces goes back to the
+   frame pool: every other holder of a chunk's bytes has let go by the
+   time its block is written again (DESIGN.md, "Buffer ownership"). *)
+let adopt f frames ci b =
+  (match Chunks.find_opt f.chunks ci with
+  | Some old when old != b ->
+      Sim.Frames.give frames old;
+      f.recycled <- f.recycled + 1
+  | Some _ | None -> ());
+  Chunks.replace f.chunks ci b;
+  f.adopted <- f.adopted + 1
+
+let writev ?lend t ~off iov =
   check t off (Sim.Iov.length iov);
   let pos = ref off in
   Sim.Iov.iter
     (fun b boff n ->
-      write t ~off:!pos ~len:n b boff;
+      (match (lend, t) with
+      | Some frames, Flat f
+        when n = chunk_bytes && boff = 0 && Bytes.length b = chunk_bytes
+             && !pos mod chunk_bytes = 0 ->
+          adopt f frames (!pos / chunk_bytes) b
+      | _ -> write t ~off:!pos ~len:n b boff);
       pos := !pos + n)
     iov
 
 let rec chunks_allocated = function
   | Flat f -> Chunks.length f.chunks
   | View v -> chunks_allocated v.base
+
+let rec chunks_adopted = function
+  | Flat f -> f.adopted
+  | View v -> chunks_adopted v.base
+
+let rec chunks_recycled = function
+  | Flat f -> f.recycled
+  | View v -> chunks_recycled v.base
 
 let save t path =
   let oc = open_out_bin path in

@@ -37,12 +37,22 @@ val readv : t -> off:int -> Sim.Iov.t -> unit
 (** [readv t ~off iov] fills the iov's segments, in order, from the
     store bytes starting at [off]. *)
 
-val writev : t -> off:int -> Sim.Iov.t -> unit
+val writev : ?lend:Sim.Frames.t -> t -> off:int -> Sim.Iov.t -> unit
 (** [writev t ~off iov] gathers the iov's segments, in order, into the
-    store starting at [off]. *)
+    store starting at [off].  With [lend], a segment that is a whole
+    chunk-aligned 8 KB frame is kept by reference instead of copied (the
+    writer must not touch it again), and the chunk it displaces goes
+    back to [lend].  A view copies every segment. *)
 
 val chunks_allocated : t -> int
 (** Number of materialised chunks (memory accounting for tests). *)
+
+val chunks_adopted : t -> int
+(** Segments {!writev} kept by reference, over the store's life. *)
+
+val chunks_recycled : t -> int
+(** Of those adoptions, the ones that displaced a chunk and gave it
+    back to the frame pool. *)
 
 val copy_into : t -> t -> unit
 (** [copy_into src dst] replaces [dst]'s contents with [src]'s.  Sizes

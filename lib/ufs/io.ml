@@ -112,6 +112,16 @@ let zero_fill fs (ip : inode) ~off ~blocks =
         | `Existing _ -> ())
   done
 
+(* An ordered push's private copy of [n] bytes of a page, in a pool
+   frame when it is a whole block. *)
+let snapshot frames data n =
+  if n = Layout.bsize then begin
+    let b = Sim.Frames.take frames in
+    Bytes.blit data 0 b 0 n;
+    b
+  end
+  else Bytes.sub data 0 n
+
 let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
     ~locked ?(ordered = false) () =
   assert (pages <> []);
@@ -128,14 +138,16 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
       pages;
   (* Plain writes gather straight from the pages, which stay busy until
      the I/O lands (writers must not mutate data in flight).  Ordered
-     writes release their pages at submit, so they carry a snapshot. *)
+     writes release their pages at submit, so they carry a snapshot.
+     The store keeps the whole blocks' frames either way. *)
+  let frames = Sim.Engine.frames fs.engine in
   let iov =
     Sim.Iov.of_list
       (List.mapi
          (fun k (p : Vm.Page.t) ->
            let n = block_len ~bytes k in
            let data = p.Vm.Page.data in
-           ((if ordered then Bytes.sub data 0 n else data), 0, n))
+           ((if ordered then snapshot frames data n else data), 0, n))
          pages)
   in
   let throttled =
@@ -154,7 +166,7 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
   in
   ip.outstanding_writes <- ip.outstanding_writes + bytes;
   let req =
-    Disk.Request.of_iov ~ordered ~kind:Disk.Request.Write
+    Disk.Request.of_iov ~ordered ~lend:true ~kind:Disk.Request.Write
       ~sector:(Layout.frag_to_sector frag)
       ~count:(nfrags * Layout.sectors_per_frag)
       iov ()
@@ -173,9 +185,13 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
       | Some (sem, n) -> Sim.Semaphore.release sem ~n ()
       | None -> ());
       ip.outstanding_writes <- ip.outstanding_writes - bytes;
+      (* the store now holds each whole block's frame.  The page counts
+         as lent only from here on, so bytes that reached it while busy
+         went to the platter with it *)
       if not ordered then
-        List.iter
-          (fun (p : Vm.Page.t) ->
+        List.iteri
+          (fun k (p : Vm.Page.t) ->
+            if block_len ~bytes k = Layout.bsize then Vm.Page.lend p;
             Vm.Page.set_dirty p false;
             if free_after then Vm.Pool.free_page fs.pool p
             else Vm.Page.unbusy p)

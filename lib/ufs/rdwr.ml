@@ -131,8 +131,12 @@ let rec grab_page fs (ip : inode) po =
           p
       | `Existing _ -> grab_page fs ip po)
 
+(* Every in-place write of a cached page below first takes a private
+   frame if a push lent the page's frame to the store (DESIGN.md,
+   "Buffer ownership").  A fresh page's frame is always private. *)
 let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
   ip.idata <- None;
+  let frames = Sim.Engine.frames fs.engine in
   while uio.Vfs.Uio.resid > 0 do
     let off = uio.Vfs.Uio.off in
     let po = off - Layout.blk_off off in
@@ -169,6 +173,7 @@ let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
          in
          Bmap.grow_old_tail fs ip ~new_size;
          let cut = old_size - tpo in
+         Vm.Page.own frames tpage;
          Bytes.fill tpage.Vm.Page.data cut (Layout.bsize - cut) '\000';
          Vm.Page.set_dirty tpage true
        end);
@@ -189,10 +194,15 @@ let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
        logically zero but the paged-in fragments may carry stale data *)
     (if old_size > po && old_size < po + Layout.bsize then
        let cut = old_size - po in
+       Vm.Page.own frames page;
        Bytes.fill page.Vm.Page.data cut (Layout.bsize - cut) '\000');
     charge fs ~label:"rdwr" fs.costs.Costs.map_block;
     charge fs ~label:"rdwr" fs.costs.Costs.fault;
     charge fs ~label:"copy" (Costs.copy_cost fs.costs ~bytes:n);
+    (* the charges above may sleep, and a push may lend the page meanwhile:
+       take the private frame right before the copy *)
+    if full_overwrite then Vm.Page.own_blank frames page
+    else Vm.Page.own frames page;
     Vfs.Uio.move uio ~src_or_dst:page.Vm.Page.data ~data_off:(off - po) ~n;
     Vm.Page.set_dirty page true;
     Vm.Page.set_referenced page true;

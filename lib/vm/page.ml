@@ -2,13 +2,14 @@ type ident = { vid : int; off : int }
 
 type t = {
   frameno : int;
-  data : bytes;
+  mutable data : bytes;
   mutable ident : ident option;
   mutable valid : bool;
   mutable dirty : bool;
   mutable referenced : bool;
   mutable busy : bool;
   mutable prefetched : bool;
+  mutable lent : bool;
   mutable waiters : (unit -> unit) list;
 }
 
@@ -22,6 +23,7 @@ let make ~frameno ~pagesize =
     referenced = false;
     busy = false;
     prefetched = false;
+    lent = false;
     waiters = [];
   }
 
@@ -30,6 +32,22 @@ let set_valid t b = t.valid <- b
 let set_dirty t b = t.dirty <- b
 let set_referenced t b = t.referenced <- b
 let set_prefetched t b = t.prefetched <- b
+let lend t = t.lent <- true
+
+(* A lent frame belongs to the store from now on; the page moves to a
+   frame of its own (a UFS page is exactly one pool frame long). *)
+let own_blank frames t =
+  if t.lent then begin
+    t.data <- Sim.Frames.take frames;
+    t.lent <- false
+  end
+
+let own frames t =
+  if t.lent then begin
+    let shared = t.data in
+    own_blank frames t;
+    Bytes.blit shared 0 t.data 0 (Bytes.length shared)
+  end
 
 let rec lock engine t =
   if t.busy then begin

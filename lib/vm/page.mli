@@ -16,20 +16,26 @@
     - [prefetched]: brought in by read-ahead and not yet consumed; the
       consumer clears it on first access (counting the prefetch as
       used), the pool counts a still-set flag at free time as wasted
-      prefetch. *)
+      prefetch.
+    - [lent]: [data] was written to disk and the disk's store kept the
+      frame itself, so the two share the bytes.  Whoever writes into a
+      lent page first takes a private frame ({!own} or {!own_blank});
+      {!Pool.free_page} drops a lent frame (see DESIGN.md, "Buffer
+      ownership"). *)
 
 type ident = { vid : int; off : int }
 (** [off] is page-aligned. *)
 
 type t = private {
   frameno : int;
-  data : bytes;
+  mutable data : bytes;
   mutable ident : ident option;  (** [None] = on the free list *)
   mutable valid : bool;
   mutable dirty : bool;
   mutable referenced : bool;
   mutable busy : bool;
   mutable prefetched : bool;
+  mutable lent : bool;
   mutable waiters : (unit -> unit) list;
 }
 
@@ -40,6 +46,17 @@ val set_valid : t -> bool -> unit
 val set_dirty : t -> bool -> unit
 val set_referenced : t -> bool -> unit
 val set_prefetched : t -> bool -> unit
+
+val lend : t -> unit
+(** Mark [data] as shared with the disk store. *)
+
+val own : Sim.Frames.t -> t -> unit
+(** Before a partial in-place write: if the page is lent, move its bytes
+    into a private frame taken from the pool.  No-op otherwise. *)
+
+val own_blank : Sim.Frames.t -> t -> unit
+(** Before a write that covers the whole page: as {!own}, but the new
+    frame's contents are left unspecified. *)
 
 val lock : Sim.Engine.t -> t -> unit
 (** Wait until not busy, then mark busy (the caller owns the page). *)

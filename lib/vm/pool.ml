@@ -120,7 +120,7 @@ let alloc t ident =
   | None ->
       let frameno = Queue.pop t.free in
       let p = t.frames.(frameno) in
-      assert (p.Page.ident = None);
+      assert (p.Page.ident = None && not p.Page.lent);
       let ok = Page.try_lock p in
       assert ok;
       Page.set_ident p (Some ident);
@@ -145,6 +145,8 @@ let free_page t (p : Page.t) =
   Page.set_dirty p false;
   Page.set_referenced p false;
   Page.set_prefetched p false;
+  (* the store keeps a lent frame; a free page must not alias it *)
+  Page.own_blank (Sim.Engine.frames t.engine) p;
   Queue.push p.Page.frameno t.free;
   t.stats.frees <- t.stats.frees + 1;
   Page.unbusy p;

@@ -43,16 +43,18 @@ val lookup : t -> Page.ident -> Page.t option
 
 val alloc : t -> Page.ident -> [ `Fresh of Page.t | `Existing of Page.t ]
 (** Take a free frame and enter it in the cache under [ident].  A
-    [`Fresh] page is busy (caller-owned), invalid and clean.  Blocks
-    when no frame is free; because that sleep can race with another
-    process faulting the same page, the cache is re-checked afterwards
-    and the already-entered page returned as [`Existing] (not locked by
-    the caller). *)
+    [`Fresh] page is busy (caller-owned), invalid, clean and not lent.
+    Blocks when no frame is free; because that sleep can race with
+    another process faulting the same page, the cache is re-checked
+    afterwards and the already-entered page returned as [`Existing]
+    (not locked by the caller). *)
 
 val free_page : t -> Page.t -> unit
 (** Return a frame to the free list.  The caller must hold the page
     busy; the page leaves the cache, loses its identity and is marked
-    not busy.  Wakes processes sleeping in {!alloc}. *)
+    not busy.  A lent frame ({!Page.lend}) stays with the store: the
+    page takes another from the engine's {!Sim.Frames}.  Wakes
+    processes sleeping in {!alloc}. *)
 
 val freecnt : t -> int
 

@@ -9,4 +9,4 @@ let () =
    @ Test_efs.suites @ Test_vol.suites @ Test_metrics.suites @ Test_nfs.suites
    @ Test_fio.suites @ Test_streams.suites @ Test_json.suites
    @ Test_span.suites @ Test_jrnl.suites @ Test_recycle.suites
-   @ Test_transport.suites)
+   @ Test_transport.suites @ Test_lend.suites)

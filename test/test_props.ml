@@ -195,7 +195,10 @@ let run_scenario ops =
         Ufs.Fs.mkdir fs "/model";
         let model = Model.create () in
         let all_ops_ok = List.for_all (apply_op fs model) ops in
-        let final_ok = all_ops_ok && final_state_agrees fs model in
+        let final_ok =
+          all_ops_ok && final_state_agrees fs model
+          && Helpers.pages_match_store fs
+        in
         Ufs.Fs.unmount fs;
         final_ok)
   in
@@ -222,7 +225,10 @@ let prop_model_sunos41 =
                Ufs.Fs.mkdir fs "/model";
                let model = Model.create () in
                let all = List.for_all (apply_op fs model) ops in
-               let final = all && final_state_agrees fs model in
+               let final =
+                 all && final_state_agrees fs model
+                 && Helpers.pages_match_store fs
+               in
                Ufs.Fs.unmount fs;
                final)
          in
@@ -250,7 +256,10 @@ let prop_model_all_features =
                Ufs.Fs.mkdir fs "/model";
                let model = Model.create () in
                let all = List.for_all (apply_op fs model) ops in
-               let final = all && final_state_agrees fs model in
+               let final =
+                 all && final_state_agrees fs model
+                 && Helpers.pages_match_store fs
+               in
                Ufs.Fs.unmount fs;
                final)
          in

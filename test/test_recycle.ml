@@ -402,7 +402,9 @@ let run_evicting_mix ~seed ~loss ~spike_prob =
       if Bytes.length got <> blocks * bsize then ok := false
     done
   done;
+  (* and the server's clean pages are its disk's bytes *)
   !ok
+  && T.run t (fun t -> Helpers.pages_match_store t.T.server.Clusterfs.Machine.fs)
 
 let prop_evicting_clients_match_model =
   Helpers.qtest ~count:10
