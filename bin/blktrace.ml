@@ -36,6 +36,16 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
       let reg = Sim.Metrics.create () in
       Clusterfs.Machine.register_metrics m reg;
       let dev = m.Clusterfs.Machine.dev in
+      (* one observer per member drive; drives report in service order,
+         so sorting by (time, member) only orders same-instant requests
+         across members *)
+      let log = ref [] in
+      let trace_on () =
+        Array.iteri
+          (fun i d ->
+            Disk.Device.observe d (Some (fun e -> log := (i, e) :: !log)))
+          (Disk.Blkdev.members dev)
+      in
       let cfg =
         { Workload.Iobench.default_config with Workload.Iobench.file_mb }
       in
@@ -44,19 +54,19 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
         let io = Workload.Iobench.local fs in
         match String.lowercase_ascii workload with
         | "fsw" ->
-            Disk.Blkdev.set_tracing dev true;
+            trace_on ();
             ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSW)
         | "fsr" ->
             Workload.Iobench.prepare io cfg;
-            Disk.Blkdev.set_tracing dev true;
+            trace_on ();
             ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FSR)
         | "fru" ->
             Workload.Iobench.prepare io cfg;
-            Disk.Blkdev.set_tracing dev true;
+            trace_on ();
             ignore (Workload.Iobench.run_phase io cfg Workload.Iobench.FRU)
         | "rm" ->
             ignore (Workload.Metaops.create_many fs ~dir:"/many" ~n:100 ());
-            Disk.Blkdev.set_tracing dev true;
+            trace_on ();
             ignore (Workload.Metaops.remove_all fs ~dir:"/many")
         | other -> failwith (Printf.sprintf "unknown workload %S" other)
       in
@@ -71,7 +81,12 @@ let run config_name workload file_mb disks layout stripe_kb metrics_path =
                 | Disk.Request.Write -> "W")
                 e.Disk.Device.sector e.Disk.Device.count
                 e.Disk.Device.buffered_hit)
-            (Disk.Blkdev.events dev)
+            (List.stable_sort
+               (fun (i, (a : Disk.Device.event)) (j, (b : Disk.Device.event)) ->
+                 match compare a.Disk.Device.at b.Disk.Device.at with
+                 | 0 -> compare i j
+                 | c -> c)
+               (List.rev !log))
       | exception Failure msg ->
           prerr_endline msg;
           exit 1);

@@ -99,19 +99,3 @@ let stats t =
       coalesced = 0;
     }
     t.members
-
-let set_tracing t on =
-  Array.iter (fun d -> Sim.Trace.enable (Device.trace d) on) t.members
-
-let events t =
-  let tagged =
-    Array.to_list t.members
-    |> List.mapi (fun i d ->
-           List.map (fun e -> (i, e)) (Sim.Trace.to_list (Device.trace d)))
-    |> List.concat
-  in
-  (* stable sort: members are already oldest-first, so equal timestamps
-     keep member-index order *)
-  List.stable_sort
-    (fun (_, a) (_, b) -> compare a.Device.at b.Device.at)
-    tagged

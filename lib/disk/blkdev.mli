@@ -93,11 +93,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val set_tracing : t -> bool -> unit
-(** Enable/disable the request trace of every member drive. *)
-
-val events : t -> (int * Device.event) list
-(** Member-tagged request events, merged oldest-first across members
-    (ties broken by member index).  The member column is what makes
-    striped I/O patterns legible per spindle. *)

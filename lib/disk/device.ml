@@ -71,7 +71,7 @@ type t = {
          to reach the store; once it hits zero, write data is silently
          discarded — the platter state as of the k-th write boundary *)
   stats : stats;
-  trace : event Sim.Trace.t;
+  mutable observer : (event -> unit) option;
 }
 
 let mk_stats () =
@@ -297,14 +297,10 @@ let rec service_loop d () =
       Sim.Stats.Summary.add d.stats.seek_per_io (float_of_int sk);
       Sim.Stats.Summary.add d.stats.rot_per_io (float_of_int rw);
       Sim.Stats.Summary.add d.stats.xfer_per_io (float_of_int xf);
-      Sim.Trace.emit d.trace (fun () ->
-          {
-            at = t0;
-            kind = r.Request.kind;
-            sector = first.Request.sector;
-            count = total_count;
-            buffered_hit = hit;
-          });
+      (match d.observer with
+      | None -> ()
+      | Some f ->
+          f { at = t0; kind; sector; count = total_count; buffered_hit = hit });
       d.inflight <- group;
       Sim.Engine.sleep d.engine dur;
       List.iter (finish d) group;
@@ -338,7 +334,7 @@ let create ?store engine cfg =
       inflight = [];
       write_cutoff = None;
       stats = mk_stats ();
-      trace = Sim.Trace.create ();
+      observer = None;
     }
   in
   Sim.Engine.spawn engine ~name:"disk" (service_loop d);
@@ -395,7 +391,7 @@ let crash_cut d =
   d.write_cutoff <- Some 0
 
 let crash_dropped d = (d.stats.crash_dropped_reqs, d.stats.crash_dropped_bytes)
-let trace d = d.trace
+let observe d f = d.observer <- f
 let track_buffer_stats d = (Track_buffer.hits d.tbuf, Track_buffer.misses d.tbuf)
 
 let register_metrics d reg ~instance =
@@ -425,5 +421,4 @@ let register_metrics d reg ~instance =
           ("queue_depth", Summary s.queue_depth);
           ("track_buffer_hits", Int tb_hits);
           ("track_buffer_misses", Int tb_misses);
-          ("trace_dropped", Int (Sim.Trace.dropped d.trace));
         ])

@@ -63,8 +63,9 @@ type stats = {
   xfer_per_io : Sim.Stats.Summary.t;
 }
 
+(** One serviced group, as {!observe} reports it. *)
 type event = {
-  at : Sim.Time.t;
+  at : Sim.Time.t;  (** service start *)
   kind : Request.kind;
   sector : int;
   count : int;
@@ -135,7 +136,13 @@ val iter_queued : t -> (Request.t -> unit) -> unit
 (** Iterate every request the drive holds: queued, then in-flight — what
     a power cut at this instant would lose. *)
 
-val trace : t -> event Sim.Trace.t
+val observe : t -> (event -> unit) option -> unit
+(** [observe d (Some f)] calls [f] once per serviced group — a request
+    plus any it absorbed by driver clustering — at service start, so
+    the [at] values a drive reports never decrease.  [f] runs inside the
+    service loop and must not block.  [None] removes the observer; an
+    unobserved drive allocates nothing for it. *)
+
 val track_buffer_stats : t -> int * int
 (** (hits, misses). *)
 

@@ -123,50 +123,3 @@ let to_json ?(meta = []) t =
     (snapshot t);
   Buffer.add_string b "\n]}\n";
   Buffer.contents b
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let to_csv t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "layer,instance,metric,field,value\n";
-  let row layer instance name field v =
-    Buffer.add_string b
-      (Printf.sprintf "%s,%s,%s,%s,%s\n" (csv_escape layer)
-         (csv_escape instance) (csv_escape name) field v)
-  in
-  List.iter
-    (fun (layer, instance, kvs) ->
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | Int n -> row layer instance name "value" (string_of_int n)
-          | Float f -> row layer instance name "value" (json_float f)
-          | Summary s ->
-              row layer instance name "count"
-                (string_of_int (Stats.Summary.count s));
-              row layer instance name "mean" (json_float (Stats.Summary.mean s));
-              row layer instance name "stddev"
-                (json_float (Stats.Summary.stddev s));
-              row layer instance name "min" (json_float (Stats.Summary.min s));
-              row layer instance name "max" (json_float (Stats.Summary.max s));
-              row layer instance name "total"
-                (json_float (Stats.Summary.total s));
-              row layer instance name "p50"
-                (json_float (Stats.Summary.percentile_of s 50.));
-              row layer instance name "p95"
-                (json_float (Stats.Summary.percentile_of s 95.));
-              row layer instance name "p99"
-                (json_float (Stats.Summary.percentile_of s 99.))
-          | Hist h ->
-              List.iter
-                (fun (lo, hi, n) ->
-                  row layer instance name
-                    (Printf.sprintf "bucket_%d_%d" lo hi)
-                    (string_of_int n))
-                (Stats.Hist.buckets h))
-        kvs)
-    (snapshot t);
-  Buffer.contents b

@@ -8,7 +8,7 @@
     machines per table), so one registry can hold an entire bench
     section and export it as a machine-readable perf trajectory.
 
-    Exports are dependency-free JSON and CSV; the bench harness writes
+    The export is dependency-free JSON; the bench harness writes
     one [BENCH_<section>.json] per section, and [blktrace --metrics]
     dumps the same shape for ad-hoc runs.  Policy decisions that used to
     be invisible (prefetch waste, free-behind firing on random reads)
@@ -43,7 +43,3 @@ val to_json : ?meta:(string * string) list -> t -> string
     [{..meta.., "sources": [{"layer", "instance", "metrics": {..}}]}].
     Nan/infinite floats (which no metric should produce) render as
     [null] rather than corrupting the document. *)
-
-val to_csv : t -> string
-(** Long-format CSV: [layer,instance,metric,field,value] with one row
-    per scalar, nine rows per summary, one per histogram bucket. *)

@@ -159,7 +159,6 @@ let register_metrics (fs : fs) reg ~instance =
           ("pgin_wait_us", Summary s.pgin_wait_us);
           ("read_io_blocks", Hist s.read_io_blocks);
           ("push_io_blocks", Hist s.push_io_blocks);
-          ("trace_dropped", Int (Sim.Trace.dropped fs.trace));
         ]);
   Wal.register_metrics fs reg ~instance
 
@@ -279,7 +278,6 @@ let mount engine cpu pool dev ~features ?(costs = Costs.default) () =
       iget_lock = Sim.Mutex.create engine "ufs-iget";
       resv = Hashtbl.create 16;
       stats = mk_stats ();
-      trace = Sim.Trace.create ();
       wal;
     }
   in

@@ -55,7 +55,6 @@ let rec handle_page fs (ip : inode) ~po ~hint =
   | Some p when p.Vm.Page.valid ->
       fs.stats.getpage_hits <- fs.stats.getpage_hits + 1;
       Io.consume_prefetch fs p;
-      Sim.Trace.emit fs.trace (fun () -> Ev_getpage { off = po; cached = true });
       (* figure 2: bmap is consulted even on a hit, to learn whether the
          page has backing store — unless the UFS_HOLE fast path applies *)
       if not (fs.feat.skip_bmap_if_no_holes && not (has_holes ip)) then
@@ -63,7 +62,6 @@ let rec handle_page fs (ip : inode) ~po ~hint =
       after_access fs ip ~po ~w;
       p
   | Some _ | None ->
-      Sim.Trace.emit fs.trace (fun () -> Ev_getpage { off = po; cached = false });
       let frag_opt, len = Bmap.read fs ip ~lbn in
       let hint_blocks =
         if fs.feat.getpage_hint then hint / Layout.bsize else 0

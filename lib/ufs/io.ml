@@ -80,14 +80,11 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
       if read_ahead then begin
         fs.stats.ra_ios <- fs.stats.ra_ios + 1;
         fs.stats.ra_blocks <- fs.stats.ra_blocks + blocks;
-        List.iter (fun ((p : Vm.Page.t), _) -> Vm.Page.set_prefetched p true) mine;
-        Sim.Trace.emit fs.trace (fun () ->
-            Ev_read_ahead { lbn = lbn0; blocks })
+        List.iter (fun ((p : Vm.Page.t), _) -> Vm.Page.set_prefetched p true) mine
       end
       else begin
         fs.stats.pgin_ios <- fs.stats.pgin_ios + 1;
-        fs.stats.pgin_blocks <- fs.stats.pgin_blocks + blocks;
-        Sim.Trace.emit fs.trace (fun () -> Ev_read_sync { lbn = lbn0; blocks })
+        fs.stats.pgin_blocks <- fs.stats.pgin_blocks + blocks
       end;
       Disk.Blkdev.submit fs.dev req;
       if sync then begin
@@ -202,8 +199,6 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
   fs.stats.push_ios <- fs.stats.push_ios + 1;
   fs.stats.push_blocks <- fs.stats.push_blocks + blocks;
   if blocks > 1 then fs.stats.flush_runs <- fs.stats.flush_runs + 1;
-  Sim.Trace.emit fs.trace (fun () ->
-      Ev_write_push { off; bytes = blocks * Layout.bsize; ios = 1 });
   Disk.Blkdev.submit fs.dev req;
   if sync then Disk.Request.wait fs.engine req
 

@@ -77,7 +77,6 @@ let push_delayed fs (ip : inode) ~sync ?(ordered = false) () =
 let delay fs (ip : inode) ~off ~free_after =
   note_dirty fs;
   fs.stats.delayed_pages <- fs.stats.delayed_pages + 1;
-  Sim.Trace.emit fs.trace (fun () -> Ev_write_delay { off });
   if ip.delaylen = 0 then begin
     ip.delayoff <- off;
     ip.delaylen <- Layout.bsize
@@ -142,7 +141,6 @@ let flusher fs (ip : inode) : Vm.Pool.flusher =
       0
   | Some id ->
       let off = id.Vm.Page.off in
-      Sim.Trace.emit fs.trace (fun () -> Ev_pageout_flush { off });
       charge fs ~label:"pageout" fs.costs.Costs.putpage;
       let lbn = off / Layout.bsize in
       let frag_opt, contig = Bmap.read fs ip ~lbn in

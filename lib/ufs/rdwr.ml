@@ -25,7 +25,6 @@ let maybe_free_behind fs (ip : inode) ~po ~seq =
   then
     if seq then begin
       fs.stats.freebehind_pages <- fs.stats.freebehind_pages + 1;
-      Sim.Trace.emit fs.trace (fun () -> Ev_free_behind { off = po });
       charge fs ~label:"freebehind" fs.costs.Costs.freebehind;
       Putpage.putpage fs ip ~off:po ~len:Layout.bsize ~flags:[ Vfs.Vnode.P_FREE ]
     end

@@ -35,15 +35,6 @@ let features_clustered =
     ordered_metadata = false;
   }
 
-type event =
-  | Ev_getpage of { off : int; cached : bool }
-  | Ev_read_sync of { lbn : int; blocks : int }
-  | Ev_read_ahead of { lbn : int; blocks : int }
-  | Ev_write_delay of { off : int }
-  | Ev_write_push of { off : int; bytes : int; ios : int }
-  | Ev_free_behind of { off : int }
-  | Ev_pageout_flush of { off : int }
-
 type stats = {
   mutable getpage_calls : int;
   mutable getpage_hits : int;
@@ -244,7 +235,6 @@ type fs = {
   iget_lock : Sim.Mutex.t;
   resv : (int, int * int) Hashtbl.t;
   stats : stats;
-  trace : event Sim.Trace.t;
   mutable wal : wal option;  (** intent journal, when the volume has one *)
 }
 

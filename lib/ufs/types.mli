@@ -1,7 +1,7 @@
 (** Central mutable state of a mounted UFS: the file system record, the
-    in-memory inode, kernel-behaviour feature switches, statistics and
-    trace events.  The operation modules (Alloc, Bmap, Getpage, Putpage,
-    Rdwr, Dir, Fs) are all functions over these records. *)
+    in-memory inode, kernel-behaviour feature switches and statistics.
+    The operation modules (Alloc, Bmap, Getpage, Putpage, Rdwr, Dir, Fs)
+    are all functions over these records. *)
 
 (** Kernel-side behaviour switches — everything the paper adds is here,
     so every experiment config is a value of this type.  On-disk tuning
@@ -37,17 +37,6 @@ val features_clustered : features
 
 val write_limit_default : int
 (** 240 KB, "currently 240KB". *)
-
-(** Trace events emitted by the I/O paths; tests replay the paper's
-    figures 3, 6 and 7 against these. *)
-type event =
-  | Ev_getpage of { off : int; cached : bool }
-  | Ev_read_sync of { lbn : int; blocks : int }  (** blocking page-in *)
-  | Ev_read_ahead of { lbn : int; blocks : int }
-  | Ev_write_delay of { off : int }  (** putpage "lied" *)
-  | Ev_write_push of { off : int; bytes : int; ios : int }
-  | Ev_free_behind of { off : int }
-  | Ev_pageout_flush of { off : int }
 
 type stats = {
   mutable getpage_calls : int;
@@ -239,7 +228,6 @@ type fs = {
           run preferentially and steers other files around it, so
           interleaved writers stop shredding each other's extents *)
   stats : stats;
-  trace : event Sim.Trace.t;
   mutable wal : wal option;  (** intent journal, when the volume has one *)
 }
 

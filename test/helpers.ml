@@ -120,3 +120,15 @@ let pages_match_store (fs : Ufs.Types.fs) =
       | Some _ -> true
       | None -> not p.lent)
     (Vm.Pool.frames fs.Ufs.Types.pool)
+
+(* The request log of [disks]: observe every drive from now on and
+   return a reader of the [(member index, event)] pairs so far, in the
+   order the drives reported them.  blktrace prints the same pairs,
+   sorted by time and member.  Calling it again on the same drives
+   starts a fresh log. *)
+let disk_log disks =
+  let log = ref [] in
+  Array.iteri
+    (fun i d -> Disk.Device.observe d (Some (fun e -> log := (i, e) :: !log)))
+    disks;
+  fun () -> List.rev !log

@@ -56,12 +56,12 @@ let test_rm_star_faster () =
     (ordered_ms *. 2. < sync_ms)
 
 let test_disk_honors_order () =
-  (* watch the device trace: ordered writes must complete in issue
+  (* watch the device's request log: ordered writes must complete in issue
      order relative to everything issued around them *)
   let m = Helpers.machine ~features:features_border () in
   Clusterfs.Machine.run m (fun m ->
       let fs = m.Clusterfs.Machine.fs in
-      Sim.Trace.enable (Disk.Device.trace m.Clusterfs.Machine.disks.(0)) true;
+      let log = Helpers.disk_log [| m.Clusterfs.Machine.disks.(0) |] in
       for i = 0 to 20 do
         let ip = Ufs.Fs.creat fs (Printf.sprintf "/o%d" i) in
         Ufs.Iops.iput fs ip
@@ -70,15 +70,14 @@ let test_disk_honors_order () =
       (* the dir data fragment is rewritten once per create; those writes
          must appear in strictly increasing create order.  The dir data
          lives at a fixed sector, so repeated writes to that sector in
-         the trace are exactly the entry updates, in order of service. *)
-      let evs = Sim.Trace.to_list (Disk.Device.trace m.Clusterfs.Machine.disks.(0)) in
+         the log are exactly the entry updates, in order of service. *)
       let dir_writes =
         List.filter
           (fun (e : Disk.Device.event) -> e.Disk.Device.kind = Disk.Request.Write)
-          evs
+          (List.map snd (log ()))
       in
       check_bool "saw the metadata writes" true (List.length dir_writes > 20);
-      (* service times are monotonically non-decreasing in trace order —
+      (* service times are monotonically non-decreasing in log order —
          i.e. the queue really behaved FIFO for this ordered stream *)
       let rec monotone = function
         | (a : Disk.Device.event) :: (b :: _ as rest) ->

@@ -9,7 +9,7 @@ let bsize = Ufs.Layout.bsize
 let mkfs_cluster3 =
   { Helpers.small_mkfs with Ufs.Fs.maxcontig = 3 }
 
-let with_traced_file ?(mkfs = mkfs_cluster3) ?features ?memory_mb ~blocks f =
+let with_file ?(mkfs = mkfs_cluster3) ?features ?memory_mb ~blocks f =
   Helpers.in_machine ~mkfs ?features ?memory_mb (fun m ->
       let fs = m.Clusterfs.Machine.fs in
       let ip = Ufs.Fs.creat fs "/t" in
@@ -21,7 +21,6 @@ let with_traced_file ?(mkfs = mkfs_cluster3) ?features ?memory_mb ~blocks f =
       (* cold cache, fresh predictor *)
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
       Ufs.Types.reset_rstreams ip;
-      Sim.Trace.enable fs.Ufs.Types.trace true;
       Fun.protect
         ~finally:(fun () -> Ufs.Iops.iput fs ip)
         (fun () -> f m fs ip))
@@ -32,42 +31,90 @@ let read_blocks fs ip ~count =
     ignore (Ufs.Fs.read fs ip ~off:(i * bsize) ~buf ~len:bsize)
   done
 
-let reads_of_trace fs =
-  List.filter_map
-    (function
-      | Ufs.Types.Ev_read_sync { lbn; blocks } -> Some (`Sync, lbn, blocks)
-      | Ufs.Types.Ev_read_ahead { lbn; blocks } -> Some (`Ahead, lbn, blocks)
-      | _ -> None)
-    (Sim.Trace.to_list fs.Ufs.Types.trace)
+(* What the disk saw from now on: [reads ()] and [writes ()] are the
+   requests that touched the data of "/t", in service order, each
+   mapped back through the file's extent map to (first lbn, blocks).
+   Requests outside the file (inodes, directories, bitmaps) are left
+   out.  Whether a read was a blocking page-in or read-ahead, and how
+   many pushes there were, the UFS counters tell: [counts ()] gives
+   those that changed since the start, with their change. *)
+let watch m fs =
+  let log = Helpers.disk_log m.Clusterfs.Machine.disks in
+  let sectors_per_block = bsize / Ufs.Layout.sector_bytes in
+  let ios kind () =
+    let extents = Ufs.Fs.extent_map fs "/t" in
+    List.filter_map
+      (fun (_, (e : Disk.Device.event)) ->
+        if e.Disk.Device.kind <> kind then None
+        else
+          let blocks =
+            (e.Disk.Device.count + sectors_per_block - 1) / sectors_per_block
+          in
+          List.find_map
+            (fun (lbn, frag, n) ->
+              let first = Ufs.Layout.frag_to_sector frag in
+              let k = (e.Disk.Device.sector - first) / sectors_per_block in
+              if e.Disk.Device.sector >= first && k < n then
+                Some (lbn + k, blocks)
+              else None)
+            extents)
+      (log ())
+  in
+  let io_counts () =
+    let s = fs.Ufs.Types.stats in
+    Ufs.Types.
+      [
+        ("pgin_ios", s.pgin_ios);
+        ("pgin_blocks", s.pgin_blocks);
+        ("ra_ios", s.ra_ios);
+        ("ra_blocks", s.ra_blocks);
+        ("push_ios", s.push_ios);
+        ("push_blocks", s.push_blocks);
+      ]
+  in
+  let c0 = io_counts () in
+  let counts () =
+    List.filter
+      (fun (_, n) -> n <> 0)
+      (List.map2 (fun (k, a) (_, b) -> (k, b - a)) c0 (io_counts ()))
+  in
+  (ios Disk.Request.Read, ios Disk.Request.Write, counts)
+
+let check_ios = Alcotest.(check (list (pair int int)))
+let check_counts = Alcotest.(check (list (pair string int)))
 
 (* ---------- figure 3: classic one-block read-ahead ---------- *)
 
 let test_figure3_pattern () =
-  with_traced_file ~features:Ufs.Types.features_sunos41 ~blocks:6
-    (fun _m fs ip ->
+  with_file ~features:Ufs.Types.features_sunos41 ~blocks:6
+    (fun m fs ip ->
+      let reads, _, io_counts = watch m fs in
       read_blocks fs ip ~count:6;
       (* "the first fault will start an I/O read for page 0 and also
          start up an I/O read ahead on page 1.  The next fault will find
          page 1 in memory and will start up a read on page 2..." *)
-      let expected =
-        [ (`Sync, 0, 1); (`Ahead, 1, 1); (`Ahead, 2, 1); (`Ahead, 3, 1);
-          (`Ahead, 4, 1); (`Ahead, 5, 1) ]
-      in
-      check_bool "figure 3 I/O pattern" true (reads_of_trace fs = expected);
-      ignore ip)
+      check_ios "figure 3 I/O pattern"
+        [ (0, 1); (1, 1); (2, 1); (3, 1); (4, 1); (5, 1) ]
+        (reads ());
+      check_counts "one page-in, then read-ahead"
+        [ ("pgin_ios", 1); ("pgin_blocks", 1); ("ra_ios", 5); ("ra_blocks", 5) ]
+        (io_counts ()))
 
 (* ---------- figure 6: clustered read-ahead ---------- *)
 
 let test_figure6_pattern () =
-  with_traced_file ~blocks:12 (fun _m fs ip ->
+  with_file ~blocks:12 (fun m fs ip ->
+      let reads, _, io_counts = watch m fs in
       read_blocks fs ip ~count:12;
       (* maxcontig = 3: sync read of cluster [0,3), then async cluster
          reads of [3,6), [6,9), [9,12) each triggered at a cluster
          boundary fault *)
-      let expected =
-        [ (`Sync, 0, 3); (`Ahead, 3, 3); (`Ahead, 6, 3); (`Ahead, 9, 3) ]
-      in
-      check_bool "figure 6 I/O pattern" true (reads_of_trace fs = expected);
+      check_ios "figure 6 I/O pattern"
+        [ (0, 3); (3, 3); (6, 3); (9, 3) ]
+        (reads ());
+      check_counts "one cluster page-in, then cluster read-ahead"
+        [ ("pgin_ios", 1); ("pgin_blocks", 3); ("ra_ios", 3); ("ra_blocks", 9) ]
+        (io_counts ());
       (* the stream's read-ahead frontier advanced cluster by cluster *)
       let w = Option.get (Ufs.Types.mru_rstream ip) in
       check_int "nextrio at last cluster" (9 * bsize) w.Ufs.Types.s_ra_off)
@@ -77,7 +124,7 @@ let test_figure6_respects_bmap_length () =
      clusters must shrink to what bmap returns — "the code that sets up
      the next read bases its calculations on the returned rather than
      desired cluster size" *)
-  with_traced_file ~blocks:0 (fun _m fs ip ->
+  with_file ~blocks:0 (fun m fs ip ->
       let buf = Bytes.make bsize 'd' in
       (* allocate a blocker block right after each of the file's blocks
          so no two of them can be physically adjacent *)
@@ -88,64 +135,49 @@ let test_figure6_respects_bmap_length () =
       Ufs.Fs.fsync fs ip;
       Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
       Ufs.Types.reset_rstreams ip;
-      Sim.Trace.clear fs.Ufs.Types.trace;
+      let reads, _, _ = watch m fs in
       read_blocks fs ip ~count:9;
-      let reads = reads_of_trace fs in
+      let reads = reads () in
       check_bool "single-block reads on a fragmented file" true
-        (List.for_all (fun (_, _, blocks) -> blocks = 1) reads);
+        (List.for_all (fun (_, blocks) -> blocks = 1) reads);
       check_bool "still reads everything" true
-        (List.fold_left (fun a (_, _, b) -> a + b) 0 reads = 9))
+        (List.fold_left (fun a (_, b) -> a + b) 0 reads = 9))
 
 (* ---------- figure 7: clustered writes ---------- *)
 
 let test_figure7_pattern () =
-  with_traced_file ~blocks:0 (fun _m fs ip ->
-      Sim.Trace.clear fs.Ufs.Types.trace;
+  with_file ~blocks:0 (fun m fs ip ->
+      let _, writes, io_counts = watch m fs in
       let delayed0 = fs.Ufs.Types.stats.Ufs.Types.delayed_pages in
       let buf = Bytes.make bsize 'w' in
       for i = 0 to 5 do
         Ufs.Fs.write fs ip ~off:(i * bsize) ~buf ~len:bsize
       done;
       Ufs.Fs.fsync fs ip;
-      let pushes =
-        List.filter_map
-          (function
-            | Ufs.Types.Ev_write_push { off; bytes; _ } -> Some (off, bytes)
-            | _ -> None)
-          (Sim.Trace.to_list fs.Ufs.Types.trace)
-      in
       (* "lie, lie, push 0,1,2 | lie, lie, push 3,4,5" *)
-      Alcotest.(check (list (pair int int)))
-        "figure 7 push pattern"
-        [ (0, 3 * bsize); (3 * bsize, 3 * bsize) ]
-        pushes;
+      check_ios "figure 7 push pattern" [ (0, 3); (3, 3) ] (writes ());
+      check_counts "two pushes" [ ("push_ios", 2); ("push_blocks", 6) ] (io_counts ());
       check_int "six delayed pages" 6
         (fs.Ufs.Types.stats.Ufs.Types.delayed_pages - delayed0))
 
 let test_write_nonsequential_flushes () =
-  with_traced_file ~blocks:0 (fun _m fs ip ->
-      Sim.Trace.clear fs.Ufs.Types.trace;
+  with_file ~blocks:0 (fun m fs ip ->
+      let _, writes, io_counts = watch m fs in
       let buf = Bytes.make bsize 'w' in
       (* one block at 0, then a jump: the accumulated page must be
          pushed before restarting with the new one *)
       Ufs.Fs.write fs ip ~off:0 ~buf ~len:bsize;
       Ufs.Fs.write fs ip ~off:(10 * bsize) ~buf ~len:bsize;
-      let pushes =
-        List.filter_map
-          (function
-            | Ufs.Types.Ev_write_push { off; bytes; _ } -> Some (off, bytes)
-            | _ -> None)
-          (Sim.Trace.to_list fs.Ufs.Types.trace)
-      in
-      Alcotest.(check (list (pair int int)))
-        "old page pushed on non-sequential write"
-        [ (0, bsize) ]
-        pushes;
+      check_counts "one push, already issued" [ ("push_ios", 1); ("push_blocks", 1) ]
+        (io_counts ());
+      Ufs.Io.wait_writes fs ip;
+      check_ios "old page pushed on non-sequential write" [ (0, 1) ]
+        (writes ());
       check_int "new page accumulating" (10 * bsize) ip.Ufs.Types.delayoff)
 
 let test_cluster_write_single_io () =
   (* the whole point: 3 blocks leave as ONE disk request *)
-  with_traced_file ~blocks:0 (fun _m fs ip ->
+  with_file ~blocks:0 (fun _m fs ip ->
       let p0 = fs.Ufs.Types.stats.Ufs.Types.push_blocks in
       let pio0 = fs.Ufs.Types.stats.Ufs.Types.push_ios in
       let buf = Bytes.make bsize 'w' in
@@ -163,7 +195,7 @@ let test_cluster_write_single_io () =
 let test_free_behind () =
   (* 2 MB machine (256 frames), 3 MB file: streaming read with
      free-behind keeps memory fresh without the daemon *)
-  with_traced_file ~memory_mb:2 ~blocks:384 (fun m fs ip ->
+  with_file ~memory_mb:2 ~blocks:384 (fun m fs ip ->
       read_blocks fs ip ~count:384;
       check_bool "free-behind fired" true
         (fs.Ufs.Types.stats.Ufs.Types.freebehind_pages > 0);
@@ -179,7 +211,7 @@ let test_no_free_behind_when_disabled () =
   let features =
     { Ufs.Types.features_clustered with Ufs.Types.free_behind = false }
   in
-  with_traced_file ~memory_mb:2 ~features ~blocks:384 (fun _m fs ip ->
+  with_file ~memory_mb:2 ~features ~blocks:384 (fun _m fs ip ->
       read_blocks fs ip ~count:384;
       check_int "no free-behind" 0 fs.Ufs.Types.stats.Ufs.Types.freebehind_pages;
       ignore ip)
@@ -190,7 +222,7 @@ let test_write_limit_bounds_outstanding () =
   let features =
     { Ufs.Types.features_clustered with Ufs.Types.write_limit = Some (64 * 1024) }
   in
-  with_traced_file ~features ~memory_mb:8 ~blocks:0 (fun m fs ip ->
+  with_file ~features ~memory_mb:8 ~blocks:0 (fun m fs ip ->
       (* watch outstanding write bytes while streaming out 2 MB *)
       let peak = ref 0 in
       let finished = ref false in
@@ -218,7 +250,7 @@ let test_no_write_limit_unbounded () =
   let features =
     { Ufs.Types.features_clustered with Ufs.Types.write_limit = None }
   in
-  with_traced_file ~features ~blocks:0 (fun _m fs ip ->
+  with_file ~features ~blocks:0 (fun _m fs ip ->
       let buf = Bytes.make bsize 'w' in
       for i = 0 to 63 do
         Ufs.Fs.write fs ip ~off:(i * bsize) ~buf ~len:bsize
@@ -265,7 +297,7 @@ let test_ufs_hole_skips_bmap () =
     let features =
       { Ufs.Types.features_clustered with Ufs.Types.skip_bmap_if_no_holes = skip }
     in
-    with_traced_file ~features ~blocks:8 (fun _m fs ip ->
+    with_file ~features ~blocks:8 (fun _m fs ip ->
         (* warm the cache, then re-read: hits only *)
         read_blocks fs ip ~count:8;
         base_reads fs ip)
@@ -280,7 +312,7 @@ let test_getpage_hint_clusters_random_reads () =
   let features =
     { Ufs.Types.features_clustered with Ufs.Types.getpage_hint = true }
   in
-  with_traced_file ~features ~blocks:30 (fun m fs ip ->
+  with_file ~features ~blocks:30 (fun m fs ip ->
       let r0 = (Disk.Blkdev.stats m.Clusterfs.Machine.dev).Disk.Blkdev.reads in
       (* a 24 KB read at a random (non-predicted) offset *)
       let buf = Bytes.create (3 * bsize) in
@@ -335,7 +367,8 @@ let prop_clustered_read_integrity =
    a discard segment: a cached, dirty middle page must come out of the
    read untouched. *)
 let test_page_in_skips_cached_dirty_page () =
-  with_traced_file ~blocks:3 (fun _m fs ip ->
+  with_file ~blocks:3 (fun m fs ip ->
+      let reads, _, io_counts = watch m fs in
       Ufs.Fs.write fs ip ~off:bsize ~buf:(Bytes.make bsize 'D') ~len:bsize;
       let page off =
         match Vm.Pool.lookup fs.Ufs.Types.pool (Ufs.Io.ident ip off) with
@@ -350,8 +383,8 @@ let test_page_in_skips_cached_dirty_page () =
         | _ -> Alcotest.fail "expected one 3-block extent"
       in
       Ufs.Io.page_in fs ip ~off:0 ~frag ~blocks:3 ~sync:true ~read_ahead:false;
-      check_bool "one 3-block transfer" true
-        (reads_of_trace fs = [ (`Sync, 0, 3) ]);
+      check_ios "one 3-block transfer" [ (0, 3) ] (reads ());
+      check_counts "a blocking page-in" [ ("pgin_ios", 1); ("pgin_blocks", 3) ] (io_counts ());
       let all c p = Bytes.for_all (fun x -> x = c) p.Vm.Page.data in
       check_bool "middle page keeps its dirty bytes" true (all 'D' (page bsize));
       check_bool "middle page still dirty" true (page bsize).Vm.Page.dirty;

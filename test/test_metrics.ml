@@ -85,15 +85,6 @@ let test_json_export () =
     json;
   check_int "balanced delimiters" 0 !depth
 
-let test_csv_export () =
-  let reg = Sim.Metrics.create () in
-  Sim.Metrics.register reg ~layer:"vm.pool" ~instance:"m" (fun () ->
-      [ ("hits", Sim.Metrics.Int 9) ]);
-  let csv = Sim.Metrics.to_csv reg in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  check_string "header" "layer,instance,metric,field,value" (List.hd lines);
-  check_string "row" "vm.pool,m,hits,value,9" (List.nth lines 1)
-
 (* ---------- the free-behind regression ---------- *)
 
 (* A machine under genuine memory pressure: 2 MB of RAM (256 frames),
@@ -140,14 +131,13 @@ let golden_run () =
     Clusterfs.Machine.with_metrics_sink reg (fun () ->
         Clusterfs.Experiments.figure10 ~file_mb:1 ~random_ops:32 ())
   in
-  (rows, Sim.Metrics.to_json reg, Sim.Metrics.to_csv reg)
+  (rows, Sim.Metrics.to_json reg)
 
 let test_golden_determinism () =
-  let rows1, json1, csv1 = golden_run () in
-  let rows2, json2, csv2 = golden_run () in
+  let rows1, json1 = golden_run () in
+  let rows2, json2 = golden_run () in
   check_bool "fig10 rows identical across runs" true (rows1 = rows2);
   check_string "metrics JSON byte-identical" json1 json2;
-  check_string "metrics CSV byte-identical" csv1 csv2;
   check_bool "registry non-trivial" true (String.length json1 > 500)
 
 (* ---------- per-layer registration through the machine ---------- *)
@@ -182,7 +172,6 @@ let suites =
         Alcotest.test_case "duplicate instances" `Quick
           test_registry_duplicate_instances;
         Alcotest.test_case "JSON export" `Quick test_json_export;
-        Alcotest.test_case "CSV export" `Quick test_csv_export;
         Alcotest.test_case "free-behind fires on sequential" `Quick
           test_freebehind_fires_on_sequential;
         Alcotest.test_case "free-behind NOT on random (the bug)" `Quick

@@ -880,14 +880,13 @@ let golden_scale_run () =
     List.sort_uniq compare
       (List.map (fun (l, _, _) -> l) (Sim.Metrics.snapshot reg))
   in
-  (row, layers, Sim.Metrics.to_json reg, Sim.Metrics.to_csv reg)
+  (row, layers, Sim.Metrics.to_json reg)
 
 let test_golden_nfsscale_determinism () =
-  let row1, layers, json1, csv1 = golden_scale_run () in
-  let row2, _, json2, csv2 = golden_scale_run () in
+  let row1, layers, json1 = golden_scale_run () in
+  let row2, _, json2 = golden_scale_run () in
   check_bool "scale row identical" true (row1 = row2);
   Alcotest.(check string) "metrics JSON byte-identical" json1 json2;
-  Alcotest.(check string) "metrics CSV byte-identical" csv1 csv2;
   check_bool "net and nfs sources present" true
     (List.mem "net" layers && List.mem "nfs" layers)
 
@@ -899,14 +898,13 @@ let golden_cc_run () =
           ~net:(Net.lossy Clusterfs.Experiments.nfs_scale_net 0.02)
           ~clients:2 ~transport:Nfs.Rpc.Adaptive ~topology:T.Shared_medium ())
   in
-  (row, Sim.Metrics.to_json reg, Sim.Metrics.to_csv reg)
+  (row, Sim.Metrics.to_json reg)
 
 let test_golden_adaptive_determinism () =
-  let row1, json1, csv1 = golden_cc_run () in
-  let row2, json2, csv2 = golden_cc_run () in
+  let row1, json1 = golden_cc_run () in
+  let row2, json2 = golden_cc_run () in
   check_bool "congestion row identical" true (row1 = row2);
   Alcotest.(check string) "metrics JSON byte-identical" json1 json2;
-  Alcotest.(check string) "metrics CSV byte-identical" csv1 csv2;
   check_bool "seeded loss actually forced retransmits" true
     (row1.Clusterfs.Experiments.cc_retransmits > 0)
 
@@ -916,14 +914,13 @@ let golden_fleet_run () =
     Clusterfs.Machine.with_metrics_sink reg (fun () ->
         Clusterfs.Experiments.nfs_fleet ~file_mb:1 ~servers:2 ~clients:16 ())
   in
-  (row, Sim.Metrics.to_json reg, Sim.Metrics.to_csv reg)
+  (row, Sim.Metrics.to_json reg)
 
 let test_golden_fleet_determinism () =
-  let row1, json1, csv1 = golden_fleet_run () in
-  let row2, json2, csv2 = golden_fleet_run () in
+  let row1, json1 = golden_fleet_run () in
+  let row2, json2 = golden_fleet_run () in
   check_bool "fleet row identical" true (row1 = row2);
   Alcotest.(check string) "metrics JSON byte-identical" json1 json2;
-  Alcotest.(check string) "metrics CSV byte-identical" csv1 csv2;
   check_bool "all sixteen streams moved data" true
     (row1.Clusterfs.Experiments.fl_aggregate_kb_per_sec > 0.);
   check_bool "a bottleneck was named" true

@@ -702,19 +702,6 @@ let test_cpu_contention_serializes () =
     [ (1, 100); (2, 200); (3, 300) ]
     (List.rev !finish)
 
-(* ---------- Trace ---------- *)
-
-let test_trace_ring () =
-  let t = Sim.Trace.create ~capacity:3 () in
-  Sim.Trace.emit t (fun () -> 1);
-  Alcotest.(check int) "disabled drops" 0 (Sim.Trace.length t);
-  Sim.Trace.enable t true;
-  List.iter (fun i -> Sim.Trace.emit t (fun () -> i)) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check (list int)) "keeps newest" [ 3; 4; 5 ] (Sim.Trace.to_list t);
-  Alcotest.(check int) "dropped count" 2 (Sim.Trace.dropped t);
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Sim.Trace.length t)
-
 (* ---------- Frames ---------- *)
 
 let test_frames_recycle () =
@@ -794,7 +781,6 @@ let suites =
         prop_cpu_by_label;
         Alcotest.test_case "cpu contention" `Quick
           test_cpu_contention_serializes;
-        Alcotest.test_case "trace ring" `Quick test_trace_ring;
         Alcotest.test_case "frames: recycle, one size" `Quick
           test_frames_recycle;
       ] );

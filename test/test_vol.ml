@@ -198,27 +198,24 @@ let test_single_member_passthrough () =
   let run_bare () =
     let e = Sim.Engine.create () in
     let d = Disk.Device.create e Helpers.small_disk in
-    Sim.Trace.enable (Disk.Device.trace d) true;
-    let result = ref [] in
+    let log = Helpers.disk_log [| d |] in
     Sim.Engine.spawn e (fun () ->
         let b = Bytes.create 8192 in
         Disk.Device.write_sync d ~sector:100 ~count:16 ~buf:b ~buf_off:0;
         Disk.Device.read_sync d ~sector:100 ~count:16 ~buf:b ~buf_off:0;
-        Disk.Device.read_sync d ~sector:500 ~count:4 ~buf:b ~buf_off:0;
-        result := Sim.Trace.to_list (Disk.Device.trace d));
+        Disk.Device.read_sync d ~sector:500 ~count:4 ~buf:b ~buf_off:0);
     Sim.Engine.run e;
-    !result
+    List.map snd (log ())
   in
   let run_vol () =
     with_vol Vol.Concat [| Helpers.small_disk |] (fun e v ->
-        let d = (Vol.devices v).(0) in
-        Sim.Trace.enable (Disk.Device.trace d) true;
+        let log = Helpers.disk_log [| (Vol.devices v).(0) |] in
         let b = Bytes.create 8192 in
         vol_write v e ~sector:100 ~count:16 ~buf:b;
         vol_read v e ~sector:100 ~count:16 ~buf:b;
         vol_read v e ~sector:500 ~count:4 ~buf:b;
         check_int "nothing was split" 0 (Vol.splits v);
-        Sim.Trace.to_list (Disk.Device.trace d))
+        List.map snd (log ()))
   in
   let bare = run_bare () and vol = run_vol () in
   check_int "same event count" (List.length bare) (List.length vol);

@@ -186,6 +186,54 @@ let test_ager_fragments () =
         true
         (meas.Workload.Extents.extents > 3))
 
+(* The drive's observer against its own counters: over an FSW+FSR run
+   every serviced group is reported once, at service start, so the
+   events number the requests less those absorbed into a group, their
+   sector counts add up to the drive's, and their times, in the order
+   reported, never go back.
+   With driver clustering some groups are merged requests. *)
+let test_observer_matches_counters () =
+  List.iter
+    (fun (name, config) ->
+      let m = Clusterfs.Machine.create config in
+      let log = Helpers.disk_log m.Clusterfs.Machine.disks in
+      Clusterfs.Machine.run m (fun m ->
+          let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
+          List.iter
+            (fun k -> ignore (Workload.Iobench.run_phase io small_iobench k))
+            [ Workload.Iobench.FSW; Workload.Iobench.FSR ]);
+      let s = Disk.Device.stats m.Clusterfs.Machine.disks.(0) in
+      let evs = List.map snd (log ()) in
+      let sectors kind =
+        List.fold_left
+          (fun acc (e : Disk.Device.event) ->
+            if e.Disk.Device.kind = kind then acc + e.Disk.Device.count else acc)
+          0 evs
+      in
+      let label what = Printf.sprintf "%s: %s" name what in
+      check_int (label "one event per serviced group")
+        (s.Disk.Device.reads + s.Disk.Device.writes - s.Disk.Device.coalesced)
+        (List.length evs);
+      check_int (label "read sectors") s.Disk.Device.sectors_read
+        (sectors Disk.Request.Read);
+      check_int (label "written sectors") s.Disk.Device.sectors_written
+        (sectors Disk.Request.Write);
+      let rec monotone = function
+        | (a : Disk.Device.event) :: (b :: _ as rest) ->
+            a.Disk.Device.at <= b.Disk.Device.at && monotone rest
+        | _ -> true
+      in
+      check_bool (label "times never decrease") true (monotone evs);
+      check_bool (label "both kinds seen") true
+        (s.Disk.Device.reads > 0 && s.Disk.Device.writes > 0);
+      if config.Clusterfs.Config.disk.Disk.Device.driver_clustering then
+        check_bool (label "groups were merged") true (s.Disk.Device.coalesced > 0))
+    [
+      ("A", Clusterfs.Config.config_a);
+      ( "A + driver clustering",
+        Clusterfs.Config.with_driver_clustering Clusterfs.Config.config_a true );
+    ]
+
 let suites =
   [
     ( "workload",
@@ -197,6 +245,8 @@ let suites =
         Alcotest.test_case "iobench deterministic" `Quick
           test_iobench_deterministic;
         Alcotest.test_case "iobench pinned phases" `Quick test_iobench_pinned;
+        Alcotest.test_case "disk observer matches drive counters" `Quick
+          test_observer_matches_counters;
         Alcotest.test_case "mmap bench" `Quick test_mmap_bench;
         Alcotest.test_case "musbus" `Quick test_musbus;
         Alcotest.test_case "extents" `Quick test_extents_measurement;
