@@ -199,7 +199,7 @@ let do_data d (r : Request.t) =
   let sb = d.cfg.geom.Geom.sector_bytes in
   let off = r.Request.sector * sb and len = r.Request.count * sb in
   match r.Request.kind with
-  | Request.Read -> Store.readv d.st ~off r.Request.iov
+  | Request.Read -> Store.readv ~lend:r.Request.lend d.st ~off r.Request.iov
   | Request.Write -> (
       match d.write_cutoff with
       | Some n when n <= 0 ->
@@ -217,10 +217,9 @@ let do_data d (r : Request.t) =
 let finish d r =
   do_data d r;
   let now = Sim.Engine.now d.engine in
-  Sim.Stats.Summary.add d.stats.queue_wait
-    (float_of_int (r.Request.start_at - r.Request.enq_at));
-  Sim.Stats.Summary.add d.stats.service
-    (float_of_int (now - r.Request.start_at));
+  Sim.Stats.Summary.add_int d.stats.queue_wait
+    (r.Request.start_at - r.Request.enq_at);
+  Sim.Stats.Summary.add_int d.stats.service (now - r.Request.start_at);
   (* latency is measured as now - enq_at, not Request.latency: finish_at
      is only stamped by Request.complete below, so the accessor would
      read an unset field here *)
@@ -228,13 +227,11 @@ let finish d r =
   | Request.Read ->
       d.stats.reads <- d.stats.reads + 1;
       d.stats.sectors_read <- d.stats.sectors_read + r.Request.count;
-      Sim.Stats.Summary.add d.stats.read_latency
-        (float_of_int (now - r.Request.enq_at))
+      Sim.Stats.Summary.add_int d.stats.read_latency (now - r.Request.enq_at)
   | Request.Write ->
       d.stats.writes <- d.stats.writes + 1;
       d.stats.sectors_written <- d.stats.sectors_written + r.Request.count;
-      Sim.Stats.Summary.add d.stats.write_latency
-        (float_of_int (now - r.Request.enq_at)));
+      Sim.Stats.Summary.add_int d.stats.write_latency (now - r.Request.enq_at));
   Request.complete r ~now
 
 (* Post-service head/stream bookkeeping shared by both service paths. *)
@@ -294,9 +291,9 @@ let rec service_loop d () =
       d.stats.seek_time <- d.stats.seek_time + sk;
       d.stats.rot_wait <- d.stats.rot_wait + rw;
       d.stats.transfer_time <- d.stats.transfer_time + xf;
-      Sim.Stats.Summary.add d.stats.seek_per_io (float_of_int sk);
-      Sim.Stats.Summary.add d.stats.rot_per_io (float_of_int rw);
-      Sim.Stats.Summary.add d.stats.xfer_per_io (float_of_int xf);
+      Sim.Stats.Summary.add_int d.stats.seek_per_io sk;
+      Sim.Stats.Summary.add_int d.stats.rot_per_io rw;
+      Sim.Stats.Summary.add_int d.stats.xfer_per_io xf;
       (match d.observer with
       | None -> ()
       | Some f ->
@@ -351,8 +348,7 @@ let submit d r =
   if (r.Request.sector + r.Request.count) * sb > capacity_bytes d then
     invalid_arg "Device.submit: request past end of disk";
   Request.set_enq_at r (Sim.Engine.now d.engine);
-  Sim.Stats.Summary.add d.stats.queue_depth
-    (float_of_int (Disksort.length d.queue));
+  Sim.Stats.Summary.add_int d.stats.queue_depth (Disksort.length d.queue);
   Disksort.enqueue d.queue r;
   Sim.Condition.signal d.work
 

@@ -12,8 +12,10 @@
     [ordered] is the paper's proposed [B_ORDER] flag: the queue must not
     reorder other requests across an ordered one.
 
-    [lend] marks a write whose whole 8 KB segments the store may keep
-    by reference instead of copying ({!Store.writev}). *)
+    [lend] marks a request whose whole 8 KB segments may share the
+    store's chunks: a write's are kept by reference instead of copied
+    ({!Store.writev}), a read's are pointed at the chunks instead of
+    filled ({!Store.readv}). *)
 
 type kind = Read | Write
 
@@ -48,7 +50,10 @@ val of_iov :
     the request completes, a read's land then, so the caller must keep
     the segments stable (or untouched) until completion.  With [lend]
     (default [false]) a write also gives the store its whole 8 KB
-    segments to keep: the caller must not write into them afterwards. *)
+    segments to keep: the caller must not write into them afterwards.
+    A read with [lend] may find a whole segment pointed at the store's
+    chunk at completion ({!Sim.Iov.whole} names it); the caller must
+    not write into that chunk. *)
 
 val make :
   ?ordered:bool -> kind:kind -> sector:int -> count:int -> buf:bytes ->

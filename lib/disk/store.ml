@@ -10,9 +10,13 @@ module Chunks = Hashtbl.Make (struct
   let hash ci = ci
 end)
 
+(* [pinned] holds the index of every chunk whose frame another host
+   may hold (DESIGN.md, "Buffer ownership"): such a chunk is never
+   written in place and never given back to the frame pool. *)
 type flat = {
   fsize : int;
   chunks : bytes Chunks.t;
+  pinned : unit Chunks.t;
   mutable adopted : int;
   mutable recycled : int;
 }
@@ -27,7 +31,14 @@ type t =
 
 let create ~size =
   if size <= 0 then invalid_arg "Store.create: size must be positive";
-  Flat { fsize = size; chunks = Chunks.create 1024; adopted = 0; recycled = 0 }
+  Flat
+    {
+      fsize = size;
+      chunks = Chunks.create 1024;
+      pinned = Chunks.create 16;
+      adopted = 0;
+      recycled = 0;
+    }
 
 let size = function Flat f -> f.fsize | View v -> v.vsize
 
@@ -62,6 +73,12 @@ let flat_write f ~off ~len src src_off =
     let coff = !pos mod chunk_bytes in
     let n = min !remaining (chunk_bytes - coff) in
     (match Chunks.find_opt f.chunks ci with
+    | Some c when Chunks.mem f.pinned ci ->
+        (* another host may hold [c]: write a copy of it instead *)
+        let c' = Bytes.copy c in
+        Bytes.blit src !s c' coff n;
+        Chunks.replace f.chunks ci c';
+        Chunks.remove f.pinned ci
     | Some c -> Bytes.blit src !s c coff n
     | None ->
         (* a write over the whole chunk leaves no byte to zero *)
@@ -108,26 +125,59 @@ let rec write t ~off ~len src src_off =
         remaining := !remaining - n
       done
 
-let readv t ~off iov =
+(* The index of the chunk that a whole, chunk-aligned 8 KB segment
+   [(b, boff, n)] at store byte [pos] coincides with, or -1. *)
+let whole_chunk pos b boff n =
+  if n = chunk_bytes && boff = 0 && Bytes.length b = chunk_bytes
+     && pos mod chunk_bytes = 0
+  then pos / chunk_bytes
+  else -1
+
+let readv ?(lend = false) t ~off iov =
   check t off (Sim.Iov.length iov);
   let pos = ref off in
   Sim.Iov.iter
     (fun b boff n ->
-      read t ~off:!pos ~len:n b boff;
+      let shared =
+        match t with
+        | Flat f when lend -> (
+            let ci = whole_chunk !pos b boff n in
+            match if ci < 0 then None else Chunks.find_opt f.chunks ci with
+            | Some c ->
+                Sim.Iov.swap iov ~off:(!pos - off) c;
+                true
+            | None -> false)
+        | Flat _ | View _ -> false
+      in
+      if not shared then read t ~off:!pos ~len:n b boff;
       pos := !pos + n)
     iov
 
 (* Keep [b] as chunk [ci].  The chunk it displaces goes back to the
-   frame pool: every other holder of a chunk's bytes has let go by the
-   time its block is written again (DESIGN.md, "Buffer ownership"). *)
+   frame pool unless it is pinned: every other holder on this host has
+   let go of a chunk's bytes by the time its block is written again,
+   but a frame another host holds is left to the GC (DESIGN.md,
+   "Buffer ownership"). *)
 let adopt f frames ci b =
   (match Chunks.find_opt f.chunks ci with
   | Some old when old != b ->
-      Sim.Frames.give frames old;
-      f.recycled <- f.recycled + 1
+      if Chunks.mem f.pinned ci then Chunks.remove f.pinned ci
+      else begin
+        Sim.Frames.give frames old;
+        f.recycled <- f.recycled + 1
+      end
   | Some _ | None -> ());
   Chunks.replace f.chunks ci b;
   f.adopted <- f.adopted + 1
+
+let pin t ~off b =
+  match t with
+  | Flat f when off mod chunk_bytes = 0 -> (
+      let ci = off / chunk_bytes in
+      match Chunks.find_opt f.chunks ci with
+      | Some c when c == b -> Chunks.replace f.pinned ci ()
+      | Some _ | None -> ())
+  | Flat _ | View _ -> ()
 
 let writev ?lend t ~off iov =
   check t off (Sim.Iov.length iov);
@@ -135,9 +185,7 @@ let writev ?lend t ~off iov =
   Sim.Iov.iter
     (fun b boff n ->
       (match (lend, t) with
-      | Some frames, Flat f
-        when n = chunk_bytes && boff = 0 && Bytes.length b = chunk_bytes
-             && !pos mod chunk_bytes = 0 ->
+      | Some frames, Flat f when whole_chunk !pos b boff n >= 0 ->
           adopt f frames (!pos / chunk_bytes) b
       | _ -> write t ~off:!pos ~len:n b boff);
       pos := !pos + n)
@@ -154,6 +202,10 @@ let rec chunks_adopted = function
 let rec chunks_recycled = function
   | Flat f -> f.recycled
   | View v -> chunks_recycled v.base
+
+let rec iter_chunks g = function
+  | Flat f -> Chunks.iter (fun ci c -> g (ci * chunk_bytes) c) f.chunks
+  | View v -> iter_chunks g v.base
 
 let save t path =
   let oc = open_out_bin path in
@@ -215,6 +267,7 @@ let copy_into src dst =
   match (src, dst) with
   | Flat s, Flat d ->
       Chunks.reset d.chunks;
+      Chunks.reset d.pinned;
       Chunks.iter (fun k v -> Chunks.replace d.chunks k (Bytes.copy v))
         s.chunks
   | _ ->

@@ -33,16 +33,28 @@ val write : t -> off:int -> len:int -> bytes -> int -> unit
 (** [write t ~off ~len src src_off] copies [len] bytes from [src] at
     [src_off] into the store at byte [off]. *)
 
-val readv : t -> off:int -> Sim.Iov.t -> unit
+val readv : ?lend:bool -> t -> off:int -> Sim.Iov.t -> unit
 (** [readv t ~off iov] fills the iov's segments, in order, from the
-    store bytes starting at [off]. *)
+    store bytes starting at [off].  With [lend] (default [false]), a
+    segment that is a whole chunk-aligned 8 KB frame over a chunk that
+    exists is pointed at the chunk itself ({!Sim.Iov.swap}) instead of
+    filled: the reader then shares the chunk and must copy it before
+    writing.  A view, and a chunk never written, copy. *)
 
 val writev : ?lend:Sim.Frames.t -> t -> off:int -> Sim.Iov.t -> unit
 (** [writev t ~off iov] gathers the iov's segments, in order, into the
     store starting at [off].  With [lend], a segment that is a whole
     chunk-aligned 8 KB frame is kept by reference instead of copied (the
     writer must not touch it again), and the chunk it displaces goes
-    back to [lend].  A view copies every segment. *)
+    back to [lend], unless it is pinned ({!pin}): a pinned chunk is
+    left to the GC.  A view copies every segment. *)
+
+val pin : t -> off:int -> bytes -> unit
+(** [pin t ~off b]: if the chunk at byte [off] is the frame [b] itself,
+    another host may hold it from now on.  The store then never writes
+    into it (a write in place copies it first) and never gives it back
+    to the frame pool; the pin goes with the frame when the chunk is
+    replaced.  A no-op on a view or any other chunk. *)
 
 val chunks_allocated : t -> int
 (** Number of materialised chunks (memory accounting for tests). *)
@@ -53,6 +65,11 @@ val chunks_adopted : t -> int
 val chunks_recycled : t -> int
 (** Of those adoptions, the ones that displaced a chunk and gave it
     back to the frame pool. *)
+
+val iter_chunks : (int -> bytes -> unit) -> t -> unit
+(** [iter_chunks f t] calls [f off chunk] on every materialised 8 KB
+    chunk of the flat store under [t], in no particular order (memory
+    accounting for tests). *)
 
 val copy_into : t -> t -> unit
 (** [copy_into src dst] replaces [dst]'s contents with [src]'s.  Sizes

@@ -171,7 +171,7 @@ let register_metrics t reg ~instance =
           (fun (j : Run.job_result) ->
             let s = Sim.Stats.Summary.create () in
             Array.iter
-              (fun l -> Sim.Stats.Summary.add s (float_of_int l))
+              (fun l -> Sim.Stats.Summary.add_int s l)
               j.Run.lat_us;
             ( Printf.sprintf "job%d_lat_us" j.Run.job,
               Sim.Metrics.Summary s ))

@@ -191,8 +191,8 @@ let p2p_send ep ~dst:_ ~size msg =
   ep.st.bytes_sent <- ep.st.bytes_sent + size;
   dir.dst.msgs_sent <- dir.dst.msgs_sent + 1;
   dir.dst.bytes_sent <- dir.dst.bytes_sent + size;
-  Sim.Stats.Summary.add ep.st.wire_wait_us (float_of_int wire_wait);
-  Sim.Stats.Summary.add dir.dst.wire_wait_us (float_of_int wire_wait);
+  Sim.Stats.Summary.add_int ep.st.wire_wait_us wire_wait;
+  Sim.Stats.Summary.add_int dir.dst.wire_wait_us wire_wait;
   (* the draws happen at send time, in send order, so a run is a pure
      function of the link seed and the traffic *)
   let fate = draw cfg ep.rng in
@@ -210,8 +210,8 @@ let p2p_send ep ~dst:_ ~size msg =
         put dir.inbox msg;
         ep.st.msgs_delivered <- ep.st.msgs_delivered + 1;
         dir.dst.msgs_delivered <- dir.dst.msgs_delivered + 1;
-        Sim.Stats.Summary.add ep.st.transit_us (float_of_int (arrival - now));
-        Sim.Stats.Summary.add dir.dst.transit_us (float_of_int (arrival - now)))
+        Sim.Stats.Summary.add_int ep.st.transit_us (arrival - now);
+        Sim.Stats.Summary.add_int dir.dst.transit_us (arrival - now))
   end
 
 let create ?(seed = 0) ?(name = "link") engine cfg ~a_cpu ~b_cpu =
@@ -350,8 +350,7 @@ module Medium = struct
     end
     else begin
       let fr = Queue.pop s.outq in
-      Sim.Stats.Summary.add m.m_st.m_queue_wait_us
-        (float_of_int (now - fr.enq_at));
+      Sim.Stats.Summary.add_int m.m_st.m_queue_wait_us (now - fr.enq_at);
       s.backoff_exp <- 0;
       let xmit = xmit_time m.m_cfg ~size:fr.fsize in
       m.wire_free_at <- now + xmit;
@@ -377,8 +376,8 @@ module Medium = struct
             | Some dst ->
                 put (inbox_of dst ~src:fr.src) fr.payload;
                 m.m_st.frames_delivered <- m.m_st.frames_delivered + 1;
-                Sim.Stats.Summary.add m.m_st.m_transit_us
-                  (float_of_int (arrival - fr.enq_at)))
+                Sim.Stats.Summary.add_int m.m_st.m_transit_us
+                  (arrival - fr.enq_at))
       end;
       if Queue.is_empty s.outq then s.pumping <- false
       else Sim.Engine.schedule m.m_engine ~delay:xmit (try_transmit s)
@@ -541,8 +540,8 @@ module Switch = struct
     | Some fr ->
         let now = Sim.Engine.now m.sw_engine in
         let wait = now - fr.sw_at in
-        Sim.Stats.Summary.add m.sw_st.sw_queue_wait_us (float_of_int wait);
-        Sim.Stats.Summary.add p.pst.p_queue_wait_us (float_of_int wait);
+        Sim.Stats.Summary.add_int m.sw_st.sw_queue_wait_us wait;
+        Sim.Stats.Summary.add_int p.pst.p_queue_wait_us wait;
         let xmit = xmit_time m.sw_cfg ~size:fr.fsize in
         p.pst.down_frames <- p.pst.down_frames + 1;
         p.pst.down_bytes <- p.pst.down_bytes + fr.fsize;
@@ -552,8 +551,8 @@ module Switch = struct
             Sim.Engine.schedule m.sw_engine ~delay:m.sw_cfg.latency (fun () ->
                 put (inbox_of p.host ~src:fr.src) fr.payload;
                 m.sw_st.frames_delivered <- m.sw_st.frames_delivered + 1;
-                Sim.Stats.Summary.add m.sw_st.sw_transit_us
-                  (float_of_int (Sim.Engine.now m.sw_engine - fr.enq_at)));
+                Sim.Stats.Summary.add_int m.sw_st.sw_transit_us
+                  (Sim.Engine.now m.sw_engine - fr.enq_at));
             pump p ())
 
   (* A frame has fully arrived over its uplink: store (or tail-drop) and

@@ -23,13 +23,13 @@ type stats = {
   gather_bytes : Sim.Stats.Hist.t;
 }
 
-(* Who else may read a page's current frame.  A WRITE payload borrows
-   the frame it was gathered from ([Lent]) until its reply.  A call that
-   was sent more than once may leave a copy in the network that still
-   reads the frame after the reply, so such a frame stays [Resent] for
-   good.  Either way the frame is copied before it is written, and a
-   [Resent] one never goes back to the pool. *)
-type lending = Own | Lent | Resent
+(* Whether another host may hold a page's current frame.  A frame sent
+   in a WRITE payload (the server may keep it as its page and on its
+   disk, and a copy of the call may still be in the network) or adopted
+   from a READ reply (it is the server's page or disk chunk) is
+   [Shared] for good: a rewrite copies it first, and it never goes back
+   to the pool. *)
+type lending = Own | Shared
 
 type cpage = {
   mutable pdata : bytes;  (** the frame; see [lending] *)
@@ -80,9 +80,8 @@ type file = {
 
 and job =
   | Ra of file * int * int  (** read-ahead: file, offset, length *)
-  | Push of file * int * int * Sim.Iov.t * (cpage * bytes) list
-      (** write-behind: file, off, dirty credit, payload, covered pages
-          with the frames the payload borrows *)
+  | Push of file * int * int * Sim.Iov.t * cpage list
+      (** write-behind: file, off, dirty credit, payload, covered pages *)
 
 and t = {
   engine : Sim.Engine.t;
@@ -230,12 +229,10 @@ let using p f =
   r
 
 (* [p] has just left the cache.  Its frame goes back to the pool only
-   when nothing can touch it again: no read or write holds the page, no
-   in-flight WRITE borrows it, and no copy of a retransmitted WRITE that
-   borrowed it can still be in the network.  Otherwise the GC gets it. *)
+   when nothing can touch it again: it is the page's own and no read or
+   write holds the page.  Otherwise the GC gets it. *)
 let release t p =
-  if p.pusers = 0 && p.pflush = 0 && p.plend <> Resent then
-    Sim.Frames.give t.frames p.pdata
+  if p.pusers = 0 && p.plend = Own then Sim.Frames.give t.frames p.pdata
 
 (* Make room: pop eviction candidates until a valid, clean, idle page
    turns up.  Entries can be stale (the page was already dropped) and
@@ -292,10 +289,10 @@ let insert_page t f po =
 (* Fetch [off, off+len) into the cache with one READ RPC, filling only
    the pages this call claimed (pages already valid or being filled by
    someone else are left alone).  A claimed page adopts its whole-page
-   segment of the reply as its frame; only a short tail is copied.
-   Pages past the server's EOF are dropped again.  Runs in whatever
-   process called it: the reader for a demand miss, a biod for
-   read-ahead. *)
+   segment of the reply, the server's frame, as [Shared]; only a short
+   tail is copied.  Pages past the server's EOF are dropped again.
+   Runs in whatever process called it: the reader for a demand miss, a
+   biod for read-ahead. *)
 let fetch_range t f ~off ~len ~prefetched =
   let claims = ref [] in
   let po = ref off in
@@ -328,12 +325,15 @@ let fetch_range t f ~off ~len ~prefetched =
           let k = po - lo in
           if k < n then begin
             (match Sim.Iov.whole data ~off:k ~len:bsize with
-            | Some frame -> p.pdata <- frame
+            | Some frame ->
+                p.pdata <- frame;
+                p.plend <- Shared
             | None ->
                 let avail = min bsize (n - k) in
                 let frame = zeroed_frame t in
                 Sim.Iov.blit_to_bytes data k frame 0 avail;
-                p.pdata <- frame);
+                p.pdata <- frame;
+                p.plend <- Own);
             p.pvalid <- true;
             p.pprefetched <- prefetched
           end
@@ -360,19 +360,12 @@ let do_push t f ~credit ~pages ~call =
     Sim.Condition.wait f.push_cond
   done;
   f.pushing <- true;
-  let resent =
-    match Rpc.call_resent t.rpc call with
-    | Proto.R_attr _, resent -> resent
-    | Proto.R_err e, _ -> failwith ("nfs write: " ^ e)
-    | _ -> assert false
-  in
+  (match Rpc.call t.rpc call with
+  | Proto.R_attr _ -> ()
+  | Proto.R_err e -> failwith ("nfs write: " ^ e)
+  | _ -> assert false);
   f.pushing <- false;
-  List.iter
-    (fun (p, frame) ->
-      p.pflush <- p.pflush - 1;
-      (* a frame already replaced by a copy stays with the payload *)
-      if p.pdata == frame then p.plend <- (if resent then Resent else Own))
-    pages;
+  List.iter (fun p -> p.pflush <- p.pflush - 1) pages;
   t.dirty_bytes <- t.dirty_bytes - credit;
   f.pending_pushes <- f.pending_pushes - 1;
   Sim.Condition.broadcast t.dirty_cond;
@@ -635,10 +628,10 @@ let flush_gather t f =
           (* the payload borrows the page's frame: the page is clean
              but stays pinned (pflush) until the WRITE RPC completes, so
              eviction can't drop it and refetch stale server data, and
-             a rewrite copies the frame instead of changing it *)
+             from now on a rewrite copies the frame *)
           p.pflush <- p.pflush + 1;
-          p.plend <- Lent;
-          pages := (p, p.pdata) :: !pages;
+          p.plend <- Shared;
+          pages := p :: !pages;
           if p.pdirty then begin
             p.pdirty <- false;
             incr cleaned
@@ -708,9 +701,9 @@ let write_body f ~off ~buf ~len =
         end;
         charge t t.costs.Ufs.Costs.map_block;
         charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
-        (* copy-on-write: a WRITE payload borrows this frame and must
-           keep sending the bytes it was gathered with *)
-        if page.plend <> Own then begin
+        (* copy-on-write: the server or a WRITE payload may hold this
+           frame and must keep the bytes it has *)
+        if page.plend = Shared then begin
           let frame = Sim.Frames.take t.frames in
           Bytes.blit page.pdata 0 frame 0 bsize;
           page.pdata <- frame;
@@ -795,6 +788,12 @@ let invalidate f =
   f.delayoff <- 0;
   f.delaylen <- 0;
   f.attr_at <- None
+
+let iter_pages t f =
+  Hashtbl.iter
+    (fun name file ->
+      Hashtbl.iter (fun off p -> if p.pvalid then f name off p.pdata) file.pages)
+    t.files
 
 let engine t = t.engine
 let cpu t = t.cpu

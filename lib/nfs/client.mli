@@ -46,6 +46,10 @@ val mount :
 
 val engine : t -> Sim.Engine.t
 
+val iter_pages : t -> (string -> int -> bytes -> unit) -> unit
+(** [iter_pages t f] calls [f name off frame] on every valid cached
+    page: its file's name, block offset and frame (for tests). *)
+
 val cpu : t -> Sim.Cpu.t
 (** The client machine's CPU, charged for this mount's system time. *)
 

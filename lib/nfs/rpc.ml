@@ -121,8 +121,7 @@ let finish_call t (call : Proto.call) ~t0 r =
   Sim.Cpu.charge t.cpu ~label:"rpc" (Sim.Time.us 30);
   let op = Proto.op_index call in
   t.op_calls.(op) <- t.op_calls.(op) + 1;
-  Sim.Stats.Summary.add t.op_rtt.(op)
-    (float_of_int (Sim.Engine.now t.engine - t0));
+  Sim.Stats.Summary.add_int t.op_rtt.(op) (Sim.Engine.now t.engine - t0);
   r
 
 (* Reply-side bookkeeping, once per answered call.  The caller's
@@ -192,7 +191,7 @@ let call_body t (call : Proto.call) =
   end;
   let waited = Sim.Engine.now t.engine - entry in
   if waited > 0 then begin
-    Sim.Stats.Summary.add t.window_wait_us (float_of_int waited);
+    Sim.Stats.Summary.add_int t.window_wait_us waited;
     Sim.Span.interval ~name:"rpc.window" ~start_us:entry
       ~stop_us:(Sim.Engine.now t.engine)
       ()
@@ -238,9 +237,9 @@ let call_body t (call : Proto.call) =
       end
     end
   done;
-  let r, meta = Option.get p.got and resent = !attempts > 1 in
+  let r, meta = Option.get p.got in
   if adaptive then begin
-    if not resent then begin
+    if !attempts = 1 then begin
       sample_rtt t (Sim.Engine.now t.engine - t0);
       (* additive increase on clean replies only *)
       t.cwnd <- Float.min cwnd_limit (t.cwnd +. (1. /. t.cwnd))
@@ -249,16 +248,14 @@ let call_body t (call : Proto.call) =
     Sim.Condition.signal t.win_cond
   end;
   account t ~entry ~window_wait:waited ~attempts:!attempts meta;
-  (finish_call t call ~t0 r, resent)
+  finish_call t call ~t0 r
 
 let span_names = Proto.per_op "rpc."
 
-let call_resent t (call : Proto.call) =
+let call t (call : Proto.call) =
   if not (Sim.Span.enabled ()) then call_body t call
   else
     Sim.Span.span ~name:span_names.(Proto.op_index call) (fun () -> call_body t call)
-
-let call t c = fst (call_resent t c)
 
 (* ---------- observability ---------- *)
 

@@ -58,11 +58,6 @@ val call : t -> Proto.call -> Proto.reply
 (** Send the call, block until its reply arrives, retransmitting on
     timeout.  Must run inside a simulation process. *)
 
-val call_resent : t -> Proto.call -> Proto.reply * bool
-(** {!call}, and whether this call was sent more than once.  If it was,
-    a copy may still be on the wire or queued at the server after the
-    reply landed, reading whatever bytes its payload borrows. *)
-
 type stats = {
   mutable calls : int;
   mutable retransmits : int;

@@ -170,7 +170,7 @@ let worker t () =
     if t.down then () (* queue drained at crash; drop stragglers *)
     else
     let dq = Sim.Engine.now t.engine in
-    Sim.Stats.Summary.add t.st.queue_wait_us (float_of_int (dq - it.arrived));
+    Sim.Stats.Summary.add_int t.st.queue_wait_us (dq - it.arrived);
     Sim.Cpu.charge t.cpu ~label:"nfsd" svc_overhead;
     (* phase breakdown shipped back in the reply: outbound wire+medium
        time from the client's transmit stamp, time queued for an nfsd,
@@ -205,8 +205,8 @@ let worker t () =
           traced it ~dq ~name:span_names.(op) (fun () ->
               Sim.Attrib.with_clock clk (fun () -> execute t it.call))
         in
-        Sim.Stats.Summary.add t.op_service.(op)
-          (float_of_int (Sim.Engine.now t.engine - t0));
+        Sim.Stats.Summary.add_int t.op_service.(op)
+          (Sim.Engine.now t.engine - t0);
         (* the server may have died while this nfsd slept on disk: the
            op's effects (if its writes beat the power cut) are on the
            platter, but the reply — and, after reboot, the dup-cache

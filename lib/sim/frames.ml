@@ -18,5 +18,6 @@ let take t =
   | [] -> Bytes.create t.size
 
 let give t b = if Bytes.length b = t.size then t.free <- b :: t.free
+let free_list t = t.free
 let taken t = t.taken
 let reused t = t.reused

@@ -9,8 +9,8 @@
     holds frames that were live a moment earlier.
 
     One pool serves a whole engine ({!Engine.frames}), so a client and
-    the server feeding it share it (see DESIGN.md, "Buffer
-    ownership"). *)
+    the server feeding it share it.  A frame that another host may hold
+    never comes back to the list (see DESIGN.md, "Buffer ownership"). *)
 
 type t
 
@@ -27,6 +27,9 @@ val take : t -> bytes
 val give : t -> bytes -> unit
 (** Put a frame back.  The caller guarantees nothing refers to it any
     more.  A buffer of any other length is not kept. *)
+
+val free_list : t -> bytes list
+(** The frames on the free list right now (for tests). *)
 
 val taken : t -> int
 (** Frames handed out by {!take} so far. *)

@@ -1,4 +1,4 @@
-type seg = { base : bytes; off : int; len : int }
+type seg = { mutable base : bytes; off : int; len : int }
 type t = { segs : seg array; length : int }
 
 let empty = { segs = [||]; length = 0 }
@@ -84,6 +84,25 @@ let whole t ~off ~len =
     if skip = 0 && s.off = 0 && s.len = len && Bytes.length s.base = len then
       Some s.base
     else None
+
+let base t ~off =
+  check_range "Iov.base" t off 1;
+  let i = ref 0 and skip = ref off in
+  while !skip >= t.segs.(!i).len do
+    skip := !skip - t.segs.(!i).len;
+    incr i
+  done;
+  t.segs.(!i).base
+
+let swap t ~off b =
+  let len = Bytes.length b in
+  if off < 0 || len <= 0 || off + len > t.length then
+    invalid_arg "Iov.swap: range out of bounds";
+  let i, skip = locate t off in
+  let s = t.segs.(i) in
+  if skip = 0 && s.off = 0 && s.len = len && Bytes.length s.base = len then
+    s.base <- b
+  else invalid_arg "Iov.swap: not a whole segment"
 
 let to_bytes t =
   let b = Bytes.create t.length in

@@ -43,5 +43,18 @@ val whole : t -> off:int -> len:int -> bytes option
     segment spanning all of [b] ([Bytes.length b = len]), so a consumer
     can adopt [b] outright instead of copying it. *)
 
+val base : t -> off:int -> bytes
+(** The buffer under the segment holding logical offset [off] (no
+    allocation: for completion paths that compare it with [==]).
+    Raises [Invalid_argument] if [off] is out of range. *)
+
+val swap : t -> off:int -> bytes -> unit
+(** [swap t ~off b] points the segment that {!whole} finds at [off] for
+    [Bytes.length b] bytes at [b] instead: the iov now reads and writes
+    [b], and the bytes it referred to are left alone.  The disk store
+    uses it to hand a read its own chunk instead of copying the chunk
+    ({!Disk.Store.readv}).  Raises [Invalid_argument] if no whole
+    segment of that length starts at [off]. *)
+
 val to_bytes : t -> bytes
 (** A fresh flat copy. *)

@@ -112,7 +112,7 @@ let close r sp = sp.stop_us <- max sp.start_us (r.clock ())
 let sample_slow r sp =
   let dur = duration sp in
   r.sampled <- r.sampled + 1;
-  Stats.Summary.add r.lat (float_of_int dur);
+  Stats.Summary.add_int r.lat dur;
   if float_of_int dur >= Stats.Summary.percentile_of r.lat 99. then begin
     r.slow_seq <- r.slow_seq + 1;
     r.slowset <- (dur, r.slow_seq, sp) :: r.slowset;

@@ -53,7 +53,7 @@ module Summary = struct
       skip = 0;
     }
 
-  let keep_sample t x =
+  let[@inline] keep_sample t x =
     if t.skip > 0 then t.skip <- t.skip - 1
     else begin
       let cap = Array.length t.samples in
@@ -76,7 +76,9 @@ module Summary = struct
       t.skip <- t.stride - 1
     end
 
-  let add t x =
+  (* inlined into both entries, so [x] stays an unboxed float: an int
+     observation is converted here instead of boxed by every caller *)
+  let[@inline] observe t x =
     let m = t.m in
     t.n <- t.n + 1;
     m.total <- m.total +. x;
@@ -93,6 +95,8 @@ module Summary = struct
       if x > m.mx then m.mx <- x
     end
 
+  let add t x = observe t x
+  let add_int t i = observe t (float_of_int i)
   let count t = t.n
   let mean t = if t.n = 0 then 0. else t.m.mean
   let variance t = if t.n < 2 then 0. else t.m.m2 /. float_of_int (t.n - 1)

@@ -7,6 +7,11 @@ module Summary : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  val add_int : t -> int -> unit
+  (** [add_int t i] is [add t (float_of_int i)], without boxing a float
+      at the call: for the many summaries of integer microseconds. *)
+
   val count : t -> int
   val mean : t -> float
   (** 0.0 when empty. *)

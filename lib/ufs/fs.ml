@@ -623,24 +623,13 @@ let write fs ip ~off ~buf ~len =
   let uio = Vfs.Uio.make ~rw:Vfs.Uio.Write ~off ~len ~buf ~buf_off:0 in
   Rdwr.rdwr fs ip uio
 
-let readv (fs : fs) ip ~off ~len =
-  let frames = Sim.Engine.frames fs.engine in
-  let rec segs pos =
-    if pos >= off + len then []
-    else
-      let n = min (off + len - pos) (Layout.bsize - Layout.blk_off pos) in
-      let b =
-        if n = Layout.bsize then Sim.Frames.take frames else Bytes.create n
-      in
-      (b, 0, n) :: segs (pos + n)
-  in
-  let iov = Sim.Iov.of_list (segs off) in
-  let uio = Vfs.Uio.of_iov ~rw:Vfs.Uio.Read ~off iov in
+let readv fs ip ~off ~len =
+  let uio = Vfs.Uio.reply ~off ~len in
   Rdwr.rdwr fs ip uio;
-  Sim.Iov.sub iov ~off:0 ~len:(len - uio.Vfs.Uio.resid)
+  Vfs.Uio.replied uio
 
 let writev fs ip ~off iov =
-  Rdwr.rdwr fs ip (Vfs.Uio.of_iov ~rw:Vfs.Uio.Write ~off iov)
+  Rdwr.rdwr fs ip (Vfs.Uio.of_iov ~frames:true ~rw:Vfs.Uio.Write ~off iov)
 
 let fsync fs ip = Iops.fsync_inode fs ip
 

@@ -110,13 +110,16 @@ val read : Types.fs -> Types.inode -> off:int -> buf:bytes -> len:int -> int
 val write : Types.fs -> Types.inode -> off:int -> buf:bytes -> len:int -> unit
 
 val readv : Types.fs -> Types.inode -> off:int -> len:int -> Sim.Iov.t
-(** Read into buffers cut at block boundaries, so every whole block of
-    the result is one segment spanning one [bsize] frame that a reader
-    can adopt as a page ({!Sim.Iov.whole}).  Whole-block frames come
-    from the engine's pool ({!Sim.Engine.frames}).  Short at EOF. *)
+(** nfsd's READ: a reply cut at block boundaries, in which every whole
+    block is the cached page's own frame ({!Io.export}), one segment a
+    reader can adopt as its page ({!Sim.Iov.whole}).  Nobody writes
+    into such a frame again.  Other pieces are copies.  Short at EOF. *)
 
 val writev : Types.fs -> Types.inode -> off:int -> Sim.Iov.t -> unit
-(** Write all of the iov at [off]. *)
+(** nfsd's WRITE of all of the iov at [off]: a whole-block segment that
+    overwrites a whole block becomes that page's frame instead of being
+    copied ({!Vm.Page.adopt}), so the caller must never write into the
+    iov's segments again. *)
 
 val fsync : Types.fs -> Types.inode -> unit
 

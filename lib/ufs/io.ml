@@ -51,7 +51,9 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
   | [] -> ()
   | mine ->
       (* scatter straight into the claimed pages, which stay busy until
-         the transfer lands *)
+         the transfer lands.  The store may point a whole block's
+         segment at its own chunk instead of filling it: the page then
+         borrows the chunk as its frame *)
       let segs =
         Array.init blocks (fun k -> (discard, 0, block_len ~bytes k))
       in
@@ -59,19 +61,26 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
         (fun ((p : Vm.Page.t), k) ->
           segs.(k) <- (p.Vm.Page.data, 0, block_len ~bytes k))
         mine;
+      let iov = Sim.Iov.of_list (Array.to_list segs) in
       let req =
-        Disk.Request.of_iov ~kind:Disk.Request.Read
+        Disk.Request.of_iov ~lend:true ~kind:Disk.Request.Read
           ~sector:(Layout.frag_to_sector frag)
           ~count:(nfrags * Layout.sectors_per_frag)
-          (Sim.Iov.of_list (Array.to_list segs))
-          ()
+          iov ()
       in
+      let frames = Sim.Engine.frames fs.engine in
       Disk.Request.on_complete req (fun () ->
           List.iter
             (fun ((p : Vm.Page.t), k) ->
               let n = block_len ~bytes k in
               if n < Layout.bsize then
-                Bytes.fill p.Vm.Page.data n (Layout.bsize - n) '\000';
+                Bytes.fill p.Vm.Page.data n (Layout.bsize - n) '\000'
+              else begin
+                let chunk = Sim.Iov.base iov ~off:(k * Layout.bsize) in
+                if chunk != p.Vm.Page.data then
+                  Vm.Page.borrow frames p chunk
+                    ~home:(Layout.frag_to_byte frag + (k * Layout.bsize))
+              end;
               Vm.Page.set_valid p true;
               Vm.Page.unbusy p)
             mine);
@@ -90,8 +99,8 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
       if sync then begin
         let t0 = Sim.Engine.now fs.engine in
         Disk.Request.wait fs.engine req;
-        Sim.Stats.Summary.add fs.stats.pgin_wait_us
-          (float_of_int (Sim.Engine.now fs.engine - t0))
+        Sim.Stats.Summary.add_int fs.stats.pgin_wait_us
+          (Sim.Engine.now fs.engine - t0)
       end
 
 let zero_fill fs (ip : inode) ~off ~blocks =
@@ -177,21 +186,37 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
         Vm.Page.set_dirty p false;
         if free_after then Vm.Pool.free_page fs.pool p else Vm.Page.unbusy p)
       pages;
+  let store = Disk.Blkdev.store fs.dev in
   Disk.Request.on_complete req (fun () ->
       (match throttled with
       | Some (sem, n) -> Sim.Semaphore.release sem ~n ()
       | None -> ());
       ip.outstanding_writes <- ip.outstanding_writes - bytes;
-      (* the store now holds each whole block's frame.  The page counts
-         as lent only from here on, so bytes that reached it while busy
-         went to the platter with it *)
+      (* the store now holds each whole block's frame, pinned if another
+         host may hold it.  The page counts as lent only from here on,
+         so bytes that reached it while busy went to the platter with
+         it.  A page that a write moved off its exported frame meanwhile
+         (copy-on-write) has bytes the platter lacks: it stays dirty *)
       if not ordered then
         List.iteri
           (fun k (p : Vm.Page.t) ->
-            if block_len ~bytes k = Layout.bsize then Vm.Page.lend p;
-            Vm.Page.set_dirty p false;
-            if free_after then Vm.Pool.free_page fs.pool p
-            else Vm.Page.unbusy p)
+            let home = Layout.frag_to_byte frag + (k * Layout.bsize) in
+            let whole = block_len ~bytes k = Layout.bsize in
+            let gathered = Sim.Iov.base iov ~off:(k * Layout.bsize) in
+            if whole && gathered != p.Vm.Page.data then begin
+              Disk.Store.pin store ~off:home gathered;
+              Vm.Page.unbusy p
+            end
+            else begin
+              if whole then begin
+                Vm.Page.lend p ~home;
+                if p.Vm.Page.exported then
+                  Disk.Store.pin store ~off:home p.Vm.Page.data
+              end;
+              Vm.Page.set_dirty p false;
+              if free_after then Vm.Pool.free_page fs.pool p
+              else Vm.Page.unbusy p
+            end)
           pages;
       Sim.Condition.broadcast ip.iodone);
   charge_io fs;
@@ -201,6 +226,12 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
   if blocks > 1 then fs.stats.flush_runs <- fs.stats.flush_runs + 1;
   Disk.Blkdev.submit fs.dev req;
   if sync then Disk.Request.wait fs.engine req
+
+let export fs (p : Vm.Page.t) =
+  if p.Vm.Page.home >= 0 then
+    Disk.Store.pin (Disk.Blkdev.store fs.dev) ~off:p.Vm.Page.home
+      p.Vm.Page.data;
+  Vm.Page.export p
 
 let wait_writes fs (ip : inode) =
   let before = Sim.Engine.now fs.engine in

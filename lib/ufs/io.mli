@@ -22,8 +22,10 @@ val page_in : Types.fs -> Types.inode -> off:int -> frag:int -> blocks:int ->
     byte offset [off], located contiguously on disk at [frag], as one
     disk request.  Pages already cached inside the range keep their
     (possibly newer) contents; missing pages are allocated, filled from
-    the request buffer at completion, validated and unbusied.  The tail
-    block's transfer length respects its fragment allocation.
+    the request buffer at completion, validated and unbusied; a whole
+    block whose chunk the store holds borrows that chunk as its frame
+    ({!Vm.Page.borrow}) instead of a copy.  The tail block's transfer
+    length respects its fragment allocation.
     When [sync], blocks until the data is in.  [read_ahead] selects
     statistics/trace classification and marks the freshly-claimed pages
     {!Vm.Page.t.prefetched} for used/wasted accounting. *)
@@ -38,10 +40,16 @@ val push_pages :
 (** Write the given (consecutive, dirty, unlocked) pages as one disk
     request at [frag].  Marks them busy for the duration; on completion
     they are cleaned, unbusied (or freed when [free_after]) and the
-    inode's outstanding-write count drops.  When [throttle], blocks on
-    the inode's write-limit semaphore first (the paper's fairness
-    semaphore); pageout-initiated pushes pass [false].  When [sync],
-    waits for the I/O. *)
+    inode's outstanding-write count drops; a page that a write moved
+    off its exported frame during the push stays dirty and cached.
+    When [throttle], blocks on the inode's write-limit semaphore first
+    (the paper's fairness semaphore); pageout-initiated pushes pass
+    [false].  When [sync], waits for the I/O. *)
+
+val export : Types.fs -> Vm.Page.t -> unit
+(** The page's frame is about to leave this host in a READ reply:
+    {!Vm.Page.export} it, and pin it in the store if the page shares
+    the store's chunk. *)
 
 val wait_writes : Types.fs -> Types.inode -> unit
 (** Block until the inode has no writes in flight (fsync tail). *)

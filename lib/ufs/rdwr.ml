@@ -98,7 +98,16 @@ let do_read fs (ip : inode) (uio : Vfs.Uio.t) =
         | [ p ] ->
             charge fs ~label:"rdwr" fs.costs.Costs.fault;
             charge fs ~label:"copy" (Costs.copy_cost fs.costs ~bytes:n);
-            Vfs.Uio.move uio ~src_or_dst:p.Vm.Page.data ~data_off:(off - po) ~n;
+            (* a READ reply carries a whole page's own frame; the charges
+               may have slept, so only a page still valid *)
+            if uio.Vfs.Uio.frames && n = Layout.bsize && p.Vm.Page.valid
+            then begin
+              Io.export fs p;
+              Vfs.Uio.give uio p.Vm.Page.data
+            end
+            else
+              Vfs.Uio.move uio ~src_or_dst:p.Vm.Page.data ~data_off:(off - po)
+                ~n;
             Vm.Page.set_referenced p true
         | _ -> assert false);
         (* unmap: free-behind fires once we leave the page *)
@@ -131,8 +140,10 @@ let rec grab_page fs (ip : inode) po =
       | `Existing _ -> grab_page fs ip po)
 
 (* Every in-place write of a cached page below first takes a private
-   frame if a push lent the page's frame to the store (DESIGN.md,
-   "Buffer ownership").  A fresh page's frame is always private. *)
+   frame if the page's frame is lent: to the store, or to another host
+   (DESIGN.md, "Buffer ownership").  A fresh page's frame is always
+   private.  A whole-page segment of an NFS WRITE becomes the page's
+   frame instead of being copied, unless a push is reading the page. *)
 let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
   ip.idata <- None;
   let frames = Sim.Engine.frames fs.engine in
@@ -200,9 +211,16 @@ let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
     charge fs ~label:"copy" (Costs.copy_cost fs.costs ~bytes:n);
     (* the charges above may sleep, and a push may lend the page meanwhile:
        take the private frame right before the copy *)
-    if full_overwrite then Vm.Page.own_blank frames page
-    else Vm.Page.own frames page;
-    Vfs.Uio.move uio ~src_or_dst:page.Vm.Page.data ~data_off:(off - po) ~n;
+    (match
+       if full_overwrite && not page.Vm.Page.busy then Vfs.Uio.take uio n
+       else None
+     with
+    | Some frame -> Vm.Page.adopt frames page frame
+    | None ->
+        if full_overwrite then Vm.Page.own_blank frames page
+        else Vm.Page.own frames page;
+        Vfs.Uio.move uio ~src_or_dst:page.Vm.Page.data ~data_off:(off - po)
+          ~n);
     Vm.Page.set_dirty page true;
     Vm.Page.set_referenced page true;
     if new_size > ip.size then begin
@@ -219,10 +237,10 @@ let rdwr_body fs (ip : inode) (uio : Vfs.Uio.t) =
       match uio.Vfs.Uio.rw with
       | Vfs.Uio.Read -> do_read fs ip uio
       | Vfs.Uio.Write -> do_write fs ip uio);
-  let dt = float_of_int (Sim.Engine.now fs.engine - t0) in
+  let dt = Sim.Engine.now fs.engine - t0 in
   match uio.Vfs.Uio.rw with
-  | Vfs.Uio.Read -> Sim.Stats.Summary.add fs.stats.read_call_us dt
-  | Vfs.Uio.Write -> Sim.Stats.Summary.add fs.stats.write_call_us dt
+  | Vfs.Uio.Read -> Sim.Stats.Summary.add_int fs.stats.read_call_us dt
+  | Vfs.Uio.Write -> Sim.Stats.Summary.add_int fs.stats.write_call_us dt
 
 let rdwr fs (ip : inode) (uio : Vfs.Uio.t) =
   if not (Sim.Span.enabled ()) then rdwr_body fs ip uio

@@ -28,8 +28,8 @@ let daemon t () =
       (* how stale was the oldest dirty data when this pass caught it? *)
       let now = Sim.Engine.now fs.Types.engine in
       if fs.Types.stats.Types.oldest_dirty >= 0 then
-        Sim.Stats.Summary.add t.dirty_age_us
-          (float_of_int (now - fs.Types.stats.Types.oldest_dirty));
+        Sim.Stats.Summary.add_int t.dirty_age_us
+          (now - fs.Types.stats.Types.oldest_dirty);
       (* re-arm before the (sleeping) sync: dirtying that happens while
          we flush belongs to the next pass *)
       fs.Types.stats.Types.oldest_dirty <- -1;

@@ -6,11 +6,21 @@ type t = {
   mutable resid : int;
   iov : Sim.Iov.t;
   mutable iov_off : int;
+  frames : bool;
+  mutable segs : (bytes * int * int) list;
 }
 
-let of_iov ~rw ~off iov =
+let of_iov ?(frames = false) ~rw ~off iov =
   if off < 0 then invalid_arg "Uio.make: negative off/len";
-  { rw; off; resid = Sim.Iov.length iov; iov; iov_off = 0 }
+  {
+    rw;
+    off;
+    resid = Sim.Iov.length iov;
+    iov;
+    iov_off = 0;
+    frames;
+    segs = [];
+  }
 
 let make ~rw ~off ~len ~buf ~buf_off =
   if off < 0 || len < 0 then invalid_arg "Uio.make: negative off/len";
@@ -18,13 +28,40 @@ let make ~rw ~off ~len ~buf ~buf_off =
     invalid_arg "Uio.make: buffer window out of range";
   of_iov ~rw ~off (Sim.Iov.of_bytes ~off:buf_off ~len buf)
 
+let reply ~off ~len =
+  if off < 0 || len < 0 then invalid_arg "Uio.reply: negative off/len";
+  { (of_iov ~frames:true ~rw:Read ~off (Sim.Iov.of_list [])) with resid = len }
+
 let done_ t = t.resid = 0
+
+let advance t n =
+  t.off <- t.off + n;
+  t.iov_off <- t.iov_off + n;
+  t.resid <- t.resid - n
 
 let move t ~src_or_dst ~data_off ~n =
   if n < 0 || n > t.resid then invalid_arg "Uio.move: bad length";
   (match t.rw with
+  | Read when t.frames ->
+      t.segs <- (Bytes.sub src_or_dst data_off n, 0, n) :: t.segs
   | Read -> Sim.Iov.blit_from_bytes src_or_dst data_off t.iov t.iov_off n
   | Write -> Sim.Iov.blit_to_bytes t.iov t.iov_off src_or_dst data_off n);
-  t.off <- t.off + n;
-  t.iov_off <- t.iov_off + n;
-  t.resid <- t.resid - n
+  advance t n
+
+let give t b =
+  let n = Bytes.length b in
+  if not (t.frames && t.rw = Read) || n > t.resid then
+    invalid_arg "Uio.give: not a reply, or too long";
+  t.segs <- (b, 0, n) :: t.segs;
+  advance t n
+
+let take t n =
+  if not (t.frames && t.rw = Write) || n > t.resid then None
+  else
+    match Sim.Iov.whole t.iov ~off:t.iov_off ~len:n with
+    | Some b ->
+        advance t n;
+        Some b
+    | None -> None
+
+let replied t = Sim.Iov.of_list (List.rev t.segs)

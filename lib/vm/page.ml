@@ -10,6 +10,8 @@ type t = {
   mutable busy : bool;
   mutable prefetched : bool;
   mutable lent : bool;
+  mutable exported : bool;
+  mutable home : int;
   mutable waiters : (unit -> unit) list;
 }
 
@@ -24,6 +26,8 @@ let make ~frameno ~pagesize =
     busy = false;
     prefetched = false;
     lent = false;
+    exported = false;
+    home = -1;
     waiters = [];
   }
 
@@ -32,14 +36,41 @@ let set_valid t b = t.valid <- b
 let set_dirty t b = t.dirty <- b
 let set_referenced t b = t.referenced <- b
 let set_prefetched t b = t.prefetched <- b
-let lend t = t.lent <- true
 
-(* A lent frame belongs to the store from now on; the page moves to a
-   frame of its own (a UFS page is exactly one pool frame long). *)
+let lend t ~home =
+  t.lent <- true;
+  t.home <- home
+
+(* A fresh page-in's own frame is private, so the pool can have it. *)
+let borrow frames t b ~home =
+  Sim.Frames.give frames t.data;
+  t.data <- b;
+  lend t ~home
+
+(* The frame it replaces goes back to the pool only if it is private.
+   A retransmitted WRITE may bring the page's own frame again. *)
+let adopt frames t b =
+  if b != t.data then begin
+    if not t.lent then Sim.Frames.give frames t.data;
+    t.data <- b;
+    t.home <- -1
+  end;
+  t.lent <- true;
+  t.exported <- true
+
+let export t =
+  t.lent <- true;
+  t.exported <- true
+
+(* A lent frame belongs to the store or another host from now on; the
+   page moves to a frame of its own (a UFS page is exactly one pool
+   frame long). *)
 let own_blank frames t =
   if t.lent then begin
     t.data <- Sim.Frames.take frames;
-    t.lent <- false
+    t.lent <- false;
+    t.exported <- false;
+    t.home <- -1
   end
 
 let own frames t =

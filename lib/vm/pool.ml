@@ -145,7 +145,8 @@ let free_page t (p : Page.t) =
   Page.set_dirty p false;
   Page.set_referenced p false;
   Page.set_prefetched p false;
-  (* the store keeps a lent frame; a free page must not alias it *)
+  (* the store or another host keeps a lent frame; a free page must not
+     alias it *)
   Page.own_blank (Sim.Engine.frames t.engine) p;
   Queue.push p.Page.frameno t.free;
   t.stats.frees <- t.stats.frees + 1;

@@ -52,8 +52,10 @@ val alloc : t -> Page.ident -> [ `Fresh of Page.t | `Existing of Page.t ]
 val free_page : t -> Page.t -> unit
 (** Return a frame to the free list.  The caller must hold the page
     busy; the page leaves the cache, loses its identity and is marked
-    not busy.  A lent frame ({!Page.lend}) stays with the store: the
-    page takes another from the engine's {!Sim.Frames}.  Wakes
+    not busy.  A lent frame ({!Page.lend}, {!Page.export}) stays with
+    the store or the other host that holds it, and is left to the GC
+    when they let go: the page takes another from the engine's
+    {!Sim.Frames}.  Wakes
     processes sleeping in {!alloc}. *)
 
 val freecnt : t -> int

@@ -1,9 +1,11 @@
-(* Page-frame recycling between the NFS client cache and the READ path:
-   a frame dropped from the client cache goes back to the engine's pool
-   only when nothing can touch it again, and a frame a WRITE payload
-   borrows is copied once before it is rewritten.  Each deterministic
-   case below pins one of those rules with a stand-in server whose
-   timing the test scripts. *)
+(* Page frames shared along the NFS data path: a client page, a server
+   page and a disk chunk may all be one frame.  A frame dropped from
+   the client cache goes back to the engine's pool only when nothing
+   can touch it again, a frame another host may hold is copied before
+   it is rewritten, and the disk never recycles or rewrites a chunk
+   another host may hold.  The first cases pin the client's rules with
+   a stand-in server whose timing the test scripts; the rest run
+   against a real server. *)
 
 module T = Clusterfs.Topology
 
@@ -22,47 +24,51 @@ type tap = {
 }
 
 (* One file's worth of NFS server on [ep]: CREATE (truncates), GETATTR,
-   READ and WRITE over a private byte image.  Each copy of each call is
-   served by a process of its own after [hold call ~copy] ([copy] 0 is
-   the first copy of its xid to arrive), or ignored when that is
-   [None].  A call's effect happens when it is served: a WRITE reads its
-   payload then, the way nfsd copies from a call it has dequeued, and a
-   held READ sees any truncation that overtook it.  READ replies read
-   into frames from the engine's pool, as [Ufs.Fs.readv] does. *)
+   READ and WRITE over a private image of 8 KB block frames.  Each copy
+   of each call is served by a process of its own after [hold call
+   ~copy] ([copy] 0 is the first copy of its xid to arrive), or ignored
+   when that is [None].  A call's effect happens when it is served: a
+   WRITE reads its payload then, the way nfsd copies from a call it has
+   dequeued, and a held READ sees any truncation that overtook it.  A
+   READ reply carries each whole block's frame itself, as
+   [Ufs.Fs.readv] exports a page's frame, so a WRITE never changes a
+   frame in place: it writes a copy. *)
 let tap_server e ep ~hold =
-  let image = ref Bytes.empty in
+  let blocks = Hashtbl.create 16 and size = ref 0 in
   let tap = { arrivals = ref 0; writes = ref [] } in
   let copies = Hashtbl.create 16 in
-  let attr () = { Nfs.Proto.size = Bytes.length !image; is_dir = false } in
+  let attr () = { Nfs.Proto.size = !size; is_dir = false } in
+  let frame i =
+    match Hashtbl.find_opt blocks i with
+    | Some b -> b
+    | None -> Bytes.make bsize '\000'
+  in
   let serve xid (call : Nfs.Proto.call) : Nfs.Proto.reply =
     match call with
     | Nfs.Proto.Create _ ->
-        image := Bytes.empty;
+        Hashtbl.reset blocks;
+        size := 0;
         Nfs.Proto.R_fh { fh = 7; attr = attr () }
     | Nfs.Proto.Getattr _ -> Nfs.Proto.R_attr (attr ())
     | Nfs.Proto.Read { off; len; _ } ->
-        let n = max 0 (min len (Bytes.length !image - off)) in
+        let n = max 0 (min len (!size - off)) in
         let segs =
           List.init ((n + bsize - 1) / bsize) (fun i ->
               let k = min bsize (n - (i * bsize)) in
-              let b =
-                if k = bsize then Sim.Frames.take (Sim.Engine.frames e)
-                else Bytes.create k
-              in
-              Bytes.blit !image (off + (i * bsize)) b 0 k;
-              (b, 0, k))
+              let b = frame ((off / bsize) + i) in
+              ((if k = bsize then b else Bytes.sub b 0 k), 0, k))
         in
-        Nfs.Proto.R_read
-          { data = Sim.Iov.of_list segs; eof = off + n >= Bytes.length !image }
+        Nfs.Proto.R_read { data = Sim.Iov.of_list segs; eof = off + n >= !size }
     | Nfs.Proto.Write { off; data; _ } ->
         let payload = Sim.Iov.to_bytes data in
         let len = Bytes.length payload in
-        if off + len > Bytes.length !image then begin
-          let bigger = Bytes.make (off + len) '\000' in
-          Bytes.blit !image 0 bigger 0 (Bytes.length !image);
-          image := bigger
-        end;
-        Bytes.blit payload 0 !image off len;
+        for i = off / bsize to (off + len - 1) / bsize do
+          let b = Bytes.copy (frame i) in
+          let lo = max off (i * bsize) and hi = min (off + len) ((i + 1) * bsize) in
+          Bytes.blit payload (lo - off) b (lo - (i * bsize)) (hi - lo);
+          Hashtbl.replace blocks i b
+        done;
+        size := max !size (off + len);
         tap.writes :=
           (xid, off / bsize, Bytes.to_string payload) :: !(tap.writes);
         Nfs.Proto.R_attr (attr ())
@@ -228,33 +234,39 @@ let test_lent_frame_not_recycled () =
 let test_reader_holds_evicted_page () =
   (* A reader is suspended in the CPU charge for its copy out of block
      0 when a writer on another lane inserts block 1 into the one-page
-     cache and evicts block 0.  The writer's new page takes a zeroed
-     frame; it must not be the one the reader is about to copy from.
-     The copy cost is made large so the two lanes interleave on the
-     client CPU: the writer's syscall charge runs between the reader's
-     lookup and its copy. *)
+     cache and evicts block 0.  Block 0 is a half block at EOF, so its
+     page holds a private copy of the reply, a frame eviction could
+     give back.  The writer's new page takes a zeroed frame; it must not
+     be the one the reader is about to copy from.  The copy cost is made
+     large so the two lanes interleave on the client CPU: the writer's
+     syscall charge runs between the reader's lookup and its copy. *)
   let costs = { Ufs.Costs.default with Ufs.Costs.copy_per_kb = ms 1 } in
   let hold _ ~copy:_ = Some 0 in
   let e, mount, _tap = tap_mount ~cache_pages:1 ~costs ~hold () in
-  let got = Bytes.create bsize in
+  let half = bsize / 2 in
+  let got = Bytes.create half in
   Sim.Engine.spawn e (fun () ->
       let f = Nfs.Client.create mount "rd" in
-      Nfs.Client.write f ~off:0 ~buf:(block 'A') ~len:bsize;
+      Nfs.Client.write f ~off:0 ~buf:(Bytes.make half 'A') ~len:half;
       Nfs.Client.fsync f;
+      Nfs.Client.invalidate f;
+      check_int "the fetch read the half block" half
+        (Nfs.Client.read f ~off:0 ~buf:got ~len:half);
       let st = Nfs.Client.stats mount in
       let hits = st.Nfs.Client.cache_hits
       and evictions = st.Nfs.Client.evictions in
       Sim.Engine.spawn e (fun () ->
           Sim.Engine.sleep e (Sim.Time.us 100);
           Nfs.Client.write f ~off:bsize ~buf:(block 'W') ~len:bsize);
-      check_int "read length" bsize
-        (Nfs.Client.read f ~off:0 ~buf:got ~len:bsize);
+      Bytes.fill got 0 half '?';
+      check_int "read length" half
+        (Nfs.Client.read f ~off:0 ~buf:got ~len:half);
       check_int "the read was a cache hit" (hits + 1) st.Nfs.Client.cache_hits;
       check_int "its page was evicted before it returned" (evictions + 1)
         st.Nfs.Client.evictions);
   Sim.Engine.run e;
   check_bool "the reader copied the page's bytes" true
-    (Bytes.equal got (block 'A'))
+    (Bytes.equal got (Bytes.make half 'A'))
 
 (* ---------- the late read-ahead bug ---------- *)
 
@@ -373,6 +385,7 @@ let run_evicting_mix ~seed ~loss ~spike_prob =
         (gen_ops ~seed ~client);
       Array.iter Nfs.Client.fsync files);
   (* the final read-back: the server's bytes are the model's *)
+  let server_bytes = Hashtbl.create 4 in
   for client = 0 to 1 do
     for i = 0 to 1 do
       let got =
@@ -384,6 +397,7 @@ let run_evicting_mix ~seed ~loss ~spike_prob =
             Ufs.Iops.iput fs ip;
             Bytes.sub buf 0 n)
       in
+      Hashtbl.replace server_bytes (name client i) got;
       Bytes.iteri
         (fun o ch ->
           let want =
@@ -402,6 +416,17 @@ let run_evicting_mix ~seed ~loss ~spike_prob =
       if Bytes.length got <> blocks * bsize then ok := false
     done
   done;
+  (* every client page, all clean and idle by now, holds the server's
+     bytes: a frame that one side recycled while the other still held
+     it shows here *)
+  Array.iter
+    (fun (c : T.client) ->
+      Nfs.Client.iter_pages c.T.mount (fun name off frame ->
+          let got = Hashtbl.find server_bytes name in
+          let n = min bsize (Bytes.length got - off) in
+          if n > 0 && Bytes.sub frame 0 n <> Bytes.sub got off n then
+            ok := false))
+    t.T.clients;
   (* and the server's clean pages are its disk's bytes *)
   !ok
   && T.run t (fun t -> Helpers.pages_match_store t.T.server.Clusterfs.Machine.fs)
@@ -414,6 +439,352 @@ let prop_evicting_clients_match_model =
       run_evicting_mix ~seed
         ~loss:(float_of_int loss_pct /. 100.)
         ~spike_prob:(float_of_int spike_pct /. 100.))
+
+(* ---------- frames shared across hosts ---------- *)
+
+let server_fs (t : T.t) = t.T.server.Clusterfs.Machine.fs
+
+(* Block [off] of [name] on the server's disk. *)
+let disk_block (t : T.t) name ~off =
+  T.run t (fun t ->
+      let fs = server_fs t in
+      let ip = Ufs.Fs.namei fs ("/" ^ name) in
+      let b = Bytes.create bsize in
+      ignore (Ufs.Fs.read fs ip ~off ~buf:b ~len:bsize);
+      Ufs.Iops.iput fs ip;
+      Bytes.to_string b)
+
+(* The frame of the page at [off] of [name] in [mount]'s cache. *)
+let cached_frame mount name ~off =
+  let found = ref None in
+  Nfs.Client.iter_pages mount (fun n o frame ->
+      if n = name && o = off then found := Some frame);
+  match !found with
+  | Some frame -> frame
+  | None -> Alcotest.fail "page not cached"
+
+(* Push the server's cached pages of [name] to disk and drop them. *)
+let cool_server (t : T.t) name =
+  T.run t (fun t ->
+      let fs = server_fs t in
+      let ip = Ufs.Fs.namei fs ("/" ^ name) in
+      Workload.Iobench.reset_file_state fs ip;
+      Ufs.Iops.iput fs ip)
+
+let test_removed_file_chunk_rewritten () =
+  (* The server writes "x" locally; a client then reads block 0 cold:
+     the server's page borrows the disk chunk and the reply carries it,
+     so the client caches the chunk itself, which the export pins.  Then
+     "x" is removed and a 1 KB metadata write lands in place on that
+     block.  The chunk is pinned, so the write goes to a copy: the
+     client keeps x's bytes, the disk has the new ones. *)
+  let t = T.create ~clients:1 (Helpers.config ()) in
+  let c = t.T.clients.(0) in
+  T.run t (fun t ->
+      let fs = server_fs t in
+      let ip = Ufs.Fs.creat fs "/x" in
+      Ufs.Fs.write fs ip ~off:0 ~buf:(block 'X') ~len:bsize;
+      Ufs.Iops.iput fs ip);
+  cool_server t "x";
+  T.run_clients t (fun c ->
+      let f = Option.get (Nfs.Client.lookup c.T.mount "x") in
+      ignore (Nfs.Client.read f ~off:0 ~buf:(Bytes.create bsize) ~len:bsize));
+  let frame = cached_frame c.T.mount "x" ~off:0 in
+  let store = Disk.Blkdev.store (server_fs t).Ufs.Types.dev in
+  let off =
+    T.run t (fun t ->
+        match Ufs.Fs.extent_map (server_fs t) "/x" with
+        | (0, frag, _) :: _ -> Ufs.Layout.frag_to_byte frag
+        | _ -> Alcotest.fail "block 0 not allocated")
+  in
+  let chunk = ref Bytes.empty in
+  Disk.Store.iter_chunks (fun o c -> if o = off then chunk := c) store;
+  check_bool "the client cached the disk chunk itself" true (!chunk == frame);
+  let meta = String.make 1024 'M' in
+  T.run t (fun t ->
+      let fs = server_fs t in
+      Ufs.Fs.unlink fs "/x";
+      Disk.Blkdev.write_sync fs.Ufs.Types.dev ~sector:(off / 512)
+        ~count:(1024 / 512) ~buf:(Bytes.of_string meta) ~buf_off:0);
+  Alcotest.(check string) "the client's cached bytes are still x's"
+    (page_of 'X') (Bytes.to_string frame);
+  let got = Bytes.create bsize in
+  Disk.Store.read store ~off ~len:bsize got 0;
+  Alcotest.(check string) "the disk reads back the new bytes"
+    (meta ^ String.make (bsize - 1024) 'X')
+    (Bytes.to_string got)
+
+let test_exported_page_rewritten () =
+  (* Client 0 reads block 0 of "y", which the server wrote locally: the
+     reply carries the server page's own frame.  An NFS WRITE from
+     client 1, then a local write on the server, both change the block;
+     client 0's frame keeps the bytes it was sent. *)
+  let t = T.create ~clients:2 (Helpers.config ()) in
+  T.run t (fun t ->
+      let fs = server_fs t in
+      let ip = Ufs.Fs.creat fs "/y" in
+      Ufs.Fs.write fs ip ~off:0 ~buf:(Bytes.make (2 * bsize) 'A')
+        ~len:(2 * bsize);
+      Ufs.Fs.fsync fs ip;
+      Ufs.Iops.iput fs ip);
+  let c0 = t.T.clients.(0) and c1 = t.T.clients.(1) in
+  T.run t (fun _ ->
+      let f = Option.get (Nfs.Client.lookup c0.T.mount "y") in
+      ignore (Nfs.Client.read f ~off:0 ~buf:(Bytes.create bsize) ~len:bsize));
+  let frame = cached_frame c0.T.mount "y" ~off:0 in
+  let server_page () =
+    T.run t (fun t ->
+        let fs = server_fs t in
+        let ip = Ufs.Fs.namei fs "/y" in
+        let p = Vm.Pool.lookup fs.Ufs.Types.pool (Ufs.Io.ident ip 0) in
+        Ufs.Iops.iput fs ip;
+        Option.map (fun (p : Vm.Page.t) -> p.Vm.Page.data) p)
+  in
+  check_bool "the reply carried the server page's frame" true
+    (match server_page () with Some d -> d == frame | None -> false);
+  T.run t (fun _ ->
+      let f = Option.get (Nfs.Client.lookup c1.T.mount "y") in
+      Nfs.Client.write f ~off:0 ~buf:(block 'N') ~len:bsize;
+      Nfs.Client.fsync f);
+  Alcotest.(check string) "an NFS WRITE leaves the exported frame alone"
+    (page_of 'A') (Bytes.to_string frame);
+  Alcotest.(check string) "and changes the server's copy" (page_of 'N')
+    (disk_block t "y" ~off:0);
+  T.run t (fun t ->
+      let fs = server_fs t in
+      let ip = Ufs.Fs.namei fs "/y" in
+      Ufs.Fs.write fs ip ~off:100 ~buf:(Bytes.of_string "LOCAL") ~len:5;
+      Ufs.Iops.iput fs ip);
+  cool_server t "y";
+  Alcotest.(check string) "a local write leaves it alone too" (page_of 'A')
+    (Bytes.to_string frame);
+  Alcotest.(check string) "and reaches the disk" "NLOCALN"
+    (String.sub (disk_block t "y" ~off:0) 99 7)
+
+(* A client mount whose calls reach a real server through a relay.  The
+   relay passes each copy of each call on after [hold call ~copy]
+   ([copy] 0 is the first copy of its xid), records every WRITE copy's
+   payload bytes as it passes it on, newest first, and returns replies
+   at once.  The RPC timeout is 100 ms. *)
+let relay_mount ~hold =
+  let server = Helpers.machine () in
+  let e = server.Clusterfs.Machine.engine in
+  let ccpu = Sim.Cpu.create e and rcpu = Sim.Cpu.create e in
+  let front = Net.create e Net.default_config ~a_cpu:ccpu ~b_cpu:rcpu in
+  let back =
+    Net.create e Net.default_config ~a_cpu:rcpu
+      ~b_cpu:server.Clusterfs.Machine.cpu
+  in
+  ignore
+    (Nfs.Server.create e ~cpu:server.Clusterfs.Machine.cpu
+       ~fs:server.Clusterfs.Machine.fs ~endpoints:[ Net.b_end back ] ());
+  let passed = ref [] and copies = Hashtbl.create 16 in
+  let forward ep msg = Net.send ep ~size:(Nfs.Proto.msg_size msg) msg in
+  Sim.Engine.spawn e ~name:"relay.calls" (fun () ->
+      while true do
+        match Net.recv (Net.b_end front) with
+        | Nfs.Proto.Call { xid; call; _ } as msg -> (
+            let copy = Option.value ~default:0 (Hashtbl.find_opt copies xid) in
+            Hashtbl.replace copies xid (copy + 1);
+            match hold call ~copy with
+            | None -> ()
+            | Some d ->
+                Sim.Engine.spawn e ~name:"relay.call" (fun () ->
+                    Sim.Engine.sleep e d;
+                    (match call with
+                    | Nfs.Proto.Write { data; _ } ->
+                        passed :=
+                          (xid, Bytes.to_string (Sim.Iov.to_bytes data))
+                          :: !passed
+                    | _ -> ());
+                    forward (Net.a_end back) msg))
+        | Nfs.Proto.Reply _ -> assert false
+      done);
+  Sim.Engine.spawn e ~name:"relay.replies" (fun () ->
+      while true do
+        forward (Net.b_end front) (Net.recv (Net.a_end back))
+      done);
+  let rpc =
+    Nfs.Rpc.create e ~cpu:ccpu ~ep:(Net.a_end front) ~client_id:0
+      ~timeout:(ms 100) ()
+  in
+  (e, server, Nfs.Client.mount e ~cpu:ccpu ~rpc (), passed)
+
+let test_late_duplicate_of_adopted_write () =
+  (* The first copy of the first WRITE is held 1 s, so the client
+     retransmits and the second copy is applied: the server adopts its
+     frame as block 0's page and pushes it to disk.  The client
+     rewrites block 0 (the server adopts that frame too and displaces
+     the first from its page and its disk) and writes three new blocks,
+     taking frames from the pool.  Only then does the held copy reach
+     the server. *)
+  let held = ref false in
+  let hold (call : Nfs.Proto.call) ~copy =
+    match call with
+    | Nfs.Proto.Write _ when copy = 0 && not !held ->
+        held := true;
+        Some (Sim.Time.sec 1)
+    | _ -> Some 0
+  in
+  let e, server, mount, passed = relay_mount ~hold in
+  let fs = server.Clusterfs.Machine.fs in
+  let push () =
+    let ip = Ufs.Fs.namei fs "/dup" in
+    Ufs.Fs.fsync fs ip;
+    Ufs.Iops.iput fs ip
+  in
+  let rewritten_at = ref 0 in
+  Sim.Engine.spawn e (fun () ->
+      let f = Nfs.Client.create mount "dup" in
+      Nfs.Client.write f ~off:0 ~buf:(block 'A') ~len:bsize;
+      Nfs.Client.fsync f;
+      push ();
+      Nfs.Client.write f ~off:0 ~buf:(block 'B') ~len:bsize;
+      Nfs.Client.fsync f;
+      push ();
+      Nfs.Client.write f ~off:bsize ~buf:(Bytes.make (3 * bsize) 'C')
+        ~len:(3 * bsize);
+      Nfs.Client.fsync f;
+      rewritten_at := Sim.Engine.now e);
+  Sim.Engine.run e;
+  let xid = List.fold_left (fun _ (x, _) -> x) 0 !passed in
+  let copies =
+    List.filter_map (fun (x, data) -> if x = xid then Some data else None)
+      !passed
+  in
+  check_bool "the rewrite finished before the held copy went on" true
+    (!rewritten_at > 0 && !rewritten_at < Sim.Time.sec 1);
+  Alcotest.(check (list string))
+    "both copies carried the bytes the call was gathered with"
+    [ page_of 'A'; page_of 'A' ] copies
+
+(* ---------- the one-copy census ---------- *)
+
+(* Every distinct frame in [frames], by physical identity. *)
+let distinct frames =
+  let by_content = Hashtbl.create 256 in
+  List.iter
+    (fun b ->
+      let k = Bytes.to_string b in
+      let same = Option.value ~default:[] (Hashtbl.find_opt by_content k) in
+      if not (List.exists (fun x -> x == b) same) then
+        Hashtbl.replace by_content k (b :: same))
+    frames;
+  Hashtbl.fold (fun _ l acc -> l @ acc) by_content []
+
+let census_clients = 8
+let census_servers = 2
+let census_blocks = 32 (* 256 KB files *)
+
+(* The 8 KB frames the fleet holds: client cache pages, server pages
+   and disk chunks. *)
+let held (t : T.t) =
+  let acc = ref [] in
+  Array.iter
+    (fun (c : T.client) ->
+      Array.iter
+        (fun (m : T.mountpoint) ->
+          Nfs.Client.iter_pages m.T.m_mount (fun _ _ frame ->
+              acc := frame :: !acc))
+        c.T.mounts)
+    t.T.clients;
+  Array.iter
+    (fun (m : Clusterfs.Machine.t) ->
+      Array.iter
+        (fun (p : Vm.Page.t) -> acc := p.Vm.Page.data :: !acc)
+        (Vm.Pool.frames m.Clusterfs.Machine.pool);
+      Disk.Store.iter_chunks
+        (fun _ chunk -> acc := chunk :: !acc)
+        (Disk.Blkdev.store m.Clusterfs.Machine.dev))
+    t.T.servers;
+  !acc
+
+(* At most one frame per data block beyond the servers' page frames,
+   and none of them on the frame pool's free list. *)
+let check_census (t : T.t) ~phase ~bound =
+  let held = held t in
+  let d = List.length (distinct held) in
+  let pool_frames =
+    Array.fold_left
+      (fun acc (m : Clusterfs.Machine.t) ->
+        acc + Array.length (Vm.Pool.frames m.Clusterfs.Machine.pool))
+      0 t.T.servers
+  in
+  let limit = (census_clients * census_blocks) + pool_frames in
+  if bound then
+    check_bool
+      (Printf.sprintf "%s: %d distinct frames, at most %d" phase d limit)
+      true (d <= limit);
+  let free = Sim.Frames.free_list (Sim.Engine.frames (T.engine t)) in
+  check_bool
+    (Printf.sprintf "%s: no held frame is on the free list" phase)
+    false
+    (List.exists (fun b -> List.exists (fun h -> h == b) held) free)
+
+let census_file id = Printf.sprintf "census%d" id
+let census_fill ~id ~ver blk = Char.chr (((id * 37) + (blk * 5) + ver) land 0xff)
+
+let test_one_copy_census () =
+  (* 8 clients x 2 servers on one switch, a 256 KB private file each:
+     FSW, cool, FSR, then the servers overwrite every file locally
+     while the clients still cache it. *)
+  let t =
+    T.create ~topology:T.Switched ~transport:Nfs.Rpc.Adaptive
+      ~servers:census_servers ~clients:census_clients (Helpers.config ())
+  in
+  let mount (c : T.client) = c.T.mounts.(c.T.id mod census_servers).T.m_mount in
+  let files = Array.make census_clients None in
+  T.run_clients t (fun c ->
+      let f = Nfs.Client.create (mount c) (census_file c.T.id) in
+      files.(c.T.id) <- Some f;
+      for b = 0 to census_blocks - 1 do
+        Nfs.Client.write f ~off:(b * bsize)
+          ~buf:(Bytes.make bsize (census_fill ~id:c.T.id ~ver:0 b))
+          ~len:bsize
+      done;
+      Nfs.Client.fsync f);
+  check_census t ~phase:"FSW" ~bound:true;
+  let on_server id f =
+    T.run t (fun t ->
+        let fs = t.T.servers.(id mod census_servers).Clusterfs.Machine.fs in
+        let ip = Ufs.Fs.namei fs ("/" ^ census_file id) in
+        f fs ip;
+        Ufs.Iops.iput fs ip)
+  in
+  Array.iteri
+    (fun id f ->
+      T.run t (fun _ -> Nfs.Client.invalidate (Option.get f));
+      on_server id Workload.Iobench.reset_file_state)
+    files;
+  let ok = ref true in
+  T.run_clients t (fun c ->
+      let f = Option.get files.(c.T.id) in
+      let buf = Bytes.create bsize in
+      for b = 0 to census_blocks - 1 do
+        ignore (Nfs.Client.read f ~off:(b * bsize) ~buf ~len:bsize);
+        if buf <> Bytes.make bsize (census_fill ~id:c.T.id ~ver:0 b) then
+          ok := false
+      done);
+  check_bool "FSR read back every block" true !ok;
+  check_census t ~phase:"FSR" ~bound:true;
+  Array.iteri
+    (fun id _ ->
+      on_server id (fun fs ip ->
+          for b = 0 to census_blocks - 1 do
+            Ufs.Fs.write fs ip ~off:(b * bsize)
+              ~buf:(Bytes.make bsize (census_fill ~id ~ver:1 b))
+              ~len:bsize
+          done;
+          Ufs.Fs.fsync fs ip))
+    files;
+  check_census t ~phase:"server overwrite" ~bound:false;
+  Array.iter
+    (fun (c : T.client) ->
+      Nfs.Client.iter_pages (mount c) (fun _ off frame ->
+          if frame <> Bytes.make bsize (census_fill ~id:c.T.id ~ver:0 (off / bsize))
+          then ok := false))
+    t.T.clients;
+  check_bool "the clients' cached pages kept the bytes they read" true !ok
 
 let suites =
   [
@@ -432,5 +803,13 @@ let suites =
         Alcotest.test_case "a late read-ahead drops only its placeholders"
           `Quick test_late_readahead_after_recreate;
         prop_evicting_clients_match_model;
+        Alcotest.test_case "a removed file's pinned chunk is copied on write"
+          `Quick test_removed_file_chunk_rewritten;
+        Alcotest.test_case "an exported page is copied on write" `Quick
+          test_exported_page_rewritten;
+        Alcotest.test_case "a late duplicate of an adopted WRITE" `Quick
+          test_late_duplicate_of_adopted_write;
+        Alcotest.test_case "one host copy of each block, FSW and FSR" `Quick
+          test_one_copy_census;
       ] );
   ]
