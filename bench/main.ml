@@ -42,7 +42,6 @@ let section name title f =
     let oc = open_out path in
     output_string oc
       (Sim.Metrics.to_json reg ~meta:[ ("section", name); ("title", title) ]);
-    output_char oc '\n';
     close_out oc;
     (match recorder with
     | Some r when Sim.Span.export_roots r <> [] ->

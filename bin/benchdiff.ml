@@ -86,17 +86,6 @@ let flatten (j : Sim.Json.t) =
 
 (* ---------- record ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let record bench_path out rel_tol abs_tol =
   let j = parse_file bench_path in
   let section =
@@ -105,27 +94,36 @@ let record bench_path out rel_tol abs_tol =
     | None -> Filename.remove_extension (Filename.basename bench_path)
   in
   let entries = flatten j in
-  let b = Buffer.create 4096 in
-  Printf.bprintf b "{\"section\": \"%s\",\n" (esc section);
-  Printf.bprintf b " \"rel_tol\": %g, \"abs_tol\": %g,\n \"entries\": ["
-    rel_tol abs_tol;
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Printf.bprintf b
-        "\n  {\"layer\": \"%s\", \"instance\": \"%s\", \"metric\": \"%s\", \
-         \"value\": %.17g}"
-        (esc e.layer) (esc e.instance) (esc e.metric) e.v)
-    entries;
-  Buffer.add_string b "\n]}\n";
+  (* values keep all 17 digits; tolerances are recorded to 6 *)
+  let tol f = Sim.Json.Num (float_of_string (Printf.sprintf "%g" f)) in
+  let entry e =
+    Sim.Json.Obj
+      [
+        ("layer", Sim.Json.Str e.layer);
+        ("instance", Sim.Json.Str e.instance);
+        ("metric", Sim.Json.Str e.metric);
+        ("value", Sim.Json.Num e.v);
+      ]
+  in
+  let doc =
+    Sim.Json.to_string
+      (Sim.Json.Obj
+         [
+           ("section", Sim.Json.Str section);
+           ("rel_tol", tol rel_tol);
+           ("abs_tol", tol abs_tol);
+           ("entries", Sim.Json.List (List.map entry entries));
+         ])
+    ^ "\n"
+  in
   (match out with
   | Some path ->
       let oc = open_out path in
-      output_string oc (Buffer.contents b);
+      output_string oc doc;
       close_out oc;
       Printf.printf "recorded %d metrics from %s -> %s\n" (List.length entries)
         bench_path path
-  | None -> print_string (Buffer.contents b));
+  | None -> print_string doc);
   0
 
 (* ---------- check ---------- *)

@@ -106,13 +106,9 @@ let run specs config_name clients servers topology ports_buffer target json
       | None -> ()
       | Some path ->
           let oc = open_out path in
-          output_string oc "[\n";
-          List.iteri
-            (fun i r ->
-              if i > 0 then output_string oc ",\n";
-              output_string oc (Fio.Report.to_json r))
-            reports;
-          output_string oc "]\n";
+          output_string oc
+            (Sim.Json.to_string (Sim.Json.List (List.map Fio.Report.json reports)));
+          output_char oc '\n';
           close_out oc;
           Printf.printf "wrote %s\n" path);
       0

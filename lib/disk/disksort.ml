@@ -95,7 +95,7 @@ let eligible t =
 
 let remove t r =
   let i = ref t.head in
-  while (get t !i).Request.id <> r.Request.id do
+  while get t !i != r do
     incr i
   done;
   ignore (remove_at t !i)

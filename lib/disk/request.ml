@@ -7,7 +7,6 @@ type t = {
   iov : Sim.Iov.t;
   ordered : bool;
   lend : bool;
-  id : int;
   mutable enq_at : Sim.Time.t;
   mutable start_at : Sim.Time.t;
   mutable finish_at : Sim.Time.t;
@@ -20,8 +19,6 @@ type t = {
   mutable absorbed_into : t option;
 }
 
-let next_id = ref 0
-
 let check_extent ~sector ~count =
   if sector < 0 || count <= 0 then invalid_arg "Request.make: bad extent"
 
@@ -29,7 +26,6 @@ let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
   check_extent ~sector ~count;
   if Sim.Iov.length iov <> count * 512 then
     invalid_arg "Request.of_iov: iov length is not count sectors";
-  incr next_id;
   {
     kind;
     sector;
@@ -37,7 +33,6 @@ let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
     iov;
     ordered;
     lend;
-    id = !next_id;
     enq_at = 0;
     start_at = 0;
     finish_at = 0;

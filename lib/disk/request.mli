@@ -26,7 +26,6 @@ type t = private {
   iov : Sim.Iov.t;  (** exactly [count * 512] bytes *)
   ordered : bool;
   lend : bool;
-  id : int;
   mutable enq_at : Sim.Time.t;
   mutable start_at : Sim.Time.t;
   mutable finish_at : Sim.Time.t;

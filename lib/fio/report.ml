@@ -110,59 +110,50 @@ let to_text t =
 
 (* ---------- json ---------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* 3 decimals, nan as 0 *)
+let num f =
+  Sim.Json.Num
+    (if Float.is_nan f then 0. else float_of_string (Printf.sprintf "%.3f" f))
 
-let jf f =
-  if f <> f then "0"
-  else if Float.is_integer f then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.3f" f
+let int n = Sim.Json.Num (float_of_int n)
 
-let to_json t =
-  let b = Buffer.create 2048 in
-  let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  p "{\"name\":\"%s\",\"target\":\"%s\",\"spec\":\"%s\",\n"
-    (json_escape t.spec.Spec.name) (json_escape t.target)
-    (json_escape (Spec.to_string t.spec));
-  p
-    "\"aggregate\":{\"ops\":%d,\"bytes\":%d,\"wall_us\":%d,\"iops\":%s,\"bw_kbps\":%s,\"lat_us\":{\"p50\":%s,\"p95\":%s,\"p99\":%s}},\n"
-    (total_ops t) (total_bytes t) (wall_us t) (jf (iops t))
-    (jf (bandwidth_kbps t))
-    (jf (aggregate_percentile t 50.))
-    (jf (aggregate_percentile t 95.))
-    (jf (aggregate_percentile t 99.));
-  p "\"jobs\":[";
-  List.iteri
-    (fun i (j : Run.job_result) ->
-      if i > 0 then p ",";
-      p
-        "\n \
-         {\"job\":%d,\"read_ops\":%d,\"write_ops\":%d,\"bytes\":%d,\"wall_us\":%d,\"fsync_us\":%d,\"lat_us\":{\"p50\":%s,\"p95\":%s,\"p99\":%s}}"
-        j.Run.job j.Run.read_ops j.Run.write_ops j.Run.bytes j.Run.wall_us
-        j.Run.fsync_us
-        (jf (job_percentile j 50.))
-        (jf (job_percentile j 95.))
-        (jf (job_percentile j 99.)))
-    t.jobs;
-  p "],\n\"cost_pct\":{";
-  List.iteri
-    (fun i (phase, _us, pct) ->
-      if i > 0 then p ",";
-      p "\"%s\":%s" (json_escape phase) (jf pct))
-    (cost_rows t);
-  p "}}\n";
-  Buffer.contents b
+let lat_us pct =
+  Sim.Json.Obj [ ("p50", num (pct 50.)); ("p95", num (pct 95.)); ("p99", num (pct 99.)) ]
+
+let json t =
+  let job (j : Run.job_result) =
+    Sim.Json.Obj
+      [
+        ("job", int j.Run.job);
+        ("read_ops", int j.Run.read_ops);
+        ("write_ops", int j.Run.write_ops);
+        ("bytes", int j.Run.bytes);
+        ("wall_us", int j.Run.wall_us);
+        ("fsync_us", int j.Run.fsync_us);
+        ("lat_us", lat_us (job_percentile j));
+      ]
+  in
+  Sim.Json.Obj
+    [
+      ("name", Sim.Json.Str t.spec.Spec.name);
+      ("target", Sim.Json.Str t.target);
+      ("spec", Sim.Json.Str (Spec.to_string t.spec));
+      ( "aggregate",
+        Sim.Json.Obj
+          [
+            ("ops", int (total_ops t));
+            ("bytes", int (total_bytes t));
+            ("wall_us", int (wall_us t));
+            ("iops", num (iops t));
+            ("bw_kbps", num (bandwidth_kbps t));
+            ("lat_us", lat_us (aggregate_percentile t));
+          ] );
+      ("jobs", Sim.Json.List (List.map job t.jobs));
+      ( "cost_pct",
+        Sim.Json.Obj (List.map (fun (phase, _us, pct) -> (phase, num pct)) (cost_rows t)) );
+    ]
+
+let to_json t = Sim.Json.to_string (json t) ^ "\n"
 
 let register_metrics t reg ~instance =
   Sim.Metrics.register reg ~layer:"fio" ~instance (fun () ->

@@ -41,9 +41,13 @@ val cost_rows : t -> (string * Sim.Time.t * float) list
 
 val to_text : t -> string
 
+val json : t -> Sim.Json.t
+(** The report as a JSON object: spec string, target, per-job and
+    aggregate iops/bandwidth/latency percentiles, cost table.  Floats
+    carry 3 decimals, nan as 0. *)
+
 val to_json : t -> string
-(** Self-contained JSON document: spec string, target, per-job and
-    aggregate iops/bandwidth/latency percentiles, cost table. *)
+(** [json], printed. *)
 
 val register_metrics : t -> Sim.Metrics.t -> instance:string -> unit
 (** Register the run as a ["fio"] source: aggregate iops/bandwidth,

@@ -214,3 +214,68 @@ let member k = function
 let to_list = function List l -> l | _ -> []
 let num = function Num f -> Some f | _ -> None
 let str = function Str s -> Some s | _ -> None
+
+(* ---------- writer ---------- *)
+
+let number f =
+  if not (Float.is_finite f) then invalid_arg "Json.to_string: non-finite Num"
+  else if Float.is_integer f then Printf.sprintf "%.0f" f
+  else
+    (* every decimal of at most 15 significant digits survives a round
+       trip through a double, so %.15g is the shortest when any such
+       decimal is; otherwise 16 or 17 digits *)
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p = 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 15
+
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+let is_obj = function Obj _ -> true | _ -> false
+
+let to_string j =
+  let b = Buffer.create 4096 in
+  let iter_sep sep f l =
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string b sep;
+        f x)
+      l
+  in
+  let rec go = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> add_string b s
+    | List (_ :: _ as l) when List.for_all is_obj l ->
+        Buffer.add_string b "[\n";
+        iter_sep ",\n" go l;
+        Buffer.add_string b "\n]"
+    | List l ->
+        Buffer.add_char b '[';
+        iter_sep ", " go l;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        iter_sep ", "
+          (fun (k, v) ->
+            add_string b k;
+            Buffer.add_string b ": ";
+            go v)
+          kvs;
+        Buffer.add_char b '}'
+  in
+  go j;
+  Buffer.contents b

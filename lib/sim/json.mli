@@ -1,12 +1,14 @@
-(** A minimal JSON reader.
+(** JSON, read and written.
 
-    Just enough to read back the documents this codebase itself writes
-    ({!Metrics.to_json} bench exports, {!Span.to_chrome} traces) in
-    the regression-gate and trace-shape tooling — the toolchain has no
-    JSON dependency, and pulling one in for a reader would be heavier
-    than the reader.  Numbers are parsed as floats (the exports only
-    contain numbers a float holds exactly); no serializer is provided
-    because writers already exist where they are needed. *)
+    The one place that knows the format: every JSON file the simulator,
+    the bench and benchdiff write ({!Metrics.to_json} snapshots,
+    {!Span.to_chrome} traces, fio reports, benchdiff baselines) is a
+    [t] printed by {!to_string}, and the regression gate and trace-shape
+    tooling read them back with {!parse}.  The toolchain has no JSON
+    dependency, and pulling one in would be heavier than this module.
+    Numbers are doubles, read and written: an integer beyond 2^53 (the
+    [max_int] top bound of a {!Stats.Hist}) reads and prints as the
+    nearest double. *)
 
 type t =
   | Null
@@ -27,3 +29,13 @@ val to_list : t -> t list
 
 val num : t -> float option
 val str : t -> string option
+
+val to_string : t -> string
+(** One fixed layout: each element of a non-empty array whose elements
+    are all objects on its own line, everything else inline (so a
+    snapshot has one source per line, a trace one event per line).  An
+    integral [Num] prints without a fraction, any other as the shortest
+    decimal that reads back to the same double.  Strings escape quote,
+    backslash and control bytes; other bytes pass through.  No trailing
+    newline.
+    @raise Invalid_argument on a nan or infinite [Num]. *)

@@ -42,84 +42,53 @@ let get t ~layer ?(instance = "-") name =
 
 (* ---------- export ---------- *)
 
-let buf_add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+(* 6 significant digits; nan/inf are not JSON, and no metric should
+   produce them, but a corrupt value must not corrupt the whole file *)
+let num f =
+  if Float.is_finite f then Json.Num (float_of_string (Printf.sprintf "%.6g" f))
+  else Json.Null
 
-let json_float f =
-  (* nan/inf are not JSON; no metric should produce them, but a corrupt
-     value must not corrupt the whole file *)
-  if f <> f || f = infinity || f = neg_infinity then "null"
-  else Printf.sprintf "%.6g" f
+let int n = Json.Num (float_of_int n)
 
-let buf_add_summary b s =
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\"count\":%d,\"mean\":%s,\"stddev\":%s,\"min\":%s,\"max\":%s,\"total\":%s,\"p50\":%s,\"p95\":%s,\"p99\":%s}"
-       (Stats.Summary.count s)
-       (json_float (Stats.Summary.mean s))
-       (json_float (Stats.Summary.stddev s))
-       (json_float (Stats.Summary.min s))
-       (json_float (Stats.Summary.max s))
-       (json_float (Stats.Summary.total s))
-       (json_float (Stats.Summary.percentile_of s 50.))
-       (json_float (Stats.Summary.percentile_of s 95.))
-       (json_float (Stats.Summary.percentile_of s 99.)))
-
-let buf_add_hist b h =
-  Buffer.add_string b
-    (Printf.sprintf "{\"count\":%d,\"buckets\":[" (Stats.Hist.count h));
-  List.iteri
-    (fun i (lo, hi, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "[%d,%d,%d]" lo hi n))
-    (Stats.Hist.buckets h);
-  Buffer.add_string b "]}"
-
-let buf_add_value b = function
-  | Int n -> Buffer.add_string b (string_of_int n)
-  | Float f -> Buffer.add_string b (json_float f)
-  | Summary s -> buf_add_summary b s
-  | Hist h -> buf_add_hist b h
+let value = function
+  | Int n -> int n
+  | Float f -> num f
+  | Summary s ->
+      let open Stats.Summary in
+      Json.Obj
+        [
+          ("count", int (count s));
+          ("mean", num (mean s));
+          ("stddev", num (stddev s));
+          ("min", num (min s));
+          ("max", num (max s));
+          ("total", num (total s));
+          ("p50", num (percentile_of s 50.));
+          ("p95", num (percentile_of s 95.));
+          ("p99", num (percentile_of s 99.));
+        ]
+  | Hist h ->
+      Json.Obj
+        [
+          ("count", int (Stats.Hist.count h));
+          ( "buckets",
+            Json.List
+              (List.map
+                 (fun (lo, hi, n) -> Json.List [ int lo; int hi; int n ])
+                 (Stats.Hist.buckets h)) );
+        ]
 
 let to_json ?(meta = []) t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  List.iter
-    (fun (k, v) ->
-      buf_add_json_string b k;
-      Buffer.add_string b ": ";
-      buf_add_json_string b v;
-      Buffer.add_string b ",\n")
-    meta;
-  Buffer.add_string b "\"sources\": [";
-  List.iteri
-    (fun i (layer, instance, kvs) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b "\n  {\"layer\": ";
-      buf_add_json_string b layer;
-      Buffer.add_string b ", \"instance\": ";
-      buf_add_json_string b instance;
-      Buffer.add_string b ", \"metrics\": {";
-      List.iteri
-        (fun j (name, v) ->
-          if j > 0 then Buffer.add_string b ", ";
-          buf_add_json_string b name;
-          Buffer.add_string b ": ";
-          buf_add_value b v)
-        kvs;
-      Buffer.add_string b "}}")
-    (snapshot t);
-  Buffer.add_string b "\n]}\n";
-  Buffer.contents b
+  let source (layer, instance, kvs) =
+    Json.Obj
+      [
+        ("layer", Json.Str layer);
+        ("instance", Json.Str instance);
+        ("metrics", Json.Obj (List.map (fun (k, v) -> (k, value v)) kvs));
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       (List.map (fun (k, v) -> (k, Json.Str v)) meta
+       @ [ ("sources", Json.List (List.map source (snapshot t))) ]))
+  ^ "\n"

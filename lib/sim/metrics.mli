@@ -39,7 +39,8 @@ val get : t -> layer:string -> ?instance:string -> string -> value option
 (** Look up one metric of one source (after instance disambiguation). *)
 
 val to_json : ?meta:(string * string) list -> t -> string
-(** The whole registry as a JSON document:
-    [{..meta.., "sources": [{"layer", "instance", "metrics": {..}}]}].
-    Nan/infinite floats (which no metric should produce) render as
-    [null] rather than corrupting the document. *)
+(** The whole registry as a JSON document, printed by {!Json.to_string}:
+    [{..meta.., "sources": [{"layer", "instance", "metrics": {..}}]}],
+    one source per line.  Floats keep 6 significant digits; nan/infinite
+    floats (which no metric should produce) render as [null] rather than
+    corrupting the document. *)

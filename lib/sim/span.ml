@@ -265,26 +265,6 @@ let export_roots r =
 
 (* ---------- Chrome trace-event export ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let attr_json = function
-  | I n -> string_of_int n
-  | S s -> Printf.sprintf "\"%s\"" (esc s)
-  | B b -> if b then "true" else "false"
-
 let split_track track =
   match String.index_opt track '/' with
   | Some i ->
@@ -295,7 +275,6 @@ let split_track track =
 (* pids and tids are assigned in first-seen order over the
    deterministic export walk, so the same run yields the same file. *)
 let to_chrome r =
-  let b = Buffer.create 4096 in
   let pids = Hashtbl.create 8 and tids = Hashtbl.create 16 in
   let pid_order = ref [] and tid_order = ref [] in
   let pid_of proc =
@@ -320,27 +299,23 @@ let to_chrome r =
   in
   let exported = export_roots r in
   List.iter (fun sp -> iter (fun s -> ignore (tid_of s.track)) sp) exported;
-  Buffer.add_string b "{\"traceEvents\":[";
-  let first = ref true in
-  let event s =
-    if not !first then Buffer.add_string b ",\n";
-    first := false;
-    Buffer.add_string b s
+  let int n = Json.Num (float_of_int n) in
+  let meta p t name value =
+    Json.Obj
+      [
+        ("ph", Json.Str "M");
+        ("pid", int p);
+        ("tid", int t);
+        ("name", Json.Str name);
+        ("args", Json.Obj [ ("name", Json.Str value) ]);
+      ]
   in
-  List.iter
-    (fun (p, proc) ->
-      event
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"%s\"}}"
-           p (esc proc)))
-    (List.rev !pid_order);
-  List.iter
-    (fun (p, t, thread) ->
-      event
-        (Printf.sprintf
-           "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":\"thread_name\",\"args\":{\"name\":\"%s\"}}"
-           p t (esc thread)))
-    (List.rev !tid_order);
+  let procs =
+    List.rev_map (fun (p, proc) -> meta p 0 "process_name" proc) !pid_order
+  in
+  let threads =
+    List.rev_map (fun (p, t, thread) -> meta p t "thread_name" thread) !tid_order
+  in
   (* each track's slices in time order: trees from separate runs in one
      recorder session (a local and a remote run both owning "fio.job0")
      interleave on shared tracks, and viewers expect sorted slices *)
@@ -364,23 +339,28 @@ let to_chrome r =
         else compare s1.span_id s2.span_id)
       (List.rev !slices)
   in
-  List.iter
-    (fun (p, t, s) ->
-      let args =
-        String.concat ","
-          (Printf.sprintf "\"trace\":%d,\"span\":%d,\"parent\":%d" s.trace_id
-             s.span_id s.parent_id
-          :: List.map
-               (fun (k, v) -> Printf.sprintf "\"%s\":%s" (esc k) (attr_json v))
-               s.attrs)
-      in
-      event
-        (Printf.sprintf
-           "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":%d,\"dur\":%d,\"name\":\"%s\",\"cat\":\"sim\",\"args\":{%s}}"
-           p t s.start_us (duration s) (esc s.name) args))
-    slices;
-  Buffer.add_string b "]}\n";
-  Buffer.contents b
+  let attr = function I n -> int n | S s -> Json.Str s | B b -> Json.Bool b in
+  let slice (p, t, s) =
+    Json.Obj
+      [
+        ("ph", Json.Str "X");
+        ("pid", int p);
+        ("tid", int t);
+        ("ts", int s.start_us);
+        ("dur", int (duration s));
+        ("name", Json.Str s.name);
+        ("cat", Json.Str "sim");
+        ( "args",
+          Json.Obj
+            (("trace", int s.trace_id) :: ("span", int s.span_id)
+            :: ("parent", int s.parent_id)
+            :: List.map (fun (k, v) -> (k, attr v)) s.attrs) );
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ("traceEvents", Json.List (procs @ threads @ List.map slice slices)) ])
+  ^ "\n"
 
 (* ---------- text renderer ---------- *)
 

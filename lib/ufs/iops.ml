@@ -14,7 +14,6 @@ let read_dinode fs inum =
   Dinode.decode blk (dinode_offset fs inum)
 
 let iupdat fs (ip : inode) ~sync =
-  note_dirty fs;
   let frag = inode_block_frag fs ip.inum in
   let blk = Metabuf.read fs.metabuf ~frag in
   Dinode.encode (to_dinode ip) blk (dinode_offset fs ip.inum);

@@ -75,7 +75,6 @@ let push_delayed fs (ip : inode) ~sync ?(ordered = false) () =
 
 (* The figure 7/8 delayed-write accumulator. *)
 let delay fs (ip : inode) ~off ~free_after =
-  note_dirty fs;
   fs.stats.delayed_pages <- fs.stats.delayed_pages + 1;
   if ip.delaylen = 0 then begin
     ip.delayoff <- off;

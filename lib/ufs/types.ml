@@ -60,9 +60,6 @@ type stats = {
   mutable cg_switches : int;
   mutable wlimit_sleeps : int;
   mutable idata_reads : int;
-  mutable oldest_dirty : Sim.Time.t;
-      (* when the oldest still-unflushed dirtying happened; -1 = clean.
-         The syncer turns it into its dirty-age metric at each pass. *)
   read_call_us : Sim.Stats.Summary.t;
   write_call_us : Sim.Stats.Summary.t;
   pgin_wait_us : Sim.Stats.Summary.t;
@@ -96,7 +93,6 @@ let mk_stats () =
     cg_switches = 0;
     wlimit_sleeps = 0;
     idata_reads = 0;
-    oldest_dirty = -1;
     read_call_us = Sim.Stats.Summary.create ();
     write_call_us = Sim.Stats.Summary.create ();
     pgin_wait_us = Sim.Stats.Summary.create ();
@@ -301,7 +297,4 @@ let to_dinode (ip : inode) =
 let cluster_bytes fs = fs.sb.Superblock.maxcontig * Layout.bsize
 let charge fs ~label d = Sim.Cpu.charge fs.cpu ~label d
 
-let note_dirty fs =
-  if fs.stats.oldest_dirty < 0 then
-    fs.stats.oldest_dirty <- Sim.Engine.now fs.engine
 let rootino = 2

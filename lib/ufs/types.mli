@@ -76,9 +76,6 @@ type stats = {
   mutable cg_switches : int;
   mutable wlimit_sleeps : int;
   mutable idata_reads : int;  (** small-file reads served from inode *)
-  mutable oldest_dirty : Sim.Time.t;
-      (** stamp of the oldest unflushed dirtying; -1 when clean.
-          {!note_dirty} arms it, the syncer reads and re-arms it. *)
   read_call_us : Sim.Stats.Summary.t;  (** per-read(2) wall time *)
   write_call_us : Sim.Stats.Summary.t;  (** per-write(2) wall time *)
   pgin_wait_us : Sim.Stats.Summary.t;
@@ -252,10 +249,6 @@ val cluster_bytes : fs -> int
 
 val charge : fs -> label:string -> Sim.Time.t -> unit
 (** Charge system CPU. *)
-
-val note_dirty : fs -> unit
-(** Arm [stats.oldest_dirty] with now if the file system was clean —
-    call wherever dirty state is first created. *)
 
 val rootino : int
 (** Inode number of the root directory (2, as in FFS). *)

@@ -74,34 +74,6 @@ let test_rewrite_and_iter () =
       ignore (Ufs.Dir.remove fs dp "x");
       check_bool "empty again" true (Ufs.Dir.is_empty fs dp))
 
-(* ---------- the update daemon ---------- *)
-
-let test_syncer_bounds_data_loss () =
-  let m = Helpers.machine () in
-  let store =
-    Clusterfs.Machine.run m (fun m ->
-        let fs = m.Clusterfs.Machine.fs in
-        let syncer = Ufs.Syncer.start fs ~interval:(Sim.Time.sec 5) () in
-        let ip = Ufs.Fs.creat fs "/survives" in
-        Helpers.write_pattern fs ip ~seed:4 ~off:0 ~len:40_000;
-        Ufs.Iops.iput fs ip;
-        (* wait past a sync pass, then pull the plug — without ever
-           calling sync or fsync ourselves *)
-        Sim.Engine.sleep m.Clusterfs.Machine.engine (Sim.Time.sec 12);
-        check_bool "daemon ran" true (Ufs.Syncer.passes syncer >= 2);
-        Ufs.Syncer.stop syncer;
-        Clusterfs.Machine.crash m)
-  in
-  (* the crashed image holds the file intact (only the clean flag is
-     missing) *)
-  let e = Sim.Engine.create () in
-  let dev = Disk.Blkdev.of_device (Disk.Device.create e Helpers.small_disk) in
-  Disk.Store.copy_into store (Disk.Blkdev.store dev);
-  let r = Ufs.Fsck.check dev in
-  check_bool "only the unclean flag" true
-    (r.Ufs.Fsck.problems = [ "file system was not unmounted cleanly" ]);
-  check_int "file on disk" 1 r.Ufs.Fsck.nfiles
-
 (* ---------- store save/load ---------- *)
 
 let test_store_save_load () =
@@ -144,8 +116,6 @@ let suites =
         Alcotest.test_case "enter/lookup/remove" `Quick test_enter_lookup_remove;
         Alcotest.test_case "slot reuse" `Quick test_slot_reuse;
         Alcotest.test_case "rewrite + iter" `Quick test_rewrite_and_iter;
-        Alcotest.test_case "update daemon bounds loss" `Quick
-          test_syncer_bounds_data_loss;
         Alcotest.test_case "store save/load" `Quick test_store_save_load;
       ] );
   ]

@@ -50,9 +50,10 @@ let prop_no_loss policy =
     gen_ops
     (fun ops ->
       let served, enqueued = run_queue policy ops in
-      let ids = List.map (fun (r : Disk.Request.t) -> r.Disk.Request.id) served in
       List.length served = List.length enqueued
-      && List.length (List.sort_uniq compare ids) = List.length ids)
+      && List.for_all
+           (fun r -> List.length (List.filter (( == ) r) served) = 1)
+           enqueued)
 
 let prop_barrier_holds =
   Helpers.qtest ~count:150 "elevator: nothing crosses a B_ORDER barrier"
@@ -65,7 +66,7 @@ let prop_barrier_holds =
         let rec idx i = function
           | [] -> -1
           | (x : Disk.Request.t) :: rest ->
-              if x.Disk.Request.id = r.Disk.Request.id then i else idx (i + 1) rest
+              if x == r then i else idx (i + 1) rest
         in
         idx 0 served
       in
@@ -123,7 +124,7 @@ module Ref_queue = struct
               | Some r -> r
               | None -> Option.get (best_of candidates))
         in
-        q := List.filter (fun (x : Disk.Request.t) -> x.id <> chosen.id) !q;
+        q := List.filter (fun x -> x != chosen) !q;
         Some chosen
 end
 
@@ -146,10 +147,13 @@ let prop_queue_matches_list policy =
     gen_queue_ops
     (fun ops ->
       let q = Disk.Disksort.create policy and rq = ref [] in
-      let id = Option.map (fun (r : Disk.Request.t) -> r.id) in
       let same head_sector =
-        id (Disk.Disksort.next q ~head_sector)
-        = id (Ref_queue.next policy rq ~head_sector)
+        match
+          (Disk.Disksort.next q ~head_sector, Ref_queue.next policy rq ~head_sector)
+        with
+        | Some a, Some b -> a == b
+        | None, None -> true
+        | _ -> false
       in
       List.for_all
         (function

@@ -207,25 +207,6 @@ let test_pinned_frag_reuse () =
       Ufs.Iops.iput fs ip);
   Helpers.fsck_clean m
 
-let test_syncer_metrics () =
-  Helpers.in_machine (fun m ->
-      let fs = m.C.Machine.fs in
-      let s = Ufs.Syncer.start fs ~interval:(Sim.Time.sec 5) () in
-      let ip = Ufs.Fs.creat fs "/f" in
-      Helpers.write_pattern fs ip ~seed:1 ~off:0 ~len:100_000;
-      Ufs.Iops.iput fs ip;
-      Sim.Engine.sleep fs.Ufs.Types.engine (Sim.Time.sec 11);
-      check_bool "two passes ran" true (Ufs.Syncer.passes s >= 2);
-      (* most of the file went out at cluster boundaries during the
-         write; the daemon still catches the tail and the inode *)
-      check_bool "flush volume measured" true
-        (Ufs.Syncer.flushed_bytes s >= bsize);
-      check_bool "dirty age sampled" true
-        (Sim.Stats.Summary.count (Ufs.Syncer.dirty_age_us s) >= 1);
-      check_bool "dirty-age stamp disarmed after the pass" true
-        (fs.Ufs.Types.stats.Ufs.Types.oldest_dirty < 0);
-      Ufs.Syncer.stop s)
-
 (* ---------- crash-point injection ---------- *)
 
 (* A mixed metadata + data workload with three durability barriers; the
@@ -493,7 +474,6 @@ let suites =
         Alcotest.test_case "read path unchanged" `Quick test_read_path_unchanged;
         Alcotest.test_case "pinned fragments reused safely" `Quick
           test_pinned_frag_reuse;
-        Alcotest.test_case "syncer metrics" `Quick test_syncer_metrics;
       ] );
     ( "crashpoints",
       [

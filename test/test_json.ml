@@ -94,6 +94,94 @@ let test_reads_metrics_export () =
       check_bool "float metric" true (J.member "b" m = Some (J.Num 2.5))
   | _ -> Alcotest.fail "sources shape"
 
+(* ---------- writer ---------- *)
+
+(* Trees the writer must print so that the reader gets them back:
+   strings full of what needs escaping (quotes, backslashes, control
+   bytes) and what must pass through (bytes >= 0x80), numbers integral,
+   tiny, huge and negative, nested lists and objects. *)
+let gen_tree =
+  let open QCheck.Gen in
+  let char =
+    frequency
+      [
+        (4, char_range 'a' 'z');
+        (1, oneofl [ '"'; '\\'; '/'; ' ' ]);
+        (1, map Char.chr (int_range 0 0x1f));
+        (1, map Char.chr (int_range 0x80 0xff));
+      ]
+  in
+  let str = string_size ~gen:char (int_range 0 12) in
+  let finite =
+    frequency
+      [
+        (2, map float_of_int (int_range (-1_000_000) 1_000_000));
+        (1, map (fun e -> Float.ldexp 1. e) (int_range 53 62));
+        (1, map (fun f -> f *. 1e-300) (float_range (-10.) 10.));
+        (1, map (fun f -> f *. 1e300) (float_range (-10.) 10.));
+        (2, float_range (-1e6) 1e6);
+        (2, map Float.of_string (oneofl [ "0.1"; "-2.5e-7"; "1e22"; "5e-324" ]));
+        (2, float >|= fun f -> if Float.is_finite f then f else 0.);
+      ]
+  in
+  let scalar =
+    frequency
+      [
+        (1, return J.Null);
+        (1, map (fun b -> J.Bool b) bool);
+        (3, map (fun f -> J.Num f) finite);
+        (3, map (fun s -> J.Str s) str);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then scalar
+         else
+           frequency
+             [
+               (2, scalar);
+               (1, map (fun l -> J.List l) (list_size (int_range 0 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun kvs -> J.Obj kvs)
+                   (list_size (int_range 0 4) (pair str (self (n / 3)))) );
+             ])
+
+let prop_round_trip =
+  Helpers.qtest ~count:500 "to_string reads back as the same tree"
+    (QCheck.make ~print:J.to_string gen_tree)
+    (fun j ->
+      let text = J.to_string j in
+      (* the reader takes raw control bytes; JSON does not *)
+      String.for_all (fun c -> c = '\n' || Char.code c >= 0x20) text
+      && J.parse text = Ok j)
+
+let test_writer_layout () =
+  let obj n = J.Obj [ ("n", J.Num n); ("s", J.Str "a\"b\n") ] in
+  Alcotest.(check string)
+    "array of objects: one per line"
+    {|{"x": [
+{"n": 1, "s": "a\"b\n"},
+{"n": 2.5, "s": "a\"b\n"}
+]}|}
+    (J.to_string (J.Obj [ ("x", J.List [ obj 1.; obj 2.5 ]) ]));
+  Alcotest.(check string)
+    "other arrays inline" "[[1, 2], {}, null, true]"
+    (J.to_string (J.List [ J.List [ J.Num 1.; J.Num 2. ]; J.Obj []; J.Null; J.Bool true ]));
+  List.iter
+    (fun (f, text) -> Alcotest.(check string) text text (J.to_string (J.Num f)))
+    [ (42., "42"); (-3., "-3"); (1e20, "100000000000000000000"); (0.1, "0.1");
+      (1. /. 3., "0.3333333333333333"); (2.5e-7, "2.5e-07") ];
+  Alcotest.(check string) "control byte" {|"\u0001"|} (J.to_string (J.Str "\001"))
+
+let test_writer_rejects_non_finite () =
+  List.iter
+    (fun f ->
+      match J.to_string (J.List [ J.Num f ]) with
+      | s -> Alcotest.failf "%h printed as %s" f s
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suites =
   [
     ( "json",
@@ -105,5 +193,9 @@ let suites =
         Alcotest.test_case "errors carry offsets" `Quick test_error_offsets;
         Alcotest.test_case "reads the metrics export" `Quick
           test_reads_metrics_export;
+        prop_round_trip;
+        Alcotest.test_case "writer layout and numbers" `Quick test_writer_layout;
+        Alcotest.test_case "writer rejects nan and inf" `Quick
+          test_writer_rejects_non_finite;
       ] );
   ]
