@@ -16,7 +16,7 @@ let full_config config_name disks layout stripe_kb =
   match Clusterfs.Config.of_name config_name with
   | Error _ as e -> e
   | Ok base -> (
-      match Vol.layout_of_string (String.lowercase_ascii layout) with
+      match Disk.Blkdev.layout_of_string (String.lowercase_ascii layout) with
       | exception Invalid_argument _ ->
           Error
             (Printf.sprintf "unknown layout %S (want concat|stripe|mirror)"

@@ -47,7 +47,7 @@ let measure config =
       let s = Disk.Device.stats d in
       Printf.printf "    disk %d: %4d reads, %6d sectors\n" i
         s.Disk.Device.reads s.Disk.Device.sectors_read)
-    machine.Clusterfs.Machine.disks;
+    (Disk.Blkdev.members machine.Clusterfs.Machine.dev);
   rates
 
 let () =
@@ -57,8 +57,8 @@ let () =
   print_endline "  4-disk stripe, 128KB stripe unit:";
   let w4, r4 =
     measure
-      (Clusterfs.Config.with_vol Clusterfs.Config.config_a ~layout:Vol.Stripe
-         ~stripe_kb:128 4)
+      (Clusterfs.Config.with_vol Clusterfs.Config.config_a
+         ~layout:Disk.Blkdev.Stripe ~stripe_kb:128 4)
   in
   Printf.printf "  write: one disk %.0f KB/s  ->  stripe %.0f KB/s (%.2fx)\n"
     w1 w4 (w4 /. w1);

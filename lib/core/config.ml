@@ -1,6 +1,6 @@
-type vol_spec = { disks : int; layout : Vol.layout; stripe_kb : int }
+type vol_spec = { disks : int; layout : Disk.Blkdev.layout; stripe_kb : int }
 
-let single_disk = { disks = 1; layout = Vol.Concat; stripe_kb = 128 }
+let single_disk = { disks = 1; layout = Disk.Blkdev.Concat; stripe_kb = 128 }
 
 type t = {
   name : string;
@@ -82,15 +82,18 @@ let with_free_behind t fb =
 let with_driver_clustering t dc =
   { t with disk = { t.disk with Disk.Device.driver_clustering = dc } }
 
-let with_vol t ?(layout = Vol.Stripe) ?(stripe_kb = 128) disks =
+let with_vol t ?(layout = Disk.Blkdev.Stripe) ?(stripe_kb = 128) disks =
   if disks < 1 then invalid_arg "Config.with_vol: disks must be >= 1";
   {
     t with
     name =
       (if disks = 1 then t.name
        else
-         Printf.sprintf "%s/%s×%d%s" t.name (Vol.layout_to_string layout) disks
-           (if layout = Vol.Stripe then Printf.sprintf "@%dKB" stripe_kb
+         Printf.sprintf "%s/%s×%d%s" t.name
+           (Disk.Blkdev.layout_to_string layout)
+           disks
+           (if layout = Disk.Blkdev.Stripe then
+              Printf.sprintf "@%dKB" stripe_kb
             else ""));
     vol = { disks; layout; stripe_kb };
   }

@@ -17,8 +17,8 @@
     {!Disk.Device.default_config} and 8 MB of page pool. *)
 
 type vol_spec = {
-  disks : int;  (** number of member drives (1 = bare disk, no volume) *)
-  layout : Vol.layout;
+  disks : int;  (** number of member drives (1 = bare disk) *)
+  layout : Disk.Blkdev.layout;
   stripe_kb : int;  (** stripe unit; only meaningful for [Stripe] *)
 }
 
@@ -62,7 +62,7 @@ val with_cluster_kb : t -> int -> t
 val with_write_limit : t -> int option -> t
 val with_free_behind : t -> bool -> t
 val with_driver_clustering : t -> bool -> t
-val with_vol : t -> ?layout:Vol.layout -> ?stripe_kb:int -> int -> t
+val with_vol : t -> ?layout:Disk.Blkdev.layout -> ?stripe_kb:int -> int -> t
 (** [with_vol t disks] puts the file system on a volume of [disks]
     identical drives (default stripe, 128 KB unit).  [disks = 1] keeps
     the bare-disk fast path and the name unchanged. *)

@@ -563,7 +563,9 @@ let future_work_ablation ?(file_mb = 16) () =
 let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
     ?(stripe_kbs = [ 8; 32; 128 ]) () =
   let row base disks stripe_kb =
-    let config = Config.with_vol base ~layout:Vol.Stripe ~stripe_kb disks in
+    let config =
+      Config.with_vol base ~layout:Disk.Blkdev.Stripe ~stripe_kb disks
+    in
     let r, w = seq_rates config ~file_mb in
     (base.Config.name, disks, stripe_kb, r, w)
   in
@@ -623,25 +625,22 @@ let vol_mirror ?(file_mb = 4) ?(readers = 4) () =
     let m = Machine.create config in
     Machine.run m (fun m ->
         let w_healthy = seq_write_kbps m ~path:"/wr" ~file_mb in
-        (match (degrade, m.Machine.vol) with
-        | true, Some v -> Vol.fail_member v 1
-        | true, None -> invalid_arg "vol_mirror: cannot degrade a bare disk"
-        | false, _ -> ());
+        if degrade then Disk.Blkdev.fail_member m.Machine.dev 1;
         let r = concurrent_read_kbps m ~readers ~file_mb in
         let w, dropped =
           if degrade then
             let w = seq_write_kbps m ~path:"/wr2" ~file_mb in
             let d =
-              match m.Machine.vol with
-              | Some v -> Array.fold_left ( + ) 0 (Vol.dropped_writes v)
-              | None -> 0
+              Array.fold_left ( + ) 0 (Disk.Blkdev.dropped_writes m.Machine.dev)
             in
             (w, d)
           else (w_healthy, 0)
         in
         (label, r, w, dropped))
   in
-  let mirror n = Config.with_vol Config.config_a ~layout:Vol.Mirror n in
+  let mirror n =
+    Config.with_vol Config.config_a ~layout:Disk.Blkdev.Mirror n
+  in
   [
     scenario "1 disk" Config.config_a ~degrade:false;
     scenario "mirror×2" (mirror 2) ~degrade:false;
@@ -877,7 +876,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
   let disk_busy m =
     Array.fold_left
       (fun acc d -> acc + (Disk.Device.stats d).Disk.Device.busy)
-      0 m.Machine.disks
+      0 (Disk.Blkdev.members m.Machine.dev)
   in
   let disk0 = Array.map disk_busy t.Topology.servers in
   let port_busy p =

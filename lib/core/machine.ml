@@ -5,8 +5,6 @@ type t = {
   pool : Vm.Pool.t;
   pageout : Vm.Pageout.t;
   dev : Disk.Blkdev.t;
-  disks : Disk.Device.t array;
-  vol : Vol.t option;
   mutable fs : Ufs.Types.fs;  (* remounted in place by a server reboot *)
 }
 
@@ -24,17 +22,7 @@ let with_metrics_sink reg f =
 
 let register_metrics t reg =
   let instance = t.config.Config.name in
-  Array.iteri
-    (fun i d ->
-      let di =
-        if Array.length t.disks = 1 then instance
-        else Printf.sprintf "%s.d%d" instance i
-      in
-      Disk.Device.register_metrics d reg ~instance:di)
-    t.disks;
-  (match t.vol with
-  | Some v -> Vol.register_metrics v reg ~instance
-  | None -> ());
+  Disk.Blkdev.register_metrics t.dev reg ~instance;
   Vm.Pool.register_metrics t.pool reg ~instance;
   Vm.Pageout.register_metrics t.pageout reg ~instance;
   Ufs.Fs.register_metrics t.fs reg ~instance;
@@ -54,19 +42,10 @@ let build ?engine (config : Config.t) ~format ~image =
   in
   let pageout = Vm.Pageout.start pool cpu in
   let spec = config.Config.vol in
-  let dev, disks, vol =
-    if spec.Config.disks <= 1 then
-      (* bare drive: identical code path (and numbers) to before the
-         volume manager existed *)
-      let d = Disk.Device.create engine config.Config.disk in
-      (Disk.Blkdev.of_device d, [| d |], None)
-    else
-      let cfgs = Array.make spec.Config.disks config.Config.disk in
-      let v =
-        Vol.create engine spec.Config.layout cfgs
-          ~stripe_bytes:(spec.Config.stripe_kb * 1024)
-      in
-      (Vol.blkdev v, Vol.devices v, Some v)
+  let dev =
+    Disk.Blkdev.create engine spec.Config.layout
+      (Array.make spec.Config.disks config.Config.disk)
+      ~stripe_bytes:(spec.Config.stripe_kb * 1024)
   in
   (match image with
   | Some src -> Disk.Store.copy_into src (Disk.Blkdev.store dev)
@@ -76,7 +55,7 @@ let build ?engine (config : Config.t) ~format ~image =
     Ufs.Fs.mount engine cpu pool dev ~features:config.Config.features
       ~costs:config.Config.costs ()
   in
-  let t = { config; engine; cpu; pool; pageout; dev; disks; vol; fs } in
+  let t = { config; engine; cpu; pool; pageout; dev; fs } in
   (match !metrics_sink with
   | Some reg -> register_metrics t reg
   | None -> ());
@@ -119,15 +98,10 @@ let crash t =
           s.Disk.Device.crash_dropped_bytes + (r.Disk.Request.count * sb)
       in
       Disk.Device.iter_queued d drop)
-    t.disks;
+    (Disk.Blkdev.members t.dev);
   let src = Disk.Blkdev.store t.dev in
   let copy = Disk.Store.create ~size:(Disk.Store.size src) in
   Disk.Store.copy_into src copy;
   copy
 
-let crash_dropped t =
-  Array.fold_left
-    (fun (ar, ab) d ->
-      let r, b = Disk.Device.crash_dropped d in
-      (ar + r, ab + b))
-    (0, 0) t.disks
+let crash_dropped t = Disk.Blkdev.crash_dropped t.dev

@@ -8,10 +8,9 @@ type t = {
   cpu : Sim.Cpu.t;
   pool : Vm.Pool.t;
   pageout : Vm.Pageout.t;
-  dev : Disk.Blkdev.t;  (** what the file system is mounted on *)
-  disks : Disk.Device.t array;  (** the member drives ([disks.(0)] is
-      the whole device when [config.vol.disks = 1]) *)
-  vol : Vol.t option;  (** the volume, when [config.vol.disks > 1] *)
+  dev : Disk.Blkdev.t;
+      (** what the file system is mounted on: one drive, or a volume of
+          [config.vol.disks] ({!Disk.Blkdev.members}) *)
   mutable fs : Ufs.Types.fs;
       (** the mount; {!Topology.reboot_server} replaces it in place
           after crash recovery *)

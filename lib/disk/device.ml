@@ -197,7 +197,7 @@ let service_cost d ~t0 ~kind ~sector ~count =
    the image is frozen at the k-th write boundary. *)
 let do_data d (r : Request.t) =
   let sb = d.cfg.geom.Geom.sector_bytes in
-  let off = r.Request.sector * sb and len = r.Request.count * sb in
+  let off = r.Request.store_sector * sb and len = r.Request.count * sb in
   match r.Request.kind with
   | Request.Read -> Store.readv ~lend:r.Request.lend d.st ~off r.Request.iov
   | Request.Write -> (
@@ -308,10 +308,7 @@ let create ?store engine cfg =
   let st =
     match store with
     | None -> Store.create ~size:(Geom.capacity_bytes cfg.geom)
-    | Some st ->
-        if Store.size st <> Geom.capacity_bytes cfg.geom then
-          invalid_arg "Device.create: store size does not match geometry";
-        st
+    | Some st -> st
   in
   let d =
     {

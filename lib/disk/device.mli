@@ -12,9 +12,9 @@
     matching the paper's argument for keeping rotational delays on
     non-clustered writes.
 
-    Data really moves: a read copies from the {!Store.t} into the
-    request's segments at completion time; a write gathers them into
-    the store.
+    Data really moves, at the request's {!Request.store_sector}: a read
+    copies from the {!Store.t} into the request's segments at
+    completion time; a write gathers them into the store.
 
     All timing knobs live in {!config} so experiments can run the same
     file system against drives with and without track buffers, FIFO vs
@@ -76,10 +76,10 @@ type t
 
 val create : ?store:Store.t -> Sim.Engine.t -> config -> t
 (** Creates the drive and spawns its service process.  [store] supplies
-    the backing bytes (it must match the geometry's capacity exactly) —
-    the volume manager passes remapped {!Store.view}s so member drives
-    write through to the logical volume image.  By default the drive
-    owns a fresh zeroed store. *)
+    the backing bytes: a block device of several drives passes its one
+    store to each, and a request moves its bytes at its
+    {!Request.store_sector}, not at the member sector it addresses.  By
+    default the drive owns a fresh zeroed store of its capacity. *)
 
 val config : t -> config
 val store : t -> Store.t

@@ -4,6 +4,7 @@ type t = {
   kind : kind;
   sector : int;
   count : int;
+  store_sector : int;
   iov : Sim.Iov.t;
   ordered : bool;
   lend : bool;
@@ -22,7 +23,7 @@ type t = {
 let check_extent ~sector ~count =
   if sector < 0 || count <= 0 then invalid_arg "Request.make: bad extent"
 
-let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
+let build ~ordered ~lend ~kind ~sector ~store_sector ~count iov =
   check_extent ~sector ~count;
   if Sim.Iov.length iov <> count * 512 then
     invalid_arg "Request.of_iov: iov length is not count sectors";
@@ -30,6 +31,7 @@ let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
     kind;
     sector;
     count;
+    store_sector;
     iov;
     ordered;
     lend;
@@ -45,6 +47,9 @@ let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
     absorbed_into = None;
   }
 
+let of_iov ?(ordered = false) ?(lend = false) ~kind ~sector ~count iov () =
+  build ~ordered ~lend ~kind ~sector ~store_sector:sector ~count iov
+
 let make ?ordered ~kind ~sector ~count ~buf ~buf_off () =
   check_extent ~sector ~count;
   if buf_off < 0 || buf_off + (count * 512) > Bytes.length buf then
@@ -52,6 +57,11 @@ let make ?ordered ~kind ~sector ~count ~buf ~buf_off () =
   of_iov ?ordered ~kind ~sector ~count
     (Sim.Iov.of_bytes ~off:buf_off ~len:(count * 512) buf)
     ()
+
+let fragment t ~off ~sector ~count =
+  build ~ordered:t.ordered ~lend:false ~kind:t.kind ~sector
+    ~store_sector:(t.store_sector + off) ~count
+    (Sim.Iov.sub t.iov ~off:(off * 512) ~len:(count * 512))
 
 let on_complete t f =
   if t.completed then f () else t.callbacks <- f :: t.callbacks

@@ -12,6 +12,10 @@
     [ordered] is the paper's proposed [B_ORDER] flag: the queue must not
     reorder other requests across an ordered one.
 
+    A volume fragment ({!fragment}) addresses a member drive's
+    [sector] but carries the sector of the device's one store its bytes
+    belong to ([store_sector]); every other request has the two equal.
+
     [lend] marks a request whose whole 8 KB segments may share the
     store's chunks: a write's are kept by reference instead of copied
     ({!Store.writev}), a read's are pointed at the chunks instead of
@@ -23,6 +27,9 @@ type t = private {
   kind : kind;
   sector : int;
   count : int;  (** sectors *)
+  store_sector : int;
+      (** where the bytes live in the store: [sector], or for a
+          fragment its parent's store sector plus its offset *)
   iov : Sim.Iov.t;  (** exactly [count * 512] bytes *)
   ordered : bool;
   lend : bool;
@@ -59,6 +66,14 @@ val make :
   buf_off:int -> unit -> t
 (** One-segment {!of_iov}: [buf] must have at least [count * 512] bytes
     available at [buf_off]. *)
+
+val fragment : t -> off:int -> sector:int -> count:int -> t
+(** [fragment r ~off ~sector ~count] is the [count] sectors of [r] that
+    start [off] sectors into it, addressed to member sector [sector].
+    It keeps [r]'s kind and [ordered], and moves its bytes at [r]'s
+    store sector plus [off].  A fragment copies, whatever [r]'s [lend]:
+    its segments are fresh records ({!Sim.Iov.sub}), so a read's
+    {!Sim.Iov.swap} would never reach [r]'s iov. *)
 
 val on_complete : t -> (unit -> unit) -> unit
 (** Register a completion callback; called immediately if already

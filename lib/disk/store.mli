@@ -12,16 +12,6 @@ type t
 val create : size:int -> t
 (** [create ~size] is a zeroed store of [size] bytes. *)
 
-val view : base:t -> size:int -> map:(int -> int * int) -> t
-(** [view ~base ~size ~map] is a remapped window of [size] bytes onto
-    [base]: [map off] returns [(base_off, run)], meaning view bytes
-    [off, off+run)] live at [base_off, base_off+run)] of [base].  [map]
-    may raise [Invalid_argument] for offsets that have no backing (e.g.
-    the unusable tail of a striped member); accesses are split at run
-    boundaries, so [map] is only ever asked about the first byte of each
-    run.  The volume manager uses views to give each member drive a
-    physical window onto the one logical volume image. *)
-
 val size : t -> int
 
 val read : t -> off:int -> len:int -> bytes -> int -> unit
@@ -39,7 +29,7 @@ val readv : ?lend:bool -> t -> off:int -> Sim.Iov.t -> unit
     segment that is a whole chunk-aligned 8 KB frame over a chunk that
     exists is pointed at the chunk itself ({!Sim.Iov.swap}) instead of
     filled: the reader then shares the chunk and must copy it before
-    writing.  A view, and a chunk never written, copy. *)
+    writing.  A chunk never written is copied (as zeros). *)
 
 val writev : ?lend:Sim.Frames.t -> t -> off:int -> Sim.Iov.t -> unit
 (** [writev t ~off iov] gathers the iov's segments, in order, into the
@@ -47,14 +37,14 @@ val writev : ?lend:Sim.Frames.t -> t -> off:int -> Sim.Iov.t -> unit
     chunk-aligned 8 KB frame is kept by reference instead of copied (the
     writer must not touch it again), and the chunk it displaces goes
     back to [lend], unless it is pinned ({!pin}): a pinned chunk is
-    left to the GC.  A view copies every segment. *)
+    left to the GC. *)
 
 val pin : t -> off:int -> bytes -> unit
 (** [pin t ~off b]: if the chunk at byte [off] is the frame [b] itself,
     another host may hold it from now on.  The store then never writes
     into it (a write in place copies it first) and never gives it back
     to the frame pool; the pin goes with the frame when the chunk is
-    replaced.  A no-op on a view or any other chunk. *)
+    replaced.  A no-op on any other chunk. *)
 
 val chunks_allocated : t -> int
 (** Number of materialised chunks (memory accounting for tests). *)
@@ -68,8 +58,8 @@ val chunks_recycled : t -> int
 
 val iter_chunks : (int -> bytes -> unit) -> t -> unit
 (** [iter_chunks f t] calls [f off chunk] on every materialised 8 KB
-    chunk of the flat store under [t], in no particular order (memory
-    accounting for tests). *)
+    chunk of [t], in no particular order (memory accounting for
+    tests). *)
 
 val copy_into : t -> t -> unit
 (** [copy_into src dst] replaces [dst]'s contents with [src]'s.  Sizes

@@ -105,8 +105,9 @@ let write_gather ?(config = Clusterfs.Config.config_a) ~clients () =
   let report = Report.make spec ~target:"remote" jobs in
   let service = topo.Clusterfs.Topology.service in
   let write_rpcs = Nfs.Server.applied service "write" in
+  let server = topo.Clusterfs.Topology.server in
   let dst =
-    Disk.Device.stats topo.Clusterfs.Topology.server.Clusterfs.Machine.disks.(0)
+    Disk.Device.stats (Disk.Blkdev.members server.Clusterfs.Machine.dev).(0)
   in
   let disk_writes = dst.Disk.Device.writes in
   let sectors = dst.Disk.Device.sectors_written in

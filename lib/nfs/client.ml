@@ -74,7 +74,7 @@ type file = {
   mutable delaylen : int;
   (* push bookkeeping *)
   mutable pending_pushes : int;
-  mutable pushing : bool;  (** a WRITE RPC of this file is in flight *)
+  push_lock : Sim.Mutex.t;  (** held while a WRITE of this file is in flight *)
   push_cond : Sim.Condition.t;
 }
 
@@ -354,17 +354,16 @@ let fetch_range t f ~off ~len ~prefetched =
 let do_push t f ~credit ~pages ~call =
   (* WRITE pushes of one file are strictly serialized: with
      retransmission in play, two overlapping writes in flight could
-     land in either order on the server.  Waiters resume FIFO, so the
-     dispatch order (= write order) is preserved. *)
-  while f.pushing do
-    Sim.Condition.wait f.push_cond
-  done;
-  f.pushing <- true;
+     land in either order on the server.  The unlock hands the lock
+     straight to the oldest waiter, so a biod that pops a later push
+     cannot take it first: the dispatch order (= write order) is
+     preserved. *)
+  Sim.Mutex.lock f.push_lock;
   (match Rpc.call t.rpc call with
   | Proto.R_attr _ -> ()
   | Proto.R_err e -> failwith ("nfs write: " ^ e)
   | _ -> assert false);
-  f.pushing <- false;
+  Sim.Mutex.unlock f.push_lock;
   List.iter (fun p -> p.pflush <- p.pflush - 1) pages;
   t.dirty_bytes <- t.dirty_bytes - credit;
   f.pending_pushes <- f.pending_pushes - 1;
@@ -449,7 +448,7 @@ let mk_file t ~fh ~name ~(attr : Proto.attr) =
       delayoff = 0;
       delaylen = 0;
       pending_pushes = 0;
-      pushing = false;
+      push_lock = Sim.Mutex.create t.engine ("push." ^ name);
       push_cond = Sim.Condition.create t.engine ("push." ^ name);
     }
   in

@@ -81,8 +81,20 @@ let segmented flat cuts =
   in
   Sim.Iov.of_list (pieces ((0 :: cuts) @ [ len ]))
 
+(* Every qcheck property runs from one fixed seed, so tier-1 gives the
+   same result on every run.  Setting qcheck's own QCHECK_SEED draws
+   the cases from that seed instead (qcheck prints it): the CI explore
+   job runs the suite under fresh seeds that way. *)
+let to_alcotest ?speed_level t =
+  let rand =
+    match Sys.getenv_opt "QCHECK_SEED" with
+    | Some _ -> None
+    | None -> Some (Random.State.make [| 20260419 |])
+  in
+  QCheck_alcotest.to_alcotest ?speed_level ?rand t
+
 let qtest ?(count = 100) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+  to_alcotest (QCheck.Test.make ~count ~name arb law)
 
 (* The page-cache oracle: every valid, clean, idle page of [fs] holds
    the store's bytes for its block up to EOF (zeros over a hole), and no

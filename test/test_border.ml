@@ -61,7 +61,7 @@ let test_disk_honors_order () =
   let m = Helpers.machine ~features:features_border () in
   Clusterfs.Machine.run m (fun m ->
       let fs = m.Clusterfs.Machine.fs in
-      let log = Helpers.disk_log [| m.Clusterfs.Machine.disks.(0) |] in
+      let log = Helpers.disk_log (Disk.Blkdev.members m.Clusterfs.Machine.dev) in
       for i = 0 to 20 do
         let ip = Ufs.Fs.creat fs (Printf.sprintf "/o%d" i) in
         Ufs.Iops.iput fs ip

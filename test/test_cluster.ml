@@ -39,7 +39,7 @@ let read_blocks fs ip ~count =
    many pushes there were, the UFS counters tell: [counts ()] gives
    those that changed since the start, with their change. *)
 let watch m fs =
-  let log = Helpers.disk_log m.Clusterfs.Machine.disks in
+  let log = Helpers.disk_log (Disk.Blkdev.members m.Clusterfs.Machine.dev) in
   let sectors_per_block = bsize / Ufs.Layout.sector_bytes in
   let ios kind () =
     let extents = Ufs.Fs.extent_map fs "/t" in

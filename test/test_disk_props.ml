@@ -252,10 +252,10 @@ let prop_segmented_requests_match_flat =
           (Disk.Device.submit d, Disk.Device.store d))
       && run (fun e ->
              let v =
-               Vol.create ~stripe_bytes:(8 * 512) e Vol.Stripe
+               Disk.Blkdev.create ~stripe_bytes:(8 * 512) e Disk.Blkdev.Stripe
                  [| Helpers.small_disk; Helpers.small_disk |]
              in
-             (Vol.submit v, Vol.store v)))
+             (Disk.Blkdev.submit v, Disk.Blkdev.store v)))
 
 let suites =
   [

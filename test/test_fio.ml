@@ -58,7 +58,7 @@ let gen_spec =
 let arb_spec = QCheck.make ~print:Spec.to_string gen_spec
 
 let test_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Helpers.to_alcotest
     (QCheck.Test.make ~count:200 ~name:"spec round-trips through to_string"
        arb_spec (fun s -> Spec.parse (Spec.to_string s) = Ok s))
 

@@ -161,7 +161,9 @@ let test_fragment_tail_copied () =
       Ufs.Iops.iput fs ip)
 
 let test_volume_member_copied () =
-  let vol = { Clusterfs.Config.disks = 2; layout = Vol.Stripe; stripe_kb = 64 } in
+  let vol =
+    { Clusterfs.Config.disks = 2; layout = Disk.Blkdev.Stripe; stripe_kb = 64 }
+  in
   Helpers.in_machine ~vol (fun m ->
       let fs = fs_of m in
       let ip = Ufs.Fs.creat fs "/striped" in
@@ -176,6 +178,51 @@ let test_volume_member_copied () =
         (Bytes.to_string (block 'V'))
         (on_disk fs ip 0);
       Ufs.Iops.iput fs ip)
+
+(* The store chunks that are some cached page's frame of [ip]. *)
+let borrowed fs ip =
+  let pages = Vm.Pool.pages_of_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum in
+  let n = ref 0 in
+  Disk.Store.iter_chunks
+    (fun _ c ->
+      if List.exists (fun (p : Vm.Page.t) -> p.Vm.Page.data == c) pages then
+        incr n)
+    (store_of fs);
+  !n
+
+(* FSW, a cold FSR and a rewrite of a 16-block file on one block
+   device.  The page cache matches the store after each.  Where every
+   FSR request lands on one member at its own sector (a bare disk, a
+   mirror), its page-ins borrow the store's chunks; a stripe's split
+   requests copy. *)
+let fsw_fsr_rewrite ?vol ~borrows () =
+  Helpers.in_machine ?vol (fun m ->
+      let fs = fs_of m in
+      let n = 16 in
+      let ip = Ufs.Fs.creat fs "/seq" in
+      Helpers.write_pattern fs ip ~seed:6 ~off:0 ~len:(n * bsize);
+      Ufs.Fs.fsync fs ip;
+      check_bool "FSW: every clean page matches the store" true
+        (Helpers.pages_match_store fs);
+      Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
+      Helpers.check_pattern fs ip ~seed:6 ~off:0 ~len:(n * bsize);
+      check_bool "FSR: every clean page matches the store" true
+        (Helpers.pages_match_store fs);
+      if borrows then
+        check_int "FSR: every page-in borrowed its chunk" n (borrowed fs ip);
+      write fs ip ~off:(bsize + 8) "rewritten";
+      Ufs.Fs.fsync fs ip;
+      check_bool "rewrite: every clean page matches the store" true
+        (Helpers.pages_match_store fs);
+      check_string "rewrite: the store has the new bytes" "rewritten"
+        (String.sub (on_disk fs ip 1) 8 9);
+      Ufs.Iops.iput fs ip)
+
+let test_one_block_device () =
+  let two layout = { Clusterfs.Config.disks = 2; layout; stripe_kb = 64 } in
+  fsw_fsr_rewrite ~borrows:true ();
+  fsw_fsr_rewrite ~borrows:true ~vol:(two Disk.Blkdev.Mirror) ();
+  fsw_fsr_rewrite ~borrows:false ~vol:(two Disk.Blkdev.Stripe) ()
 
 let test_crash_image_private () =
   let m = Helpers.machine () in
@@ -222,5 +269,7 @@ let suites =
           test_volume_member_copied;
         Alcotest.test_case "a crash image shares no bytes with pages" `Quick
           test_crash_image_private;
+        Alcotest.test_case "FSR page-ins borrow on a disk and a mirror" `Quick
+          test_one_block_device;
       ] );
   ]

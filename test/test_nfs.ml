@@ -723,6 +723,59 @@ let prop_switched_equals_p2p =
       let ok_zero, zero = run_mix ~loss:0. ~seed () in
       ok_sw && ok_zero && sw = zero)
 
+(* The server's f0/f1 after [ops] under last-writer-wins: each file
+   exists from its first touch, CREATE empties it, and each WRITE lays
+   its bytes over everything before it. *)
+let last_writer_wins ops =
+  let files = Array.make 2 None in
+  let touch i = if files.(i) = None then files.(i) <- Some Bytes.empty in
+  List.iteri
+    (fun k op ->
+      match op with
+      | Create i -> files.(i) <- Some Bytes.empty
+      | Write (i, blk, nblks) ->
+          touch i;
+          let old = Option.get files.(i) in
+          let off = blk * bsize and len = nblks * bsize in
+          let b = Bytes.make (max (Bytes.length old) (off + len)) '\000' in
+          Bytes.blit old 0 b 0 (Bytes.length old);
+          for j = 0 to len - 1 do
+            Bytes.set b (off + j) (Helpers.pattern_byte ~seed:k j)
+          done;
+          files.(i) <- Some b
+      | Read (i, _) | Stat i -> touch i)
+    ops;
+  Array.to_list files
+
+(* Shrunk (seed, loss %) cases of the three op-mix properties that a
+   biod used to reorder: a push popped after the previous one finished
+   took the file's push slot before the pushes already waiting for it,
+   so an older WRITE of an overlapping range landed last.  Each runs on
+   the three properties' fabrics. *)
+let test_push_order (seed, loss_pct) () =
+  let loss = float_of_int loss_pct /. 100. in
+  let want = last_writer_wins (gen_ops seed) in
+  let _, zero = run_mix ~loss:0. ~seed () in
+  Alcotest.(check (list (option bytes)))
+    "zero loss: last writer wins" want zero;
+  List.iter
+    (fun (name, topology, transport) ->
+      let ok, got = run_mix ?topology ?transport ~loss ~seed () in
+      check_bool (name ^ ": applied once") true ok;
+      Alcotest.(check (list (option bytes)))
+        (name ^ ": last writer wins") want got)
+    [
+      ("p2p", None, None);
+      ("shared medium", Some T.Shared_medium, Some Nfs.Rpc.Adaptive);
+      ("switched", Some T.Switched, Some Nfs.Rpc.Adaptive);
+    ]
+
+let push_order_cases =
+  [
+    (9996, 10); (560, 44); (3359, 22); (2193, 25); (606, 11); (3277, 9);
+    (2495, 36);
+  ]
+
 (* ---------- multi-client ---------- *)
 
 let test_clients_are_isolated () =
@@ -1012,5 +1065,11 @@ let suites =
           test_rewrite_during_write_is_copied;
         Alcotest.test_case "lossy link: a retransmitted WRITE resends its bytes"
           `Quick test_retransmitted_write_resends_same_bytes;
-      ] );
+      ]
+      @ List.map
+          (fun ((seed, loss) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "push order: seed %d, %d%% loss" seed loss)
+              `Quick (test_push_order case))
+          push_order_cases );
   ]

@@ -205,14 +205,14 @@ let run_scenario ops =
   ok && Ufs.Fsck.ok (Ufs.Fsck.check m.Clusterfs.Machine.dev)
 
 let prop_model =
-  QCheck_alcotest.to_alcotest
+  Helpers.to_alcotest
     (QCheck.Test.make ~count:40 ~name:"UFS behaves like a map of strings"
        arb_ops run_scenario)
 
 (* the same property under the OLD (unclustered) configuration — the
    correctness of the fallback paths matters too *)
 let prop_model_sunos41 =
-  QCheck_alcotest.to_alcotest
+  Helpers.to_alcotest
     (QCheck.Test.make ~count:20 ~name:"old UFS behaves like a map of strings"
        arb_ops
        (fun ops ->
@@ -245,7 +245,7 @@ let prop_model_all_features =
       skip_bmap_if_no_holes = true;
     }
   in
-  QCheck_alcotest.to_alcotest
+  Helpers.to_alcotest
     (QCheck.Test.make ~count:20
        ~name:"UFS with all further-work features behaves like a map" arb_ops
        (fun ops ->

@@ -114,7 +114,7 @@ let well_formed (seed, rw, iodepth, clients) =
   true
 
 let test_well_formed =
-  QCheck_alcotest.to_alcotest
+  Helpers.to_alcotest
     (QCheck.Test.make ~count:12
        ~name:"span trees over seeded remote runs are well-formed" arb_run
        well_formed)

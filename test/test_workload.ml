@@ -101,7 +101,7 @@ let pinned_remote =
     ("FSU", 2097152, 1987783, 580180);
     ("FSR", 2097152, 761338, 559790);
     ("FRR", 524288, 407058, 144740);
-    ("FRU", 524288, 872822, 150230);
+    ("FRU", 524288, 899612, 150230);
   ]
 
 let test_iobench_pinned () =
@@ -196,13 +196,14 @@ let test_observer_matches_counters () =
   List.iter
     (fun (name, config) ->
       let m = Clusterfs.Machine.create config in
-      let log = Helpers.disk_log m.Clusterfs.Machine.disks in
+      let disks = Disk.Blkdev.members m.Clusterfs.Machine.dev in
+      let log = Helpers.disk_log disks in
       Clusterfs.Machine.run m (fun m ->
           let io = Workload.Iobench.local m.Clusterfs.Machine.fs in
           List.iter
             (fun k -> ignore (Workload.Iobench.run_phase io small_iobench k))
             [ Workload.Iobench.FSW; Workload.Iobench.FSR ]);
-      let s = Disk.Device.stats m.Clusterfs.Machine.disks.(0) in
+      let s = Disk.Device.stats disks.(0) in
       let evs = List.map snd (log ()) in
       let sectors kind =
         List.fold_left
