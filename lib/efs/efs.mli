@@ -29,23 +29,6 @@
 
 type t
 
-(** I/O and allocation counters, mirroring the UFS set where the
-    concepts line up (so the metrics export is comparable across the
-    two file systems). *)
-type stats = {
-  mutable read_calls : int;
-  mutable write_calls : int;
-  mutable extent_ins : int;  (** extent-sized read requests issued *)
-  mutable extent_in_blocks : int;
-  mutable ra_extents : int;  (** of which asynchronous read-ahead *)
-  mutable ra_used_blocks : int;
-  mutable push_ios : int;
-  mutable push_blocks : int;
-  mutable extent_allocs : int;
-}
-
-val stats : t -> stats
-
 val register_metrics : t -> Sim.Metrics.t -> instance:string -> unit
 (** Register the counters (plus file/free-list gauges) as an ["efs"]
     source. *)

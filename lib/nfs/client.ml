@@ -44,20 +44,6 @@ type cpage = {
   pcond : Sim.Condition.t;  (** unbusy waiters *)
 }
 
-(* One sequential reader's footprint in a file (the client analogue of
-   [Ufs.Types.rstream]): its predicted next offset and its own
-   read-ahead high-water mark.  Giving each stream a private frontier
-   is also the fix for the old single-predictor bug where [nextrio]
-   only ever grew — a reader that seeked backwards got no read-ahead at
-   all until it crawled past its previous high-water mark. *)
-type rwin = {
-  mutable w_nextr : int;  (** predicted next block offset *)
-  mutable w_raio : int;  (** read-ahead frontier (grows per window) *)
-  mutable w_hits : int;
-  mutable w_born : int;  (** miss-clock value at creation / last refresh *)
-  mutable w_stamp : int;  (** recency, for LRU eviction *)
-}
-
 type file = {
   cl : t;
   fh : Proto.fh;
@@ -65,10 +51,7 @@ type file = {
   mutable attr_at : Sim.Time.t option;  (** [None] = stale *)
   mutable fsize : int;  (** client view: local writes extend it now *)
   pages : (int, cpage) Hashtbl.t;  (** block offset -> page *)
-  (* read clustering state: one window per concurrent sequential stream *)
-  mutable rwins : rwin list;
-  mutable rw_clock : int;  (** access counter, stamps windows *)
-  mutable rw_misses : int;  (** miss counter, ages speculative windows *)
+  rs : Ufs.Rstream.t;  (** one read window per sequential stream *)
   (* write gathering (client-side delayoff / delaylen) *)
   mutable delayoff : int;
   mutable delaylen : int;
@@ -130,88 +113,6 @@ let charged t phase f =
   f ();
   Sim.Attrib.blocked ~rest:phase ~name:phase ~start_us:before
     ~stop_us:(Sim.Engine.now t.engine) ()
-
-(* ---------- read-ahead windows ---------- *)
-
-let max_rwins = 8
-let rwin_miss_ttl = 4
-
-let mk_rwin ~nextr ~born ~stamp =
-  { w_nextr = nextr; w_raio = 0; w_hits = 0; w_born = born; w_stamp = stamp }
-
-let reset_rwins f =
-  f.rw_clock <- 0;
-  f.rw_misses <- 0;
-  f.rwins <- [ mk_rwin ~nextr:0 ~born:0 ~stamp:0 ]
-
-(* The window predicting this access: either the access starts the
-   block the window expects, or it continues inside the block just
-   before the window's prediction (a sub-block reader part way through
-   its current block).  Prefer established, recent windows when several
-   match. *)
-let find_rwin f ~po ~cur =
-  let matches w = w.w_nextr = po || (cur > po && w.w_nextr = po + bsize) in
-  List.fold_left
-    (fun best w ->
-      if not (matches w) then best
-      else
-        match best with
-        | Some b when (b.w_hits, b.w_stamp) >= (w.w_hits, w.w_stamp) -> best
-        | _ -> Some w)
-    None f.rwins
-
-let touch_rwin f w ~po =
-  f.rw_clock <- f.rw_clock + 1;
-  w.w_hits <- w.w_hits + 1;
-  w.w_stamp <- f.rw_clock;
-  w.w_born <- f.rw_misses;
-  w.w_nextr <- po + bsize
-
-(* No window predicted [po]: a new stream may be starting.  Repoint the
-   scratch window (never-hit, so nothing is lost) if there is one;
-   otherwise grow the table, evicting the least-recent window at the
-   cap.  Speculative windows that never collected two hits expire after
-   a few misses so a random reader cannot fill the table. *)
-let note_miss_rwin t f ~po =
-  f.rw_clock <- f.rw_clock + 1;
-  f.rw_misses <- f.rw_misses + 1;
-  let live w = w.w_hits >= 2 || f.rw_misses - w.w_born <= rwin_miss_ttl in
-  f.rwins <- List.filter live f.rwins;
-  let scratch =
-    List.fold_left
-      (fun best w ->
-        if w.w_hits > 0 then best
-        else
-          match best with
-          | Some b when b.w_stamp >= w.w_stamp -> best
-          | _ -> Some w)
-      None f.rwins
-  in
-  match scratch with
-  | Some w ->
-      w.w_stamp <- f.rw_clock;
-      w.w_born <- f.rw_misses;
-      w.w_nextr <- po + bsize;
-      (* restart the frontier: read-ahead for the repointed stream must
-         begin at its new position, not at some stale high-water mark *)
-      w.w_raio <- 0
-  | None ->
-      (if List.length f.rwins >= max_rwins then
-         let lru =
-           List.fold_left
-             (fun best w ->
-               match best with
-               | Some b when b.w_stamp <= w.w_stamp -> best
-               | _ -> Some w)
-             None f.rwins
-         in
-         match lru with
-         | Some lw -> f.rwins <- List.filter (fun w -> w != lw) f.rwins
-         | None -> ());
-      t.st.ra_streams <- t.st.ra_streams + 1;
-      f.rwins <-
-        mk_rwin ~nextr:(po + bsize) ~born:f.rw_misses ~stamp:f.rw_clock
-        :: f.rwins
 
 (* ---------- page cache ---------- *)
 
@@ -442,9 +343,7 @@ let mk_file t ~fh ~name ~(attr : Proto.attr) =
       attr_at = Some (Sim.Engine.now t.engine);
       fsize = attr.Proto.size;
       pages = Hashtbl.create 64;
-      rwins = [ mk_rwin ~nextr:0 ~born:0 ~stamp:0 ];
-      rw_clock = 0;
-      rw_misses = 0;
+      rs = Ufs.Rstream.create ();
       delayoff = 0;
       delaylen = 0;
       pending_pushes = 0;
@@ -528,16 +427,16 @@ let size f = f.fsize
 (* Keep [ra_depth] clusters in flight beyond the stream's position.
    The frontier lives in the stream's own window, so each interleaved
    reader maintains its own pipeline — and a stream repointed by a
-   backward seek starts a fresh frontier instead of inheriting one it
-   can never catch. *)
-let schedule_readahead t f (w : rwin) ~po =
-  if w.w_raio < po + cluster then w.w_raio <- po + cluster;
+   backward seek starts a fresh frontier (its frontier is reset on the
+   repoint) instead of inheriting one it can never catch. *)
+let schedule_readahead t f (w : Ufs.Rstream.window) ~po =
+  if w.ra_off < po + cluster then w.ra_off <- po + cluster;
   let window_end = po + ((t.ra_depth + 1) * cluster) in
-  while w.w_raio < window_end && w.w_raio < f.fsize do
-    let len = min cluster (f.fsize - w.w_raio) in
+  while w.ra_off < window_end && w.ra_off < f.fsize do
+    let len = min cluster (f.fsize - w.ra_off) in
     t.st.ra_issued <- t.st.ra_issued + 1;
-    enqueue t (Ra (f, w.w_raio, len));
-    w.w_raio <- w.w_raio + cluster
+    enqueue t (Ra (f, w.ra_off, len));
+    w.ra_off <- w.ra_off + cluster
   done
 
 (* The page at [po], fetching on a miss: a whole cluster when the
@@ -581,7 +480,7 @@ let read_body f ~off ~buf ~len =
     else begin
       (* sequentiality judged before the windows advance, as in
          ufs_rdwr: did any stream predict this access? *)
-      let w = find_rwin f ~po ~cur:!cur in
+      let w = Ufs.Rstream.find f.rs ~po ~off:!cur in
       let seq = w <> None in
       charge t t.costs.Ufs.Costs.map_block;
       (match ensure_resident t f ~po ~seq ~retried:false with
@@ -592,9 +491,13 @@ let read_body f ~off ~buf ~len =
               Bytes.blit p.pdata (!cur - po) buf !total n);
           (match w with
           | Some w ->
-              touch_rwin f w ~po;
+              Ufs.Rstream.touch f.rs w ~po;
               schedule_readahead t f w ~po
-          | None -> note_miss_rwin t f ~po);
+          | None -> (
+              match Ufs.Rstream.note_miss f.rs ~po with
+              | Ufs.Rstream.Repointed w -> w.ra_off <- -1
+              | Ufs.Rstream.Opened _ -> t.st.ra_streams <- t.st.ra_streams + 1
+              | Ufs.Rstream.Reaccess -> ()));
           total := !total + n;
           cur := !cur + n)
     end
@@ -768,7 +671,7 @@ let create t name =
       | Some f ->
           (* creat truncates: drop the cached pages and predictor state *)
           drop_all_pages t f;
-          reset_rwins f;
+          Ufs.Rstream.reset f.rs;
           f.delayoff <- 0;
           f.delaylen <- 0;
           f.attr <- attr;
@@ -783,7 +686,7 @@ let invalidate f =
   let t = f.cl in
   fsync f;
   drop_all_pages t f;
-  reset_rwins f;
+  Ufs.Rstream.reset f.rs;
   f.delayoff <- 0;
   f.delaylen <- 0;
   f.attr_at <- None

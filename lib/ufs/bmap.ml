@@ -2,7 +2,7 @@ open Types
 
 let frag_tail_eligible ~size = size <= Layout.ndaddr * Layout.bsize
 
-let block_frags (_ip : inode) ~lbn ~size =
+let block_frags ~lbn ~size =
   if
     frag_tail_eligible ~size
     && size > 0
@@ -178,7 +178,7 @@ let ensure (fs : fs) (ip : inode) ~lbn ~new_size =
   Wal.with_op fs ~commit:false @@ fun () ->
   charge fs ~label:"bmap" fs.costs.Costs.bmap;
   invalidate_cache ip;
-  let want = block_frags ip ~lbn ~size:new_size in
+  let want = block_frags ~lbn ~size:new_size in
   let finish f =
     note_growth fs ip ~new_size;
     f
@@ -199,7 +199,7 @@ let ensure (fs : fs) (ip : inode) ~lbn ~new_size =
         finish f
       end
       else begin
-        let old_n = block_frags ip ~lbn ~size:ip.size in
+        let old_n = block_frags ~lbn ~size:ip.size in
         if want > old_n then begin
           let f = grow_run fs ip ~frag:cur ~old_n ~want in
           ip.db.(i) <- f;
@@ -224,10 +224,10 @@ let ensure (fs : fs) (ip : inode) ~lbn ~new_size =
 let grow_old_tail (fs : fs) (ip : inode) ~new_size =
   if ip.size > 0 then begin
     let tail_lbn = (ip.size - 1) / Layout.bsize in
-    let old_n = block_frags ip ~lbn:tail_lbn ~size:ip.size in
+    let old_n = block_frags ~lbn:tail_lbn ~size:ip.size in
     if old_n < Layout.fpb then begin
       (* under new_size, how many frags does that same block need? *)
-      let want = block_frags ip ~lbn:tail_lbn ~size:new_size in
+      let want = block_frags ~lbn:tail_lbn ~size:new_size in
       if want > old_n then
         Wal.with_op fs ~commit:false (fun () ->
             match Layout.classify tail_lbn with
@@ -253,7 +253,7 @@ let iter_allocated (fs : fs) (ip : inode) f =
   let size = ip.size in
   let emit_data lbn frag =
     if frag <> 0 then
-      f (Data { lbn; frag; nfrags = block_frags ip ~lbn ~size })
+      f (Data { lbn; frag; nfrags = block_frags ~lbn ~size })
   in
   for i = 0 to Layout.ndaddr - 1 do
     emit_data i ip.db.(i)

@@ -25,7 +25,7 @@
     the data through the disk, as the real allocator's [realloccg]
     effectively does via the cache). *)
 
-val block_frags : Types.inode -> lbn:int -> size:int -> int
+val block_frags : lbn:int -> size:int -> int
 (** Fragments logical block [lbn] occupies in a file of [size] bytes
     (fewer than a full block only for an eligible fragged tail). *)
 

@@ -262,6 +262,7 @@ let mount engine cpu pool dev ~features ?(costs = Costs.default) () =
       Some (Wal.mk engine j)
     else None
   in
+  let stats = mk_stats () in
   let fs =
     {
       engine;
@@ -277,8 +278,9 @@ let mount engine cpu pool dev ~features ?(costs = Costs.default) () =
       alloc_lock = Sim.Mutex.create engine "ufs-alloc";
       iget_lock = Sim.Mutex.create engine "ufs-iget";
       resv = Hashtbl.create 16;
-      stats = mk_stats ();
+      stats;
       wal;
+      pager = { engine; cpu; costs; pool; dev; stats };
     }
   in
   (match fs.wal with

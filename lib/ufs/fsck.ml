@@ -63,7 +63,8 @@ let read_dinodes s ninodes =
       end;
       Dinode.decode blk (((frag mod Layout.fpb) * Layout.fsize) + byte))
 
-(* frags a data block at [lbn] should occupy, mirroring Bmap.block_frags *)
+(* frags a data block at [lbn] should occupy: Bmap.block_frags's rule,
+   restated so that the checker does not trust the code it checks *)
 let expected_frags ~lbn ~size =
   if
     size <= Layout.ndaddr * Layout.bsize

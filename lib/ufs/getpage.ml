@@ -9,13 +9,35 @@ let file_blocks (ip : inode) = Layout.blocks_of_size ip.size
 (* Cap a cluster so it never runs past EOF. *)
 let cap_blocks ip ~lbn blocks = min blocks (max 0 (file_blocks ip - lbn))
 
+(* This stream's cluster size in blocks, after the adaptive cap. *)
+let cbs_blocks fs (w : Rstream.window) =
+  max 1 (min w.Rstream.cbs (cluster_bytes fs) / Layout.bsize)
+
+(* Feedback sizing, consulted when a window's frontier fires: shrink on
+   fresh wasted prefetches, grow back toward the file system's cluster
+   size on clean ones.  Inert while nothing is ever wasted. *)
+let adapt fs (w : Rstream.window) =
+  let wasted = (Vm.Pool.stats fs.pool).Vm.Pool.prefetch_wasted in
+  if w.waste_mark < 0 then w.waste_mark <- wasted
+  else if wasted > w.waste_mark then begin
+    w.cbs <- max Layout.bsize (min w.cbs (cluster_bytes fs) / 2);
+    w.waste_mark <- wasted;
+    fs.stats.ra_shrinks <- fs.stats.ra_shrinks + 1
+  end
+  else if w.cbs < cluster_bytes fs then
+    w.cbs <- min (cluster_bytes fs) (w.cbs * 2)
+
 (* Page in [blocks] logical blocks at [lbn]; holes zero-fill.  The bmap
    result for [lbn] is supplied by the caller. *)
 let read_extent fs ip ~lbn ~frag_opt ~blocks ~sync ~read_ahead =
   let off = lbn * Layout.bsize in
   match frag_opt with
   | None -> Io.zero_fill fs ip ~off ~blocks
-  | Some frag -> Io.page_in fs ip ~off ~frag ~blocks ~sync ~read_ahead
+  | Some frag ->
+      Io.page_in fs.pager ~vid:ip.inum ~off
+        ~sector:(Layout.frag_to_sector frag)
+        ~bytes:(Io.extent_bytes ip ~off ~blocks)
+        ~sync ~read_ahead
 
 (* Prefetch the cluster starting at block [lbn] (clustered mode),
    bounded by the requesting stream's adaptive cluster size. *)
@@ -45,7 +67,7 @@ let prefetch_block fs ip ~lbn =
 let rec handle_page fs (ip : inode) ~po ~hint =
   charge fs ~label:"getpage" fs.costs.Costs.pagecache_lookup;
   let lbn = po / Layout.bsize in
-  let w = Rstream.find ip ~po in
+  let w = Rstream.find ip.rs ~po ~off:po in
   let sequential = w <> None in
   match Vm.Pool.lookup fs.pool (Io.ident ip po) with
   | Some p when p.Vm.Page.busy ->
@@ -54,7 +76,7 @@ let rec handle_page fs (ip : inode) ~po ~hint =
       handle_page fs ip ~po ~hint
   | Some p when p.Vm.Page.valid ->
       fs.stats.getpage_hits <- fs.stats.getpage_hits + 1;
-      Io.consume_prefetch fs p;
+      Io.consume_prefetch fs.stats p;
       (* figure 2: bmap is consulted even on a hit, to learn whether the
          page has backing store — unless the UFS_HOLE fast path applies *)
       if not (fs.feat.skip_bmap_if_no_holes && not (has_holes ip)) then
@@ -68,7 +90,7 @@ let rec handle_page fs (ip : inode) ~po ~hint =
       in
       let blocks =
         if fs.feat.clustering && sequential then
-          let cap = match w with Some w -> Rstream.cbs_blocks fs w | None -> len in
+          let cap = match w with Some w -> cbs_blocks fs w | None -> len in
           cap_blocks ip ~lbn (min len cap)
         else if hint_blocks > 1 then
           (* "random clustering": a large request is its own evidence of
@@ -90,7 +112,7 @@ and find_ready fs ip ~po ~hint =
       Vm.Page.wait_unbusy fs.engine p;
       find_ready fs ip ~po ~hint
   | Some p when p.Vm.Page.valid ->
-      Io.consume_prefetch fs p;
+      Io.consume_prefetch fs.stats p;
       p
   | Some _ | None ->
       (* freed or never entered (raced); start over *)
@@ -102,26 +124,31 @@ and after_access fs (ip : inode) ~po ~w =
      read-ahead frontier at [po], which the frontier test below then
      sees *)
   (match w with
-  | Some w -> Rstream.touch fs ip w ~po
-  | None -> Rstream.note_miss fs ip ~po);
+  | Some w ->
+      fs.stats.ra_stream_hits <- fs.stats.ra_stream_hits + 1;
+      Rstream.touch ip.rs w ~po
+  | None -> (
+      match Rstream.note_miss ip.rs ~po with
+      | Rstream.Opened _ -> fs.stats.ra_streams <- fs.stats.ra_streams + 1
+      | Rstream.Reaccess | Rstream.Repointed _ -> ()));
   if fs.feat.clustering then begin
     (* figure 6: when the access reaches a stream's read-ahead frontier
        (the start of its last prefetched cluster), prefetch the cluster
        after it *)
-    match Rstream.find_ra ip ~po with
+    match Rstream.find_ra ip.rs ~po with
     | Some rw ->
-        Rstream.adapt fs rw;
+        adapt fs rw;
         let lbn = po / Layout.bsize in
         let cur_len =
           let _, len = Bmap.read fs ip ~lbn in
-          max 1 (cap_blocks ip ~lbn (min len (Rstream.cbs_blocks fs rw)))
+          max 1 (cap_blocks ip ~lbn (min len (cbs_blocks fs rw)))
         in
         let next_lbn = lbn + cur_len in
         if cap_blocks ip ~lbn:next_lbn 1 > 0 then begin
           ignore
             (prefetch_cluster fs ip ~lbn:next_lbn
-               ~max_blocks:(Rstream.cbs_blocks fs rw));
-          rw.s_ra_off <- next_lbn * Layout.bsize
+               ~max_blocks:(cbs_blocks fs rw));
+          rw.ra_off <- next_lbn * Layout.bsize
         end
     | None -> ()
   end

@@ -2,22 +2,23 @@ open Types
 
 let ident (ip : inode) off : Vm.Page.ident = { Vm.Page.vid = ip.inum; off }
 
-(* Fragments covered by [blocks] logical blocks starting at [lbn0],
-   accounting for a fragment-allocated tail. *)
-let extent_frags (ip : inode) ~lbn0 ~blocks =
-  let last = lbn0 + blocks - 1 in
-  ((blocks - 1) * Layout.fpb) + Bmap.block_frags ip ~lbn:last ~size:ip.size
+(* Bytes of the [blocks] logical blocks at byte [off], accounting for a
+   fragment-allocated tail. *)
+let extent_bytes (ip : inode) ~off ~blocks =
+  let last = (off / Layout.bsize) + blocks - 1 in
+  (((blocks - 1) * Layout.fpb) + Bmap.block_frags ~lbn:last ~size:ip.size)
+  * Layout.fsize
 
-let charge_io fs =
-  charge fs ~label:"driver"
-    (fs.costs.Costs.driver_submit + fs.costs.Costs.intr)
+let charge_io (pg : pager) =
+  Sim.Cpu.charge pg.cpu ~label:"driver"
+    (pg.costs.Costs.driver_submit + pg.costs.Costs.intr)
 
 (* First access to a read-ahead page: the prefetch paid off.  Clearing
    the flag here is what keeps the pool's free-time "wasted" count
    honest. *)
-let consume_prefetch fs (p : Vm.Page.t) =
+let consume_prefetch (st : stats) (p : Vm.Page.t) =
   if p.Vm.Page.prefetched then begin
-    fs.stats.ra_used_blocks <- fs.stats.ra_used_blocks + 1;
+    st.ra_used_blocks <- st.ra_used_blocks + 1;
     Vm.Page.set_prefetched p false
   end
 
@@ -29,21 +30,19 @@ let discard = Bytes.create Layout.bsize
 (* Bytes of block [k] within an extent of [bytes] bytes. *)
 let block_len ~bytes k = min Layout.bsize (bytes - (k * Layout.bsize))
 
-let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
+let page_in (pg : pager) ~vid ~off ~sector ~bytes ~sync ~read_ahead =
   assert (off mod Layout.bsize = 0);
-  let lbn0 = off / Layout.bsize in
-  let nfrags = extent_frags ip ~lbn0 ~blocks in
-  let bytes = nfrags * Layout.fsize in
+  let blocks = (bytes + Layout.bsize - 1) / Layout.bsize in
   (* claim the missing pages *)
   let mine = ref [] in
   for k = 0 to blocks - 1 do
-    let id = ident ip (off + (k * Layout.bsize)) in
-    match Vm.Pool.lookup fs.pool id with
+    let id = { Vm.Page.vid; off = off + (k * Layout.bsize) } in
+    match Vm.Pool.lookup pg.pool id with
     | Some _ -> ()
     | None -> (
-        match Vm.Pool.alloc fs.pool id with
+        match Vm.Pool.alloc pg.pool id with
         | `Fresh p ->
-            charge fs ~label:"getpage" fs.costs.Costs.page_setup;
+            Sim.Cpu.charge pg.cpu ~label:"getpage" pg.costs.Costs.page_setup;
             mine := (p, k) :: !mine
         | `Existing _ -> ())
   done;
@@ -63,12 +62,10 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
         mine;
       let iov = Sim.Iov.of_list (Array.to_list segs) in
       let req =
-        Disk.Request.of_iov ~lend:true ~kind:Disk.Request.Read
-          ~sector:(Layout.frag_to_sector frag)
-          ~count:(nfrags * Layout.sectors_per_frag)
-          iov ()
+        Disk.Request.of_iov ~lend:true ~kind:Disk.Request.Read ~sector
+          ~count:(bytes / Layout.sector_bytes) iov ()
       in
-      let frames = Sim.Engine.frames fs.engine in
+      let frames = Sim.Engine.frames pg.engine in
       Disk.Request.on_complete req (fun () ->
           List.iter
             (fun ((p : Vm.Page.t), k) ->
@@ -79,28 +76,29 @@ let page_in fs (ip : inode) ~off ~frag ~blocks ~sync ~read_ahead =
                 let chunk = Sim.Iov.base iov ~off:(k * Layout.bsize) in
                 if chunk != p.Vm.Page.data then
                   Vm.Page.borrow frames p chunk
-                    ~home:(Layout.frag_to_byte frag + (k * Layout.bsize))
+                    ~home:((sector * Layout.sector_bytes) + (k * Layout.bsize))
               end;
               Vm.Page.set_valid p true;
               Vm.Page.unbusy p)
             mine);
-      charge_io fs;
-      Sim.Stats.Hist.add fs.stats.read_io_blocks blocks;
+      charge_io pg;
+      let st = pg.stats in
+      Sim.Stats.Hist.add st.read_io_blocks blocks;
       if read_ahead then begin
-        fs.stats.ra_ios <- fs.stats.ra_ios + 1;
-        fs.stats.ra_blocks <- fs.stats.ra_blocks + blocks;
+        st.ra_ios <- st.ra_ios + 1;
+        st.ra_blocks <- st.ra_blocks + blocks;
         List.iter (fun ((p : Vm.Page.t), _) -> Vm.Page.set_prefetched p true) mine
       end
       else begin
-        fs.stats.pgin_ios <- fs.stats.pgin_ios + 1;
-        fs.stats.pgin_blocks <- fs.stats.pgin_blocks + blocks
+        st.pgin_ios <- st.pgin_ios + 1;
+        st.pgin_blocks <- st.pgin_blocks + blocks
       end;
-      Disk.Blkdev.submit fs.dev req;
+      Disk.Blkdev.submit pg.dev req;
       if sync then begin
-        let t0 = Sim.Engine.now fs.engine in
-        Disk.Request.wait fs.engine req;
-        Sim.Stats.Summary.add_int fs.stats.pgin_wait_us
-          (Sim.Engine.now fs.engine - t0)
+        let t0 = Sim.Engine.now pg.engine in
+        Disk.Request.wait pg.engine req;
+        Sim.Stats.Summary.add_int st.pgin_wait_us
+          (Sim.Engine.now pg.engine - t0)
       end
 
 let zero_fill fs (ip : inode) ~off ~blocks =
@@ -128,14 +126,10 @@ let snapshot frames data n =
   end
   else Bytes.sub data 0 n
 
-let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
-    ~locked ?(ordered = false) () =
+let push_pages (pg : pager) (w : writes) pages ~sector ~bytes ~sync
+    ~free_after ~throttle ~locked ?(ordered = false) () =
   assert (pages <> []);
-  assert (off mod Layout.bsize = 0);
   let blocks = List.length pages in
-  let lbn0 = off / Layout.bsize in
-  let nfrags = extent_frags ip ~lbn0 ~blocks in
-  let bytes = nfrags * Layout.fsize in
   if not locked then
     List.iter
       (fun p ->
@@ -146,7 +140,7 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
      the I/O lands (writers must not mutate data in flight).  Ordered
      writes release their pages at submit, so they carry a snapshot.
      The store keeps the whole blocks' frames either way. *)
-  let frames = Sim.Engine.frames fs.engine in
+  let frames = Sim.Engine.frames pg.engine in
   let iov =
     Sim.Iov.of_list
       (List.mapi
@@ -157,25 +151,20 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
          pages)
   in
   let throttled =
-    match (throttle, ip.wlimit) with
-    | true, Some sem ->
-        let limit =
-          match fs.feat.write_limit with Some l -> l | None -> max_int
-        in
+    match (throttle, w.wlimit) with
+    | true, Some (sem, limit) ->
         let n = min bytes limit in
         if not (Sim.Semaphore.try_acquire sem ~n ()) then begin
-          fs.stats.wlimit_sleeps <- fs.stats.wlimit_sleeps + 1;
+          pg.stats.wlimit_sleeps <- pg.stats.wlimit_sleeps + 1;
           Sim.Semaphore.acquire sem ~n ()
         end;
         Some (sem, n)
     | _ -> None
   in
-  ip.outstanding_writes <- ip.outstanding_writes + bytes;
+  w.pending <- w.pending + bytes;
   let req =
-    Disk.Request.of_iov ~ordered ~lend:true ~kind:Disk.Request.Write
-      ~sector:(Layout.frag_to_sector frag)
-      ~count:(nfrags * Layout.sectors_per_frag)
-      iov ()
+    Disk.Request.of_iov ~ordered ~lend:true ~kind:Disk.Request.Write ~sector
+      ~count:(bytes / Layout.sector_bytes) iov ()
   in
   (* An ordered write's pages can be released right away: a re-dirtied
      page just issues another ordered write that the queue keeps behind
@@ -184,14 +173,14 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
     List.iter
       (fun (p : Vm.Page.t) ->
         Vm.Page.set_dirty p false;
-        if free_after then Vm.Pool.free_page fs.pool p else Vm.Page.unbusy p)
+        if free_after then Vm.Pool.free_page pg.pool p else Vm.Page.unbusy p)
       pages;
-  let store = Disk.Blkdev.store fs.dev in
+  let store = Disk.Blkdev.store pg.dev in
   Disk.Request.on_complete req (fun () ->
       (match throttled with
       | Some (sem, n) -> Sim.Semaphore.release sem ~n ()
       | None -> ());
-      ip.outstanding_writes <- ip.outstanding_writes - bytes;
+      w.pending <- w.pending - bytes;
       (* the store now holds each whole block's frame, pinned if another
          host may hold it.  The page counts as lent only from here on,
          so bytes that reached it while busy went to the platter with
@@ -200,7 +189,7 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
       if not ordered then
         List.iteri
           (fun k (p : Vm.Page.t) ->
-            let home = Layout.frag_to_byte frag + (k * Layout.bsize) in
+            let home = (sector * Layout.sector_bytes) + (k * Layout.bsize) in
             let whole = block_len ~bytes k = Layout.bsize in
             let gathered = Sim.Iov.base iov ~off:(k * Layout.bsize) in
             if whole && gathered != p.Vm.Page.data then begin
@@ -214,18 +203,19 @@ let push_pages fs (ip : inode) pages ~frag ~off ~sync ~free_after ~throttle
                   Disk.Store.pin store ~off:home p.Vm.Page.data
               end;
               Vm.Page.set_dirty p false;
-              if free_after then Vm.Pool.free_page fs.pool p
+              if free_after then Vm.Pool.free_page pg.pool p
               else Vm.Page.unbusy p
             end)
           pages;
-      Sim.Condition.broadcast ip.iodone);
-  charge_io fs;
-  Sim.Stats.Hist.add fs.stats.push_io_blocks blocks;
-  fs.stats.push_ios <- fs.stats.push_ios + 1;
-  fs.stats.push_blocks <- fs.stats.push_blocks + blocks;
-  if blocks > 1 then fs.stats.flush_runs <- fs.stats.flush_runs + 1;
-  Disk.Blkdev.submit fs.dev req;
-  if sync then Disk.Request.wait fs.engine req
+      Sim.Condition.broadcast w.iodone);
+  charge_io pg;
+  let st = pg.stats in
+  Sim.Stats.Hist.add st.push_io_blocks blocks;
+  st.push_ios <- st.push_ios + 1;
+  st.push_blocks <- st.push_blocks + blocks;
+  if blocks > 1 then st.flush_runs <- st.flush_runs + 1;
+  Disk.Blkdev.submit pg.dev req;
+  if sync then Disk.Request.wait pg.engine req
 
 let export fs (p : Vm.Page.t) =
   if p.Vm.Page.home >= 0 then
@@ -235,8 +225,8 @@ let export fs (p : Vm.Page.t) =
 
 let wait_writes fs (ip : inode) =
   let before = Sim.Engine.now fs.engine in
-  while ip.outstanding_writes > 0 do
-    Sim.Condition.wait ip.iodone
+  while ip.writes.pending > 0 do
+    Sim.Condition.wait ip.writes.iodone
   done;
   Sim.Attrib.blocked ~rest:"disk.wait" ~name:"vm.wait_writes" ~start_us:before
     ~stop_us:(Sim.Engine.now fs.engine) ()

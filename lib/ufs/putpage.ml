@@ -39,8 +39,10 @@ let push_range fs (ip : inode) ~off ~len ~free_after ~throttle ?(ordered = false
               (match collect 0 [] with
               | [] -> loop (off + Layout.bsize)
               | pages ->
-                  Io.push_pages fs ip pages ~frag ~off ~sync:false ~free_after
-                    ~throttle ~locked:false ~ordered ();
+                  Io.push_pages fs.pager ip.writes pages
+                    ~sector:(Layout.frag_to_sector frag)
+                    ~bytes:(Io.extent_bytes ip ~off ~blocks:(List.length pages))
+                    ~sync:false ~free_after ~throttle ~locked:false ~ordered ();
                   loop (off + (List.length pages * Layout.bsize))))
       | Some _ | None -> loop (off + Layout.bsize)
     end
@@ -167,6 +169,8 @@ let flusher fs (ip : inode) : Vm.Pool.flusher =
               | _ -> List.rev acc
           in
           let pages = page :: collect 1 [] in
-          Io.push_pages fs ip pages ~frag ~off ~sync:false ~free_after
-            ~throttle:false ~locked:true ();
+          Io.push_pages fs.pager ip.writes pages
+            ~sector:(Layout.frag_to_sector frag)
+            ~bytes:(Io.extent_bytes ip ~off ~blocks:(List.length pages))
+            ~sync:false ~free_after ~throttle:false ~locked:true ();
           List.length pages)

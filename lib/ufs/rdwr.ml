@@ -92,7 +92,7 @@ let do_read fs (ip : inode) (uio : Vfs.Uio.t) =
         (* sequential read mode, judged before getpage moves the stream
            windows: the access either starts a block some window
            predicted, or continues inside a block whose start matched *)
-        let seq = Rstream.peek_seq ip ~po ~off in
+        let seq = Rstream.find ip.rs ~po ~off <> None in
         charge fs ~label:"rdwr" fs.costs.Costs.map_block;
         (match Getpage.getpage fs ip ~off:po ~len:Layout.bsize ~hint with
         | [ p ] ->
@@ -127,7 +127,7 @@ let rec grab_page fs (ip : inode) po =
       Vm.Page.wait_unbusy fs.engine p;
       grab_page fs ip po
   | Some p when p.Vm.Page.valid ->
-      Io.consume_prefetch fs p;
+      Io.consume_prefetch fs.stats p;
       p
   | Some _ | None -> (
       match Vm.Pool.alloc fs.pool (Io.ident ip po) with
@@ -173,7 +173,7 @@ let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
        let old_tail_lbn = (old_size - 1) / Layout.bsize in
        if
          lbn <> old_tail_lbn
-         && Bmap.block_frags ip ~lbn:old_tail_lbn ~size:old_size < Layout.fpb
+         && Bmap.block_frags ~lbn:old_tail_lbn ~size:old_size < Layout.fpb
        then begin
          let tpo = old_tail_lbn * Layout.bsize in
          let tpage =

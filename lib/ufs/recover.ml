@@ -63,17 +63,6 @@ let blkdev_io dev =
           ~buf:b ~buf_off:0);
   }
 
-(* frags a data block at [lbn] should occupy (fsck's rule, which mirrors
-   Bmap.block_frags): only the tail block of a short file is partial *)
-let expected_frags ~lbn ~size =
-  if
-    size <= Layout.ndaddr * Layout.bsize
-    && size > 0
-    && lbn = (size - 1) / Layout.bsize
-    && size mod Layout.bsize <> 0
-  then Layout.frags_of_bytes (size mod Layout.bsize)
-  else Layout.fpb
-
 let replay io scan =
   let sb = Superblock.decode (io.read ~frag:Layout.sb_frag ~len:Layout.bsize) in
   if sb.Superblock.jfrags = 0 then
@@ -220,7 +209,8 @@ let replay io scan =
       orphan_frags := !orphan_frags + n
     in
     let data lbn frag =
-      if frag <> 0 then free_run frag (expected_frags ~lbn ~size:d.Dinode.size)
+      if frag <> 0 then
+        free_run frag (Bmap.block_frags ~lbn ~size:d.Dinode.size)
     in
     for i = 0 to Layout.ndaddr - 1 do
       data i d.Dinode.db.(i)

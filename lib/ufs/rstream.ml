@@ -1,10 +1,8 @@
-open Types
-
 (* Per-stream read-window table (adaptive readahead v2).
 
    The paper keeps one nextr/nextrio pair per file, so two interleaved
    sequential readers destroy each other's hint on every access.  Here
-   the inode carries a small LRU table of access windows instead; the
+   each file carries a small LRU table of access windows instead; the
    rules are chosen so that a single reader (and the random-access
    workloads of figure 10) behaves byte-identically to the single-pair
    original:
@@ -20,129 +18,146 @@ open Types
      the established streams;
    - windows that never reach two hits are dropped after a few more
      misses, so accidental matches in random workloads cannot
-     accumulate stale predictors. *)
+     accumulate stale predictors.
 
-let bump (ip : inode) =
-  ip.rs_clock <- ip.rs_clock + 1;
-  ip.rs_clock
+   The table knows nothing of any file system: UFS's getpage/rdwr and
+   the NFS client each keep one per file and apply their own frontier
+   policy to the windows it returns. *)
 
-(* The window predicting an access at [po], preferring established
-   windows, then the most recently used. *)
-let find (ip : inode) ~po =
+let bsize = Layout.bsize
+let max_windows = 8
+let miss_ttl = 4
+
+type window = {
+  mutable nextr : int;
+  mutable ra_off : int;
+  mutable hits : int;
+  mutable born : int;
+  mutable stamp : int;
+  mutable cbs : int;
+  mutable waste_mark : int;
+}
+
+type t = {
+  mutable windows : window list;
+  mutable clock : int;
+  mutable misses : int;
+}
+
+type miss = Reaccess | Repointed of window | Opened of window
+
+let mk_window ~nextr ~ra_off ~born ~stamp =
+  { nextr; ra_off; hits = 0; born; stamp; cbs = max_int; waste_mark = -1 }
+
+let initial () = [ mk_window ~nextr:0 ~ra_off:0 ~born:0 ~stamp:0 ]
+let create () = { windows = initial (); clock = 0; misses = 0 }
+
+let reset t =
+  t.clock <- 0;
+  t.misses <- 0;
+  t.windows <- initial ()
+
+let bump t =
+  t.clock <- t.clock + 1;
+  t.clock
+
+(* The window predicting an access at byte [off] inside the block at
+   [po]: it expects the block's start, or it already advanced past the
+   block while the reader was inside it.  Prefer established windows,
+   then the most recently used. *)
+let find t ~po ~off =
   List.fold_left
     (fun best w ->
-      if w.s_nextr <> po then best
+      if not (w.nextr = po || (off > po && w.nextr = po + bsize)) then best
       else
         match best with
-        | Some b when (b.s_hits, b.s_stamp) >= (w.s_hits, w.s_stamp) -> best
+        | Some b when (b.hits, b.stamp) >= (w.hits, w.stamp) -> best
         | _ -> Some w)
-    None ip.rstreams
+    None t.windows
 
 (* The window whose read-ahead frontier sits at [po] (the paper's
    [po = nextrio] test, per window). *)
-let find_ra (ip : inode) ~po =
+let find_ra t ~po =
   List.fold_left
     (fun best w ->
-      if w.s_ra_off <> po then best
+      if w.ra_off <> po then best
       else
         match best with
-        | Some b when b.s_stamp >= w.s_stamp -> best
+        | Some b when b.stamp >= w.stamp -> best
         | _ -> Some w)
-    None ip.rstreams
+    None t.windows
 
-(* Non-mutating sequentiality peek for free-behind: the access at file
-   offset [off] inside block [po] rides a sequential stream if some
-   window predicted the block's start — or already advanced past it
-   while we were inside the block. *)
-let peek_seq (ip : inode) ~po ~off =
-  List.exists
-    (fun w -> w.s_nextr = po || (off > po && w.s_nextr = po + Layout.bsize))
-    ip.rstreams
+let mru t =
+  List.fold_left
+    (fun best w ->
+      match best with
+      | Some b when b.stamp >= w.stamp -> best
+      | _ -> Some w)
+    None t.windows
 
-(* This stream's cluster size in blocks, after the adaptive cap. *)
-let cbs_blocks fs (w : rstream) =
-  max 1 (min w.s_cbs (cluster_bytes fs) / Layout.bsize)
+(* The access at [po] matched window [w].  Establishment: on the second
+   match of a mid-file stream, boot its read-ahead frontier at the
+   current block so the asynchronous cluster chain can start.  Strictly
+   [<]: a frontier at or ahead of [po] is live and must not be pulled
+   back. *)
+let touch t w ~po =
+  w.hits <- w.hits + 1;
+  w.stamp <- bump t;
+  w.born <- t.misses;
+  w.nextr <- po + bsize;
+  if w.hits = 2 && w.ra_off < po then w.ra_off <- po
 
-(* Feedback sizing, consulted when a window's frontier fires: shrink on
-   fresh wasted prefetches, grow back toward the file system's cluster
-   size on clean ones.  Inert while nothing is ever wasted. *)
-let adapt fs (w : rstream) =
-  let wasted = (Vm.Pool.stats fs.pool).Vm.Pool.prefetch_wasted in
-  if w.s_waste_mark < 0 then w.s_waste_mark <- wasted
-  else if wasted > w.s_waste_mark then begin
-    w.s_cbs <- max Layout.bsize (min w.s_cbs (cluster_bytes fs) / 2);
-    w.s_waste_mark <- wasted;
-    fs.stats.ra_shrinks <- fs.stats.ra_shrinks + 1
-  end
-  else if w.s_cbs < cluster_bytes fs then
-    w.s_cbs <- min (cluster_bytes fs) (w.s_cbs * 2)
-
-(* The access at [po] matched window [w]. *)
-let touch fs (ip : inode) (w : rstream) ~po =
-  fs.stats.ra_stream_hits <- fs.stats.ra_stream_hits + 1;
-  w.s_hits <- w.s_hits + 1;
-  w.s_stamp <- bump ip;
-  w.s_born <- ip.rs_misses;
-  w.s_nextr <- po + Layout.bsize;
-  (* Establishment: on the second match of a mid-file stream, boot its
-     read-ahead frontier at the current block so the asynchronous
-     cluster chain can start.  Strictly [<]: a frontier at or ahead of
-     [po] is live and must not be pulled back. *)
-  if fs.feat.clustering && w.s_hits = 2 && w.s_ra_off < po then
-    w.s_ra_off <- po
-
-let evict_lru (ip : inode) =
+let evict_lru t =
   match
     List.fold_left
       (fun worst w ->
         match worst with
-        | Some b when b.s_stamp <= w.s_stamp -> worst
+        | Some b when b.stamp <= w.stamp -> worst
         | _ -> Some w)
-      None ip.rstreams
+      None t.windows
   with
-  | Some lru -> ip.rstreams <- List.filter (fun w -> w != lru) ip.rstreams
+  | Some lru -> t.windows <- List.filter (fun w -> w != lru) t.windows
   | None -> ()
 
 (* The access at [po] matched no window. *)
-let note_miss fs (ip : inode) ~po =
-  match
-    List.find_opt (fun w -> w.s_nextr = po + Layout.bsize) ip.rstreams
-  with
+let note_miss t ~po =
+  match List.find_opt (fun w -> w.nextr = po + bsize) t.windows with
   | Some w ->
       (* sub-block re-access: a stream reading in < bsize chunks touches
          the same block several times; its window already advanced.
          Keep the window alive, count nothing. *)
-      w.s_born <- ip.rs_misses
+      w.born <- t.misses;
+      Reaccess
   | None -> (
-      ip.rs_misses <- ip.rs_misses + 1;
+      t.misses <- t.misses + 1;
       (* drop stale unestablished windows *)
-      ip.rstreams <-
+      t.windows <-
         List.filter
-          (fun w ->
-            w.s_hits >= 2 || ip.rs_misses - w.s_born <= rstream_miss_ttl)
-          ip.rstreams;
+          (fun w -> w.hits >= 2 || t.misses - w.born <= miss_ttl)
+          t.windows;
       let scratch =
         List.fold_left
           (fun best w ->
-            if w.s_hits > 0 then best
+            if w.hits > 0 then best
             else
               match best with
-              | Some b when b.s_stamp >= w.s_stamp -> best
+              | Some b when b.stamp >= w.stamp -> best
               | _ -> Some w)
-          None ip.rstreams
+          None t.windows
       in
       match scratch with
       | Some w ->
           (* repoint, as the paper repoints its single nextr; the
              frontier stays, as the paper leaves nextrio *)
-          w.s_nextr <- po + Layout.bsize;
-          w.s_born <- ip.rs_misses;
-          w.s_stamp <- bump ip
+          w.nextr <- po + bsize;
+          w.born <- t.misses;
+          w.stamp <- bump t;
+          Repointed w
       | None ->
-          if List.length ip.rstreams >= max_rstreams then evict_lru ip;
+          if List.length t.windows >= max_windows then evict_lru t;
           let w =
-            mk_rstream ~nextr:(po + Layout.bsize) ~ra_off:(-1)
-              ~born:ip.rs_misses ~stamp:(bump ip)
+            mk_window ~nextr:(po + bsize) ~ra_off:(-1) ~born:t.misses
+              ~stamp:(bump t)
           in
-          ip.rstreams <- w :: ip.rstreams;
-          fs.stats.ra_streams <- fs.stats.ra_streams + 1)
+          t.windows <- w :: t.windows;
+          Opened w)

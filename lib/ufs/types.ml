@@ -100,33 +100,26 @@ let mk_stats () =
     push_io_blocks = Sim.Stats.Hist.create ();
   }
 
-(* One sequential-access window: the per-stream generalisation of the
-   paper's single nextr/nextrio pair.  s_cbs caps this stream's cluster
-   size; max_int means "uncapped" (the file system's cluster size),
-   which keeps a reset independent of the mount. *)
-type rstream = {
-  mutable s_nextr : int;
-  mutable s_ra_off : int;
-  mutable s_hits : int;
-  mutable s_born : int;
-  mutable s_stamp : int;
-  mutable s_cbs : int;
-  mutable s_waste_mark : int;
+(* The page cache over one block device, as Io's page-ins and pushes
+   see a file system: a UFS mount keeps one in [fs.pager], an EFS volume
+   its own. *)
+type pager = {
+  engine : Sim.Engine.t;
+  cpu : Sim.Cpu.t;
+  costs : Costs.t;
+  pool : Vm.Pool.t;
+  dev : Disk.Blkdev.t;
+  stats : stats;
 }
 
-let max_rstreams = 8
-let rstream_miss_ttl = 4
-
-let mk_rstream ~nextr ~ra_off ~born ~stamp =
-  {
-    s_nextr = nextr;
-    s_ra_off = ra_off;
-    s_hits = 0;
-    s_born = born;
-    s_stamp = stamp;
-    s_cbs = max_int;
-    s_waste_mark = -1;
-  }
+(* A file's writes in flight: the bytes fsync waits out, the condition
+   their completions signal, and the paper's write-limit semaphore with
+   its per-push cap. *)
+type writes = {
+  mutable pending : int;
+  iodone : Sim.Condition.t;
+  wlimit : (Sim.Semaphore.t * int) option;
+}
 
 type inode = {
   inum : int;
@@ -138,14 +131,10 @@ type inode = {
   db : int array;
   ib : int array;
   mutable immediate : string;
-  mutable rstreams : rstream list;
-  mutable rs_clock : int;
-  mutable rs_misses : int;
+  rs : Rstream.t;
   mutable delayoff : int;
   mutable delaylen : int;
-  wlimit : Sim.Semaphore.t option;
-  mutable outstanding_writes : int;
-  iodone : Sim.Condition.t;
+  writes : writes;
   mutable bmap_cache : (int * int * int) option;
   mutable idata : bytes option;
   ilock : Sim.Mutex.t;
@@ -232,20 +221,10 @@ type fs = {
   resv : (int, int * int) Hashtbl.t;
   stats : stats;
   mutable wal : wal option;  (** intent journal, when the volume has one *)
+  pager : pager;  (** the fields above, as page I/O takes them *)
 }
 
-let reset_rstreams (ip : inode) =
-  ip.rs_clock <- 0;
-  ip.rs_misses <- 0;
-  ip.rstreams <- [ mk_rstream ~nextr:0 ~ra_off:0 ~born:0 ~stamp:0 ]
-
-let mru_rstream (ip : inode) =
-  List.fold_left
-    (fun best w ->
-      match best with
-      | Some b when b.s_stamp >= w.s_stamp -> best
-      | _ -> Some w)
-    None ip.rstreams
+let reset_rstreams (ip : inode) = Rstream.reset ip.rs
 
 let mk_inode fs ~inum (d : Dinode.t) =
   {
@@ -258,21 +237,21 @@ let mk_inode fs ~inum (d : Dinode.t) =
     db = Array.copy d.Dinode.db;
     ib = Array.copy d.Dinode.ib;
     immediate = d.Dinode.immediate;
-    rstreams = [ mk_rstream ~nextr:0 ~ra_off:0 ~born:0 ~stamp:0 ];
-    rs_clock = 0;
-    rs_misses = 0;
+    rs = Rstream.create ();
     delayoff = 0;
     delaylen = 0;
-    wlimit =
-      (match fs.feat.write_limit with
-      | Some n ->
-          Some
-            (Sim.Semaphore.create fs.engine
-               (Printf.sprintf "wlimit-%d" inum)
-               n)
-      | None -> None);
-    outstanding_writes = 0;
-    iodone = Sim.Condition.create fs.engine (Printf.sprintf "iodone-%d" inum);
+    writes =
+      {
+        pending = 0;
+        iodone =
+          Sim.Condition.create fs.engine (Printf.sprintf "iodone-%d" inum);
+        wlimit =
+          Option.map
+            (fun n ->
+              let name = Printf.sprintf "wlimit-%d" inum in
+              (Sim.Semaphore.create fs.engine name n, n))
+            fs.feat.write_limit;
+      };
     bmap_cache = None;
     idata = None;
     ilock = Sim.Mutex.create fs.engine (Printf.sprintf "inode-%d" inum);

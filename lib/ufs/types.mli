@@ -88,34 +88,26 @@ type stats = {
 
 val mk_stats : unit -> stats
 
-(** One sequential-access window: the per-stream generalisation of the
-    paper's single nextr/nextrio pair, so N interleaved readers stop
-    destroying each other's sequentiality hint. *)
-type rstream = {
-  mutable s_nextr : int;  (** predicted next read offset, bytes *)
-  mutable s_ra_off : int;
-      (** read-ahead frontier (the paper's nextrio); -1 = not yet
-          established for a mid-file stream *)
-  mutable s_hits : int;  (** consecutive-prediction matches *)
-  mutable s_born : int;
-      (** inode miss-count at creation/refresh, for TTL pruning *)
-  mutable s_stamp : int;  (** LRU clock stamp *)
-  mutable s_cbs : int;
-      (** adaptive cluster-size cap in bytes; max_int = uncapped (use
-          the file system's cluster size) *)
-  mutable s_waste_mark : int;
-      (** pool wasted-prefetch count at the last sizing decision;
-          -1 = not yet sampled *)
+(** The page cache over one block device, as {!Io.page_in} and
+    {!Io.push_pages} see a file system.  A UFS mount keeps one in
+    [fs.pager]; an EFS volume builds its own. *)
+type pager = {
+  engine : Sim.Engine.t;
+  cpu : Sim.Cpu.t;  (** charged page setup and driver costs *)
+  costs : Costs.t;
+  pool : Vm.Pool.t;
+  dev : Disk.Blkdev.t;
+  stats : stats;  (** page-in, read-ahead and push counters *)
 }
 
-val max_rstreams : int
-(** Window-table capacity per file (8). *)
-
-val rstream_miss_ttl : int
-(** Unestablished windows are dropped after this many file-level misses
-    since their creation/refresh (4). *)
-
-val mk_rstream : nextr:int -> ra_off:int -> born:int -> stamp:int -> rstream
+(** A file's writes in flight. *)
+type writes = {
+  mutable pending : int;  (** in-flight write bytes *)
+  iodone : Sim.Condition.t;  (** signalled as writes complete *)
+  wlimit : (Sim.Semaphore.t * int) option;
+      (** the paper's write-limit semaphore and its capacity, the most
+          one push may hold *)
+}
 
 type inode = {
   inum : int;
@@ -128,16 +120,12 @@ type inode = {
   ib : int array;
   mutable immediate : string;
   (* --- read clustering state (paper: nextr/nextrio, per stream) --- *)
-  mutable rstreams : rstream list;  (** at most {!max_rstreams} windows *)
-  mutable rs_clock : int;  (** LRU stamp source *)
-  mutable rs_misses : int;  (** accesses matching no window *)
+  rs : Rstream.t;
   (* --- write clustering state (paper: delayoff, delaylen) --- *)
   mutable delayoff : int;
   mutable delaylen : int;
   (* --- write limit + fsync bookkeeping --- *)
-  wlimit : Sim.Semaphore.t option;
-  mutable outstanding_writes : int;  (** in-flight write bytes *)
-  iodone : Sim.Condition.t;  (** signalled as writes complete *)
+  writes : writes;
   (* --- caches --- *)
   mutable bmap_cache : (int * int * int) option;  (** lbn, frag, frags *)
   mutable idata : bytes option;  (** small-file data, when cached *)
@@ -226,14 +214,11 @@ type fs = {
           interleaved writers stop shredding each other's extents *)
   stats : stats;
   mutable wal : wal option;  (** intent journal, when the volume has one *)
+  pager : pager;  (** [engine] to [stats] above, as page I/O takes them *)
 }
 
 val reset_rstreams : inode -> unit
-(** Back to the initial single window predicting offset 0 — the
-    per-stream equivalent of the old [nextr <- 0; nextrio <- 0]. *)
-
-val mru_rstream : inode -> rstream option
-(** Most recently touched window (tests and benches introspect it). *)
+(** {!Rstream.reset} of the inode's window table. *)
 
 val mk_inode : fs -> inum:int -> Dinode.t -> inode
 (** Wrap a decoded dinode, initialising clustering state ("when the

@@ -96,42 +96,47 @@ let to_alcotest ?speed_level t =
 let qtest ?(count = 100) name arb law =
   to_alcotest (QCheck.Test.make ~count ~name arb law)
 
-(* The page-cache oracle: every valid, clean, idle page of [fs] holds
-   the store's bytes for its block up to EOF (zeros over a hole), and no
-   free page still lends its frame to the store.  A frame the store gave
-   back for reuse while a page still held it shows up here even when a
-   later read-back happens to agree.  Must run in a process: bmap may
+let idle (p : Vm.Page.t) = p.valid && (not p.dirty) && not p.busy
+
+(* The page-cache oracle: [expect p id] holds for every valid, clean,
+   idle page [p] of [pool], named [id], and no free page still lends
+   its frame to the store.  A frame the store gave back for reuse while
+   a page still held it shows up here even when a later read-back
+   happens to agree. *)
+let idle_pages_match pool ~expect =
+  Array.for_all
+    (fun (p : Vm.Page.t) ->
+      match p.ident with
+      | Some id when idle p -> expect p id
+      | Some _ -> true
+      | None -> not p.lent)
+    (Vm.Pool.frames pool)
+
+(* [idle_pages_match] for UFS: each page holds the store's bytes for its
+   block up to EOF (zeros over a hole).  Must run in a process: bmap may
    read an indirect block. *)
 let pages_match_store (fs : Ufs.Types.fs) =
   let store = Disk.Blkdev.store fs.Ufs.Types.dev in
   let bsize = Ufs.Layout.bsize in
   let disk = Bytes.create bsize in
-  let idle (p : Vm.Page.t) = p.valid && (not p.dirty) && not p.busy in
-  Array.for_all
-    (fun (p : Vm.Page.t) ->
-      match p.ident with
-      | Some ({ vid; off } as id) when idle p ->
-          let ip = Ufs.Iops.iget fs vid in
-          let n = min bsize (ip.Ufs.Types.size - off) in
-          let ok =
-            n <= 0
-            ||
-            let frag, _ = Ufs.Bmap.read fs ip ~lbn:(off / bsize) in
-            (match frag with
-            | Some frag ->
-                Disk.Store.read store ~off:(frag * Ufs.Layout.fsize) ~len:n
-                  disk 0
-            | None -> Bytes.fill disk 0 n '\000');
-            (* bmap may have slept: judge only a page still as it was *)
-            p.ident <> Some id
-            || (not (idle p))
-            || Bytes.equal (Bytes.sub p.data 0 n) (Bytes.sub disk 0 n)
-          in
-          Ufs.Iops.iput fs ip;
-          ok
-      | Some _ -> true
-      | None -> not p.lent)
-    (Vm.Pool.frames fs.Ufs.Types.pool)
+  idle_pages_match fs.Ufs.Types.pool ~expect:(fun p ({ vid; off } as id) ->
+      let ip = Ufs.Iops.iget fs vid in
+      let n = min bsize (ip.Ufs.Types.size - off) in
+      let ok =
+        n <= 0
+        ||
+        let frag, _ = Ufs.Bmap.read fs ip ~lbn:(off / bsize) in
+        (match frag with
+        | Some frag ->
+            Disk.Store.read store ~off:(frag * Ufs.Layout.fsize) ~len:n disk 0
+        | None -> Bytes.fill disk 0 n '\000');
+        (* bmap may have slept: judge only a page still as it was *)
+        p.ident <> Some id
+        || (not (idle p))
+        || Bytes.equal (Bytes.sub p.data 0 n) (Bytes.sub disk 0 n)
+      in
+      Ufs.Iops.iput fs ip;
+      ok)
 
 (* The request log of [disks]: observe every drive from now on and
    return a reader of the [(member index, event)] pairs so far, in the

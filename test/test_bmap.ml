@@ -61,7 +61,7 @@ let test_fragment_tail () =
       let buf = Bytes.make 2560 't' in
       Ufs.Fs.write fs ip ~off:0 ~buf ~len:2560;
       check_int "3 fragments allocated" 3 ip.Ufs.Types.blocks;
-      check_int "block_frags" 3 (Ufs.Bmap.block_frags ip ~lbn:0 ~size:2560);
+      check_int "block_frags" 3 (Ufs.Bmap.block_frags ~lbn:0 ~size:2560);
       (* grow within the block: tail extends (or moves) to 5 frags *)
       Ufs.Fs.write fs ip ~off:2560 ~buf ~len:2560;
       check_int "5 fragments now" 5 ip.Ufs.Types.blocks;

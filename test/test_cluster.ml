@@ -116,8 +116,8 @@ let test_figure6_pattern () =
         [ ("pgin_ios", 1); ("pgin_blocks", 3); ("ra_ios", 3); ("ra_blocks", 9) ]
         (io_counts ());
       (* the stream's read-ahead frontier advanced cluster by cluster *)
-      let w = Option.get (Ufs.Types.mru_rstream ip) in
-      check_int "nextrio at last cluster" (9 * bsize) w.Ufs.Types.s_ra_off)
+      let w = Option.get (Ufs.Rstream.mru ip.Ufs.Types.rs) in
+      check_int "nextrio at last cluster" (9 * bsize) w.Ufs.Rstream.ra_off)
 
 let test_figure6_respects_bmap_length () =
   (* a fragmented file: the allocator is forced to split the file, so
@@ -229,7 +229,7 @@ let test_write_limit_bounds_outstanding () =
       let e = m.Clusterfs.Machine.engine in
       Sim.Engine.spawn e (fun () ->
           while not !finished do
-            peak := max !peak ip.Ufs.Types.outstanding_writes;
+            peak := max !peak ip.Ufs.Types.writes.Ufs.Types.pending;
             Sim.Engine.sleep e (Sim.Time.ms 1)
           done);
       let buf = Bytes.make bsize 'w' in
@@ -382,7 +382,9 @@ let test_page_in_skips_cached_dirty_page () =
         | Some frag, len when len >= 3 -> frag
         | _ -> Alcotest.fail "expected one 3-block extent"
       in
-      Ufs.Io.page_in fs ip ~off:0 ~frag ~blocks:3 ~sync:true ~read_ahead:false;
+      Ufs.Io.page_in fs.Ufs.Types.pager ~vid:ip.Ufs.Types.inum ~off:0
+        ~sector:(Ufs.Layout.frag_to_sector frag) ~bytes:(3 * bsize) ~sync:true
+        ~read_ahead:false;
       check_ios "one 3-block transfer" [ (0, 3) ] (reads ());
       check_counts "a blocking page-in" [ ("pgin_ios", 1); ("pgin_blocks", 3) ] (io_counts ());
       let all c p = Bytes.for_all (fun x -> x = c) p.Vm.Page.data in

@@ -4,7 +4,8 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let with_efs ?(extent_kb = 56) f =
+(* [f engine pool store efs] in a process on a fresh EFS. *)
+let run_efs ~extent_kb f =
   let e = Sim.Engine.create () in
   let cpu = Sim.Cpu.create e in
   let pool = Vm.Pool.create e (Vm.Param.default ~memory_mb:4 ()) in
@@ -12,9 +13,13 @@ let with_efs ?(extent_kb = 56) f =
   let dev = Disk.Blkdev.of_device (Disk.Device.create e Helpers.small_disk) in
   let efs = Efs.create e cpu pool dev ~extent_kb () in
   let result = ref None in
-  Sim.Engine.spawn e (fun () -> result := Some (f e efs));
+  Sim.Engine.spawn e (fun () ->
+      result := Some (f e pool (Disk.Blkdev.store dev) efs));
   Sim.Engine.run e;
   match !result with Some r -> r | None -> Alcotest.fail "efs test hung"
+
+let with_efs ?(extent_kb = 56) f =
+  run_efs ~extent_kb (fun e _ _ efs -> f e efs)
 
 let test_roundtrip () =
   with_efs (fun _e efs ->
@@ -128,6 +133,88 @@ let test_title_claim_parity () =
     true
     (ufs_fsr > 0.85 *. efs_fsr)
 
+(* ---------- frame lending ---------- *)
+
+(* EFS pages move through UFS's page I/O path: a push lends its whole
+   blocks' frames to the store, a cold read borrows the store's chunks,
+   and a write takes a private frame first.  A fresh EFS allocates its
+   first file first fit from sector 0, so that file's byte [off] is the
+   store's byte [off]. *)
+
+let bsize = Ufs.Layout.bsize
+let check_string = Alcotest.(check string)
+
+let on_store store ~off =
+  let b = Bytes.create bsize in
+  Disk.Store.read store ~off ~len:bsize b 0;
+  Bytes.to_string b
+
+(* every clean, idle page holds the store's bytes *)
+let pages_match_store pool store =
+  Helpers.idle_pages_match pool ~expect:(fun p id ->
+      Bytes.to_string p.Vm.Page.data = on_store store ~off:id.Vm.Page.off)
+
+let read_block efs f lbn =
+  let b = Bytes.create bsize in
+  ignore (Efs.read efs f ~off:(lbn * bsize) ~buf:b ~len:bsize);
+  Bytes.to_string b
+
+let test_lend_rewrite () =
+  run_efs ~extent_kb:64 (fun _ _ store efs ->
+      let f = Efs.creat efs "f" in
+      Efs.write efs f ~off:0 ~buf:(Bytes.make bsize 'A') ~len:bsize;
+      let adopted = Disk.Store.chunks_adopted store in
+      Efs.fsync efs f;
+      check_int "the push lent its frame" (adopted + 1)
+        (Disk.Store.chunks_adopted store);
+      Efs.write efs f ~off:100 ~buf:(Bytes.of_string "BBBB") ~len:4;
+      let patched =
+        String.make 100 'A' ^ "BBBB" ^ String.make (bsize - 104) 'A'
+      in
+      check_string "the store keeps the pushed bytes" (String.make bsize 'A')
+        (on_store store ~off:0);
+      check_string "the page has the new bytes" patched (read_block efs f 0);
+      Efs.fsync efs f;
+      check_string "until the next push" patched (on_store store ~off:0))
+
+let test_lend_cold_read () =
+  run_efs ~extent_kb:64 (fun _ pool store efs ->
+      let n = 16 in
+      let f = Efs.creat efs "f" in
+      let data = Bytes.init (n * bsize) (Helpers.pattern_byte ~seed:3) in
+      Efs.write efs f ~off:0 ~buf:data ~len:(n * bsize);
+      Efs.fsync efs f;
+      check_bool "write: every clean page matches the store" true
+        (pages_match_store pool store);
+      Efs.reset_readahead efs f;
+      let r = Bytes.create (n * bsize) in
+      check_int "cold read" (n * bsize)
+        (Efs.read efs f ~off:0 ~buf:r ~len:(n * bsize));
+      check_bool "content" true (Bytes.equal data r);
+      check_bool "cold read: every clean page matches the store" true
+        (pages_match_store pool store);
+      let pages =
+        Array.to_list (Vm.Pool.frames pool)
+        |> List.filter (fun (p : Vm.Page.t) -> p.Vm.Page.ident <> None)
+      in
+      let borrowed = ref 0 in
+      Disk.Store.iter_chunks
+        (fun _ c ->
+          if List.exists (fun (p : Vm.Page.t) -> p.Vm.Page.data == c) pages then
+            incr borrowed)
+        store;
+      check_int "every page-in borrowed its chunk" n !borrowed;
+      Efs.write efs f ~off:(bsize + 8) ~buf:(Bytes.of_string "rewritten")
+        ~len:9;
+      check_string "a borrowed chunk is not written through"
+        (Bytes.sub_string data (bsize + 8) 9)
+        (String.sub (on_store store ~off:bsize) 8 9);
+      Efs.fsync efs f;
+      check_bool "rewrite: every clean page matches the store" true
+        (pages_match_store pool store);
+      check_string "rewrite: the store has the new bytes" "rewritten"
+        (String.sub (on_store store ~off:bsize) 8 9))
+
 let suites =
   [
     ( "efs",
@@ -137,5 +224,9 @@ let suites =
         Alcotest.test_case "delete frees space" `Quick test_delete_frees_space;
         Alcotest.test_case "ENOSPC" `Quick test_enospc;
         Alcotest.test_case "title claim parity" `Slow test_title_claim_parity;
+        Alcotest.test_case "a rewrite after a push keeps both versions" `Quick
+          test_lend_rewrite;
+        Alcotest.test_case "a cold read borrows the store's chunks" `Quick
+          test_lend_cold_read;
       ] );
   ]

@@ -184,6 +184,96 @@ let test_backward_seek () =
       check_bool "unused prefetched pages counted as wasted" true
         (st.Nfs.Client.ra_wasted > w0))
 
+(* ---------- the shared window table ---------- *)
+
+module Rs = Ufs.Rstream
+
+let bsize = Ufs.Layout.bsize
+
+let found t ~po ~off w =
+  match Rs.find t ~po ~off with Some x -> x == w | None -> false
+
+(* A reader that touched block 0 and read on inside it still matches
+   the window it moved on; an aligned re-read of block 0 matches no
+   window and counts no miss. *)
+let test_table_sub_block () =
+  let t = Rs.create () in
+  let w = Option.get (Rs.find t ~po:0 ~off:0) in
+  Rs.touch t w ~po:0;
+  check_bool "a continuation inside the block matches" true
+    (found t ~po:0 ~off:4096 w);
+  check_bool "an aligned re-read matches nothing" true
+    (Rs.find t ~po:0 ~off:0 = None);
+  check_bool "and counts nothing" true (Rs.note_miss t ~po:0 = Rs.Reaccess);
+  check_bool "the window still predicts block 1" true
+    (found t ~po:bsize ~off:bsize w)
+
+(* A miss repoints the never-hit scratch window and hands it back, its
+   frontier left where it was; the caller may then reset it. *)
+let test_table_repoint () =
+  let t = Rs.create () in
+  let w0 = Option.get (Rs.mru t) in
+  match Rs.note_miss t ~po:(5 * bsize) with
+  | Rs.Repointed w ->
+      check_bool "the scratch window" true (w == w0);
+      Alcotest.(check int) "now predicting block 6" (6 * bsize) w.Rs.nextr;
+      Alcotest.(check int) "frontier untouched" 0 w.Rs.ra_off
+  | Rs.Reaccess | Rs.Opened _ -> Alcotest.fail "expected a repoint"
+
+(* Stream [i] starts at block [1000 * i] and reads two more blocks, so
+   its window is established. *)
+let start_stream t i =
+  let base = 1000 * i * bsize in
+  let w =
+    if i = 0 then Option.get (Rs.mru t)
+    else
+      match Rs.note_miss t ~po:base with
+      | Rs.Opened w -> w
+      | Rs.Reaccess | Rs.Repointed _ ->
+          Alcotest.failf "stream %d: no new window" i
+  in
+  Rs.touch t w ~po:base;
+  Rs.touch t w ~po:(base + bsize);
+  w
+
+let test_table_evicts_lru () =
+  let t = Rs.create () in
+  let ws = List.init 8 (start_stream t) in
+  let w8 = start_stream t 8 in
+  let next i = (1000 * i * bsize) + (2 * bsize) in
+  check_bool "the 9th stream has a window" true
+    (found t ~po:(next 8) ~off:(next 8) w8);
+  check_bool "the least recent stream lost its window" true
+    (Rs.find t ~po:(next 0) ~off:(next 0) = None);
+  List.iteri
+    (fun i w ->
+      if i > 0 then
+        check_bool
+          (Printf.sprintf "stream %d kept its window" i)
+          true
+          (found t ~po:(next i) ~off:(next i) w))
+    ws
+
+(* A window with one hit is no scratch and not established: it outlives
+   4 misses and goes on the 5th. *)
+let test_table_expiry () =
+  let t = Rs.create () in
+  ignore (start_stream t 0);
+  let w =
+    match Rs.note_miss t ~po:(500 * bsize) with
+    | Rs.Opened w -> w
+    | Rs.Reaccess | Rs.Repointed _ -> Alcotest.fail "no new window"
+  in
+  Rs.touch t w ~po:(501 * bsize);
+  let miss k = ignore (Rs.note_miss t ~po:((2000 + (10 * k)) * bsize)) in
+  let alive () = found t ~po:(502 * bsize) ~off:(502 * bsize) w in
+  for k = 1 to 4 do
+    miss k
+  done;
+  check_bool "alive after 4 misses" true (alive ());
+  miss 5;
+  check_bool "gone after the 5th" false (alive ())
+
 let suites =
   [
     ( "streams",
@@ -198,5 +288,13 @@ let suites =
           test_write_gather_8_clients;
         Alcotest.test_case "client read-ahead survives backward seek" `Slow
           test_backward_seek;
+        Alcotest.test_case "window table: sub-block continuation" `Quick
+          test_table_sub_block;
+        Alcotest.test_case "window table: scratch repoint" `Quick
+          test_table_repoint;
+        Alcotest.test_case "window table: 9th stream evicts the LRU" `Quick
+          test_table_evicts_lru;
+        Alcotest.test_case "window table: expiry after 4 misses" `Quick
+          test_table_expiry;
       ] );
   ]
