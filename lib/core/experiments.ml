@@ -198,17 +198,16 @@ let seq_rates (config : Config.t) ~file_mb =
       let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
       (r.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
 
-let cluster_size_sweep ?(file_mb = 16)
-    ?(sizes_kb = [ 8; 16; 32; 56; 120; 240 ]) () =
+let cluster_size_sweep ?(sizes_kb = [ 8; 16; 32; 56; 120; 240 ]) () =
   List.map
     (fun kb ->
-      let r, w = seq_rates (Config.with_cluster_kb Config.config_a kb) ~file_mb in
+      let r, w =
+        seq_rates (Config.with_cluster_kb Config.config_a kb) ~file_mb:16
+      in
       (kb, r, w))
     sizes_kb
 
-let write_limit_sweep ?(file_mb = 16)
-    ?(limits =
-      [ Some 16384; Some 65536; Some 245760; Some 983040; None ]) () =
+let write_limit_sweep () =
   List.map
     (fun limit ->
       (* a large-memory machine, so queue depth is set by the limit
@@ -226,17 +225,15 @@ let write_limit_sweep ?(file_mb = 16)
       let fru, fsw =
         Machine.run m (fun m ->
             let io = Workload.Iobench.local m.Machine.fs in
-            let cfg =
-              { Workload.Iobench.default_config with Workload.Iobench.file_mb }
-            in
+            let cfg = Workload.Iobench.default_config in
             let w = Workload.Iobench.run_phase io cfg Workload.Iobench.FSW in
             let u = Workload.Iobench.run_phase io cfg Workload.Iobench.FRU in
             (u.Workload.Iobench.kb_per_sec, w.Workload.Iobench.kb_per_sec))
       in
       (label, fru, fsw))
-    limits
+    [ Some 16384; Some 65536; Some 245760; Some 983040; None ]
 
-let free_behind_ablation ?(file_mb = 16) () =
+let free_behind_ablation () =
   List.map
     (fun fb ->
       let config =
@@ -248,9 +245,7 @@ let free_behind_ablation ?(file_mb = 16) () =
       let fsr, scans, freed =
         Machine.run m (fun m ->
             let io = Workload.Iobench.local m.Machine.fs in
-            let cfg =
-              { Workload.Iobench.default_config with Workload.Iobench.file_mb }
-            in
+            let cfg = Workload.Iobench.default_config in
             Workload.Iobench.prepare io cfg;
             let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
             let ps = Vm.Pageout.stats m.Machine.pageout in
@@ -261,7 +256,7 @@ let free_behind_ablation ?(file_mb = 16) () =
       (config.Config.name, fsr, scans, freed))
     [ true; false ]
 
-let rotdelay_tuning ?(file_mb = 16) () =
+let rotdelay_tuning () =
   List.map
     (fun (label, rd) ->
       let config =
@@ -269,18 +264,16 @@ let rotdelay_tuning ?(file_mb = 16) () =
           (Config.with_rotdelay Config.config_d rd)
           label
       in
-      let r, w = seq_rates config ~file_mb in
+      let r, w = seq_rates config ~file_mb:16 in
       (label, r, w))
     [ ("rotdelay 4ms (stock 4.1)", 4); ("rotdelay 0 (tuned, no clustering)", 0) ]
 
-let driver_clustering_ablation ?(file_mb = 16) () =
+let driver_clustering_ablation () =
   let run (label, config) =
     let m = Machine.create config in
     Machine.run m (fun m ->
         let io = Workload.Iobench.local m.Machine.fs in
-        let cfg =
-          { Workload.Iobench.default_config with Workload.Iobench.file_mb }
-        in
+        let cfg = Workload.Iobench.default_config in
         let w = Workload.Iobench.run_phase io cfg Workload.Iobench.FSW in
         let r = Workload.Iobench.run_phase io cfg Workload.Iobench.FSR in
         let coalesced = (Disk.Blkdev.stats m.Machine.dev).Disk.Blkdev.coalesced in
@@ -560,8 +553,7 @@ let future_work_ablation ?(file_mb = 16) () =
 
 (* ---- volume manager (striping / mirroring) ---- *)
 
-let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
-    ?(stripe_kbs = [ 8; 32; 128 ]) () =
+let vol_stripe_sweep ?(file_mb = 8) ?(stripe_kbs = [ 8; 32; 128 ]) () =
   let row base disks stripe_kb =
     let config =
       Config.with_vol base ~layout:Disk.Blkdev.Stripe ~stripe_kb disks
@@ -577,7 +569,7 @@ let vol_stripe_sweep ?(file_mb = 8) ?(disk_counts = [ 1; 2; 4 ])
             (* stripe unit is moot on one disk: a single baseline row *)
             [ row base 1 (List.hd stripe_kbs) ]
           else List.map (row base disks) stripe_kbs)
-        disk_counts)
+        [ 1; 2; 4 ])
     [ Config.config_a; Config.config_d ]
 
 (* [readers] simulated processes each streaming a private file; the
@@ -718,8 +710,8 @@ let kb_per_sec bytes window =
   if window = 0 then 0.
   else float_of_int bytes /. 1024. /. Sim.Time.to_sec_float window
 
-let nfs_remote_pair (config : Config.t) ~file_mb ~net =
-  let t = Topology.create ~net ~clients:1 config in
+let nfs_remote_pair (config : Config.t) ~file_mb =
+  let t = Topology.create ~clients:1 config in
   let cfg = { Workload.Iobench.default_config with Workload.Iobench.file_mb } in
   let w_out = ref 0. in
   Topology.run_clients t (fun c ->
@@ -738,15 +730,14 @@ let nfs_remote_pair (config : Config.t) ~file_mb ~net =
           Nfs.Rpc.op_calls c.Topology.rpc "write" ));
   !out
 
-let nfs_local_vs_remote ?(file_mb = 8) ?(configs = Config.all_figure9)
-    ?(net = Net.default_config) () =
+let nfs_local_vs_remote ?(file_mb = 8) () =
   List.map
     (fun (config : Config.t) ->
       let lr, lw = seq_rates config ~file_mb in
       let rr, rw, ra, reads, writes =
         nfs_remote_pair
           (Config.with_name config (config.Config.name ^ ".nfs"))
-          ~file_mb ~net
+          ~file_mb
       in
       {
         nfs_config = config.Config.name;
@@ -758,7 +749,7 @@ let nfs_local_vs_remote ?(file_mb = 8) ?(configs = Config.all_figure9)
         read_rpcs = reads;
         write_rpcs = writes;
       })
-    configs
+    Config.all_figure9
 
 type nfs_scale_row = {
   sc_clients : int;
@@ -779,12 +770,12 @@ type nfs_scale_row = {
    add seek interference. *)
 let nfs_scale_net = { Net.default_config with Net.bandwidth = 600_000 }
 
-let nfs_scaling ?(file_mb = 2) ?(nfsd = 4) ?(net = nfs_scale_net)
-    ?(config = Config.config_a) ~clients () =
+let nfs_scaling ?(file_mb = 2) ?(nfsd = 4) ?(net = nfs_scale_net) ~clients
+    () =
   let config =
-    Config.with_name config
-      (Printf.sprintf "%s.n%d.d%d.bw%dk" config.Config.name clients nfsd
-         (net.Net.bandwidth / 1024))
+    Config.with_name Config.config_a
+      (Printf.sprintf "%s.n%d.d%d.bw%dk" Config.config_a.Config.name clients
+         nfsd (net.Net.bandwidth / 1024))
   in
   (* under saturation the server queue can exceed the default 1.1 s
      retransmission timeout; a congested-server mount runs with timeo
@@ -838,7 +829,7 @@ type fleet_row = {
   fl_server_queue_ms : float;  (* worst server: mean nfsd queue wait *)
   fl_server_cpu_util : float;  (* worst server: CPU busy / window *)
   fl_disk_util : float;  (* worst server: disk busy / window *)
-  fl_port_util : float;  (* worst server port or medium utilization *)
+  fl_port_util : float;  (* worst server port utilization *)
   fl_switch_drops : int;  (* output-buffer tail drops *)
   fl_occ_hwm : int;  (* worst output-buffer occupancy seen *)
   fl_dup_evictions : int;
@@ -853,18 +844,17 @@ type fleet_row = {
    the concurrent-read window only (prepare traffic excluded), each as
    busy-time delta over window wall time; the bottleneck label names the
    most-utilized resource, or the switch when it dropped frames. *)
-let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
-    ?(topology = Topology.Switched) ?(transport = Nfs.Rpc.Adaptive)
-    ?ports_buffer ?(config = Config.config_a) ~servers ~clients () =
+let nfs_fleet ?(file_mb = 1) ~servers ~clients () =
+  let topology = Topology.Switched in
   let config =
-    Config.with_name config
-      (Printf.sprintf "%s.fleet.%s.n%d.m%d" config.Config.name
+    Config.with_name Config.config_a
+      (Printf.sprintf "%s.fleet.%s.n%d.m%d" Config.config_a.Config.name
          (topology_name topology) clients servers)
   in
   let t =
-    Topology.create ~net ~nfsd ~topology ~transport ?ports_buffer
-      ~rpc_timeout:(Sim.Time.ms 4000) ~servers ~register_clients:false
-      ~clients config
+    Topology.create ~topology ~transport:Nfs.Rpc.Adaptive
+      ~rpc_timeout:(Sim.Time.ms 4000) ~servers ~register_clients:false ~clients
+      config
   in
   let fleet_cfg = client_cfg ~file_mb "/fleet" in
   prepare_cold t fleet_cfg;
@@ -907,10 +897,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
           (fun i p -> float_of_int (port_busy p - port0.(i)) /. fwall)
           ports
         |> Array.fold_left max 0.
-    | None -> (
-        match Topology.medium t with
-        | Some m -> Net.Medium.utilization m
-        | None -> 0.)
+    | None -> 0.
   in
   let retrans =
     Array.fold_left
@@ -951,11 +938,7 @@ let nfs_fleet ?(file_mb = 1) ?(nfsd = 4) ?(net = Net.default_config)
         [
           (disk_util, "server disk");
           (cpu_util, "server cpu");
-          ( port_util,
-            match topology with
-            | Topology.Switched -> "server port"
-            | Topology.Shared_medium -> "shared wire"
-            | Topology.Point_to_point -> "wire" );
+          (port_util, "server port");
         ]
       in
       let u, name =
@@ -1047,15 +1030,14 @@ let nfs_congestion_point ?(file_mb = 1) ?(net = nfs_scale_net) ~clients
       | None -> 0.);
   }
 
-let nfs_congestion ?file_mb ?net ?(client_counts = [ 1; 4; 16 ]) () =
+let nfs_congestion ?file_mb ?(client_counts = [ 1; 4; 16 ]) () =
   List.concat_map
     (fun clients ->
       List.concat_map
         (fun topology ->
           List.map
             (fun transport ->
-              nfs_congestion_point ?file_mb ?net ~clients ~transport ~topology
-                ())
+              nfs_congestion_point ?file_mb ~clients ~transport ~topology ())
             [ Nfs.Rpc.Fixed; Nfs.Rpc.Adaptive ])
         [ Topology.Point_to_point; Topology.Shared_medium ])
     client_counts

@@ -65,25 +65,23 @@ val io_patterns : ?file_mb:int -> unit -> io_pattern list
 
 (* ---------- Ablations ---------- *)
 
-val cluster_size_sweep : ?file_mb:int -> ?sizes_kb:int list -> unit ->
+val cluster_size_sweep : ?sizes_kb:int list -> unit ->
   (int * float * float) list
-(** E11: (cluster KB, FSR KB/s, FSW KB/s). *)
+(** E11: (cluster KB, FSR KB/s, FSW KB/s), 16 MB file. *)
 
-val write_limit_sweep : ?file_mb:int -> ?limits:int option list -> unit ->
-  (string * float * float) list
-(** E9: (limit label, FRU KB/s, FSW KB/s).  [None] = unlimited. *)
+val write_limit_sweep : unit -> (string * float * float) list
+(** E9: (limit label, FRU KB/s, FSW KB/s) for limits of 16, 64, 240
+    and 960 KB and unlimited, 16 MB file. *)
 
-val free_behind_ablation : ?file_mb:int -> unit ->
-  (string * float * int * int) list
+val free_behind_ablation : unit -> (string * float * int * int) list
 (** E10: (label, FSR KB/s, pageout scans, pages freed by daemon) with
     free-behind on and off, streaming 2x memory. *)
 
-val rotdelay_tuning : ?file_mb:int -> unit -> (string * float * float) list
+val rotdelay_tuning : unit -> (string * float * float) list
 (** E12: the rejected "just set rotdelay to 0" tuning — (label, FSR,
     FSW) for rotdelay 4 ms and rotdelay 0, both without clustering. *)
 
-val driver_clustering_ablation : ?file_mb:int -> unit ->
-  (string * float * float * int) list
+val driver_clustering_ablation : unit -> (string * float * float * int) list
 (** E8: (label, FSR, FSW, coalesced-request count) for no clustering,
     driver-level clustering, and file-system clustering. *)
 
@@ -128,7 +126,7 @@ val future_work_ablation : ?file_mb:int -> unit -> (string * float) list
     row (CPU seconds or KB/s). *)
 
 val vol_stripe_sweep :
-  ?file_mb:int -> ?disk_counts:int list -> ?stripe_kbs:int list -> unit ->
+  ?file_mb:int -> ?stripe_kbs:int list -> unit ->
   (string * int * int * float * float) list
 (** Volume-manager striping vs file-system clustering: [(config, disks,
     stripe KB, FSR KB/s, FSW KB/s)] for configs A and D over 1/2/4-disk
@@ -175,10 +173,8 @@ type nfs_row = {
   write_rpcs : int;
 }
 
-val nfs_local_vs_remote :
-  ?file_mb:int -> ?configs:Config.t list -> ?net:Net.config -> unit ->
-  nfs_row list
-(** The tentpole table: IObench FSR/FSW locally on each config's
+val nfs_local_vs_remote : ?file_mb:int -> unit -> nfs_row list
+(** The tentpole table: IObench FSR/FSW locally on each figure-9 config's
     machine vs remotely through a one-client topology on a zero-loss
     link.  With client-side clustering working, config A's remote
     streams move cluster-sized RPCs ([read_rpcs] ~ file / 120 KB) and
@@ -205,11 +201,11 @@ val nfs_scale_net : Net.config
     aggregate has room to grow. *)
 
 val nfs_scaling :
-  ?file_mb:int -> ?nfsd:int -> ?net:Net.config -> ?config:Config.t ->
-  clients:int -> unit -> nfs_scale_row
-(** [clients] concurrent streaming readers, each of its own file,
-    spawned at the same instant after an untimed prepare and a
-    server-cache cool-down.  On {!nfs_scale_net} links aggregate
+  ?file_mb:int -> ?nfsd:int -> ?net:Net.config -> clients:int -> unit ->
+  nfs_scale_row
+(** [clients] concurrent streaming readers of a config A server, each
+    of its own file, spawned at the same instant after an untimed
+    prepare and a server-cache cool-down.  On {!nfs_scale_net} links aggregate
     throughput grows with the client count until the server disk
     saturates; on faster links one client already saturates the disk
     and extra clients only add seek interference.  The mount runs with
@@ -219,7 +215,7 @@ val nfs_scaling :
 type fleet_row = {
   fl_clients : int;
   fl_servers : int;
-  fl_topology : string;  (** ["p2p" | "shared" | "switched"] *)
+  fl_topology : string;  (** ["switched"] *)
   fl_aggregate_kb_per_sec : float;  (** all streams, concurrent window *)
   fl_per_client_kb_per_sec : float;
   fl_retransmits : int;  (** all clients, all mounts *)
@@ -227,37 +223,25 @@ type fleet_row = {
   fl_server_cpu_util : float;  (** worst server: CPU busy over window *)
   fl_disk_util : float;  (** worst server: disk busy over window *)
   fl_port_util : float;
-      (** worst server switch port busy over window (or medium
-          utilization on a shared wire; 0 for p2p) *)
+      (** worst server switch port busy over window *)
   fl_switch_drops : int;  (** output-buffer tail drops *)
   fl_occ_hwm : int;  (** worst output-buffer occupancy seen *)
   fl_dup_evictions : int;
   fl_bottleneck : string;
       (** the binding resource at this rung: ["server disk"],
-          ["server cpu"], ["server port"], ["shared wire"],
-          ["switch buffers"] (drops observed) or
-          ["client links (offered load)"] when nothing server-side is
-          past 50% busy *)
+          ["server cpu"], ["server port"], ["switch buffers"] (drops
+          observed) or ["client links (offered load)"] when nothing
+          server-side is past 50% busy *)
 }
 
-val nfs_fleet :
-  ?file_mb:int ->
-  ?nfsd:int ->
-  ?net:Net.config ->
-  ?topology:Topology.kind ->
-  ?transport:Nfs.Rpc.transport ->
-  ?ports_buffer:int ->
-  ?config:Config.t ->
-  servers:int ->
-  clients:int ->
-  unit ->
-  fleet_row
+val nfs_fleet : ?file_mb:int -> servers:int -> clients:int -> unit -> fleet_row
 (** One rung of the fleet bottleneck ladder: [clients] concurrent
     streaming readers of small (default 1 MB) files hash-sharded over
-    [servers] servers (default wiring {!Topology.Switched} on
-    {!Net.default_config}-class 12.5 MB/s ports, adaptive transport).  Utilizations are busy-time deltas over the concurrent
-    measurement window only, so the untimed prepare phase does not
-    pollute them.  Aggregate goodput stops scaling when the named
+    [servers] config A servers with 4 nfsds each, on one
+    {!Topology.Switched} switch with {!Net.default_config}-class
+    12.5 MB/s ports and the adaptive transport.  Utilizations are
+    busy-time deltas over the concurrent measurement window only, so
+    the untimed prepare phase does not pollute them.  Aggregate goodput stops scaling when the named
     bottleneck binds — sweeping [clients] at fixed [servers] locates
     the knee, and [fl_bottleneck] says what to buy next. *)
 
@@ -290,8 +274,7 @@ val nfs_congestion_point :
     through srtt/rttvar instead of being handed a safe timeout. *)
 
 val nfs_congestion :
-  ?file_mb:int -> ?net:Net.config -> ?client_counts:int list -> unit ->
-  nfs_cc_row list
+  ?file_mb:int -> ?client_counts:int list -> unit -> nfs_cc_row list
 (** The full sweep: client counts × \{fixed, adaptive\} × \{p2p,
     shared medium\}.  Expect fixed goodput to collapse as clients grow
     (retransmit duplicates amplifying the overload) and adaptive

@@ -9,8 +9,7 @@ type file = {
   mutable fsize : int;
   mutable extents : extent list; (* ascending lbn *)
   mutable nextrio : int; (* start of the last prefetched extent, bytes *)
-  mutable dirty_from : int; (* delayed-write accumulator, bytes *)
-  mutable dirty_len : int;
+  run : Ufs.Wrun.t; (* delayed writes, pushed an extent at a time *)
   writes : Ufs.Types.writes;
 }
 
@@ -35,7 +34,9 @@ let create engine cpu pool dev ~extent_kb ?(costs = Ufs.Costs.default) () =
     invalid_arg "Efs.create: extent size must be a positive multiple of 8KB";
   let total_sectors = Disk.Blkdev.capacity_bytes dev / 512 in
   {
-    pg = { engine; cpu; costs; pool; dev; stats = Ufs.Types.mk_stats () };
+    pg =
+      Ufs.Types.mk_pager ~engine ~cpu ~costs ~pool ~dev
+        ~stats:(Ufs.Types.mk_stats ());
     extent_blocks = extent_kb * 1024 / bsize;
     files = Hashtbl.create 64;
     next_vid = 1_000_000 (* clear of any UFS inode numbers on the pool *);
@@ -131,8 +132,8 @@ let pushable t f b =
 
 (* write back the dirty byte range: one request per run of consecutive
    dirty pages inside an extent *)
-let push_range t f ~from ~len =
-  let last = (from + len - 1) / bsize in
+let push_range t f ~off ~len =
+  let last = (off + len - 1) / bsize in
   let rec per_extent b =
     if b <= last then
       match map_lookup t f b with
@@ -159,15 +160,9 @@ let push_range t f ~from ~len =
           runs b;
           per_extent (stop + 1)
   in
-  per_extent (from / bsize)
+  per_extent (off / bsize)
 
-let flush_delayed t f =
-  if f.dirty_len > 0 then begin
-    let from = f.dirty_from and len = f.dirty_len in
-    f.dirty_from <- 0;
-    f.dirty_len <- 0;
-    push_range t f ~from ~len
-  end
+let flush_delayed t f = Ufs.Wrun.flush f.run push_range t f
 
 (* ---------- public API ---------- *)
 
@@ -179,23 +174,13 @@ let mk_file t name =
     fsize = 0;
     extents = [];
     nextrio = 0;
-    dirty_from = 0;
-    dirty_len = 0;
+    run = Ufs.Wrun.create ();
     writes =
-      {
-        pending = 0;
-        iodone = Sim.Condition.create t.pg.engine ("efs-" ^ name);
-        wlimit = None;
-      };
+      Ufs.Types.mk_writes t.pg.engine ~name:("efs-" ^ name) ~limit:None;
   }
 
-let wait_writes f =
-  while f.writes.pending > 0 do
-    Sim.Condition.wait f.writes.iodone
-  done
-
 let release_file t f =
-  wait_writes f;
+  Ufs.Io.wait_writes t.pg f.writes;
   Vm.Pool.invalidate_vnode t.pg.pool f.vid;
   List.iter
     (fun e -> free_sectors t e.sector (e.blocks * sectors_per_block))
@@ -229,31 +214,12 @@ let delete t name =
 
 let fsync t f =
   flush_delayed t f;
-  wait_writes f
+  Ufs.Io.wait_writes t.pg f.writes
 
 let reset_readahead t f =
   fsync t f;
   Vm.Pool.invalidate_vnode t.pg.pool f.vid;
   f.nextrio <- 0
-
-(* find-or-create the cache page at [off]; zero-fill fresh pages *)
-let rec grab_page t f off =
-  match Vm.Pool.lookup t.pg.pool (ident f off) with
-  | Some p when p.Vm.Page.busy ->
-      Vm.Page.wait_unbusy t.pg.engine p;
-      grab_page t f off
-  | Some p when p.Vm.Page.valid ->
-      Ufs.Io.consume_prefetch t.pg.stats p;
-      p
-  | Some _ | None -> (
-      match Vm.Pool.alloc t.pg.pool (ident f off) with
-      | `Fresh p ->
-          charge t ~label:"getpage" t.pg.costs.page_setup;
-          Bytes.fill p.Vm.Page.data 0 bsize '\000';
-          Vm.Page.set_valid p true;
-          Vm.Page.unbusy p;
-          p
-      | `Existing _ -> grab_page t f off)
 
 let write t f ~off ~buf ~len =
   charge t ~label:"syscall" t.pg.costs.syscall;
@@ -264,7 +230,7 @@ let write t f ~off ~buf ~len =
     let po = o - (o mod bsize) in
     let n = min (len - !pos) (bsize - (o - po)) in
     ignore (map_ensure t f (po / bsize));
-    let page = grab_page t f po in
+    let page = Ufs.Io.grab_page t.pg ~vid:f.vid ~off:po in
     charge t ~label:"rdwr" (t.pg.costs.map_block + t.pg.costs.fault);
     charge t ~label:"copy" (Ufs.Costs.copy_cost t.pg.costs ~bytes:n);
     (* a pushed or paged-in block shares its frame with the store *)
@@ -273,18 +239,7 @@ let write t f ~off ~buf ~len =
     Vm.Page.set_dirty page true;
     f.fsize <- max f.fsize (o + n);
     (* delayed writes flush one extent at a time *)
-    if f.dirty_len = 0 then begin
-      f.dirty_from <- po;
-      f.dirty_len <- bsize
-    end
-    else if po = f.dirty_from + f.dirty_len then f.dirty_len <- f.dirty_len + bsize
-    else if po >= f.dirty_from && po < f.dirty_from + f.dirty_len then ()
-    else begin
-      flush_delayed t f;
-      f.dirty_from <- po;
-      f.dirty_len <- bsize
-    end;
-    if f.dirty_len >= t.extent_blocks * bsize then flush_delayed t f;
+    Ufs.Wrun.add f.run ~off:po ~cap:(t.extent_blocks * bsize) push_range t f;
     pos := !pos + n
   done
 

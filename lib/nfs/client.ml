@@ -52,9 +52,7 @@ type file = {
   mutable fsize : int;  (** client view: local writes extend it now *)
   pages : (int, cpage) Hashtbl.t;  (** block offset -> page *)
   rs : Ufs.Rstream.t;  (** one read window per sequential stream *)
-  (* write gathering (client-side delayoff / delaylen) *)
-  mutable delayoff : int;
-  mutable delaylen : int;
+  run : Ufs.Wrun.t;  (** write gathering: the client-side delayoff/delaylen *)
   (* push bookkeeping *)
   mutable pending_pushes : int;
   push_lock : Sim.Mutex.t;  (** held while a WRITE of this file is in flight *)
@@ -344,8 +342,7 @@ let mk_file t ~fh ~name ~(attr : Proto.attr) =
       fsize = attr.Proto.size;
       pages = Hashtbl.create 64;
       rs = Ufs.Rstream.create ();
-      delayoff = 0;
-      delaylen = 0;
+      run = Ufs.Wrun.create ();
       pending_pushes = 0;
       push_lock = Sim.Mutex.create t.engine ("push." ^ name);
       push_cond = Sim.Condition.create t.engine ("push." ^ name);
@@ -412,7 +409,7 @@ let getattr f =
         (* dirty or in-flight local writes may be ahead of the server's
            size — never let a stale server attr shrink our view *)
         f.fsize <-
-          (if f.pending_pushes > 0 || f.delaylen > 0 then
+          (if f.pending_pushes > 0 || not (Ufs.Wrun.is_empty f.run) then
              max f.fsize a.Proto.size
            else a.Proto.size);
         a
@@ -511,45 +508,42 @@ let read f ~off ~buf ~len =
 
 (* ---------- write ---------- *)
 
-let flush_gather t f =
-  if f.delaylen > 0 then begin
-    (* the run is block-granular; the file may end mid-block *)
-    let off = f.delayoff in
-    let len = min f.delaylen (f.fsize - off) in
-    f.delayoff <- 0;
-    f.delaylen <- 0;
-    let segs = ref [] in
-    let pages = ref [] in
-    let cleaned = ref 0 in
-    let po = ref off in
-    while !po < off + len do
-      (match Hashtbl.find_opt f.pages !po with
-      | Some p when p.pvalid ->
-          let n = min bsize (off + len - !po) in
-          segs := (p.pdata, 0, n) :: !segs;
-          (* the payload borrows the page's frame: the page is clean
-             but stays pinned (pflush) until the WRITE RPC completes, so
-             eviction can't drop it and refetch stale server data, and
-             from now on a rewrite copies the frame *)
-          p.pflush <- p.pflush + 1;
-          p.plend <- Shared;
-          pages := p :: !pages;
-          if p.pdirty then begin
-            p.pdirty <- false;
-            incr cleaned
-          end
-      | _ -> assert false);
-      po := !po + bsize
-    done;
-    f.pending_pushes <- f.pending_pushes + 1;
-    t.st.write_gathers <- t.st.write_gathers + 1;
-    Sim.Stats.Hist.add t.st.gather_bytes len;
-    (* dirty_bytes moved bsize per page when it was dirtied, so credit
-       bsize per page cleaned — crediting the truncated payload length
-       would leak the tail of a run ending mid-block *)
-    let data = Sim.Iov.of_list (List.rev !segs) in
-    enqueue t (Push (f, off, !cleaned * bsize, data, !pages))
-  end
+let push_gather t f ~off ~len =
+  (* the run is block-granular; the file may end mid-block *)
+  let len = min len (f.fsize - off) in
+  let segs = ref [] in
+  let pages = ref [] in
+  let cleaned = ref 0 in
+  let po = ref off in
+  while !po < off + len do
+    (match Hashtbl.find_opt f.pages !po with
+    | Some p when p.pvalid ->
+        let n = min bsize (off + len - !po) in
+        segs := (p.pdata, 0, n) :: !segs;
+        (* the payload borrows the page's frame: the page is clean
+           but stays pinned (pflush) until the WRITE RPC completes, so
+           eviction can't drop it and refetch stale server data, and
+           from now on a rewrite copies the frame *)
+        p.pflush <- p.pflush + 1;
+        p.plend <- Shared;
+        pages := p :: !pages;
+        if p.pdirty then begin
+          p.pdirty <- false;
+          incr cleaned
+        end
+    | _ -> assert false);
+    po := !po + bsize
+  done;
+  f.pending_pushes <- f.pending_pushes + 1;
+  t.st.write_gathers <- t.st.write_gathers + 1;
+  Sim.Stats.Hist.add t.st.gather_bytes len;
+  (* dirty_bytes moved bsize per page when it was dirtied, so credit
+     bsize per page cleaned — crediting the truncated payload length
+     would leak the tail of a run ending mid-block *)
+  let data = Sim.Iov.of_list (List.rev !segs) in
+  enqueue t (Push (f, off, !cleaned * bsize, data, !pages))
+
+let flush_gather t f = Ufs.Wrun.flush f.run push_gather t f
 
 let write_body f ~off ~buf ~len =
   let t = f.cl in
@@ -614,19 +608,7 @@ let write_body f ~off ~buf ~len =
         Bytes.blit buf !copied page.pdata (!cur - po) n);
     if !cur + n > f.fsize then f.fsize <- !cur + n;
     (* gather: extend the run while the stream stays contiguous *)
-    if f.delaylen = 0 then begin
-      f.delayoff <- po;
-      f.delaylen <- bsize
-    end
-    else if po = f.delayoff + f.delaylen then f.delaylen <- f.delaylen + bsize
-    else if po >= f.delayoff && po < f.delayoff + f.delaylen then ()
-      (* rewrite inside the current run: already gathered *)
-    else begin
-      flush_gather t f;
-      f.delayoff <- po;
-      f.delaylen <- bsize
-    end;
-    if f.delaylen >= cluster then flush_gather t f;
+    Ufs.Wrun.add f.run ~off:po ~cap:cluster push_gather t f;
     copied := !copied + n;
     cur := !cur + n
   done
@@ -672,8 +654,7 @@ let create t name =
           (* creat truncates: drop the cached pages and predictor state *)
           drop_all_pages t f;
           Ufs.Rstream.reset f.rs;
-          f.delayoff <- 0;
-          f.delaylen <- 0;
+          Ufs.Wrun.reset f.run;
           f.attr <- attr;
           f.attr_at <- Some (Sim.Engine.now t.engine);
           f.fsize <- attr.Proto.size;
@@ -687,8 +668,7 @@ let invalidate f =
   fsync f;
   drop_all_pages t f;
   Ufs.Rstream.reset f.rs;
-  f.delayoff <- 0;
-  f.delaylen <- 0;
+  Ufs.Wrun.reset f.run;
   f.attr_at <- None
 
 let iter_pages t f =

@@ -11,9 +11,10 @@
       flight through the biods, so the app copies cluster [k] while the
       wire and the server disk work on [k+1] — the client-side
       [nextrio];
-    - {b write-behind gathering}: dirty pages accumulate in a
-      [delayoff]/[delaylen] run and are pushed as one cluster-sized
-      WRITE RPC by a biod — the client-side [delayoff]/[delaylen];
+    - {b write-behind gathering}: dirty pages accumulate in the file's
+      delayed-write run ({!Ufs.Wrun}, the client-side
+      [delayoff]/[delaylen]) and are pushed as one cluster-sized WRITE
+      RPC by a biod;
     - {b dirty cap}: a write-limit-style bound on dirty + in-flight
       write bytes per mount, so one writer cannot fill the client cache
       with unpushed data;

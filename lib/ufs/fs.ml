@@ -197,7 +197,7 @@ let sync_inodes (fs : fs) =
     ips;
   List.iter
     (fun ip ->
-      Io.wait_writes fs ip;
+      Io.wait_writes fs.pager ip.writes;
       if ip.meta_dirty then Iops.iupdat fs ip ~sync:false)
     ips
 
@@ -280,7 +280,7 @@ let mount engine cpu pool dev ~features ?(costs = Costs.default) () =
       resv = Hashtbl.create 16;
       stats;
       wal;
-      pager = { engine; cpu; costs; pool; dev; stats };
+      pager = mk_pager ~engine ~cpu ~costs ~pool ~dev ~stats;
     }
   in
   (match fs.wal with

@@ -22,11 +22,6 @@ let consume_prefetch (st : stats) (p : Vm.Page.t) =
     Vm.Page.set_prefetched p false
   end
 
-(* Read target for blocks of a cluster that are already cached: the
-   disk transfers them anyway, and their bytes are dropped here.  Never
-   read, so one buffer serves every request. *)
-let discard = Bytes.create Layout.bsize
-
 (* Bytes of block [k] within an extent of [bytes] bytes. *)
 let block_len ~bytes k = min Layout.bsize (bytes - (k * Layout.bsize))
 
@@ -54,7 +49,7 @@ let page_in (pg : pager) ~vid ~off ~sector ~bytes ~sync ~read_ahead =
          segment at its own chunk instead of filling it: the page then
          borrows the chunk as its frame *)
       let segs =
-        Array.init blocks (fun k -> (discard, 0, block_len ~bytes k))
+        Array.init blocks (fun k -> (pg.scratch, 0, block_len ~bytes k))
       in
       List.iter
         (fun ((p : Vm.Page.t), k) ->
@@ -100,6 +95,25 @@ let page_in (pg : pager) ~vid ~off ~sector ~bytes ~sync ~read_ahead =
         Sim.Stats.Summary.add_int st.pgin_wait_us
           (Sim.Engine.now pg.engine - t0)
       end
+
+let rec grab_page (pg : pager) ~vid ~off =
+  let id = { Vm.Page.vid; off } in
+  match Vm.Pool.lookup pg.pool id with
+  | Some p when p.Vm.Page.busy ->
+      Vm.Page.wait_unbusy pg.engine p;
+      grab_page pg ~vid ~off
+  | Some p when p.Vm.Page.valid ->
+      consume_prefetch pg.stats p;
+      p
+  | Some _ | None -> (
+      match Vm.Pool.alloc pg.pool id with
+      | `Fresh p ->
+          Sim.Cpu.charge pg.cpu ~label:"getpage" pg.costs.Costs.page_setup;
+          Bytes.fill p.Vm.Page.data 0 Layout.bsize '\000';
+          Vm.Page.set_valid p true;
+          Vm.Page.unbusy p;
+          p
+      | `Existing _ -> grab_page pg ~vid ~off)
 
 let zero_fill fs (ip : inode) ~off ~blocks =
   for k = 0 to blocks - 1 do
@@ -223,10 +237,10 @@ let export fs (p : Vm.Page.t) =
       p.Vm.Page.data;
   Vm.Page.export p
 
-let wait_writes fs (ip : inode) =
-  let before = Sim.Engine.now fs.engine in
-  while ip.writes.pending > 0 do
-    Sim.Condition.wait ip.writes.iodone
+let wait_writes (pg : pager) (w : writes) =
+  let before = Sim.Engine.now pg.engine in
+  while w.pending > 0 do
+    Sim.Condition.wait w.iodone
   done;
   Sim.Attrib.blocked ~rest:"disk.wait" ~name:"vm.wait_writes" ~start_us:before
-    ~stop_us:(Sim.Engine.now fs.engine) ()
+    ~stop_us:(Sim.Engine.now pg.engine) ()

@@ -38,6 +38,12 @@ val page_in : Types.pager -> vid:int -> off:int -> sector:int -> bytes:int ->
     statistics/trace classification and marks the freshly-claimed pages
     {!Vm.Page.t.prefetched} for used/wasted accounting. *)
 
+val grab_page : Types.pager -> vid:int -> off:int -> Vm.Page.t
+(** The valid cache page of vnode [vid] at page-aligned byte [off],
+    without any disk read: a cached page (after any I/O on it lands),
+    or a fresh zero-filled one.  For full-block overwrites and blocks
+    new to the file. *)
+
 val zero_fill : Types.fs -> Types.inode -> off:int -> blocks:int -> unit
 (** Enter valid zeroed pages for a hole (no I/O). *)
 
@@ -61,5 +67,5 @@ val export : Types.fs -> Vm.Page.t -> unit
     {!Vm.Page.export} it, and pin it in the store if the page shares
     the store's chunk. *)
 
-val wait_writes : Types.fs -> Types.inode -> unit
-(** Block until the inode has no writes in flight (fsync tail). *)
+val wait_writes : Types.pager -> Types.writes -> unit
+(** Block until the file has no writes in flight (fsync tail). *)

@@ -34,10 +34,9 @@ let iupdat fs (ip : inode) ~sync =
 let itrunc fs (ip : inode) =
   Wal.with_op fs ~commit:false (fun () ->
       Wal.note fs ip;
-      (* drop anything still accumulating, then wait for in-flight writes *)
-      ip.delayoff <- 0;
-      ip.delaylen <- 0;
-      Io.wait_writes fs ip;
+      (* drop the delayed-write run, then wait for in-flight writes *)
+      Wrun.reset ip.run;
+      Io.wait_writes fs.pager ip.writes;
       Vm.Pool.invalidate_vnode fs.pool ip.inum;
       let chunks = ref [] in
       Bmap.iter_allocated fs ip (fun c -> chunks := c :: !chunks);
@@ -68,7 +67,7 @@ let itrunc fs (ip : inode) =
 let fsync_inode fs (ip : inode) =
   Putpage.push_delayed fs ip ~sync:false ();
   Putpage.putpage fs ip ~off:0 ~len:0 ~flags:[ Vfs.Vnode.P_SYNC ];
-  Io.wait_writes fs ip;
+  Io.wait_writes fs.pager ip.writes;
   iupdat fs ip ~sync:true
 
 (* ---------- vnode glue ---------- *)

@@ -22,7 +22,7 @@ val iupdat : Types.fs -> Types.inode -> sync:bool -> unit
     to disk now, as directory operations require). *)
 
 val itrunc : Types.fs -> Types.inode -> unit
-(** Truncate to length 0: discard the delayed-write accumulator, wait
+(** Truncate to length 0: drop the delayed-write run, wait
     out in-flight writes, invalidate cached pages, free every data and
     indirect block. *)
 

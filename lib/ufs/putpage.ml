@@ -65,33 +65,21 @@ let free_clean_range fs (ip : inode) ~off ~len =
   in
   loop off
 
-let push_delayed fs (ip : inode) ~sync ?(ordered = false) () =
-  if ip.delaylen > 0 then begin
-    let off = ip.delayoff and len = ip.delaylen in
-    ip.delayoff <- 0;
-    ip.delaylen <- 0;
-    push_range fs ip ~off ~len ~free_after:false ~throttle:(not ordered)
-      ~ordered ()
-  end;
-  if sync then Io.wait_writes fs ip
+(* How UFS pushes its delayed-write run; an ordered push is unthrottled *)
+let push_run fs ip ~off ~len =
+  push_range fs ip ~off ~len ~free_after:false ~throttle:true ()
 
-(* The figure 7/8 delayed-write accumulator. *)
+let push_run_ordered fs ip ~off ~len =
+  push_range fs ip ~off ~len ~free_after:false ~throttle:false ~ordered:true ()
+
+let push_delayed fs (ip : inode) ~sync ?(ordered = false) () =
+  Wrun.flush ip.run (if ordered then push_run_ordered else push_run) fs ip;
+  if sync then Io.wait_writes fs.pager ip.writes
+
+(* The figure 7/8 delayed-write run. *)
 let delay fs (ip : inode) ~off ~free_after =
   fs.stats.delayed_pages <- fs.stats.delayed_pages + 1;
-  if ip.delaylen = 0 then begin
-    ip.delayoff <- off;
-    ip.delaylen <- Layout.bsize
-  end
-  else if off = ip.delayoff + ip.delaylen && ip.delaylen < cluster_bytes fs
-  then ip.delaylen <- ip.delaylen + Layout.bsize
-  else begin
-    (* sequentiality assumption wrong: write out the old pages, start
-       over with the current page *)
-    push_delayed fs ip ~sync:false ();
-    ip.delayoff <- off;
-    ip.delaylen <- Layout.bsize
-  end;
-  if ip.delaylen >= cluster_bytes fs then push_delayed fs ip ~sync:false ();
+  Wrun.add ip.run ~off ~cap:(cluster_bytes fs) push_run fs ip;
   if free_after then free_clean_range fs ip ~off ~len:Layout.bsize
 
 let putpage_body fs (ip : inode) ~off ~len ~flags =
@@ -114,14 +102,14 @@ let putpage_body fs (ip : inode) ~off ~len ~flags =
       else len
     in
     let ordered = has Vfs.Vnode.P_ORDER in
-    (* a range operation covers any pages sitting in the accumulator *)
-    if ip.delaylen > 0 then push_delayed fs ip ~sync:false ~ordered ();
+    (* a range operation covers any pages sitting in the run *)
+    push_delayed fs ip ~sync:false ~ordered ();
     (* ordered metadata writes are kernel-initiated: they bypass the
        per-file fairness limit (their volume is bounded by the number of
        metadata blocks, not by user data) *)
     push_range fs ip ~off ~len ~free_after ~throttle:(not ordered) ~ordered ();
     if free_after then free_clean_range fs ip ~off ~len;
-    if has Vfs.Vnode.P_SYNC then Io.wait_writes fs ip
+    if has Vfs.Vnode.P_SYNC then Io.wait_writes fs.pager ip.writes
   end
 
 let putpage fs (ip : inode) ~off ~len ~flags =

@@ -7,10 +7,12 @@
     to be wrong at the next call, we write the previous page out and
     then start over with the current page.  If the assumption is
     correct, we keep stalling until a cluster is built up and then write
-    out the whole cluster."  The accumulator is the inode's
-    [delayoff]/[delaylen] pair; a full cluster is pushed the moment the
-    boundary is crossed, keeping the disk uniformly busy (the paper's
-    argument against Peacock's flush-on-full-cache).
+    out the whole cluster."  The run is the inode's {!Wrun.t} (the
+    paper's [delayoff]/[delaylen]); a rewrite of a block already in the
+    run leaves it alone, so writes smaller than a block cluster too.  A
+    full cluster is pushed the moment the boundary is crossed, keeping
+    the disk uniformly busy (the paper's argument against Peacock's
+    flush-on-full-cache).
 
     Pushing honours the Figure 8 while-loop: the accumulated range is
     re-cut by what bmap says is actually contiguous, so fragmented files
@@ -46,8 +48,8 @@ val push_range :
     mutating the inode (the Wal pushes deferred ranges at op end). *)
 
 val push_delayed : Types.fs -> Types.inode -> sync:bool -> ?ordered:bool -> unit -> unit
-(** Flush the delayed-write accumulator (cluster-boundary crossing,
-    fsync, non-sequential write, or file close).  [ordered] issues the
+(** Flush the delayed-write run (fsync, a range push, or file
+    close), then, when [sync], wait for the inode's writes.  [ordered] issues the
     flush as unthrottled B_ORDER writes (metadata paths). *)
 
 val flusher : Types.fs -> Types.inode -> Vm.Pool.flusher

@@ -119,26 +119,6 @@ let do_read fs (ip : inode) (uio : Vfs.Uio.t) =
 
 (* ---------- write ---------- *)
 
-(* Find (or create, zero-filled) the cache page at [po] without doing
-   any disk read — for full-block overwrites and fresh blocks. *)
-let rec grab_page fs (ip : inode) po =
-  match Vm.Pool.lookup fs.pool (Io.ident ip po) with
-  | Some p when p.Vm.Page.busy ->
-      Vm.Page.wait_unbusy fs.engine p;
-      grab_page fs ip po
-  | Some p when p.Vm.Page.valid ->
-      Io.consume_prefetch fs.stats p;
-      p
-  | Some _ | None -> (
-      match Vm.Pool.alloc fs.pool (Io.ident ip po) with
-      | `Fresh p ->
-          charge fs ~label:"getpage" fs.costs.Costs.page_setup;
-          Bytes.fill p.Vm.Page.data 0 Layout.bsize '\000';
-          Vm.Page.set_valid p true;
-          Vm.Page.unbusy p;
-          p
-      | `Existing _ -> grab_page fs ip po)
-
 (* Every in-place write of a cached page below first takes a private
    frame if the page's frame is lent: to the store, or to another host
    (DESIGN.md, "Buffer ownership").  A fresh page's frame is always
@@ -198,7 +178,7 @@ let do_write fs (ip : inode) (uio : Vfs.Uio.t) =
         | [ p ] -> p
         | _ -> assert false
       end
-      else grab_page fs ip po
+      else Io.grab_page fs.pager ~vid:ip.inum ~off:po
     in
     (* if the old EOF fell inside this block, the bytes past it are
        logically zero but the paged-in fragments may carry stale data *)

@@ -110,7 +110,11 @@ type pager = {
   pool : Vm.Pool.t;
   dev : Disk.Blkdev.t;
   stats : stats;
+  scratch : bytes;
 }
+
+let mk_pager ~engine ~cpu ~costs ~pool ~dev ~stats =
+  { engine; cpu; costs; pool; dev; stats; scratch = Bytes.create Layout.bsize }
 
 (* A file's writes in flight: the bytes fsync waits out, the condition
    their completions signal, and the paper's write-limit semaphore with
@@ -120,6 +124,16 @@ type writes = {
   iodone : Sim.Condition.t;
   wlimit : (Sim.Semaphore.t * int) option;
 }
+
+let mk_writes engine ~name ~limit =
+  {
+    pending = 0;
+    iodone = Sim.Condition.create engine ("iodone-" ^ name);
+    wlimit =
+      Option.map
+        (fun n -> (Sim.Semaphore.create engine ("wlimit-" ^ name) n, n))
+        limit;
+  }
 
 type inode = {
   inum : int;
@@ -132,8 +146,7 @@ type inode = {
   ib : int array;
   mutable immediate : string;
   rs : Rstream.t;
-  mutable delayoff : int;
-  mutable delaylen : int;
+  run : Wrun.t;
   writes : writes;
   mutable bmap_cache : (int * int * int) option;
   mutable idata : bytes option;
@@ -238,20 +251,10 @@ let mk_inode fs ~inum (d : Dinode.t) =
     ib = Array.copy d.Dinode.ib;
     immediate = d.Dinode.immediate;
     rs = Rstream.create ();
-    delayoff = 0;
-    delaylen = 0;
+    run = Wrun.create ();
     writes =
-      {
-        pending = 0;
-        iodone =
-          Sim.Condition.create fs.engine (Printf.sprintf "iodone-%d" inum);
-        wlimit =
-          Option.map
-            (fun n ->
-              let name = Printf.sprintf "wlimit-%d" inum in
-              (Sim.Semaphore.create fs.engine name n, n))
-            fs.feat.write_limit;
-      };
+      mk_writes fs.engine ~name:(string_of_int inum)
+        ~limit:fs.feat.write_limit;
     bmap_cache = None;
     idata = None;
     ilock = Sim.Mutex.create fs.engine (Printf.sprintf "inode-%d" inum);

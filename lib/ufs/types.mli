@@ -98,7 +98,16 @@ type pager = {
   pool : Vm.Pool.t;
   dev : Disk.Blkdev.t;
   stats : stats;  (** page-in, read-ahead and push counters *)
+  scratch : bytes;
+      (** one block that page-ins read the cached blocks of a cluster
+          into: the disk transfers them anyway, and their bytes are
+          never read *)
 }
+
+val mk_pager :
+  engine:Sim.Engine.t -> cpu:Sim.Cpu.t -> costs:Costs.t -> pool:Vm.Pool.t ->
+  dev:Disk.Blkdev.t -> stats:stats -> pager
+(** A pager with a scratch block of its own. *)
 
 (** A file's writes in flight. *)
 type writes = {
@@ -108,6 +117,10 @@ type writes = {
       (** the paper's write-limit semaphore and its capacity, the most
           one push may hold *)
 }
+
+val mk_writes : Sim.Engine.t -> name:string -> limit:int option -> writes
+(** No writes in flight; a write-limit semaphore of [limit] bytes when
+    given.  [name] names the condition and the semaphore. *)
 
 type inode = {
   inum : int;
@@ -122,8 +135,7 @@ type inode = {
   (* --- read clustering state (paper: nextr/nextrio, per stream) --- *)
   rs : Rstream.t;
   (* --- write clustering state (paper: delayoff, delaylen) --- *)
-  mutable delayoff : int;
-  mutable delaylen : int;
+  run : Wrun.t;
   (* --- write limit + fsync bookkeeping --- *)
   writes : writes;
   (* --- caches --- *)

@@ -55,7 +55,6 @@ type target = {
    as if this were a fresh benchmark run on a warm system. *)
 let reset_file_state (fs : Ufs.Types.fs) (ip : Ufs.Types.inode) =
   Ufs.Putpage.push_delayed fs ip ~sync:true ();
-  Ufs.Io.wait_writes fs ip;
   Vm.Pool.invalidate_vnode fs.Ufs.Types.pool ip.Ufs.Types.inum;
   Ufs.Types.reset_rstreams ip;
   ip.Ufs.Types.bmap_cache <- None

@@ -158,7 +158,42 @@ let test_figure7_pattern () =
       check_ios "figure 7 push pattern" [ (0, 3); (3, 3) ] (writes ());
       check_counts "two pushes" [ ("push_ios", 2); ("push_blocks", 6) ] (io_counts ());
       check_int "six delayed pages" 6
-        (fs.Ufs.Types.stats.Ufs.Types.delayed_pages - delayed0))
+        (fs.Ufs.Types.stats.Ufs.Types.delayed_pages - delayed0));
+  (* sub-block writes cluster too: a write to a block the run already
+     holds leaves the run alone.  A 32-block file laid out
+     in whole blocks is rewritten in 4 KB and then in 1 KB writes under
+     8-block clusters; only a block whose first part filled a cluster is
+     pushed twice, once with that cluster and once with the next *)
+  let blocks = 32 in
+  with_file ~mkfs:Helpers.small_mkfs ~blocks (fun m fs ip ->
+      List.iter
+        (fun chunk ->
+          let _, writes, _ = watch m fs in
+          let buf = Bytes.make chunk 's' in
+          for i = 0 to (blocks * bsize / chunk) - 1 do
+            Ufs.Fs.write fs ip ~off:(i * chunk) ~buf ~len:chunk
+          done;
+          Ufs.Fs.fsync fs ip;
+          let ios = writes () in
+          let times = Array.make blocks 0 in
+          List.iter
+            (fun (lbn, n) ->
+              for b = lbn to lbn + n - 1 do
+                times.(b) <- times.(b) + 1
+              done)
+            ios;
+          let pushed = Array.fold_left ( + ) 0 times in
+          let what = Printf.sprintf "%d-byte writes: " chunk in
+          check_bool
+            (Printf.sprintf "%sat least 4 blocks per push (%d in %d)" what
+               pushed (List.length ios))
+            true
+            (pushed >= 4 * List.length ios);
+          check_bool (what ^ "every block pushed") true
+            (Array.for_all (fun k -> k >= 1) times);
+          check_bool (what ^ "no block pushed more than twice") true
+            (Array.for_all (fun k -> k <= 2) times))
+        [ 4096; 1024 ])
 
 let test_write_nonsequential_flushes () =
   with_file ~blocks:0 (fun m fs ip ->
@@ -170,10 +205,10 @@ let test_write_nonsequential_flushes () =
       Ufs.Fs.write fs ip ~off:(10 * bsize) ~buf ~len:bsize;
       check_counts "one push, already issued" [ ("push_ios", 1); ("push_blocks", 1) ]
         (io_counts ());
-      Ufs.Io.wait_writes fs ip;
+      Ufs.Io.wait_writes fs.Ufs.Types.pager ip.Ufs.Types.writes;
       check_ios "old page pushed on non-sequential write" [ (0, 1) ]
         (writes ());
-      check_int "new page accumulating" (10 * bsize) ip.Ufs.Types.delayoff)
+      check_int "new page accumulating" (10 * bsize) (Ufs.Wrun.off ip.Ufs.Types.run))
 
 let test_cluster_write_single_io () =
   (* the whole point: 3 blocks leave as ONE disk request *)

@@ -1,7 +1,8 @@
 (* Model-based property testing: a random sequence of file system
    operations is applied both to the simulated UFS and to a trivially
    correct in-memory reference model; every read must agree, the final
-   directory tree must agree, and fsck must pass afterwards.
+   directory tree must agree, fsck must pass afterwards, and a fresh
+   mount of the image must read every file back.
 
    This is the strongest correctness statement in the suite: whatever
    the clustering machinery, free-behind, write limits, reallocation
@@ -187,13 +188,18 @@ let final_state_agrees fs (model : Model.t) =
           ok)
     model.Model.files true
 
-let run_scenario ops =
-  let m = Helpers.machine ~memory_mb:2 () in
+(* One scenario on a fresh 2 MB machine: every read agrees with the
+   model, the final files agree, every clean cached page equals the
+   store, fsck passes on the unmounted image, and a fresh mount of that
+   image reads every file back with the model's bytes — so a block
+   absorbed into a delayed-write run still reached the platter. *)
+let run_scenario ?features ops =
+  let m = Helpers.machine ~memory_mb:2 ?features () in
+  let model = Model.create () in
   let ok =
     Clusterfs.Machine.run m (fun m ->
         let fs = m.Clusterfs.Machine.fs in
         Ufs.Fs.mkdir fs "/model";
-        let model = Model.create () in
         let all_ops_ok = List.for_all (apply_op fs model) ops in
         let final_ok =
           all_ops_ok && final_state_agrees fs model
@@ -202,7 +208,15 @@ let run_scenario ops =
         Ufs.Fs.unmount fs;
         final_ok)
   in
-  ok && Ufs.Fsck.ok (Ufs.Fsck.check m.Clusterfs.Machine.dev)
+  ok
+  && Ufs.Fsck.ok (Ufs.Fsck.check m.Clusterfs.Machine.dev)
+  &&
+  let m2 =
+    Clusterfs.Machine.create_no_format m.Clusterfs.Machine.config
+      (Clusterfs.Machine.snapshot_store m)
+  in
+  Clusterfs.Machine.run m2 (fun m2 ->
+      final_state_agrees m2.Clusterfs.Machine.fs model)
 
 let prop_model =
   Helpers.to_alcotest
@@ -215,24 +229,7 @@ let prop_model_sunos41 =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:20 ~name:"old UFS behaves like a map of strings"
        arb_ops
-       (fun ops ->
-         let m =
-           Helpers.machine ~memory_mb:2 ~features:Ufs.Types.features_sunos41 ()
-         in
-         let ok =
-           Clusterfs.Machine.run m (fun m ->
-               let fs = m.Clusterfs.Machine.fs in
-               Ufs.Fs.mkdir fs "/model";
-               let model = Model.create () in
-               let all = List.for_all (apply_op fs model) ops in
-               let final =
-                 all && final_state_agrees fs model
-                 && Helpers.pages_match_store fs
-               in
-               Ufs.Fs.unmount fs;
-               final)
-         in
-         ok && Ufs.Fsck.ok (Ufs.Fsck.check m.Clusterfs.Machine.dev)))
+       (run_scenario ~features:Ufs.Types.features_sunos41))
 
 (* and with every further-work feature switched on at once *)
 let prop_model_all_features =
@@ -248,22 +245,7 @@ let prop_model_all_features =
   Helpers.to_alcotest
     (QCheck.Test.make ~count:20
        ~name:"UFS with all further-work features behaves like a map" arb_ops
-       (fun ops ->
-         let m = Helpers.machine ~memory_mb:2 ~features () in
-         let ok =
-           Clusterfs.Machine.run m (fun m ->
-               let fs = m.Clusterfs.Machine.fs in
-               Ufs.Fs.mkdir fs "/model";
-               let model = Model.create () in
-               let all = List.for_all (apply_op fs model) ops in
-               let final =
-                 all && final_state_agrees fs model
-                 && Helpers.pages_match_store fs
-               in
-               Ufs.Fs.unmount fs;
-               final)
-         in
-         ok && Ufs.Fsck.ok (Ufs.Fsck.check m.Clusterfs.Machine.dev)))
+       (run_scenario ~features))
 
 let suites =
   [ ("model", [ prop_model; prop_model_sunos41; prop_model_all_features ]) ]

@@ -274,6 +274,60 @@ let test_table_expiry () =
   miss 5;
   check_bool "gone after the 5th" false (alive ())
 
+(* ---------- the shared delayed-write run ---------- *)
+
+module Wr = Ufs.Wrun
+
+(* One run, driven row by row: each row adds block [blk] under a cap of
+   [cap] blocks and names the runs it pushes and the run it leaves, as
+   (first block, blocks); an empty run reads (0, 0). *)
+let run_rules =
+  [
+    ("an empty run starts at the block", 4, 3, [], (4, 1));
+    ("the next block extends it", 5, 3, [], (4, 2));
+    ("a rewrite of its first block leaves it alone", 4, 3, [], (4, 2));
+    ("a rewrite of its last block too", 5, 3, [], (4, 2));
+    ("a jump pushes it and starts over", 9, 3, [ (4, 2) ], (9, 1));
+    ("a jump back pushes it too", 8, 3, [ (9, 1) ], (8, 1));
+    ("the next block extends it", 9, 3, [], (8, 2));
+    ("reaching the cap pushes it", 10, 3, [ (8, 3) ], (0, 0));
+    ("a pushed block starts a new run", 10, 3, [], (10, 1));
+    ( "under a one-block cap the next block pushes both",
+      11, 1, [ (10, 1); (11, 1) ], (0, 0) );
+    ("a one-block cap pushes every block", 12, 1, [ (12, 1) ], (0, 0));
+    ("even a rewrite", 12, 1, [ (12, 1) ], (0, 0));
+  ]
+
+let test_run_rules () =
+  let t = Wr.create () in
+  let pushed = ref [] in
+  let push () () ~off ~len =
+    check_bool "the run is empty while it is pushed" true (Wr.is_empty t);
+    pushed := (off / bsize, len / bsize) :: !pushed
+  in
+  let run () = (Wr.off t / bsize, Wr.len t / bsize) in
+  List.iter
+    (fun (what, blk, cap, pushes, after) ->
+      pushed := [];
+      Wr.add t ~off:(blk * bsize) ~cap:(cap * bsize) push () ();
+      Alcotest.(check (list (pair int int))) (what ^ ": pushes") pushes
+        (List.rev !pushed);
+      Alcotest.(check (pair int int)) (what ^ ": run") after (run ()))
+    run_rules;
+  Wr.add t ~off:(20 * bsize) ~cap:(3 * bsize) push () ();
+  pushed := [];
+  Wr.flush t push () ();
+  Alcotest.(check (list (pair int int))) "flush pushes the run" [ (20, 1) ]
+    !pushed;
+  Wr.flush t push () ();
+  Alcotest.(check (list (pair int int))) "an empty run pushes nothing"
+    [ (20, 1) ] !pushed;
+  Wr.add t ~off:(30 * bsize) ~cap:(3 * bsize) push () ();
+  Wr.reset t;
+  Alcotest.(check (pair int int)) "reset drops the run" (0, 0) (run ());
+  Alcotest.(check (list (pair int int))) "without a push" [ (20, 1) ]
+    !pushed
+
 let suites =
   [
     ( "streams",
@@ -296,5 +350,7 @@ let suites =
           test_table_evicts_lru;
         Alcotest.test_case "window table: expiry after 4 misses" `Quick
           test_table_expiry;
+        Alcotest.test_case "write run: the rules, step by step" `Quick
+          test_run_rules;
       ] );
   ]
