@@ -852,14 +852,17 @@ let microbench () =
            Disk.Store.write store ~off:123456 ~len:8192 buf 0;
            Disk.Store.read store ~off:123456 ~len:8192 buf 0))
   in
-  (* the same block written from a page frame the store keeps: the chunk
-     it displaces goes back to the frame pool for the next write *)
+  (* the same block written from a page frame the store keeps: the
+     writer lets go of it, and the chunk it displaces goes back to the
+     frame pool for the next write *)
   let lend_frames = Sim.Frames.create ~size:8192 in
   let lent_test =
     Test.make ~name:"disk.store 8KB lent write"
       (Staged.stage (fun () ->
+           let f = Sim.Frames.frame lend_frames in
            Disk.Store.writev ~lend:lend_frames store ~off:131072
-             (Sim.Iov.of_bytes (Sim.Frames.take lend_frames))))
+             (Sim.Iov.of_frames [ (f, 0, 8192) ]);
+           Sim.Frames.release lend_frames f))
   in
   (* one 120 KB cluster moved as a flat buffer vs as 15 borrowed pages:
      the per-segment cost of the zero-copy disk path *)

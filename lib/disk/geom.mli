@@ -64,10 +64,6 @@ val to_chs : t -> int -> chs
 
 val capacity_bytes : t -> int
 
-val track_start_angle : t -> chs -> float
-(** Angle (fraction of a revolution, in [0,1)) at which within-track
-    sector 0 of the given track begins, accounting for skew. *)
-
 val sector_angle : t -> chs -> float
 (** Angle at which the given sector begins. *)
 

@@ -56,10 +56,11 @@ val of_iov :
     the request completes, a read's land then, so the caller must keep
     the segments stable (or untouched) until completion.  With [lend]
     (default [false]) a write also gives the store its whole 8 KB
-    segments to keep: the caller must not write into them afterwards.
-    A read with [lend] may find a whole segment pointed at the store's
-    chunk at completion ({!Sim.Iov.whole} names it); the caller must
-    not write into that chunk. *)
+    segments to keep, each with a hold of the store's own: the caller
+    must not write into them afterwards.  A read with [lend] may find a
+    whole segment pointed at the store's chunk at completion
+    ({!Sim.Iov.frame} names it); the caller takes a hold on it if it
+    keeps it, and must not write into it. *)
 
 val make :
   ?ordered:bool -> kind:kind -> sector:int -> count:int -> buf:bytes ->

@@ -10,26 +10,19 @@ module Chunks = Hashtbl.Make (struct
   let hash ci = ci
 end)
 
-(* [pinned] holds the index of every chunk whose frame another host
-   may hold (DESIGN.md, "Buffer ownership"): such a chunk is never
-   written in place and never given back to the frame pool. *)
+(* Each chunk is a frame the store holds once.  A chunk with other
+   holders (a page that borrowed or lent it, a message that carries it)
+   is never written in place (DESIGN.md, "Buffer ownership"). *)
 type t = {
   size : int;
-  chunks : bytes Chunks.t;
-  pinned : unit Chunks.t;
+  chunks : Sim.Frames.frame Chunks.t;
   mutable adopted : int;
   mutable recycled : int;
 }
 
 let create ~size =
   if size <= 0 then invalid_arg "Store.create: size must be positive";
-  {
-    size;
-    chunks = Chunks.create 1024;
-    pinned = Chunks.create 16;
-    adopted = 0;
-    recycled = 0;
-  }
+  { size; chunks = Chunks.create 1024; adopted = 0; recycled = 0 }
 
 let size t = t.size
 
@@ -47,14 +40,17 @@ let read t ~off ~len dst dst_off =
     let coff = !pos mod chunk_bytes in
     let n = min !remaining (chunk_bytes - coff) in
     (match Chunks.find_opt t.chunks ci with
-    | Some c -> Bytes.blit c coff dst !d n
+    | Some c -> Bytes.blit c.Sim.Frames.bytes coff dst !d n
     | None -> Bytes.fill dst !d n '\000');
     pos := !pos + n;
     d := !d + n;
     remaining := !remaining - n
   done
 
-let write t ~off ~len src src_off =
+(* A copy of a shared chunk comes from [frames] when there is one; the
+   flat path (mkfs, the journal, recovery, a request not tagged [lend])
+   has none, and copies into a fresh frame. *)
+let write_in frames t ~off ~len src src_off =
   check t off len;
   let pos = ref off and remaining = ref len and s = ref src_off in
   while !remaining > 0 do
@@ -62,13 +58,18 @@ let write t ~off ~len src src_off =
     let coff = !pos mod chunk_bytes in
     let n = min !remaining (chunk_bytes - coff) in
     (match Chunks.find_opt t.chunks ci with
-    | Some c when Chunks.mem t.pinned ci ->
-        (* another host may hold [c]: write a copy of it instead *)
-        let c' = Bytes.copy c in
-        Bytes.blit src !s c' coff n;
+    | Some c when Sim.Frames.shared c ->
+        (* someone else may read [c]: write a copy of it instead *)
+        let c' =
+          match frames with
+          | Some fr -> Sim.Frames.frame fr
+          | None -> Sim.Frames.wrap (Bytes.create chunk_bytes)
+        in
+        Bytes.blit c.Sim.Frames.bytes 0 c'.Sim.Frames.bytes 0 chunk_bytes;
+        Bytes.blit src !s c'.Sim.Frames.bytes coff n;
         Chunks.replace t.chunks ci c';
-        Chunks.remove t.pinned ci
-    | Some c -> Bytes.blit src !s c coff n
+        Option.iter (fun fr -> Sim.Frames.release fr c) frames
+    | Some c -> Bytes.blit src !s c.Sim.Frames.bytes coff n
     | None ->
         (* a write over the whole chunk leaves no byte to zero *)
         let c =
@@ -76,11 +77,13 @@ let write t ~off ~len src src_off =
           else Bytes.make chunk_bytes '\000'
         in
         Bytes.blit src !s c coff n;
-        Chunks.add t.chunks ci c);
+        Chunks.add t.chunks ci (Sim.Frames.wrap c));
     pos := !pos + n;
     s := !s + n;
     remaining := !remaining - n
   done
+
+let write t = write_in None t
 
 (* The index of the chunk that a whole, chunk-aligned 8 KB segment
    [(b, boff, n)] at store byte [pos] coincides with, or -1. *)
@@ -102,46 +105,39 @@ let readv ?(lend = false) t ~off iov =
       pos := !pos + n)
     iov
 
-(* Keep [b] as chunk [ci].  The chunk it displaces goes back to the
-   frame pool unless it is pinned: every other holder on this host has
-   let go of a chunk's bytes by the time its block is written again,
-   but a frame another host holds is left to the GC (DESIGN.md,
-   "Buffer ownership"). *)
-let adopt t frames ci b =
-  (match Chunks.find_opt t.chunks ci with
-  | Some old when old != b ->
-      if Chunks.mem t.pinned ci then Chunks.remove t.pinned ci
-      else begin
-        Sim.Frames.give frames old;
-        t.recycled <- t.recycled + 1
-      end
-  | Some _ | None -> ());
-  Chunks.replace t.chunks ci b;
-  t.adopted <- t.adopted + 1
-
-let pin t ~off b =
-  if off mod chunk_bytes = 0 then
-    let ci = off / chunk_bytes in
-    match Chunks.find_opt t.chunks ci with
-    | Some c when c == b -> Chunks.replace t.pinned ci ()
-    | Some _ | None -> ()
+(* Hold [f] as chunk [ci], then drop the chunk it displaces: its last
+   holder gives it back to the frame pool. *)
+let adopt t frames ci (f : Sim.Frames.frame) =
+  match Chunks.find_opt t.chunks ci with
+  | Some old when old == f -> t.adopted <- t.adopted + 1
+  | old ->
+      Sim.Frames.hold f;
+      Chunks.replace t.chunks ci f;
+      t.adopted <- t.adopted + 1;
+      Option.iter
+        (fun old ->
+          Sim.Frames.release frames old;
+          if old.Sim.Frames.holders = 0 then t.recycled <- t.recycled + 1)
+        old
 
 let writev ?lend t ~off iov =
   check t off (Sim.Iov.length iov);
   let pos = ref off in
-  Sim.Iov.iter
-    (fun b boff n ->
+  Sim.Iov.iter_frames
+    (fun f boff n ->
+      let b = f.Sim.Frames.bytes in
       (match lend with
       | Some frames when whole_chunk !pos b boff n >= 0 ->
-          adopt t frames (!pos / chunk_bytes) b
-      | Some _ | None -> write t ~off:!pos ~len:n b boff);
+          adopt t frames (!pos / chunk_bytes) f
+      | _ -> write_in lend t ~off:!pos ~len:n b boff);
       pos := !pos + n)
     iov
 
 let chunks_allocated t = Chunks.length t.chunks
 let chunks_adopted t = t.adopted
 let chunks_recycled t = t.recycled
-let iter_chunks g t = Chunks.iter (fun ci c -> g (ci * chunk_bytes) c) t.chunks
+let iter_chunks g t =
+  Chunks.iter (fun ci c -> g (ci * chunk_bytes) c.Sim.Frames.bytes) t.chunks
 
 let save t path =
   let oc = open_out_bin path in
@@ -150,9 +146,9 @@ let save t path =
     (fun () ->
       Chunks.fold (fun k v acc -> (k, v) :: acc) t.chunks []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun (ci, data) ->
+      |> List.iter (fun (ci, (c : Sim.Frames.frame)) ->
              seek_out oc (ci * chunk_bytes);
-             output_bytes oc data);
+             output_bytes oc c.bytes);
       (* pin the file length to the full device size *)
       if pos_out oc < t.size then begin
         seek_out oc (t.size - 1);
@@ -173,12 +169,17 @@ let load path =
         really_input ic buf 0 n;
         if n < chunk_bytes then Bytes.fill buf n (chunk_bytes - n) '\000';
         if not (Bytes.for_all (fun c -> c = '\000') buf) then
-          Chunks.replace t.chunks ci (Bytes.sub buf 0 chunk_bytes)
+          Chunks.replace t.chunks ci
+            (Sim.Frames.wrap (Bytes.sub buf 0 chunk_bytes))
       done;
       t)
 
 let copy_into src dst =
   if src.size <> dst.size then invalid_arg "Store.copy_into: size mismatch";
+  (* [dst]'s chunks are dropped uncounted: a holder elsewhere keeps its
+     frame, and the GC collects the rest *)
   Chunks.reset dst.chunks;
-  Chunks.reset dst.pinned;
-  Chunks.iter (fun k v -> Chunks.replace dst.chunks k (Bytes.copy v)) src.chunks
+  Chunks.iter
+    (fun k (c : Sim.Frames.frame) ->
+      Chunks.replace dst.chunks k (Sim.Frames.wrap (Bytes.copy c.bytes)))
+    src.chunks

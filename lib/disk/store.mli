@@ -21,30 +21,27 @@ val read : t -> off:int -> len:int -> bytes -> int -> unit
 
 val write : t -> off:int -> len:int -> bytes -> int -> unit
 (** [write t ~off ~len src src_off] copies [len] bytes from [src] at
-    [src_off] into the store at byte [off]. *)
+    [src_off] into the store at byte [off].  A chunk that has other
+    holders is copied first, into a fresh frame. *)
 
 val readv : ?lend:bool -> t -> off:int -> Sim.Iov.t -> unit
 (** [readv t ~off iov] fills the iov's segments, in order, from the
     store bytes starting at [off].  With [lend] (default [false]), a
     segment that is a whole chunk-aligned 8 KB frame over a chunk that
-    exists is pointed at the chunk itself ({!Sim.Iov.swap}) instead of
-    filled: the reader then shares the chunk and must copy it before
-    writing.  A chunk never written is copied (as zeros). *)
+    exists is pointed at the chunk's own frame ({!Sim.Iov.swap})
+    instead of filled; the reader takes its own hold on it if it keeps
+    it, and must copy it before writing.  A chunk never written is
+    copied (as zeros). *)
 
 val writev : ?lend:Sim.Frames.t -> t -> off:int -> Sim.Iov.t -> unit
 (** [writev t ~off iov] gathers the iov's segments, in order, into the
     store starting at [off].  With [lend], a segment that is a whole
-    chunk-aligned 8 KB frame is kept by reference instead of copied (the
-    writer must not touch it again), and the chunk it displaces goes
-    back to [lend], unless it is pinned ({!pin}): a pinned chunk is
-    left to the GC. *)
-
-val pin : t -> off:int -> bytes -> unit
-(** [pin t ~off b]: if the chunk at byte [off] is the frame [b] itself,
-    another host may hold it from now on.  The store then never writes
-    into it (a write in place copies it first) and never gives it back
-    to the frame pool; the pin goes with the frame when the chunk is
-    replaced.  A no-op on any other chunk. *)
+    chunk-aligned 8 KB frame becomes the chunk by reference instead of
+    being copied: the store takes a hold on it, and the writer must not
+    touch it again.  The chunk it displaces loses the store's hold, and
+    goes back to [lend] if that was its last.  A write into a chunk
+    that has other holders writes a copy instead, taken from [lend]
+    (a fresh frame without it). *)
 
 val chunks_allocated : t -> int
 (** Number of materialised chunks (memory accounting for tests). *)
@@ -53,8 +50,8 @@ val chunks_adopted : t -> int
 (** Segments {!writev} kept by reference, over the store's life. *)
 
 val chunks_recycled : t -> int
-(** Of those adoptions, the ones that displaced a chunk and gave it
-    back to the frame pool. *)
+(** Of those adoptions, the ones that displaced a chunk whose last
+    holder was the store, so it went back to the frame pool. *)
 
 val iter_chunks : (int -> bytes -> unit) -> t -> unit
 (** [iter_chunks f t] calls [f off chunk] on every materialised 8 KB

@@ -17,12 +17,6 @@ type t = {
 
 val make : Spec.t -> target:string -> Run.job_result list -> t
 
-val job_percentile : Run.job_result -> float -> float
-(** Exact percentile of one job's op latencies, microseconds. *)
-
-val aggregate_percentile : t -> float -> float
-(** Exact percentile over all jobs' op latencies pooled. *)
-
 val total_ops : t -> int
 
 val wall_us : t -> Sim.Time.t

@@ -56,7 +56,6 @@ val append : t -> bytes -> unit
 val pending : t -> bool
 (** True when the open transaction holds at least one record. *)
 
-val pending_bytes : t -> int
 val commit : t -> unit
 (** Durably write the open transaction as one entry (timed, through the
     device).  No-op when nothing is pending. *)

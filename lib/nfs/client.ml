@@ -23,23 +23,20 @@ type stats = {
   gather_bytes : Sim.Stats.Hist.t;
 }
 
-(* Whether another host may hold a page's current frame.  A frame sent
-   in a WRITE payload (the server may keep it as its page and on its
-   disk, and a copy of the call may still be in the network) or adopted
-   from a READ reply (it is the server's page or disk chunk) is
-   [Shared] for good: a rewrite copies it first, and it never goes back
-   to the pool. *)
-type lending = Own | Shared
-
+(* A page holds its frame once.  Other holders (a WRITE payload, the
+   server's page or disk chunk it was read from, a message copy) make
+   the frame shared: a rewrite copies it first.  The page drops its hold
+   when it leaves the cache, or, if a read or write still uses it, when
+   the last of those is done. *)
 type cpage = {
-  mutable pdata : bytes;  (** the frame; see [lending] *)
-  mutable plend : lending;
+  mutable pframe : Sim.Frames.frame;
   mutable pvalid : bool;
   mutable pdirty : bool;
   mutable pbusy : bool;  (** a fill RPC is in flight *)
   mutable pflush : int;  (** in-flight WRITE payloads covering this page *)
   mutable pusers : int;
       (** reads/writes between their page lookup and their copy *)
+  mutable pgone : bool;  (** left the cache *)
   mutable pprefetched : bool;
   pcond : Sim.Condition.t;  (** unbusy waiters *)
 }
@@ -115,23 +112,33 @@ let charged t phase f =
 (* ---------- page cache ---------- *)
 
 let zeroed_frame t =
-  let b = Sim.Frames.take t.frames in
-  Bytes.fill b 0 bsize '\000';
-  b
+  let f = Sim.Frames.frame t.frames in
+  Bytes.fill f.Sim.Frames.bytes 0 bsize '\000';
+  f
+
+(* A page's frame before a fill or a write gives it one *)
+let no_frame = Sim.Frames.plain Bytes.empty
+
+(* The page holds [f] (already held for it) instead of its old frame. *)
+let set_frame t p f =
+  let old = p.pframe in
+  p.pframe <- f;
+  Sim.Frames.release t.frames old
 
 (* [f ()] with [p] counted as in use: a read or write that holds the
-   page across a yield still copies from or into its frame afterwards *)
-let using p f =
+   page across a yield still copies from or into its frame afterwards,
+   so a page that left the cache meanwhile drops its frame only then *)
+let using t p f =
   p.pusers <- p.pusers + 1;
   let r = f () in
   p.pusers <- p.pusers - 1;
+  if p.pusers = 0 && p.pgone then Sim.Frames.release t.frames p.pframe;
   r
 
-(* [p] has just left the cache.  Its frame goes back to the pool only
-   when nothing can touch it again: it is the page's own and no read or
-   write holds the page.  Otherwise the GC gets it. *)
+(* [p] has just left the cache. *)
 let release t p =
-  if p.pusers = 0 && p.plend = Own then Sim.Frames.give t.frames p.pdata
+  p.pgone <- true;
+  if p.pusers = 0 then Sim.Frames.release t.frames p.pframe
 
 (* Make room: pop eviction candidates until a valid, clean, idle page
    turns up.  Entries can be stale (the page was already dropped) and
@@ -169,13 +176,13 @@ let insert_page t f po =
   if t.resident >= t.cache_pages then evict_one t;
   let p =
     {
-      pdata = Bytes.empty;
-      plend = Own;
+      pframe = no_frame;
       pvalid = false;
       pdirty = false;
       pbusy = false;
       pflush = 0;
       pusers = 0;
+      pgone = false;
       pprefetched = false;
       pcond = Sim.Condition.create t.engine "nfs.page";
     }
@@ -187,9 +194,10 @@ let insert_page t f po =
 
 (* Fetch [off, off+len) into the cache with one READ RPC, filling only
    the pages this call claimed (pages already valid or being filled by
-   someone else are left alone).  A claimed page adopts its whole-page
-   segment of the reply, the server's frame, as [Shared]; only a short
-   tail is copied.  Pages past the server's EOF are dropped again.
+   someone else are left alone).  A claimed page takes a hold on its
+   whole-page segment of the reply, the server's frame; only a short
+   tail is copied.  Then the reply's own holds are dropped.  Pages past
+   the server's EOF are dropped again.
    Runs in whatever process called it: the reader for a demand miss, a
    biod for read-ahead. *)
 let fetch_range t f ~off ~len ~prefetched =
@@ -223,16 +231,15 @@ let fetch_range t f ~off ~len ~prefetched =
         (fun (po, p) ->
           let k = po - lo in
           if k < n then begin
-            (match Sim.Iov.whole data ~off:k ~len:bsize with
+            (match Sim.Iov.whole_frame data ~off:k ~len:bsize with
             | Some frame ->
-                p.pdata <- frame;
-                p.plend <- Shared
+                Sim.Frames.hold frame;
+                set_frame t p frame
             | None ->
                 let avail = min bsize (n - k) in
                 let frame = zeroed_frame t in
-                Sim.Iov.blit_to_bytes data k frame 0 avail;
-                p.pdata <- frame;
-                p.plend <- Own);
+                Sim.Iov.blit_to_bytes data k frame.Sim.Frames.bytes 0 avail;
+                set_frame t p frame);
             p.pvalid <- true;
             p.pprefetched <- prefetched
           end
@@ -246,11 +253,12 @@ let fetch_range t f ~off ~len ~prefetched =
             | _ -> ());
           p.pbusy <- false;
           Sim.Condition.broadcast p.pcond)
-        claims
+        claims;
+      Sim.Iov.release t.frames data
 
 (* ---------- biod pool ---------- *)
 
-let do_push t f ~credit ~pages ~call =
+let do_push t f ~credit ~pages ~data ~call =
   (* WRITE pushes of one file are strictly serialized: with
      retransmission in play, two overlapping writes in flight could
      land in either order on the server.  The unlock hands the lock
@@ -263,6 +271,7 @@ let do_push t f ~credit ~pages ~call =
   | Proto.R_err e -> failwith ("nfs write: " ^ e)
   | _ -> assert false);
   Sim.Mutex.unlock f.push_lock;
+  Sim.Iov.release t.frames data;
   List.iter (fun p -> p.pflush <- p.pflush - 1) pages;
   t.dirty_bytes <- t.dirty_bytes - credit;
   f.pending_pushes <- f.pending_pushes - 1;
@@ -292,7 +301,7 @@ let biod t () =
               ("len", Sim.Span.I (Sim.Iov.length data));
             ]
           (fun () ->
-            do_push t f ~credit ~pages
+            do_push t f ~credit ~pages ~data
               ~call:(Proto.Write { fh = f.fh; off; data }))
   done
 
@@ -483,9 +492,9 @@ let read_body f ~off ~buf ~len =
       (match ensure_resident t f ~po ~seq ~retried:false with
       | None -> continue := false
       | Some p ->
-          using p (fun () ->
+          using t p (fun () ->
               charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
-              Bytes.blit p.pdata (!cur - po) buf !total n);
+              Bytes.blit p.pframe.Sim.Frames.bytes (!cur - po) buf !total n);
           (match w with
           | Some w ->
               Ufs.Rstream.touch f.rs w ~po;
@@ -519,13 +528,12 @@ let push_gather t f ~off ~len =
     (match Hashtbl.find_opt f.pages !po with
     | Some p when p.pvalid ->
         let n = min bsize (off + len - !po) in
-        segs := (p.pdata, 0, n) :: !segs;
-        (* the payload borrows the page's frame: the page is clean
-           but stays pinned (pflush) until the WRITE RPC completes, so
-           eviction can't drop it and refetch stale server data, and
-           from now on a rewrite copies the frame *)
+        segs := (p.pframe, 0, n) :: !segs;
+        (* the payload holds the page's frame, so a rewrite copies it
+           first; the page is clean but stays pinned (pflush) until the
+           WRITE RPC completes, so eviction can't drop it and refetch
+           stale server data *)
         p.pflush <- p.pflush + 1;
-        p.plend <- Shared;
         pages := p :: !pages;
         if p.pdirty then begin
           p.pdirty <- false;
@@ -540,7 +548,8 @@ let push_gather t f ~off ~len =
   (* dirty_bytes moved bsize per page when it was dirtied, so credit
      bsize per page cleaned — crediting the truncated payload length
      would leak the tail of a run ending mid-block *)
-  let data = Sim.Iov.of_list (List.rev !segs) in
+  let data = Sim.Iov.of_frames (List.rev !segs) in
+  Sim.Iov.hold data;
   enqueue t (Push (f, off, !cleaned * bsize, data, !pages))
 
 let flush_gather t f = Ufs.Wrun.flush f.run push_gather t f
@@ -563,7 +572,7 @@ let write_body f ~off ~buf ~len =
     done;
     let new_page () =
       let p = insert_page t f po in
-      p.pdata <- zeroed_frame t;
+      set_frame t p (zeroed_frame t);
       p.pvalid <- true;
       p
     in
@@ -590,7 +599,7 @@ let write_body f ~off ~buf ~len =
           else new_page ()
     in
     let page = lookup () in
-    using page (fun () ->
+    using t page (fun () ->
         if not page.pdirty then begin
           page.pdirty <- true;
           t.dirty_bytes <- t.dirty_bytes + bsize
@@ -599,13 +608,13 @@ let write_body f ~off ~buf ~len =
         charge t (Ufs.Costs.copy_cost t.costs ~bytes:n);
         (* copy-on-write: the server or a WRITE payload may hold this
            frame and must keep the bytes it has *)
-        if page.plend = Shared then begin
-          let frame = Sim.Frames.take t.frames in
-          Bytes.blit page.pdata 0 frame 0 bsize;
-          page.pdata <- frame;
-          page.plend <- Own
+        if Sim.Frames.shared page.pframe then begin
+          let frame = Sim.Frames.frame t.frames in
+          Bytes.blit page.pframe.Sim.Frames.bytes 0 frame.Sim.Frames.bytes 0
+            bsize;
+          set_frame t page frame
         end;
-        Bytes.blit buf !copied page.pdata (!cur - po) n);
+        Bytes.blit buf !copied page.pframe.Sim.Frames.bytes (!cur - po) n);
     if !cur + n > f.fsize then f.fsize <- !cur + n;
     (* gather: extend the run while the stream stays contiguous *)
     Ufs.Wrun.add f.run ~off:po ~cap:cluster push_gather t f;
@@ -674,7 +683,9 @@ let invalidate f =
 let iter_pages t f =
   Hashtbl.iter
     (fun name file ->
-      Hashtbl.iter (fun off p -> if p.pvalid then f name off p.pdata) file.pages)
+      Hashtbl.iter
+        (fun off p -> if p.pvalid then f name off p.pframe.Sim.Frames.bytes)
+        file.pages)
     t.files
 
 let engine t = t.engine

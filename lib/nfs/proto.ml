@@ -68,6 +68,10 @@ let msg_size = function
   | Call { call; _ } -> call_size call
   | Reply { reply; _ } -> reply_size reply
 
+let no_frames = Sim.Iov.of_frames []
+let call_frames = function Write { data; _ } -> data | _ -> no_frames
+let reply_frames = function R_read { data; _ } -> data | _ -> no_frames
+
 let op_index = function
   | Lookup _ -> 0
   | Create _ -> 1
@@ -79,7 +83,6 @@ let op_index = function
 let op_names = [ "lookup"; "create"; "getattr"; "read"; "write"; "readdir" ]
 let nops = List.length op_names
 let names = Array.of_list op_names
-let op_name c = names.(op_index c)
 
 let index_of_name name =
   let rec find i = function

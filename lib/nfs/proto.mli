@@ -5,8 +5,10 @@
     network is the data that lives in the server's UFS image, so
     content checks (the duplicate-apply property tests) are real.
     Payloads are iovs: a WRITE borrows the client's cache pages and a
-    READ reply is cut into page-sized buffers the client adopts (see
-    DESIGN.md, "Buffer ownership").
+    READ reply is cut into page-sized buffers the client adopts.  Each
+    copy of a message in the network holds the frames it carries, and
+    its receiver drops those holds once it has used it (see DESIGN.md,
+    "Buffer ownership").
 
     [call_size]/[reply_size] give the wire size of each message: a
     fixed RPC header plus the payload, which is what the {!Net} layer
@@ -82,9 +84,12 @@ val call_size : call -> int
 val reply_size : reply -> int
 val msg_size : msg -> int
 
-val op_name : call -> string
-(** ["lookup" | "create" | "getattr" | "read" | "write" | "readdir"] —
-    the metric key for per-op counters. *)
+val call_frames : call -> Sim.Iov.t
+(** The page frames a call carries: a WRITE's data, empty otherwise.
+    Each copy of the call in the network holds them once. *)
+
+val reply_frames : reply -> Sim.Iov.t
+(** The page frames a reply carries: a READ's data, empty otherwise. *)
 
 val op_names : string list
 (** All op names, in a fixed order (metrics export). *)

@@ -82,7 +82,11 @@ let create engine ~cpu ~ep ~client_id ?(transport = Fixed)
                 Hashtbl.remove t.pending xid;
                 p.got <- Some (reply, meta);
                 (match p.wake with Some w -> w () | None -> ())
-            | None -> t.st.late_replies <- t.st.late_replies + 1)
+            | None ->
+                (* nobody takes this copy's frames *)
+                t.st.late_replies <- t.st.late_replies + 1;
+                Sim.Iov.release (Sim.Engine.frames engine)
+                  (Proto.reply_frames reply))
         | Proto.Call _ -> assert false
       done);
   t
@@ -201,6 +205,11 @@ let call_body t (call : Proto.call) =
   t.st.calls <- t.st.calls + 1;
   Sim.Span.add_attr "xid" (Sim.Span.I xid);
   let size = Proto.call_size call in
+  (* the call kept for retransmission holds its payload's frames until
+     the reply, and so does each copy sent: the server drops a copy's
+     holds once it has used it *)
+  let payload = Proto.call_frames call in
+  Sim.Iov.hold payload;
   let p = { got = None; wake = None } in
   Hashtbl.replace t.pending xid p;
   let t0 = Sim.Engine.now t.engine in
@@ -215,6 +224,7 @@ let call_body t (call : Proto.call) =
     end;
     incr attempts;
     let send_at = Sim.Engine.now t.engine in
+    Sim.Iov.hold payload;
     Net.send t.ep ~size
       (Proto.Call
          { xid; client = t.id; call; sent = send_at; span = Sim.Span.ctx () });
@@ -237,6 +247,7 @@ let call_body t (call : Proto.call) =
       end
     end
   done;
+  Sim.Iov.release (Sim.Engine.frames t.engine) payload;
   let r, meta = Option.get p.got in
   if adaptive then begin
     if !attempts = 1 then begin

@@ -67,7 +67,7 @@ type stats = {
 val stats : t -> stats
 
 val op_calls : t -> string -> int
-(** Completed calls of one op ({!Proto.op_name}). *)
+(** Completed calls of one op (one of {!Proto.op_names}). *)
 
 val rtt_of : t -> string -> Sim.Stats.Summary.t
 (** Round-trip latency summary of one op, including retransmission

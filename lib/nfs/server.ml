@@ -122,6 +122,11 @@ let execute t call =
   try execute t call with
   | Vfs.Errno.Error (code, _) -> Proto.R_err (Vfs.Errno.to_string code)
 
+(* This copy of a call has been used: drop its holds on the frames it
+   carries (a page that adopted one holds it itself). *)
+let drop_copy t call =
+  Sim.Iov.release (Sim.Engine.frames t.engine) (Proto.call_frames call)
+
 (* ---------- dup cache ---------- *)
 
 let dup_store t key reply =
@@ -167,7 +172,8 @@ let worker t () =
       Sim.Condition.wait t.work
     done;
     let it = Queue.pop t.queue in
-    if t.down then () (* queue drained at crash; drop stragglers *)
+    (* queue drained at crash; drop stragglers *)
+    if t.down then drop_copy t it.call
     else
     let dq = Sim.Engine.now t.engine in
     Sim.Stats.Summary.add_int t.st.queue_wait_us (dq - it.arrived);
@@ -186,6 +192,7 @@ let worker t () =
     let ni = nonidempotent it.call in
     match if ni then Hashtbl.find_opt t.dup key else None with
     | Some (Done reply) ->
+        drop_copy t it.call;
         t.st.dup_hits <- t.st.dup_hits + 1;
         let reply, spans =
           traced it ~dq ~name:dup_span_names.(Proto.op_index it.call) (fun () -> reply)
@@ -194,7 +201,9 @@ let worker t () =
           ~cost:
             (base_cost @ [ ("nfsd.cpu", Sim.Engine.now t.engine - dq) ])
           ~spans reply
-    | Some In_progress -> t.st.dup_busy_drops <- t.st.dup_busy_drops + 1
+    | Some In_progress ->
+        drop_copy t it.call;
+        t.st.dup_busy_drops <- t.st.dup_busy_drops + 1
     | None ->
         if ni then Hashtbl.replace t.dup key In_progress;
         let op = Proto.op_index it.call in
@@ -205,6 +214,7 @@ let worker t () =
           traced it ~dq ~name:span_names.(op) (fun () ->
               Sim.Attrib.with_clock clk (fun () -> execute t it.call))
         in
+        drop_copy t it.call;
         Sim.Stats.Summary.add_int t.op_service.(op)
           (Sim.Engine.now t.engine - t0);
         (* the server may have died while this nfsd slept on disk: the
@@ -228,10 +238,10 @@ let worker t () =
 let dispatcher t ep () =
   while true do
     match Net.recv ep with
-    | Proto.Call _ when t.down ->
+    | Proto.Call { call; _ } when t.down ->
         (* dead server: the datagram vanishes; the client's RPC layer
            times out and retransmits until the reboot answers *)
-        ()
+        drop_copy t call
     | Proto.Call { xid; client; call; sent; span } ->
         t.st.received <- t.st.received + 1;
         Queue.push

@@ -58,10 +58,11 @@ val restarts : t -> int
 (** Completed crash/restart cycles. *)
 
 val applied : t -> string -> int
-(** How many times an op ({!Proto.op_name}) was actually {e executed}
-    against the file system — the duplicate-apply detector: with the
-    dup cache working, [applied t "write"] equals the number of
-    distinct WRITE xids the clients issued, however lossy the links. *)
+(** How many times an op (one of {!Proto.op_names}) was actually
+    {e executed} against the file system — the duplicate-apply
+    detector: with the dup cache working, [applied t "write"] equals the
+    number of distinct WRITE xids the clients issued, however lossy the
+    links. *)
 
 type stats = {
   mutable received : int;  (** calls arriving off the links *)

@@ -21,3 +21,23 @@ let give t b = if Bytes.length b = t.size then t.free <- b :: t.free
 let free_list t = t.free
 let taken t = t.taken
 let reused t = t.reused
+
+type frame = { bytes : bytes; mutable holders : int }
+
+let wrap b = { bytes = b; holders = 1 }
+let frame t = wrap (take t)
+let plain b = { bytes = b; holders = -1 }
+
+let hold f =
+  if f.holders > 0 then f.holders <- f.holders + 1
+  else if f.holders = 0 then invalid_arg "Frames.hold: frame given back"
+
+let release t f =
+  if f.holders > 1 then f.holders <- f.holders - 1
+  else if f.holders = 1 then begin
+    f.holders <- 0;
+    give t f.bytes
+  end
+  else if f.holders = 0 then invalid_arg "Frames.release: frame given back"
+
+let shared f = f.holders <> 1

@@ -12,9 +12,6 @@ val split : t -> t
 (** [split t] derives an independent stream; both [t] and the result
     advance deterministically from here on. *)
 
-val int64 : t -> int64
-(** Next raw 64-bit value. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 

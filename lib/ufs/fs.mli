@@ -111,15 +111,16 @@ val write : Types.fs -> Types.inode -> off:int -> buf:bytes -> len:int -> unit
 
 val readv : Types.fs -> Types.inode -> off:int -> len:int -> Sim.Iov.t
 (** nfsd's READ: a reply cut at block boundaries, in which every whole
-    block is the cached page's own frame ({!Io.export}), one segment a
-    reader can adopt as its page ({!Sim.Iov.whole}).  Nobody writes
-    into such a frame again.  Other pieces are copies.  Short at EOF. *)
+    block is the cached page's own frame ({!Vm.Page.export}), held once
+    for the reply, one segment a reader can adopt as its page
+    ({!Sim.Iov.whole}).  Nobody writes into such a frame again.  Other
+    pieces are copies.  Short at EOF. *)
 
 val writev : Types.fs -> Types.inode -> off:int -> Sim.Iov.t -> unit
 (** nfsd's WRITE of all of the iov at [off]: a whole-block segment that
-    overwrites a whole block becomes that page's frame instead of being
-    copied ({!Vm.Page.adopt}), so the caller must never write into the
-    iov's segments again. *)
+    overwrites a whole block becomes that page's frame, with a hold of
+    its own, instead of being copied ({!Vm.Page.adopt}), so the caller
+    must never write into the iov's segments again. *)
 
 val fsync : Types.fs -> Types.inode -> unit
 

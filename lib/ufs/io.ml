@@ -53,9 +53,9 @@ let page_in (pg : pager) ~vid ~off ~sector ~bytes ~sync ~read_ahead =
       in
       List.iter
         (fun ((p : Vm.Page.t), k) ->
-          segs.(k) <- (p.Vm.Page.data, 0, block_len ~bytes k))
+          segs.(k) <- (p.Vm.Page.frame, 0, block_len ~bytes k))
         mine;
-      let iov = Sim.Iov.of_list (Array.to_list segs) in
+      let iov = Sim.Iov.of_frames (Array.to_list segs) in
       let req =
         Disk.Request.of_iov ~lend:true ~kind:Disk.Request.Read ~sector
           ~count:(bytes / Layout.sector_bytes) iov ()
@@ -68,10 +68,8 @@ let page_in (pg : pager) ~vid ~off ~sector ~bytes ~sync ~read_ahead =
               if n < Layout.bsize then
                 Bytes.fill p.Vm.Page.data n (Layout.bsize - n) '\000'
               else begin
-                let chunk = Sim.Iov.base iov ~off:(k * Layout.bsize) in
-                if chunk != p.Vm.Page.data then
-                  Vm.Page.borrow frames p chunk
-                    ~home:((sector * Layout.sector_bytes) + (k * Layout.bsize))
+                let chunk = Sim.Iov.frame iov ~off:(k * Layout.bsize) in
+                if chunk != p.Vm.Page.frame then Vm.Page.borrow frames p chunk
               end;
               Vm.Page.set_valid p true;
               Vm.Page.unbusy p)
@@ -131,14 +129,14 @@ let zero_fill fs (ip : inode) ~off ~blocks =
   done
 
 (* An ordered push's private copy of [n] bytes of a page, in a pool
-   frame when it is a whole block. *)
-let snapshot frames data n =
+   frame that the request holds when it is a whole block. *)
+let snapshot frames (p : Vm.Page.t) n =
   if n = Layout.bsize then begin
-    let b = Sim.Frames.take frames in
-    Bytes.blit data 0 b 0 n;
-    b
+    let f = Sim.Frames.frame frames in
+    Bytes.blit p.Vm.Page.data 0 f.Sim.Frames.bytes 0 n;
+    f
   end
-  else Bytes.sub data 0 n
+  else Sim.Frames.plain (Bytes.sub p.Vm.Page.data 0 n)
 
 let push_pages (pg : pager) (w : writes) pages ~sector ~bytes ~sync
     ~free_after ~throttle ~locked ?(ordered = false) () =
@@ -153,17 +151,19 @@ let push_pages (pg : pager) (w : writes) pages ~sector ~bytes ~sync
   (* Plain writes gather straight from the pages, which stay busy until
      the I/O lands (writers must not mutate data in flight).  Ordered
      writes release their pages at submit, so they carry a snapshot.
-     The store keeps the whole blocks' frames either way. *)
+     The request holds each frame it carries until it completes (a
+     busy page may still move off its frame), and the store takes a
+     hold of its own on each whole block's frame. *)
   let frames = Sim.Engine.frames pg.engine in
   let iov =
-    Sim.Iov.of_list
+    Sim.Iov.of_frames
       (List.mapi
          (fun k (p : Vm.Page.t) ->
            let n = block_len ~bytes k in
-           let data = p.Vm.Page.data in
-           ((if ordered then snapshot frames data n else data), 0, n))
+           ((if ordered then snapshot frames p n else p.Vm.Page.frame), 0, n))
          pages)
   in
+  if not ordered then Sim.Iov.hold iov;
   let throttled =
     match (throttle, w.wlimit) with
     | true, Some (sem, limit) ->
@@ -189,38 +189,29 @@ let push_pages (pg : pager) (w : writes) pages ~sector ~bytes ~sync
         Vm.Page.set_dirty p false;
         if free_after then Vm.Pool.free_page pg.pool p else Vm.Page.unbusy p)
       pages;
-  let store = Disk.Blkdev.store pg.dev in
   Disk.Request.on_complete req (fun () ->
       (match throttled with
       | Some (sem, n) -> Sim.Semaphore.release sem ~n ()
       | None -> ());
       w.pending <- w.pending - bytes;
-      (* the store now holds each whole block's frame, pinned if another
-         host may hold it.  The page counts as lent only from here on,
-         so bytes that reached it while busy went to the platter with
-         it.  A page that a write moved off its exported frame meanwhile
-         (copy-on-write) has bytes the platter lacks: it stays dirty *)
+      (* The page counts as lent only from here on, so bytes that
+         reached it while busy went to the platter with it.  A page that
+         a write moved off its lent frame meanwhile (copy-on-write) has
+         bytes the platter lacks: it stays dirty *)
       if not ordered then
         List.iteri
           (fun k (p : Vm.Page.t) ->
-            let home = (sector * Layout.sector_bytes) + (k * Layout.bsize) in
             let whole = block_len ~bytes k = Layout.bsize in
-            let gathered = Sim.Iov.base iov ~off:(k * Layout.bsize) in
-            if whole && gathered != p.Vm.Page.data then begin
-              Disk.Store.pin store ~off:home gathered;
-              Vm.Page.unbusy p
-            end
+            let gathered = Sim.Iov.frame iov ~off:(k * Layout.bsize) in
+            if whole && gathered != p.Vm.Page.frame then Vm.Page.unbusy p
             else begin
-              if whole then begin
-                Vm.Page.lend p ~home;
-                if p.Vm.Page.exported then
-                  Disk.Store.pin store ~off:home p.Vm.Page.data
-              end;
+              if whole then Vm.Page.lend p;
               Vm.Page.set_dirty p false;
               if free_after then Vm.Pool.free_page pg.pool p
               else Vm.Page.unbusy p
             end)
           pages;
+      Sim.Iov.release frames iov;
       Sim.Condition.broadcast w.iodone);
   charge_io pg;
   let st = pg.stats in
@@ -230,12 +221,6 @@ let push_pages (pg : pager) (w : writes) pages ~sector ~bytes ~sync
   if blocks > 1 then st.flush_runs <- st.flush_runs + 1;
   Disk.Blkdev.submit pg.dev req;
   if sync then Disk.Request.wait pg.engine req
-
-let export fs (p : Vm.Page.t) =
-  if p.Vm.Page.home >= 0 then
-    Disk.Store.pin (Disk.Blkdev.store fs.dev) ~off:p.Vm.Page.home
-      p.Vm.Page.data;
-  Vm.Page.export p
 
 let wait_writes (pg : pager) (w : writes) =
   let before = Sim.Engine.now pg.engine in

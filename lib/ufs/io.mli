@@ -56,16 +56,11 @@ val push_pages :
     duration; on completion they are cleaned, unbusied (or freed when
     [free_after]), their whole blocks' frames lent to the store
     ({!Vm.Page.lend}), and the file's in-flight count drops; a page
-    that a write moved off its exported frame during the push stays
-    dirty and cached.  When [throttle], blocks on the file's
+    that a write moved off its lent frame during the push stays dirty
+    and cached.  The request holds each frame it carries until then.  When [throttle], blocks on the file's
     write-limit semaphore first (the paper's fairness semaphore);
     pageout-initiated pushes pass [false].  When [sync], waits for the
     I/O. *)
-
-val export : Types.fs -> Vm.Page.t -> unit
-(** The page's frame is about to leave this host in a READ reply:
-    {!Vm.Page.export} it, and pin it in the store if the page shares
-    the store's chunk. *)
 
 val wait_writes : Types.pager -> Types.writes -> unit
 (** Block until the file has no writes in flight (fsync tail). *)

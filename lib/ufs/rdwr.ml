@@ -101,10 +101,7 @@ let do_read fs (ip : inode) (uio : Vfs.Uio.t) =
             (* a READ reply carries a whole page's own frame; the charges
                may have slept, so only a page still valid *)
             if uio.Vfs.Uio.frames && n = Layout.bsize && p.Vm.Page.valid
-            then begin
-              Io.export fs p;
-              Vfs.Uio.give uio p.Vm.Page.data
-            end
+            then Vfs.Uio.give uio (Vm.Page.export p)
             else
               Vfs.Uio.move uio ~src_or_dst:p.Vm.Page.data ~data_off:(off - po)
                 ~n;

@@ -110,11 +110,12 @@ type pager = {
   pool : Vm.Pool.t;
   dev : Disk.Blkdev.t;
   stats : stats;
-  scratch : bytes;
+  scratch : Sim.Frames.frame;
 }
 
 let mk_pager ~engine ~cpu ~costs ~pool ~dev ~stats =
-  { engine; cpu; costs; pool; dev; stats; scratch = Bytes.create Layout.bsize }
+  let scratch = Sim.Frames.plain (Bytes.create Layout.bsize) in
+  { engine; cpu; costs; pool; dev; stats; scratch }
 
 (* A file's writes in flight: the bytes fsync waits out, the condition
    their completions signal, and the paper's write-limit semaphore with

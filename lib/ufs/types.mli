@@ -98,7 +98,7 @@ type pager = {
   pool : Vm.Pool.t;
   dev : Disk.Blkdev.t;
   stats : stats;  (** page-in, read-ahead and push counters *)
-  scratch : bytes;
+  scratch : Sim.Frames.frame;
       (** one block that page-ins read the cached blocks of a cluster
           into: the disk transfers them anyway, and their bytes are
           never read *)

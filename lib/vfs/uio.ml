@@ -7,7 +7,7 @@ type t = {
   iov : Sim.Iov.t;
   mutable iov_off : int;
   frames : bool;
-  mutable segs : (bytes * int * int) list;
+  mutable segs : (Sim.Frames.frame * int * int) list;
 }
 
 let of_iov ?(frames = false) ~rw ~off iov =
@@ -30,7 +30,8 @@ let make ~rw ~off ~len ~buf ~buf_off =
 
 let reply ~off ~len =
   if off < 0 || len < 0 then invalid_arg "Uio.reply: negative off/len";
-  { (of_iov ~frames:true ~rw:Read ~off (Sim.Iov.of_list [])) with resid = len }
+  let empty = Sim.Iov.of_frames [] in
+  { (of_iov ~frames:true ~rw:Read ~off empty) with resid = len }
 
 let done_ t = t.resid = 0
 
@@ -43,25 +44,26 @@ let move t ~src_or_dst ~data_off ~n =
   if n < 0 || n > t.resid then invalid_arg "Uio.move: bad length";
   (match t.rw with
   | Read when t.frames ->
-      t.segs <- (Bytes.sub src_or_dst data_off n, 0, n) :: t.segs
+      let copy = Sim.Frames.plain (Bytes.sub src_or_dst data_off n) in
+      t.segs <- (copy, 0, n) :: t.segs
   | Read -> Sim.Iov.blit_from_bytes src_or_dst data_off t.iov t.iov_off n
   | Write -> Sim.Iov.blit_to_bytes t.iov t.iov_off src_or_dst data_off n);
   advance t n
 
-let give t b =
-  let n = Bytes.length b in
+let give t (f : Sim.Frames.frame) =
+  let n = Bytes.length f.bytes in
   if not (t.frames && t.rw = Read) || n > t.resid then
     invalid_arg "Uio.give: not a reply, or too long";
-  t.segs <- (b, 0, n) :: t.segs;
+  t.segs <- (f, 0, n) :: t.segs;
   advance t n
 
 let take t n =
   if not (t.frames && t.rw = Write) || n > t.resid then None
   else
-    match Sim.Iov.whole t.iov ~off:t.iov_off ~len:n with
-    | Some b ->
+    match Sim.Iov.whole_frame t.iov ~off:t.iov_off ~len:n with
+    | Some f ->
         advance t n;
-        Some b
+        Some f
     | None -> None
 
-let replied t = Sim.Iov.of_list (List.rev t.segs)
+let replied t = Sim.Iov.of_frames (List.rev t.segs)

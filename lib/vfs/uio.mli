@@ -21,7 +21,7 @@ type t = {
   iov : Sim.Iov.t;
   mutable iov_off : int;  (** logical offset of the next byte in [iov] *)
   frames : bool;  (** whole page frames change hands by reference *)
-  mutable segs : (bytes * int * int) list;
+  mutable segs : (Sim.Frames.frame * int * int) list;
       (** a {!reply} uio's segments so far, newest first *)
 }
 
@@ -49,16 +49,17 @@ val move : t -> src_or_dst:bytes -> data_off:int -> n:int -> unit
     a copy appended to a {!reply}), for a [Write] uio it flows
     file-ward (into [src_or_dst]).  Advances the uio. *)
 
-val give : t -> bytes -> unit
-(** Append the whole frame [b] to a {!reply} by reference, for
-    [Bytes.length b] bytes: its holder must never write into it again.
-    Raises [Invalid_argument] on any other uio. *)
+val give : t -> Sim.Frames.frame -> unit
+(** Append the whole frame [f] to a {!reply} by reference, for its
+    length, with the hold the caller took for the reply: its holders
+    must never write into it again.  Raises [Invalid_argument] on any
+    other uio. *)
 
-val take : t -> int -> bytes option
-(** For a [frames] write: [Some b] when the next [n] bytes are one
-    whole segment spanning all of [b] ({!Sim.Iov.whole}), consumed;
-    the caller keeps [b] as a page frame instead of copying it.
-    [None] (nothing consumed) otherwise. *)
+val take : t -> int -> Sim.Frames.frame option
+(** For a [frames] write: [Some f] when the next [n] bytes are one
+    whole segment spanning all of [f] ({!Sim.Iov.whole}), consumed;
+    the caller keeps [f] as a page frame, with a hold of its own,
+    instead of copying it.  [None] (nothing consumed) otherwise. *)
 
 val replied : t -> Sim.Iov.t
 (** A {!reply}'s bytes so far, in file order. *)

@@ -3,6 +3,7 @@ type ident = { vid : int; off : int }
 type t = {
   frameno : int;
   mutable data : bytes;
+  mutable frame : Sim.Frames.frame;
   mutable ident : ident option;
   mutable valid : bool;
   mutable dirty : bool;
@@ -10,15 +11,15 @@ type t = {
   mutable busy : bool;
   mutable prefetched : bool;
   mutable lent : bool;
-  mutable exported : bool;
-  mutable home : int;
   mutable waiters : (unit -> unit) list;
 }
 
 let make ~frameno ~pagesize =
+  let data = Bytes.make pagesize '\000' in
   {
     frameno;
-    data = Bytes.make pagesize '\000';
+    data;
+    frame = Sim.Frames.wrap data;
     ident = None;
     valid = false;
     dirty = false;
@@ -26,8 +27,6 @@ let make ~frameno ~pagesize =
     busy = false;
     prefetched = false;
     lent = false;
-    exported = false;
-    home = -1;
     waiters = [];
   }
 
@@ -36,48 +35,48 @@ let set_valid t b = t.valid <- b
 let set_dirty t b = t.dirty <- b
 let set_referenced t b = t.referenced <- b
 let set_prefetched t b = t.prefetched <- b
+let lend t = t.lent <- true
 
-let lend t ~home =
-  t.lent <- true;
-  t.home <- home
+(* The page holds [f] from now on, and drops the frame it had (a hold
+   taken before the old one is dropped). *)
+let switch frames t (f : Sim.Frames.frame) =
+  let old = t.frame in
+  t.frame <- f;
+  t.data <- f.bytes;
+  Sim.Frames.release frames old
 
-(* A fresh page-in's own frame is private, so the pool can have it. *)
-let borrow frames t b ~home =
-  Sim.Frames.give frames t.data;
-  t.data <- b;
-  lend t ~home
+let borrow frames t f =
+  Sim.Frames.hold f;
+  switch frames t f;
+  lend t
 
-(* The frame it replaces goes back to the pool only if it is private.
-   A retransmitted WRITE may bring the page's own frame again. *)
-let adopt frames t b =
-  if b != t.data then begin
-    if not t.lent then Sim.Frames.give frames t.data;
-    t.data <- b;
-    t.home <- -1
+(* A retransmitted WRITE may bring the page's own frame again. *)
+let adopt frames t f =
+  if f != t.frame then begin
+    Sim.Frames.hold f;
+    switch frames t f
   end;
-  t.lent <- true;
-  t.exported <- true
+  lend t
 
 let export t =
-  t.lent <- true;
-  t.exported <- true
+  lend t;
+  Sim.Frames.hold t.frame;
+  t.frame
 
-(* A lent frame belongs to the store or another host from now on; the
-   page moves to a frame of its own (a UFS page is exactly one pool
-   frame long). *)
+(* A lent frame may have other holders; the page moves to a frame of
+   its own (a UFS page is exactly one pool frame long). *)
 let own_blank frames t =
   if t.lent then begin
-    t.data <- Sim.Frames.take frames;
-    t.lent <- false;
-    t.exported <- false;
-    t.home <- -1
+    switch frames t (Sim.Frames.frame frames);
+    t.lent <- false
   end
 
 let own frames t =
   if t.lent then begin
-    let shared = t.data in
-    own_blank frames t;
-    Bytes.blit shared 0 t.data 0 (Bytes.length shared)
+    let f = Sim.Frames.frame frames in
+    Bytes.blit t.data 0 f.bytes 0 (Bytes.length t.data);
+    switch frames t f;
+    t.lent <- false
   end
 
 let rec lock engine t =

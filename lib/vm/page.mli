@@ -19,15 +19,15 @@
       prefetch.
     - [lent]: someone other than this page may read [data]: the disk
       store kept it as a chunk (a push lent it, or a page-in borrowed
-      the chunk), or another host holds it ([exported]).  Whoever
-      writes into a lent page first takes a private frame ({!own} or
-      {!own_blank}); {!Pool.free_page} drops a lent frame, and no lent
-      frame goes back to the frame pool.
-    - [exported]: [data] may be held beyond this host: a READ reply
-      carried it, or it came in a WRITE payload.  The store must pin it
-      wherever it keeps it as a chunk ({!Disk.Store.pin}).
-    - [home]: the store byte offset whose chunk [data] may be, or -1
-      (see DESIGN.md, "Buffer ownership"). *)
+      the chunk), or another host holds it (a READ reply carried it,
+      or it came in a WRITE payload).  Whoever writes into a lent page
+      first takes a private frame ({!own} or {!own_blank});
+      {!Pool.free_page} drops a lent frame the same way.
+
+    [frame] is the page's hold on [data] ([data] is [frame.bytes]): the
+    page is one of the frame's holders, and the frame goes back to the
+    engine's pool when its last holder lets go (see DESIGN.md, "Buffer
+    ownership"). *)
 
 type ident = { vid : int; off : int }
 (** [off] is page-aligned. *)
@@ -35,6 +35,7 @@ type ident = { vid : int; off : int }
 type t = private {
   frameno : int;
   mutable data : bytes;
+  mutable frame : Sim.Frames.frame;
   mutable ident : ident option;  (** [None] = on the free list *)
   mutable valid : bool;
   mutable dirty : bool;
@@ -42,8 +43,6 @@ type t = private {
   mutable busy : bool;
   mutable prefetched : bool;
   mutable lent : bool;
-  mutable exported : bool;
-  mutable home : int;
   mutable waiters : (unit -> unit) list;
 }
 
@@ -55,24 +54,23 @@ val set_dirty : t -> bool -> unit
 val set_referenced : t -> bool -> unit
 val set_prefetched : t -> bool -> unit
 
-val lend : t -> home:int -> unit
-(** Mark [data] as shared with the disk store, as its chunk at byte
-    [home]. *)
+val lend : t -> unit
+(** Mark [data] as shared with the disk store: a push lent it. *)
 
-val borrow : Sim.Frames.t -> t -> bytes -> home:int -> unit
-(** A page-in found the store's chunk at byte [home] for the page: the
-    chunk becomes the page's frame, shared with the store ({!lend}), and
-    the page's own frame goes back to the pool.  Only for a page the
-    page-in claimed, and a chunk that is not its frame already. *)
+val borrow : Sim.Frames.t -> t -> Sim.Frames.frame -> unit
+(** A page-in found the store's chunk for the page: the page takes a
+    hold on the chunk, which becomes its frame ({!lend}), and drops its
+    own frame.  Only for a page the page-in claimed, and a chunk that is
+    not its frame already. *)
 
-val adopt : Sim.Frames.t -> t -> bytes -> unit
+val adopt : Sim.Frames.t -> t -> Sim.Frames.frame -> unit
 (** A whole-page write payload from another host becomes the page's
-    frame, which is then [exported].  The frame it replaces goes back
-    to the pool when it was private.  Not for a busy page: a push may
-    be reading its frame. *)
+    frame: the page takes a hold on it and drops the frame it replaces.
+    Not for a busy page: a push may be reading its frame. *)
 
-val export : t -> unit
-(** [data] may be held beyond this host from now on. *)
+val export : t -> Sim.Frames.frame
+(** [data] goes to another host: the page's frame, with a hold for the
+    message that carries it. *)
 
 val own : Sim.Frames.t -> t -> unit
 (** Before a partial in-place write: if the page is lent, move its bytes

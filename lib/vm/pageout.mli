@@ -39,7 +39,3 @@ val stats : t -> stats
 val register_metrics : t -> Sim.Metrics.t -> instance:string -> unit
 (** Register the daemon's scan/free/flush counters as a
     ["vm.pageout"] source. *)
-
-val cpu_label : string
-(** The {!Sim.Cpu} accounting label under which daemon time is charged
-    (["pageout"]). *)

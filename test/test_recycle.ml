@@ -29,7 +29,8 @@ type tap = {
    ~copy] ([copy] 0 is the first copy of its xid to arrive), or ignored
    when that is [None].  A call's effect happens when it is served: a
    WRITE reads its payload then, the way nfsd copies from a call it has
-   dequeued, and a held READ sees any truncation that overtook it.  A
+   dequeued, and drops the copy's holds on its frames once it has
+   used it.  A held READ sees any truncation that overtook it.  A
    READ reply carries each whole block's frame itself, as
    [Ufs.Fs.readv] exports a page's frame, so a WRITE never changes a
    frame in place: it writes a copy. *)
@@ -88,6 +89,8 @@ let tap_server e ep ~hold =
                 Sim.Engine.spawn e ~name:"tap-call" (fun () ->
                     Sim.Engine.sleep e d;
                     let reply = serve xid call in
+                    Sim.Iov.release (Sim.Engine.frames e)
+                      (Nfs.Proto.call_frames call);
                     let meta =
                       { Nfs.Proto.sent_at = Sim.Engine.now e; cost = []; spans = None }
                     in
@@ -146,9 +149,9 @@ let test_rewrites_copy_once () =
    is served 300 ms late, so the 100 ms timeout retransmits it, the
    second copy is answered, and the first is applied after that reply.
    [after] runs as soon as fsync returns, while that stale copy is
-   still queued.  Returns every payload applied for block 0's first
-   WRITE. *)
-let late_duplicate ~after =
+   still queued.  Returns the engine and every payload applied for
+   block 0's first WRITE. *)
+let late_duplicate_in ~after =
   let hold (call : Nfs.Proto.call) ~copy =
     match call with
     | Nfs.Proto.Write _ when copy = 0 -> Some (ms 300)
@@ -161,13 +164,16 @@ let late_duplicate ~after =
       Nfs.Client.fsync f;
       check_int "the reply came from the retransmission" 1
         (List.length !(tap.writes));
-      after f;
+      after mount f;
       Sim.Engine.sleep e (ms 500));
   Sim.Engine.run e;
   let first = List.fold_left (fun _ (xid, _, _) -> xid) 0 !(tap.writes) in
-  List.filter_map
-    (fun (xid, _, data) -> if xid = first then Some data else None)
-    !(tap.writes)
+  ( e,
+    List.filter_map
+      (fun (xid, _, data) -> if xid = first then Some data else None)
+      !(tap.writes) )
+
+let late_duplicate ~after = snd (late_duplicate_in ~after:(fun _ f -> after f))
 
 let test_resent_frame_not_rewritten () =
   let payloads =
@@ -786,6 +792,128 @@ let test_one_copy_census () =
     t.T.clients;
   check_bool "the clients' cached pages kept the bytes they read" true !ok
 
+(* ---------- the rewrite phase ---------- *)
+
+let rw_clients = 4
+let rw_blocks = 64 (* 8 KB blocks per file, twice the client cache *)
+let rw_ops = 240 (* 4 KB calls per client *)
+let rw_fill ~client ~blk ~ver =
+  Char.chr (((client * 53) + (blk * 7) + ver) land 0xff)
+
+(* Fresh frames taken from the engine's pool while [f] runs. *)
+let fresh_frames (t : T.t) f =
+  let frames = Sim.Engine.frames (T.engine t) in
+  let fresh () = Sim.Frames.taken frames - Sim.Frames.reused frames in
+  let before = fresh () in
+  f ();
+  fresh () - before
+
+let test_rewrite_census () =
+  (* 4 clients over lossy adaptive links, a dup cache that evicts.  Each
+     prewrites a 512 KB file, drops it from its cache, then runs a
+     70/30 mix of 4 KB reads and 4 KB rewrites, each rewrite half of a
+     page not written before, as the nfs-randrw benchmark does.  The old
+     version of a rewritten block goes back to the pool once its last
+     holder lets go, so the phase takes few fresh frames: frames that
+     lost messages still hold, and the warm-up of the clients' caches. *)
+  let net = Net.lossy Net.default_config 0.03 in
+  let t =
+    T.create ~net ~seed:5 ~transport:Nfs.Rpc.Adaptive ~dup_cache_size:4
+      ~cache_pages:(rw_blocks / 2) ~clients:rw_clients (Helpers.config ())
+  in
+  let half = bsize / 2 in
+  let nhalves = 2 * rw_blocks in
+  let version = Array.make_matrix rw_clients nhalves 0 in
+  let expect ~client h =
+    Bytes.make half (rw_fill ~client ~blk:h ~ver:version.(client).(h))
+  in
+  let files = Array.make rw_clients None in
+  let ok = ref true in
+  let read_all () =
+    T.run_clients t (fun c ->
+        let f = Option.get files.(c.T.id) in
+        Nfs.Client.invalidate f;
+        let buf = Bytes.create half in
+        for h = 0 to nhalves - 1 do
+          ignore (Nfs.Client.read f ~off:(h * half) ~buf ~len:half);
+          if buf <> expect ~client:c.T.id h then ok := false
+        done)
+  in
+  T.run_clients t (fun c ->
+      let f = Nfs.Client.create c.T.mount (Printf.sprintf "rw%d" c.T.id) in
+      files.(c.T.id) <- Some f;
+      for h = 0 to nhalves - 1 do
+        Nfs.Client.write f ~off:(h * half) ~buf:(expect ~client:c.T.id h)
+          ~len:half
+      done;
+      Nfs.Client.fsync f);
+  read_all ();
+  check_bool "prewrite: every block reads back" true !ok;
+  check_census t ~phase:"prewrite" ~bound:false;
+  let rewrites = ref 0 in
+  let fresh =
+    fresh_frames t (fun () ->
+        T.run_clients t (fun c ->
+            let id = c.T.id and f = Option.get files.(c.T.id) in
+            let rng = Sim.Rng.create ~seed:(100 + id) in
+            let pages = Array.init rw_blocks Fun.id in
+            Sim.Rng.shuffle rng pages;
+            let next = ref 0 in
+            let buf = Bytes.create half in
+            for i = 1 to rw_ops do
+              if Sim.Rng.int rng 100 < 70 || !next = rw_blocks then begin
+                let h = Sim.Rng.int rng nhalves in
+                ignore (Nfs.Client.read f ~off:(h * half) ~buf ~len:half);
+                if buf <> expect ~client:id h then ok := false
+              end
+              else begin
+                let h = (2 * pages.(!next)) + Sim.Rng.int rng 2 in
+                incr next;
+                incr rewrites;
+                version.(id).(h) <- i;
+                Nfs.Client.write f ~off:(h * half) ~buf:(expect ~client:id h)
+                  ~len:half
+              end
+            done;
+            Nfs.Client.fsync f))
+  in
+  check_bool "rewrite: every read saw the model's bytes" true !ok;
+  check_census t ~phase:"rewrite" ~bound:false;
+  read_all ();
+  check_bool "rewrite: every block reads back" true !ok;
+  check_census t ~phase:"read-back" ~bound:false;
+  check_bool
+    (Printf.sprintf "%d rewrites took %d fresh frames, under one per four"
+       !rewrites fresh)
+    true
+    (fresh < !rewrites / 4)
+
+(* ---------- a message copy is a holder ---------- *)
+
+let on_free_list e b =
+  List.exists (fun x -> x == b) (Sim.Frames.free_list (Sim.Engine.frames e))
+
+let test_message_copy_holds_frame () =
+  (* Block 0's first WRITE copy is held past the reply to its
+     retransmission; meanwhile writing block 1 evicts block 0 from the
+     one-page cache.  The held copy keeps the frame off the free list
+     until it is served; then nothing holds it. *)
+  let frame = ref Bytes.empty and freed_early = ref true in
+  let e, payloads =
+    late_duplicate_in ~after:(fun mount f ->
+        frame := cached_frame mount "dup" ~off:0;
+        Nfs.Client.write f ~off:bsize ~buf:(block 'C') ~len:bsize;
+        Nfs.Client.fsync f;
+        freed_early := on_free_list (Nfs.Client.engine mount) !frame)
+  in
+  Alcotest.(check (list string))
+    "both copies carry the bytes the call was gathered with"
+    [ page_of 'A'; page_of 'A' ] payloads;
+  check_bool "while the held copy is in flight, its frame is not free" false
+    !freed_early;
+  check_bool "once it is served and the page evicted, the frame is free" true
+    (on_free_list e !frame)
+
 let suites =
   [
     ( "nfs.frames",
@@ -811,5 +939,9 @@ let suites =
           test_late_duplicate_of_adopted_write;
         Alcotest.test_case "one host copy of each block, FSW and FSR" `Quick
           test_one_copy_census;
+        Alcotest.test_case "rewrites give the old version back" `Quick
+          test_rewrite_census;
+        Alcotest.test_case "a message copy holds its frame" `Quick
+          test_message_copy_holds_frame;
       ] );
   ]
