@@ -73,15 +73,20 @@ let create ?(net = Net.default_config) ?(seed = 0)
             (Config.with_name config
                (Printf.sprintf "%s.s%d" config.Config.name s)))
   in
+  (* nobody receives a dropped copy: it lets go of its frames there *)
+  let on_drop msg =
+    Sim.Iov.release (Sim.Engine.frames engine) (Nfs.Proto.msg_frames msg)
+  in
   let medium =
     if topology = Shared_medium then
-      Some (Net.Medium.create ~seed ~name:"ether" engine net)
+      Some (Net.Medium.create ~seed ~name:"ether" ~on_drop engine net)
     else None
   in
   let switch =
     if topology = Switched then
       Some
-        (Net.Switch.create ~seed ~name:"switch" ?buffer:ports_buffer engine net)
+        (Net.Switch.create ~seed ~name:"switch" ?buffer:ports_buffer ~on_drop
+           engine net)
     else None
   in
   let srv_hosts =
@@ -102,7 +107,7 @@ let create ?(net = Net.default_config) ?(seed = 0)
                    in
                    Net.create
                      ~seed:(seed + (id * servers) + s)
-                     ~name engine net ~a_cpu:cpu
+                     ~name ~on_drop engine net ~a_cpu:cpu
                      ~b_cpu:machines.(s).Machine.cpu))
           else Host (attach_host ~medium ~switch cpu)
         in

@@ -168,6 +168,7 @@ type 'a pep = {
   out : 'a dir;  (** direction this endpoint transmits into *)
   rng : Sim.Rng.t;
   st : stats;  (** both directions combined *)
+  dropped : 'a -> unit;
 }
 
 type 'a t = {
@@ -202,7 +203,8 @@ let p2p_send ep ~dst:_ ~size msg =
   end;
   if lost fate then begin
     ep.st.drops <- ep.st.drops + 1;
-    dir.dst.drops <- dir.dst.drops + 1
+    dir.dst.drops <- dir.dst.drops + 1;
+    ep.dropped msg
   end
   else begin
     let arrival = arrive dir.wire ~after:(delay cfg fate) in
@@ -214,14 +216,15 @@ let p2p_send ep ~dst:_ ~size msg =
         Sim.Stats.Summary.add_int dir.dst.transit_us (arrival - now))
   end
 
-let create ?(seed = 0) ?(name = "link") engine cfg ~a_cpu ~b_cpu =
+let create ?(seed = 0) ?(name = "link") ?(on_drop = ignore) engine cfg
+    ~a_cpu ~b_cpu =
   validate ~who:"Net.create" cfg;
   let ab = mk_dir engine (name ^ ".ab") in
   let ba = mk_dir engine (name ^ ".ba") in
   let rng = Sim.Rng.create ~seed in
   let st = mk_stats () in
   let ep cpu out inc =
-    let p = { engine; cfg; cpu; out; rng; st } in
+    let p = { engine; cfg; cpu; out; rng; st; dropped = on_drop } in
     { ep_transmit = p2p_send p; peer = 0; ep_inbox = inc.inbox }
   in
   { a_ep = ep a_cpu ab ba; b_ep = ep b_cpu ba ab; st; a2b = ab.dst;
@@ -287,6 +290,7 @@ module Medium = struct
     stations : (int, 'a host) Hashtbl.t;  (** by id, in attach order *)
     last_arrival : (int, Sim.Time.t) Hashtbl.t;  (** per-dst FIFO floor *)
     m_st : m_stats;
+    m_dropped : 'a -> unit;
   }
 
   (* the transmit side of a station; its receive side is the host *)
@@ -304,7 +308,7 @@ module Medium = struct
   let slot = Sim.Time.us 51
   let max_backoff_exp = 10
 
-  let create ?(seed = 0) ?(name = "ether") engine cfg =
+  let create ?(seed = 0) ?(name = "ether") ?(on_drop = ignore) engine cfg =
     validate ~who:"Net.Medium.create" cfg;
     {
       m_engine = engine;
@@ -326,6 +330,7 @@ module Medium = struct
           m_queue_wait_us = Sim.Stats.Summary.create ();
           m_transit_us = Sim.Stats.Summary.create ();
         };
+      m_dropped = on_drop;
     }
 
   (* The station's transmit pump.  One event chain per backlogged
@@ -359,7 +364,10 @@ module Medium = struct
       m.m_st.m_bytes_sent <- m.m_st.m_bytes_sent + fr.fsize;
       let fate = draw m.m_cfg m.m_rng in
       if spiked fate then m.m_st.m_spikes <- m.m_st.m_spikes + 1;
-      if lost fate then m.m_st.m_drops <- m.m_st.m_drops + 1
+      if lost fate then begin
+        m.m_st.m_drops <- m.m_st.m_drops + 1;
+        m.m_dropped fr.payload
+      end
       else begin
         (* one serial wire: everything bound for a station arrives in
            transmission order, spikes push later frames behind them *)
@@ -372,7 +380,9 @@ module Medium = struct
         Hashtbl.replace m.last_arrival fr.f_dst arrival;
         Sim.Engine.schedule m.m_engine ~delay:(arrival - now) (fun () ->
             match Hashtbl.find_opt m.stations fr.f_dst with
-            | None -> ()  (* no such station: the bits fall on the floor *)
+            | None ->
+                (* no such station: the bits fall on the floor *)
+                m.m_dropped fr.payload
             | Some dst ->
                 put (inbox_of dst ~src:fr.src) fr.payload;
                 m.m_st.frames_delivered <- m.m_st.frames_delivered + 1;
@@ -488,6 +498,7 @@ module Switch = struct
     sw_rng : Sim.Rng.t;
     ports : (int, 'a port) Hashtbl.t;  (** by host id, in attach order *)
     sw_st : sw_stats;
+    sw_dropped : 'a -> unit;
   }
 
   and 'a port = {
@@ -504,7 +515,8 @@ module Switch = struct
     host : 'a host;  (** the receive side *)
   }
 
-  let create ?(seed = 0) ?(name = "switch") ?(buffer = 64) engine cfg =
+  let create ?(seed = 0) ?(name = "switch") ?(buffer = 64) ?(on_drop = ignore)
+      engine cfg =
     validate ~who:"Net.Switch.create" cfg;
     if buffer <= 0 then invalid_arg "Net.Switch.create: buffer must be > 0";
     {
@@ -526,6 +538,7 @@ module Switch = struct
           sw_queue_wait_us = Sim.Stats.Summary.create ();
           sw_transit_us = Sim.Stats.Summary.create ();
         };
+      sw_dropped = on_drop;
     }
 
   (* The output-port pump: transmit the head frame over the private
@@ -561,11 +574,14 @@ module Switch = struct
      timing already guarantees. *)
   let accept t fr =
     match Hashtbl.find_opt t.ports fr.f_dst with
-    | None -> ()  (* no such port: the bits fall on the floor *)
+    | None ->
+        (* no such port: the bits fall on the floor *)
+        t.sw_dropped fr.payload
     | Some dst ->
         if dst.occupancy >= t.buffer then begin
           t.sw_st.overflows <- t.sw_st.overflows + 1;
-          dst.pst.p_overflows <- dst.pst.p_overflows + 1
+          dst.pst.p_overflows <- dst.pst.p_overflows + 1;
+          t.sw_dropped fr.payload
         end
         else begin
           dst.occupancy <- dst.occupancy + 1;
@@ -601,7 +617,8 @@ module Switch = struct
     if spiked fate then m.sw_st.sw_spikes <- m.sw_st.sw_spikes + 1;
     if lost fate then begin
       m.sw_st.sw_drops <- m.sw_st.sw_drops + 1;
-      p.pst.p_drops <- p.pst.p_drops + 1
+      p.pst.p_drops <- p.pst.p_drops + 1;
+      m.sw_dropped payload
     end
     else begin
       let arrival = arrive p.uplink ~after:(delay cfg fate) in

@@ -31,7 +31,14 @@
     bits were transmitted, nobody heard them), and delayed by [spike]
     extra with probability [spike_prob].  Loss applies independently to
     each direction, so a request/reply protocol above this layer sees
-    both lost calls and lost replies. *)
+    both lost calls and lost replies.
+
+    Every fabric takes one drop notification, [on_drop] (default
+    [ignore]): it is called once with each message the fabric drops,
+    whether a loss draw, a switch's full output buffer or an unknown
+    destination took it, at the instant it is dropped.  Nobody receives
+    a dropped message, so its sender lets go of what it carries there
+    (an NFS message's frames: [Clusterfs.Topology] wires it). *)
 
 type config = {
   bandwidth : int;  (** wire rate, bytes of payload per second *)
@@ -70,7 +77,7 @@ type 'a t
 (** A duplex link. *)
 
 val create :
-  ?seed:int -> ?name:string ->
+  ?seed:int -> ?name:string -> ?on_drop:('a -> unit) ->
   Sim.Engine.t -> config -> a_cpu:Sim.Cpu.t -> b_cpu:Sim.Cpu.t -> 'a t
 (** Build a link; [seed] (default 0) drives the fault injection,
     [name] appears in metrics and diagnostics. *)
@@ -137,7 +144,9 @@ module Medium : sig
   type 'a t
   (** One shared wire. *)
 
-  val create : ?seed:int -> ?name:string -> Sim.Engine.t -> config -> 'a t
+  val create :
+    ?seed:int -> ?name:string -> ?on_drop:('a -> unit) ->
+    Sim.Engine.t -> config -> 'a t
   (** The backoff jitter is drawn in units of a fixed 51 us slot (the
       classic Ethernet slot time) and its binary-exponential window
       stops doubling at 2^10 slots.  [bandwidth] and [latency] come
@@ -203,7 +212,7 @@ module Switch : sig
       and output buffer. *)
 
   val create :
-    ?seed:int -> ?name:string -> ?buffer:int ->
+    ?seed:int -> ?name:string -> ?buffer:int -> ?on_drop:('a -> unit) ->
     Sim.Engine.t -> config -> 'a t
   (** [buffer] (default 64) is the output-buffer capacity per port, in
       frames; arrivals beyond it are tail-dropped. *)

@@ -116,9 +116,6 @@ let zeroed_frame t =
   Bytes.fill f.Sim.Frames.bytes 0 bsize '\000';
   f
 
-(* A page's frame before a fill or a write gives it one *)
-let no_frame = Sim.Frames.plain Bytes.empty
-
 (* The page holds [f] (already held for it) instead of its old frame. *)
 let set_frame t p f =
   let old = p.pframe in
@@ -176,7 +173,7 @@ let insert_page t f po =
   if t.resident >= t.cache_pages then evict_one t;
   let p =
     {
-      pframe = no_frame;
+      pframe = Sim.Frames.empty;
       pvalid = false;
       pdirty = false;
       pbusy = false;

@@ -72,6 +72,10 @@ let no_frames = Sim.Iov.of_frames []
 let call_frames = function Write { data; _ } -> data | _ -> no_frames
 let reply_frames = function R_read { data; _ } -> data | _ -> no_frames
 
+let msg_frames = function
+  | Call { call; _ } -> call_frames call
+  | Reply { reply; _ } -> reply_frames reply
+
 let op_index = function
   | Lookup _ -> 0
   | Create _ -> 1

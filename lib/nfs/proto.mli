@@ -91,6 +91,10 @@ val call_frames : call -> Sim.Iov.t
 val reply_frames : reply -> Sim.Iov.t
 (** The page frames a reply carries: a READ's data, empty otherwise. *)
 
+val msg_frames : msg -> Sim.Iov.t
+(** {!call_frames} or {!reply_frames}: what one copy of the message
+    holds, and what a copy the network drops lets go of. *)
+
 val op_names : string list
 (** All op names, in a fixed order (metrics export). *)
 

@@ -27,6 +27,7 @@ type frame = { bytes : bytes; mutable holders : int }
 let wrap b = { bytes = b; holders = 1 }
 let frame t = wrap (take t)
 let plain b = { bytes = b; holders = -1 }
+let empty = plain Bytes.empty
 
 let hold f =
   if f.holders > 0 then f.holders <- f.holders + 1

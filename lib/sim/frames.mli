@@ -69,6 +69,11 @@ val plain : bytes -> frame
     never goes back to the pool, and it is always {!shared}.  Whoever
     made it may still hold it. *)
 
+val empty : frame
+(** The one frame of no bytes, {!plain}: what a page that holds no
+    frame names, so a free page or an unfilled client page costs no
+    8 KB. *)
+
 val hold : frame -> unit
 (** One more holder.  Raises [Invalid_argument] on a frame already
     given back. *)

@@ -14,12 +14,11 @@ type t = {
   mutable waiters : (unit -> unit) list;
 }
 
-let make ~frameno ~pagesize =
-  let data = Bytes.make pagesize '\000' in
+let make ~frameno =
   {
     frameno;
-    data;
-    frame = Sim.Frames.wrap data;
+    data = Sim.Frames.empty.bytes;
+    frame = Sim.Frames.empty;
     ident = None;
     valid = false;
     dirty = false;
@@ -44,6 +43,12 @@ let switch frames t (f : Sim.Frames.frame) =
   t.frame <- f;
   t.data <- f.bytes;
   Sim.Frames.release frames old
+
+let back frames t = switch frames t (Sim.Frames.frame frames)
+
+let unback frames t =
+  switch frames t Sim.Frames.empty;
+  t.lent <- false
 
 let borrow frames t f =
   Sim.Frames.hold f;

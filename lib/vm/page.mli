@@ -21,13 +21,15 @@
       store kept it as a chunk (a push lent it, or a page-in borrowed
       the chunk), or another host holds it (a READ reply carried it,
       or it came in a WRITE payload).  Whoever writes into a lent page
-      first takes a private frame ({!own} or {!own_blank});
-      {!Pool.free_page} drops a lent frame the same way.
+      first takes a private frame ({!own} or {!own_blank}).
 
     [frame] is the page's hold on [data] ([data] is [frame.bytes]): the
     page is one of the frame's holders, and the frame goes back to the
     engine's pool when its last holder lets go (see DESIGN.md, "Buffer
-    ownership"). *)
+    ownership").  A page holds a frame only while a ⟨vnode, offset⟩
+    names it: {!Pool.alloc} backs the page it claims ({!back}), and
+    {!Pool.free_page} lets go ({!unback}), so a free page's frame is
+    {!Sim.Frames.empty} and its [data] has no bytes. *)
 
 type ident = { vid : int; off : int }
 (** [off] is page-aligned. *)
@@ -46,7 +48,8 @@ type t = private {
   mutable waiters : (unit -> unit) list;
 }
 
-val make : frameno:int -> pagesize:int -> t
+val make : frameno:int -> t
+(** A free page: it holds no frame. *)
 
 val set_ident : t -> ident option -> unit
 val set_valid : t -> bool -> unit
@@ -56,6 +59,14 @@ val set_prefetched : t -> bool -> unit
 
 val lend : t -> unit
 (** Mark [data] as shared with the disk store: a push lent it. *)
+
+val back : Sim.Frames.t -> t -> unit
+(** Give a page that holds no frame one of its own, from the pool; its
+    contents are unspecified. *)
+
+val unback : Sim.Frames.t -> t -> unit
+(** The page lets go of its frame, which stays with any other holder,
+    and holds none from now on; it is no longer {!lend lent}. *)
 
 val borrow : Sim.Frames.t -> t -> Sim.Frames.frame -> unit
 (** A page-in found the store's chunk for the page: the page takes a

@@ -43,9 +43,10 @@ type t = {
 
 let create engine param =
   Param.validate param;
+  if param.Param.pagesize <> Sim.Frames.size (Sim.Engine.frames engine) then
+    invalid_arg "Pool.create: pagesize must be the engine's frame size";
   let frames =
-    Array.init param.Param.physmem_pages (fun i ->
-        Page.make ~frameno:i ~pagesize:param.Param.pagesize)
+    Array.init param.Param.physmem_pages (fun i -> Page.make ~frameno:i)
   in
   let free = Queue.create () in
   Array.iter (fun (p : Page.t) -> Queue.push p.Page.frameno free) frames;
@@ -123,6 +124,7 @@ let alloc t ident =
       assert (p.Page.ident = None && not p.Page.lent);
       let ok = Page.try_lock p in
       assert ok;
+      Page.back (Sim.Engine.frames t.engine) p;
       Page.set_ident p (Some ident);
       Page.set_valid p false;
       Page.set_dirty p false;
@@ -145,9 +147,8 @@ let free_page t (p : Page.t) =
   Page.set_dirty p false;
   Page.set_referenced p false;
   Page.set_prefetched p false;
-  (* the store or another host keeps a lent frame; a free page must not
-     alias it *)
-  Page.own_blank (Sim.Engine.frames t.engine) p;
+  (* a free page holds no frame: the last holder gives it back *)
+  Page.unback (Sim.Engine.frames t.engine) p;
   Queue.push p.Page.frameno t.free;
   t.stats.frees <- t.stats.frees + 1;
   Page.unbusy p;

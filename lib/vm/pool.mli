@@ -33,6 +33,9 @@ type stats = {
 type t
 
 val create : Sim.Engine.t -> Param.t -> t
+(** Every page starts free, holding no frame.  Raises
+    [Invalid_argument] unless [pagesize] is the engine's frame size. *)
+
 val engine : t -> Sim.Engine.t
 val param : t -> Param.t
 
@@ -42,21 +45,22 @@ val lookup : t -> Page.ident -> Page.t option
     re-check [valid]/[ident]. *)
 
 val alloc : t -> Page.ident -> [ `Fresh of Page.t | `Existing of Page.t ]
-(** Take a free frame and enter it in the cache under [ident].  A
-    [`Fresh] page is busy (caller-owned), invalid, clean and not lent.
-    Blocks when no frame is free; because that sleep can race with
+(** Take a free page, back it with a frame from the engine's
+    {!Sim.Frames} ({!Page.back}) and enter it in the cache under
+    [ident].  A [`Fresh] page is busy (caller-owned), invalid, clean
+    and not lent, and its bytes are unspecified.
+    Blocks when no page is free; because that sleep can race with
     another process faulting the same page, the cache is re-checked
     afterwards and the already-entered page returned as [`Existing]
     (not locked by the caller). *)
 
 val free_page : t -> Page.t -> unit
-(** Return a frame to the free list.  The caller must hold the page
+(** Return a page to the free list.  The caller must hold the page
     busy; the page leaves the cache, loses its identity and is marked
-    not busy.  A lent frame ({!Page.lend}, {!Page.export}) stays with
-    the store or the other host that holds it, and is left to the GC
-    when they let go: the page takes another from the engine's
-    {!Sim.Frames}.  Wakes
-    processes sleeping in {!alloc}. *)
+    not busy.  It drops its hold on its frame ({!Page.unback}): a frame
+    nobody else holds goes back to the engine's {!Sim.Frames}, a lent
+    one ({!Page.lend}, {!Page.export}) stays with the store or the
+    other host that holds it.  Wakes processes sleeping in {!alloc}. *)
 
 val freecnt : t -> int
 

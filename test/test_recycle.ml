@@ -697,7 +697,10 @@ let held (t : T.t) =
   Array.iter
     (fun (m : Clusterfs.Machine.t) ->
       Array.iter
-        (fun (p : Vm.Page.t) -> acc := p.Vm.Page.data :: !acc)
+        (fun (p : Vm.Page.t) ->
+          (* a free page holds none *)
+          if p.Vm.Page.frame != Sim.Frames.empty then
+            acc := p.Vm.Page.data :: !acc)
         (Vm.Pool.frames m.Clusterfs.Machine.pool);
       Disk.Store.iter_chunks
         (fun _ chunk -> acc := chunk :: !acc)
@@ -705,22 +708,73 @@ let held (t : T.t) =
     t.T.servers;
   !acc
 
-(* At most one frame per data block beyond the servers' page frames,
-   and none of them on the frame pool's free list. *)
-let check_census (t : T.t) ~phase ~bound =
+(* Server pages that hold bytes of their own: named and not lent.  A
+   free page holds no frame, and a lent one shares its frame with the
+   disk or another host. *)
+let own_pages (t : T.t) =
+  Array.fold_left
+    (fun acc (m : Clusterfs.Machine.t) ->
+      Array.fold_left
+        (fun acc (p : Vm.Page.t) ->
+          if p.Vm.Page.ident <> None && not p.Vm.Page.lent then acc + 1
+          else acc)
+        acc
+        (Vm.Pool.frames m.Clusterfs.Machine.pool))
+    0 t.T.servers
+
+(* The disk offsets of each server's data blocks, from [files]'s block
+   maps; every other chunk on its disk holds metadata. *)
+let data_offsets (t : T.t) ~files =
+  T.run t (fun t ->
+      Array.mapi
+        (fun s (m : Clusterfs.Machine.t) ->
+          let offs = Hashtbl.create 256 in
+          List.iter
+            (fun (server, path) ->
+              if server = s then
+                List.iter
+                  (fun (_, frag, blocks) ->
+                    let base = frag * Ufs.Layout.fsize in
+                    for k = 0 to blocks - 1 do
+                      Hashtbl.replace offs (base + (k * bsize)) ()
+                    done)
+                  (Ufs.Fs.extent_map m.Clusterfs.Machine.fs path))
+            files;
+          offs)
+        t.T.servers)
+
+let data_blocks data =
+  Array.fold_left (fun acc offs -> acc + Hashtbl.length offs) 0 data
+
+let metadata_chunks (t : T.t) ~data =
+  let n = ref 0 in
+  Array.iteri
+    (fun s (m : Clusterfs.Machine.t) ->
+      Disk.Store.iter_chunks
+        (fun off _ -> if not (Hashtbl.mem data.(s) off) then incr n)
+        (Disk.Blkdev.store m.Clusterfs.Machine.dev))
+    t.T.servers;
+  !n
+
+(* With [data] (from {!data_offsets}), at most one frame per data block,
+   one per metadata chunk and one per server page that holds bytes of
+   its own.  In any case, no held frame is on the frame pool's free
+   list. *)
+let check_census ?data (t : T.t) ~phase =
   let held = held t in
   let d = List.length (distinct held) in
-  let pool_frames =
-    Array.fold_left
-      (fun acc (m : Clusterfs.Machine.t) ->
-        acc + Array.length (Vm.Pool.frames m.Clusterfs.Machine.pool))
-      0 t.T.servers
-  in
-  let limit = (census_clients * census_blocks) + pool_frames in
-  if bound then
-    check_bool
-      (Printf.sprintf "%s: %d distinct frames, at most %d" phase d limit)
-      true (d <= limit);
+  Option.iter
+    (fun data ->
+      let blocks = data_blocks data in
+      let meta = metadata_chunks t ~data and own = own_pages t in
+      let limit = blocks + meta + own in
+      check_bool
+        (Printf.sprintf
+           "%s: %d distinct frames, at most %d data blocks + %d metadata \
+            chunks + %d own server pages"
+           phase d blocks meta own)
+        true (d <= limit))
+    data;
   let free = Sim.Frames.free_list (Sim.Engine.frames (T.engine t)) in
   check_bool
     (Printf.sprintf "%s: no held frame is on the free list" phase)
@@ -749,7 +803,16 @@ let test_one_copy_census () =
           ~len:bsize
       done;
       Nfs.Client.fsync f);
-  check_census t ~phase:"FSW" ~bound:true;
+  let data =
+    data_offsets t
+      ~files:
+        (List.init census_clients (fun id ->
+             (id mod census_servers, "/" ^ census_file id)))
+  in
+  check_int "every data block is on a disk"
+    (census_clients * census_blocks)
+    (data_blocks data);
+  check_census ~data t ~phase:"FSW";
   let on_server id f =
     T.run t (fun t ->
         let fs = t.T.servers.(id mod census_servers).Clusterfs.Machine.fs in
@@ -772,7 +835,7 @@ let test_one_copy_census () =
           ok := false
       done);
   check_bool "FSR read back every block" true !ok;
-  check_census t ~phase:"FSR" ~bound:true;
+  check_census ~data t ~phase:"FSR";
   Array.iteri
     (fun id _ ->
       on_server id (fun fs ip ->
@@ -783,7 +846,7 @@ let test_one_copy_census () =
           done;
           Ufs.Fs.fsync fs ip))
     files;
-  check_census t ~phase:"server overwrite" ~bound:false;
+  check_census t ~phase:"server overwrite";
   Array.iter
     (fun (c : T.client) ->
       Nfs.Client.iter_pages (mount c) (fun _ off frame ->
@@ -800,13 +863,15 @@ let rw_ops = 240 (* 4 KB calls per client *)
 let rw_fill ~client ~blk ~ver =
   Char.chr (((client * 53) + (blk * 7) + ver) land 0xff)
 
-(* Fresh frames taken from the engine's pool while [f] runs. *)
+(* Fresh frames taken from the engine's pool while [f] runs, and how
+   many more frames are on its free list afterwards than before. *)
 let fresh_frames (t : T.t) f =
   let frames = Sim.Engine.frames (T.engine t) in
   let fresh () = Sim.Frames.taken frames - Sim.Frames.reused frames in
-  let before = fresh () in
+  let free () = List.length (Sim.Frames.free_list frames) in
+  let before = fresh () and free_before = free () in
   f ();
-  fresh () - before
+  (fresh () - before, free () - free_before)
 
 let test_rewrite_census () =
   (* 4 clients over lossy adaptive links, a dup cache that evicts.  Each
@@ -814,8 +879,14 @@ let test_rewrite_census () =
      70/30 mix of 4 KB reads and 4 KB rewrites, each rewrite half of a
      page not written before, as the nfs-randrw benchmark does.  The old
      version of a rewritten block goes back to the pool once its last
-     holder lets go, so the phase takes few fresh frames: frames that
-     lost messages still hold, and the warm-up of the clients' caches. *)
+     holder lets go.  The phase's peak (server pages that take a
+     private frame for a 4 KB write while a client still holds the old
+     version) is backed by fresh frames the first time, since a free
+     server page holds none; those are on the free list again at the
+     end.  Beyond them the phase takes few fresh frames: the frames
+     still held at its end, such as the warm-up of the clients'
+     caches.  A lost message copy lets go of its frames where the
+     network drops it. *)
   let net = Net.lossy Net.default_config 0.03 in
   let t =
     T.create ~net ~seed:5 ~transport:Nfs.Rpc.Adaptive ~dup_cache_size:4
@@ -849,9 +920,9 @@ let test_rewrite_census () =
       Nfs.Client.fsync f);
   read_all ();
   check_bool "prewrite: every block reads back" true !ok;
-  check_census t ~phase:"prewrite" ~bound:false;
+  check_census t ~phase:"prewrite";
   let rewrites = ref 0 in
-  let fresh =
+  let fresh, first_backing =
     fresh_frames t (fun () ->
         T.run_clients t (fun c ->
             let id = c.T.id and f = Option.get files.(c.T.id) in
@@ -878,15 +949,19 @@ let test_rewrite_census () =
             Nfs.Client.fsync f))
   in
   check_bool "rewrite: every read saw the model's bytes" true !ok;
-  check_census t ~phase:"rewrite" ~bound:false;
+  check_census t ~phase:"rewrite";
   read_all ();
   check_bool "rewrite: every block reads back" true !ok;
-  check_census t ~phase:"read-back" ~bound:false;
+  check_census t ~phase:"read-back";
+  Printf.printf "the phase's peak first backed %d fresh frames, free again\n"
+    first_backing;
   check_bool
-    (Printf.sprintf "%d rewrites took %d fresh frames, under one per four"
-       !rewrites fresh)
+    (Printf.sprintf
+       "%d rewrites took %d fresh frames beyond the peak's, under one per \
+        four"
+       !rewrites (fresh - first_backing))
     true
-    (fresh < !rewrites / 4)
+    (fresh - first_backing < !rewrites / 4)
 
 (* ---------- a message copy is a holder ---------- *)
 
@@ -913,6 +988,79 @@ let test_message_copy_holds_frame () =
     !freed_early;
   check_bool "once it is served and the page evicted, the frame is free" true
     (on_free_list e !frame)
+
+(* [clients] clients on a fabric of [topology] with [net]'s loss and
+   the drop seed [seed] each create a file, then all at once write 4 KB
+   into its block 0 and sync it, then drop the file from their caches.
+   Returns the number of WRITE copies the network lost, and whether
+   every block 0's frame is on the free list once the run is over. *)
+let drop_run ?ports_buffer ~net ~topology ~clients ~seed () =
+  let t =
+    T.create ~net ~seed ~topology ?ports_buffer ~clients (Helpers.config ())
+  in
+  let sum f =
+    Array.fold_left
+      (fun acc (c : T.client) -> acc + f (Nfs.Rpc.stats c.T.rpc))
+      0 t.T.clients
+  in
+  let calls () = sum (fun st -> st.Nfs.Rpc.calls) in
+  let copies () =
+    sum (fun st -> st.Nfs.Rpc.calls + st.Nfs.Rpc.retransmits)
+  in
+  let received () = (Nfs.Server.stats t.T.service).Nfs.Server.received in
+  let name id = Printf.sprintf "drop%d" id in
+  let files = Array.make clients None in
+  T.run_clients t (fun c ->
+      files.(c.T.id) <- Some (Nfs.Client.create c.T.mount (name c.T.id)));
+  let calls0 = calls () and sent = copies () and arrived = received () in
+  T.run_clients t (fun c ->
+      let f = Option.get files.(c.T.id) in
+      Nfs.Client.write f ~off:0 ~buf:(Bytes.make (bsize / 2) 'A')
+        ~len:(bsize / 2);
+      Nfs.Client.fsync f);
+  check_int "the WRITEs are the only calls of their syncs" (calls0 + clients)
+    (calls ());
+  let lost = copies () - sent - (received () - arrived) in
+  let frames =
+    Array.map
+      (fun (c : T.client) -> cached_frame c.T.mount (name c.T.id) ~off:0)
+      t.T.clients
+  in
+  T.run t (fun _ ->
+      Array.iter (fun f -> Nfs.Client.invalidate (Option.get f)) files);
+  (lost, Array.for_all (on_free_list (T.engine t)) frames)
+
+let test_dropped_copy_releases_frame () =
+  (* Nobody receives a copy the network drops, so the fabric lets go of
+     its frames there, and a frame comes back once the client is done
+     with its page.  Over each fabric's loss draw, with the first drop
+     seed that loses a WRITE copy; and at a switch's full output buffer,
+     where four clients' WRITEs arrive at once for one slot. *)
+  let lossy = Net.lossy Net.default_config 0.5 in
+  List.iter
+    (fun (name, topology) ->
+      let rec first seed =
+        if seed = 20 then Alcotest.failf "%s: no seed lost a WRITE copy" name
+        else
+          match drop_run ~net:lossy ~topology ~clients:1 ~seed () with
+          | 0, _ -> first (seed + 1)
+          | _, freed -> freed
+      in
+      check_bool
+        (Printf.sprintf "%s loss: a lost WRITE copy's frame is free" name)
+        true (first 0))
+    [
+      ("point-to-point", T.Point_to_point);
+      ("shared medium", T.Shared_medium);
+      ("switch", T.Switched);
+    ];
+  let lost, freed =
+    drop_run ~net:Net.default_config ~topology:T.Switched ~ports_buffer:1
+      ~clients:4 ~seed:0 ()
+  in
+  check_bool "the full output buffer dropped a WRITE copy" true (lost > 0);
+  check_bool "switch overflow: every lost WRITE copy's frame is free" true
+    freed
 
 let suites =
   [
@@ -943,5 +1091,7 @@ let suites =
           test_rewrite_census;
         Alcotest.test_case "a message copy holds its frame" `Quick
           test_message_copy_holds_frame;
+        Alcotest.test_case "a dropped WRITE copy lets go of its frame" `Quick
+          test_dropped_copy_releases_frame;
       ] );
   ]

@@ -55,7 +55,7 @@ let test_param_default_scales () =
 
 let test_page_lock_protocol () =
   let e = Sim.Engine.create () in
-  let p = Vm.Page.make ~frameno:0 ~pagesize:512 in
+  let p = Vm.Page.make ~frameno:0 in
   let order = ref [] in
   Sim.Engine.spawn e (fun () ->
       Vm.Page.lock e p;
@@ -73,7 +73,7 @@ let test_page_lock_protocol () =
 
 let test_page_wait_unbusy () =
   let e = Sim.Engine.create () in
-  let p = Vm.Page.make ~frameno:0 ~pagesize:512 in
+  let p = Vm.Page.make ~frameno:0 in
   assert (Vm.Page.try_lock p);
   let waited = ref false in
   Sim.Engine.spawn e (fun () ->
@@ -93,6 +93,10 @@ let ident vid off = { Vm.Page.vid; off }
 let test_pool_alloc_lookup_free () =
   with_pool (fun _e pool ->
       check_int "all free" 32 (Vm.Pool.freecnt pool);
+      let no_frame (p : Vm.Page.t) = p.Vm.Page.frame == Sim.Frames.empty in
+      check_bool "a free page holds no frame" true
+        (Array.for_all no_frame (Vm.Pool.frames pool));
+      let frames = Sim.Engine.frames (Vm.Pool.engine pool) in
       let p =
         match Vm.Pool.alloc pool (ident 1 0) with
         | `Fresh p -> p
@@ -100,6 +104,10 @@ let test_pool_alloc_lookup_free () =
       in
       check_int "one taken" 31 (Vm.Pool.freecnt pool);
       check_bool "fresh page busy" true p.Vm.Page.busy;
+      check_int "the claimed page holds a frame from the engine's pool" 1
+        (Sim.Frames.taken frames);
+      check_int "of a page's size" 8192 (Bytes.length p.Vm.Page.data);
+      let frame = p.Vm.Page.data in
       Vm.Page.unbusy p;
       (match Vm.Pool.lookup pool (ident 1 0) with
       | Some q -> check_int "same frame" p.Vm.Page.frameno q.Vm.Page.frameno
@@ -109,6 +117,9 @@ let test_pool_alloc_lookup_free () =
       Vm.Pool.free_page pool p;
       check_int "back to free" 32 (Vm.Pool.freecnt pool);
       check_bool "gone from cache" true (Vm.Pool.lookup pool (ident 1 0) = None);
+      check_bool "the freed page holds no frame" true (no_frame p);
+      check_bool "and its frame is back in the engine's pool" true
+        (List.memq frame (Sim.Frames.free_list frames));
       let s = Vm.Pool.stats pool in
       check_int "alloc count" 1 s.Vm.Pool.allocs;
       check_int "free count" 1 s.Vm.Pool.frees)
